@@ -131,15 +131,26 @@ def load_instance(path: str) -> tuple[RawInstance, Instance]:
 
 def _parse_cost_model(value: str, m: int):
     name, _, arg = value.partition(":")
-    if name == "uniform":
-        return UniformRational(grid=int(arg)) if arg else UniformRational(grid=4 * m)
-    if name == "dyadic":
-        default_exp = max(1, (m - 1).bit_length())
-        return Dyadic(max_exponent=int(arg)) if arg else Dyadic(max_exponent=default_exp)
-    if name == "fixed":
-        if not arg:
-            raise UsageError("fixed cost model needs costs, e.g. fixed:1/4,1/2")
-        return Fixed(costs=tuple(Fraction(part) for part in arg.split(",")))
+    try:
+        if name == "uniform":
+            grid = int(arg) if arg else 4 * m
+            if grid < 1:
+                raise ValueError("grid must be positive")
+            return UniformRational(grid=grid)
+        if name == "dyadic":
+            exponent = int(arg) if arg else max(1, (m - 1).bit_length())
+            if exponent < 0:
+                raise ValueError("exponent must be nonnegative")
+            return Dyadic(max_exponent=exponent)
+        if name == "fixed":
+            if not arg:
+                raise UsageError("fixed cost model needs costs, e.g. fixed:1/4,1/2")
+            costs = tuple(Fraction(part) for part in arg.split(","))
+            if len(costs) != m:
+                raise ValueError(f"expected {m} costs, got {len(costs)}")
+            return Fixed(costs=costs)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --cost-model {value!r}: {exc}") from exc
     raise UsageError(f"unknown cost model {value!r}")
 
 
@@ -150,7 +161,10 @@ def _parse_solver(value: str):
     if name == "fptas":
         if not arg:
             raise UsageError("fptas solver needs an epsilon, e.g. fptas:0.1")
-        return Fptas(eps=float(arg))
+        try:
+            return Fptas(eps=float(arg))
+        except ValueError as exc:
+            raise UsageError(f"bad --solver {value!r}: {exc}") from exc
     raise UsageError(f"unknown solver {value!r}")
 
 
@@ -236,6 +250,8 @@ def cmd_eval(args) -> int:
         raise UsageError("--mix must lie in [0, 1]")
     solver = _parse_solver(args.solver)
     mode = Mode.EXACT if args.mode == "exact" else Mode.MONTE_CARLO
+    if mode is Mode.MONTE_CARLO and args.samples < 2:
+        raise UsageError("--samples must be at least 2 for a standard error")
     report = evaluate(
         instance,
         method,
@@ -315,9 +331,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

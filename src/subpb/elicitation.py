@@ -4,7 +4,7 @@ Three elicitation formats are supported: greedy marginal-gain rankings of
 one cost group, standalone-value rankings of one cost group, and approval
 sets at a rational threshold. Ranking profiles carry one permutation of
 the group per voter; approval profiles carry per-voter approval sets plus
-the derived weight and value-interval histogram used by aggregation.
+the derived approval weights that aggregation reads.
 """
 
 from __future__ import annotations
@@ -67,16 +67,12 @@ class RankingProfile:
 
 @dataclass(frozen=True)
 class ApprovalProfile:
-    """Per-voter approval sets at one threshold, with derived statistics.
-
-    weights[a] counts approving voters; histogram[a][t] counts voters whose
-    standalone value for `a` falls in the t-th value interval (intervals
-    reuse the cost-group boundaries)."""
+    """Per-voter approval sets at one threshold; weights[a] counts the
+    voters approving `a`."""
 
     threshold: Fraction
     approvals: tuple[frozenset, ...]
     weights: tuple[int, ...]
-    histogram: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -136,17 +132,6 @@ def greedy_prefix_marginals(
     return tuple(gains)
 
 
-def value_interval_index(x: float, partition: GroupPartition) -> int:
-    """Index of the value interval containing x.
-
-    Interval boundaries are shifted by APPROVAL_TOL so that a voter counted
-    strictly above l_t is always an approver at threshold l_t."""
-    for t in range(partition.T + 1):
-        if x <= float(partition.bounds[t][1]) + APPROVAL_TOL:
-            return t
-    return partition.T  # x <= 1 <= u_T up to float noise
-
-
 def ranking_profile(
     instance: Instance, partition: GroupPartition, method: Method, t: int
 ) -> RankingProfile:
@@ -167,23 +152,12 @@ def ranking_profile(
 def approval_profile(
     instance: Instance, partition: GroupPartition, alpha: Fraction
 ) -> ApprovalProfile:
-    """Approval sets at threshold alpha plus derived weights and histogram."""
+    """Approval sets at threshold alpha plus derived weights."""
     approvals = tuple(threshold_approve(v, alpha) for v in instance.voters)
     weights = tuple(
         sum(1 for approved in approvals if a in approved) for a in instance.alternatives
     )
-    histogram = []
-    for a in instance.alternatives:
-        counts = [0] * (partition.T + 1)
-        for voter in instance.voters:
-            counts[value_interval_index(voter.value((a,)), partition)] += 1
-        histogram.append(tuple(counts))
-    return ApprovalProfile(
-        threshold=Fraction(alpha),
-        approvals=approvals,
-        weights=weights,
-        histogram=tuple(histogram),
-    )
+    return ApprovalProfile(threshold=Fraction(alpha), approvals=approvals, weights=weights)
 
 
 def elicit(

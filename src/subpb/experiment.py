@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from functools import cached_property
+from typing import Sequence, Union
 
 from . import rng as rng_mod
 from .aggregation import (
@@ -39,8 +39,8 @@ from .core import (
     social_welfare,
     validate_instance,
 )
-from .elicitation import Method, approval_profile, ranking_profile
-from .optimize import ExactDP, Fptas, Solver, optimal_welfare
+from .elicitation import Method, RankingProfile, approval_profile, ranking_profile
+from .optimize import ExactDP, Fptas, OptimalBundle, Solver, optimal_welfare
 from .partition import GroupPartition, build_partition, selection_size, shortlist
 from .partition import harmonic_scores
 
@@ -210,22 +210,6 @@ def instance_family(instance: Instance) -> str:
     return families.pop() if len(families) == 1 else "mixed"
 
 
-def rule_a_group_mixture(
-    instance: Instance,
-    method: Method,
-    partition: GroupPartition | None = None,
-) -> SelectionDistribution:
-    """Shortlist rule averaged over the uniform group draw (ranking methods)."""
-    if partition is None:
-        partition = build_partition(instance)
-    share = Fraction(1, partition.T + 1)
-    parts = []
-    for t in range(partition.T + 1):
-        profile = ranking_profile(instance, partition, method, t)
-        parts.append((rule_a_ranking(profile, partition, instance), share))
-    return mix_distributions(parts)
-
-
 def exact_distribution(
     instance: Instance,
     method: Method,
@@ -239,10 +223,12 @@ def exact_distribution(
     mix = Fraction(mix)
     if method is Method.THRESHOLD_APPROVAL:
         return aggregate_threshold(instance, mix=mix, solver=solver, partition=partition)
-    _check_exact_support(instance, method, partition)
+    profiles = _check_exact_support(instance, method, partition)
     parts = []
     if mix > 0:
-        parts.append((rule_a_group_mixture(instance, method, partition), mix))
+        # Rule A averaged over the uniform group draw.
+        share = mix / (partition.T + 1)
+        parts += [(rule_a_ranking(p, partition, instance), share) for p in profiles]
     if mix < 1:
         parts.append((rule_b_uniform(instance), 1 - mix))
     return mix_distributions(parts)
@@ -250,14 +236,17 @@ def exact_distribution(
 
 def _check_exact_support(
     instance: Instance, method: Method, partition: GroupPartition
-) -> None:
+) -> list[RankingProfile]:
+    """Every group's ranking profile, raising ExactSupportTooLarge as soon as
+    the shortlist supports they induce would exceed the budget."""
     total = instance.m
+    profiles = []
     for t in range(partition.T + 1):
-        group = partition.groups[t]
-        if not group:
+        profile = ranking_profile(instance, partition, method, t)
+        profiles.append(profile)
+        if not profile.group:
             total += 1
             continue
-        profile = ranking_profile(instance, partition, method, t)
         scores = harmonic_scores(profile)
         chosen, _ = shortlist(partition, scores, t)
         size = min(len(chosen), selection_size(partition.m, t))
@@ -267,6 +256,7 @@ def _check_exact_support(
                 f"exact support exceeds {EXACT_SUPPORT_LIMIT} sets; "
                 "rerun in Monte Carlo mode"
             )
+    return profiles
 
 
 def theoretical_bound(
@@ -296,6 +286,36 @@ def _solver_eps(solver: Solver) -> float:
     return solver.eps if isinstance(solver, Fptas) else 0.0
 
 
+class _InstanceFacts:
+    """What every method's evaluation of one instance shares: the partition,
+    the exhaustive optimum, the curvature and the welfare of each set seen.
+
+    Each fact is computed on first use and at most once. A computation
+    that raises is not cached, so every cell that needs it raises again."""
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.welfare_cache: dict[frozenset, float] = {}
+
+    @cached_property
+    def partition(self) -> GroupPartition:
+        return build_partition(self.instance)
+
+    @cached_property
+    def optimum(self) -> OptimalBundle:
+        return optimal_welfare(self.instance)
+
+    @cached_property
+    def curvature(self) -> float:
+        return max_curvature(self.instance)
+
+    def welfare(self, items: frozenset) -> float:
+        value = self.welfare_cache.get(items)
+        if value is None:
+            value = self.welfare_cache[items] = social_welfare(self.instance, items)
+        return value
+
+
 def evaluate(
     instance: Instance,
     method: Method,
@@ -306,21 +326,30 @@ def evaluate(
     solver: Solver = ExactDP(),
     instance_id: str = "",
 ) -> EvaluationReport:
-    """Evaluate one elicitation method on one instance."""
+    """Evaluate one elicitation method on one instance, with a fresh
+    per-instance record (`sweep` shares one record across methods)."""
+    facts = _InstanceFacts(instance)
+    return _evaluate(facts, method, mix, mode, seed, samples, solver, instance_id)
+
+
+def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
+              seed: int, samples: int, solver: Solver, instance_id: str) -> EvaluationReport:
+    instance = facts.instance
     mix = Fraction(mix)
-    cache: dict[frozenset, float] = {}
     stderr = None
     n_samples = None
-    # Build the distribution first: the support-budget check must fire
-    # before any exhaustive enumeration is attempted.
+    # Build the distribution before asking the record for the optimum: the
+    # support-budget check must fire before any exhaustive enumeration.
     if mode is Mode.EXACT:
-        dist = exact_distribution(instance, method, mix=mix, solver=solver)
-        expected = expected_welfare(dist, instance, cache)
+        dist = exact_distribution(
+            instance, method, mix=mix, solver=solver, partition=facts.partition
+        )
+        expected = expected_welfare(dist, instance, facts.welfare_cache)
     else:
-        expected, stderr = _monte_carlo(instance, method, mix, solver, seed, samples, cache)
+        expected, stderr = _monte_carlo(facts, method, mix, solver, seed, samples)
         n_samples = samples
-    optimum = optimal_welfare(instance)
-    curvature = max_curvature(instance)
+    optimum = facts.optimum
+    curvature = facts.curvature
     bound = theoretical_bound(
         method, instance.m, curvature, optimum.welfare, mix, _solver_eps(solver)
     )
@@ -344,13 +373,12 @@ def evaluate(
 
 
 def _monte_carlo(
-    instance: Instance,
+    facts: _InstanceFacts,
     method: Method,
     mix: Fraction,
     solver: Solver,
     seed: int,
     samples: int,
-    cache: dict[frozenset, float],
 ) -> tuple[float, float]:
     """Sample the full pipeline; returns (mean, standard error).
 
@@ -359,17 +387,9 @@ def _monte_carlo(
     per sample."""
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    partition = build_partition(instance)
+    instance, partition, welfare = facts.instance, facts.partition, facts.welfare
     rng = rng_mod.stream(seed, "mc", method.value, instance.m, instance.n)
     mix_f = float(mix)
-
-    def welfare(items: frozenset) -> float:
-        value = cache.get(items)
-        if value is None:
-            value = social_welfare(instance, items)
-            cache[items] = value
-        return value
-
     draws: list[float] = []
     if method.is_ranking:
         branches = []
@@ -400,8 +420,8 @@ def _monte_carlo(
             else:
                 picked = frozenset((rng.randrange(instance.m),))
             draws.append(welfare(picked))
-    mean = statistics.fmean(draws)
-    spread = statistics.stdev(draws)
+    mean = math.fsum(draws) / samples
+    spread = math.sqrt(math.fsum((x - mean) ** 2 for x in draws) / (samples - 1))
     return mean, spread / math.sqrt(samples)
 
 
@@ -453,22 +473,20 @@ def sweep(
 ) -> list[SweepResult]:
     """Evaluate the cross product of specs and methods.
 
-    Per-cell failures become marked rows instead of aborting the sweep."""
+    Each spec's instance is generated once, and one per-instance record is
+    shared by all its methods, so the partition, optimum, curvature and set
+    welfares are computed once per instance rather than once per cell; the
+    rows equal those of independent `evaluate` calls. Per-cell failures
+    become marked rows instead of aborting the sweep."""
     results: list[SweepResult] = []
     for spec in specs:
-        instance = generate(spec)
+        facts = _InstanceFacts(generate(spec))
         for method in methods:
             try:
                 results.append(
-                    evaluate(
-                        instance,
-                        method,
-                        mix=mix,
-                        mode=mode,
-                        seed=spec.seed,
-                        samples=samples,
-                        solver=solver,
-                        instance_id=spec.instance_id,
+                    _evaluate(
+                        facts, method, mix, mode, spec.seed, samples, solver,
+                        spec.instance_id,
                     )
                 )
             except Exception as exc:  # noqa: BLE001 - sweep must not abort

@@ -1,11 +1,12 @@
 """Exact and approximate knapsack solvers, plus the exhaustive welfare oracle.
 
-The exact solver runs a profit-indexed dynamic program over exact rational
-costs (profits are small integers, so this is cheap at desk scale) and
-breaks ties toward the lexicographically smallest id sequence. The FPTAS
-rescales profits and reuses the exact solver. The welfare oracle enumerates
-every feasible subset; submodular upper-bound pruning is deliberately not
-used because only cost pruning is sound for locating the maximum.
+The exact solver runs a profit-indexed dynamic program over costs scaled
+to exact integers (profits are small integers, so this is cheap at desk
+scale) and breaks ties toward the lexicographically smallest id sequence.
+The FPTAS rescales profits and reuses the exact solver. The welfare oracle
+enumerates every feasible subset over the same integer costs; submodular
+upper-bound pruning is deliberately not used because only cost pruning is
+sound for locating the maximum.
 """
 
 from __future__ import annotations
@@ -67,15 +68,21 @@ class Fptas:
 Solver = Union[ExactDP, Fptas]
 
 
-def _suffix_min_cost(problem: KnapsackProblem) -> list[list[Fraction | None]]:
+def _integer_costs(costs: Sequence[Fraction], budget: Fraction) -> tuple[list[int], int]:
+    """Costs and budget times the LCM of their denominators: exact integers
+    that add and compare like the rationals."""
+    scale = math.lcm(budget.denominator, *(c.denominator for c in costs))
+    return [int(c * scale) for c in costs], int(budget * scale)
+
+
+def _suffix_min_cost(profits: Sequence[int], costs: Sequence[int]) -> list[list[int | None]]:
     """suffix[j][q]: minimal cost of a subset of items j.. with profit exactly q."""
-    total = sum(problem.profits)
-    suffix: list[list[Fraction | None]] = [
-        [None] * (total + 1) for _ in range(problem.size + 1)
-    ]
-    suffix[problem.size][0] = Fraction(0)
-    for j in reversed(range(problem.size)):
-        p, c = problem.profits[j], problem.costs[j]
+    total = sum(profits)
+    size = len(profits)
+    suffix: list[list[int | None]] = [[None] * (total + 1) for _ in range(size + 1)]
+    suffix[size][0] = 0
+    for j in reversed(range(size)):
+        p, c = profits[j], costs[j]
         nxt = suffix[j + 1]
         row = suffix[j]
         for q in range(total + 1):
@@ -91,8 +98,8 @@ def _suffix_min_cost(problem: KnapsackProblem) -> list[list[Fraction | None]]:
 def knapsack_exact(problem: KnapsackProblem) -> frozenset:
     """Maximum-profit feasible set; among optima, the lexicographically
     smallest id sequence (so the empty set wins when all profits are zero)."""
-    suffix = _suffix_min_cost(problem)
-    capacity = problem.capacity
+    costs, capacity = _integer_costs(problem.costs, problem.capacity)
+    suffix = _suffix_min_cost(problem.profits, costs)
     opt = max(
         q
         for q, cost in enumerate(suffix[0])
@@ -104,7 +111,7 @@ def knapsack_exact(problem: KnapsackProblem) -> frozenset:
     for j in range(problem.size):
         if need == 0:
             break
-        p, c = problem.profits[j], problem.costs[j]
+        p, c = problem.profits[j], costs[j]
         if p <= need and c <= budget:
             rest = suffix[j + 1][need - p]
             if rest is not None and rest <= budget - c:
@@ -163,13 +170,12 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
             f"m={m} exceeds the exhaustive limit of {EXACT_ENUMERATION_LIMIT}"
         )
     trackers = [v.tracker() for v in instance.voters]
-    costs = instance.costs
-    budget = instance.budget
+    costs, budget = _integer_costs(instance.costs, instance.budget)
     best_welfare = -1.0
     best_seq: tuple[int, ...] | None = None
     chosen: list[int] = []
 
-    def explore(idx: int, cost: Fraction, welfare: float) -> None:
+    def explore(idx: int, cost: int, welfare: float) -> None:
         nonlocal best_welfare, best_seq
         if idx == m:
             seq = tuple(chosen)
@@ -191,6 +197,6 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
             for tracker in trackers:
                 tracker.pop()
 
-    explore(0, Fraction(0), 0.0)
+    explore(0, 0, 0.0)
     assert best_seq is not None
     return OptimalBundle(items=frozenset(best_seq), welfare=best_welfare)

@@ -38,7 +38,6 @@ def approval_stub(weights):
         threshold=Fraction(1, 2),
         approvals=(frozenset(a for a in range(m) if weights[a]),),
         weights=tuple(weights),
-        histogram=tuple((0, 1) for _ in range(m)),
     )
 
 

@@ -11,7 +11,6 @@ from subpb.core import (
     OracleSpec,
     RawInstance,
     compute_curvature,
-    social_welfare,
     validate_instance,
 )
 from subpb.elicitation import (
@@ -150,48 +149,6 @@ class TestProfiles:
         profile = approval_profile(instance, partition, Fraction(1, 2))
         assert profile.approvals == (frozenset({0}), frozenset({1}))
         assert profile.weights == (1, 1)
-        for a in instance.alternatives:
-            assert sum(profile.histogram[a]) == instance.n
-
-    def test_histogram_supports_weight_floor(self):
-        # Every voter counted strictly above a threshold must approve at it.
-        instance = simple_instance(
-            [Fraction(k, 8) for k in (1, 2, 3, 8)],
-            [
-                OracleSpec("additive", {"values": [0.1, 0.5, 0.25, 0.15]}),
-                OracleSpec("concave", {"values": [1.0, 0.2, 0.3, 0.6], "gamma": 0.5}),
-                OracleSpec("max-value", {"values": [0.9, 0.2, 1.0, 0.4]}),
-            ],
-        )
-        partition = build_partition(instance)
-        for t in range(1, partition.T + 1):
-            alpha = partition.bounds[t][0]
-            profile = approval_profile(instance, partition, alpha)
-            for a in instance.alternatives:
-                assert profile.weights[a] >= profile.histogram[a][t]
-
-    def test_value_sandwich_from_histogram(self):
-        instance = simple_instance(
-            [Fraction(k, 8) for k in (1, 3, 5, 8)],
-            [
-                OracleSpec("additive", {"values": [0.4, 0.3, 0.2, 0.1]}),
-                OracleSpec("max-value", {"values": [0.2, 1.0, 0.5, 0.7]}),
-            ],
-        )
-        partition = build_partition(instance)
-        profile = approval_profile(instance, partition, partition.thresholds[0])
-        for a in instance.alternatives:
-            welfare = social_welfare(instance, {a})
-            lower = sum(
-                profile.histogram[a][t] * float(partition.bounds[t][0])
-                for t in range(partition.T + 1)
-            )
-            upper = profile.histogram[a][0] / instance.m + sum(
-                profile.histogram[a][t] * float(partition.bounds[t][1])
-                for t in range(1, partition.T + 1)
-            )
-            assert lower <= welfare + 1e-9
-            assert welfare <= upper + 1e-9
 
 
 class TestGreedyPrefixBound:
