@@ -1,17 +1,19 @@
 """Randomized aggregation rules materialized as exact selection distributions.
 
-Every rule is returned as the full discrete distribution over feasible
-sets, with exact rational probabilities, so expected welfare and inclusion
-probabilities can be computed by enumeration rather than sampling. The
-ranking rules mix a score-shortlist subset draw with a uniform singleton
-draw; the threshold rule mixes per-threshold knapsack outcomes with the
-same uniform singleton draw.
+Every rule is first written as a plan of its public randomness
+(`rule_plan`): a few components (weight, P, k) with exact weights, each
+meaning "a uniform k-subset of the sorted items P". The ranking rules mix a
+score-shortlist subset draw with a uniform singleton draw; the threshold
+rule mixes per-threshold knapsack outcomes S, each the component (S, |S|),
+with the same uniform singleton draw. `plan_distribution` expands a plan
+into the full discrete distribution over feasible sets, with exact
+rational probabilities, so expected welfare and inclusion probabilities can
+be computed by enumeration rather than sampling.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -102,26 +104,73 @@ def validate_support(dist: SelectionDistribution, instance: Instance) -> None:
             raise ValueError(f"infeasible support set {sorted(items)}")
 
 
+#: A branch (sorted items P, k) selects a uniform k-subset of P; a point
+#: outcome S is (S, |S|). A plan component adds the branch's exact weight.
+Branch = tuple[tuple[AlternativeId, ...], int]
+Component = tuple[Fraction, tuple[AlternativeId, ...], int]
+
+
+def check_mix(mix: Fraction) -> Fraction:
+    """The coin weight of the rule-A branch, which must lie in [0, 1]."""
+    mix = Fraction(mix)
+    if not 0 <= mix <= 1:
+        raise ValueError(f"mix must lie in [0, 1], got {mix}")
+    return mix
+
+
+def shortlist_branch(profile: RankingProfile, partition: GroupPartition) -> Branch:
+    """Score-shortlist rule for a ranked group: the top scorers P of G_t, of
+    which a uniform subset of size k = floor(1/u_t) (capped at |P|) is
+    selected. Feasible because the subset holds at most 1/u_t members each
+    costing at most u_t. An empty group selects nothing."""
+    t = profile.group_index
+    if not profile.group:
+        return (), 0
+    chosen, _ = shortlist(partition, harmonic_scores(profile), t)
+    return chosen, min(len(chosen), selection_size(partition.m, t))
+
+
+def threshold_branches(
+    instance: Instance, partition: GroupPartition, solver: Solver = ExactDP()
+) -> list[Branch]:
+    """Each threshold's knapsack outcome S as the point branch (S, |S|)."""
+    outcomes = (rule_a_threshold(approval_profile(instance, alpha), instance, solver)
+                for alpha in partition.thresholds)
+    return [(tuple(sorted(outcome)), len(outcome)) for outcome in outcomes]
+
+
+def rule_plan(instance: Instance, mix: Fraction, branches: Sequence[Branch]) -> list[Component]:
+    """The coin-flip mixture as components with exact weights summing to 1:
+    the uniform singleton with weight 1 - mix, then every branch with an
+    equal share of mix (the uniform group or threshold draw). Without
+    branches all weight goes to the singleton."""
+    coin = mix if branches else Fraction(0)
+    share = coin / max(1, len(branches))
+    return [(1 - coin, tuple(instance.alternatives), 1)] + [
+        (share, items, k) for items, k in branches
+    ]
+
+
+def plan_distribution(plan: Sequence[Component]) -> SelectionDistribution:
+    """Expand every weighted component into its C(|P|, k) subsets."""
+    parts = []
+    for weight, items, k in plan:
+        if weight:
+            sets = list(map(frozenset, itertools.combinations(items, k)))
+            parts.append((SelectionDistribution.uniform_over(sets), weight))
+    return mix_distributions(parts)
+
+
 def rule_a_ranking(
     profile: RankingProfile, partition: GroupPartition, instance: Instance
 ) -> SelectionDistribution:
-    """Score-shortlist rule for a ranked group: shortlist the top scorers of
-    G_t, then select a uniform random subset of size floor(1/u_t) (capped at
-    the shortlist size). Feasible because the subset holds at most 1/u_t
-    members each costing at most u_t. An empty group selects nothing."""
-    t = profile.group_index
-    if not profile.group:
-        return SelectionDistribution.point(())
-    scores = harmonic_scores(profile)
-    chosen, _ = shortlist(partition, scores, t)
-    size = min(len(chosen), selection_size(partition.m, t))
-    subsets = [frozenset(combo) for combo in itertools.combinations(sorted(chosen), size)]
-    return SelectionDistribution.uniform_over(subsets)
+    """The score-shortlist rule alone (`shortlist_branch`) as a distribution."""
+    return plan_distribution([(Fraction(1), *shortlist_branch(profile, partition))])
 
 
 def rule_b_uniform(instance: Instance) -> SelectionDistribution:
     """Uniform random singleton; the baseline rule."""
-    return SelectionDistribution.uniform_over([(a,) for a in instance.alternatives])
+    return plan_distribution(rule_plan(instance, Fraction(0), []))
 
 
 def aggregate_ranking(
@@ -131,15 +180,8 @@ def aggregate_ranking(
     mix: Fraction = DEFAULT_MIX,
 ) -> SelectionDistribution:
     """Coin-flip mixture of the shortlist rule and the uniform singleton."""
-    mix = Fraction(mix)
-    if not 0 <= mix <= 1:
-        raise ValueError(f"mix must lie in [0, 1], got {mix}")
-    parts = []
-    if mix > 0:
-        parts.append((rule_a_ranking(profile, partition, instance), mix))
-    if mix < 1:
-        parts.append((rule_b_uniform(instance), 1 - mix))
-    return mix_distributions(parts)
+    branches = [shortlist_branch(profile, partition)]
+    return plan_distribution(rule_plan(instance, check_mix(mix), branches))
 
 
 def rule_a_threshold(
@@ -165,23 +207,11 @@ def aggregate_threshold(
     The whole construction is deterministic; randomness only materializes
     when the distribution is sampled. With a single alternative there are
     no thresholds and all mass goes to the singleton baseline."""
-    mix = Fraction(mix)
-    if not 0 <= mix <= 1:
-        raise ValueError(f"mix must lie in [0, 1], got {mix}")
+    mix = check_mix(mix)
     if partition is None:
         partition = build_partition(instance)
-    thresholds = partition.thresholds
-    if not thresholds or mix == 0:
-        return rule_b_uniform(instance)
-    share = mix / len(thresholds)
-    parts: list[tuple[SelectionDistribution, Fraction]] = []
-    for alpha in thresholds:
-        profile = approval_profile(instance, partition, alpha)
-        outcome = rule_a_threshold(profile, instance, solver)
-        parts.append((SelectionDistribution.point(outcome), share))
-    if mix < 1:
-        parts.append((rule_b_uniform(instance), 1 - mix))
-    return mix_distributions(parts)
+    branches = threshold_branches(instance, partition, solver) if mix else []
+    return plan_distribution(rule_plan(instance, mix, branches))
 
 
 def expected_welfare(

@@ -100,7 +100,7 @@ def parse_instance_file(text: str) -> RawInstance:
             f"unsupported schema_version {document.get('schema_version')!r}"
         )
     try:
-        costs = tuple(Fraction(c) for c in document["costs"])
+        costs = tuple(_exact_cost(c) for c in document["costs"])
         voters = tuple(
             OracleSpec(family=v["family"], params=dict(v["params"]))
             for v in document["voters"]
@@ -112,6 +112,14 @@ def parse_instance_file(text: str) -> RawInstance:
     if document.get("n") != len(voters):
         raise InstanceFileError("declared n disagrees with the voter list")
     return RawInstance(costs=costs, voters=voters)
+
+
+def _exact_cost(value) -> Fraction:
+    """A cost from the file; floats are refused because they are not the
+    exact value the user wrote."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InstanceFileError(f"cost {value!r} must be a \"num/den\" string or an integer")
+    return Fraction(value)
 
 
 def load_instance(path: str) -> tuple[RawInstance, Instance]:

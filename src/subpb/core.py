@@ -153,10 +153,12 @@ class CoverageOracle(UtilityOracle):
         wts = _nonnegative_floats(weights)
         masks = []
         for cover in covers:
+            if not isinstance(cover, (list, tuple)):
+                raise ValidationError(f"a cover set must be a list, got {cover!r}")
             mask = 0
             for u in cover:
-                if not 0 <= u < len(wts):
-                    raise ValidationError(f"covered element {u} outside universe")
+                if not isinstance(u, int) or not 0 <= u < len(wts):
+                    raise ValidationError(f"covered element {u!r} outside universe")
                 mask |= 1 << u
             masks.append(mask)
         full = 0
@@ -243,8 +245,17 @@ class MaxValueOracle(UtilityOracle):
         return _MaxTracker(self)
 
 
+def _as_float(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
 def _nonnegative_floats(values: Sequence[float]) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in values)
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"utility parameters must be a list, got {values!r}")
+    vals = tuple(_as_float(v, "utility parameter") for v in values)
     for v in vals:
         if v < 0.0 or not math.isfinite(v):
             raise ValidationError(f"utility parameters must be finite and >= 0, got {v}")
@@ -394,9 +405,6 @@ class Instance:
     def feasible(self, items: Iterable[AlternativeId]) -> bool:
         return self.cost(items) <= self.budget
 
-    def full_set(self) -> frozenset:
-        return frozenset(self.alternatives)
-
 
 _FAMILIES = ("additive", "coverage", "concave", "max-value")
 
@@ -412,6 +420,8 @@ def build_oracle(spec: OracleSpec, m: int) -> UtilityOracle:
         covers = params.pop("covers", None)
         if weights is None or covers is None:
             raise ValidationError("coverage oracle needs 'weights' and 'covers'")
+        if not isinstance(covers, (list, tuple)):
+            raise ValidationError(f"'covers' must be a list, got {covers!r}")
         if len(covers) != m:
             raise ValidationError(f"expected {m} cover sets, got {len(covers)}")
         return CoverageOracle.normalized(weights, covers)
@@ -420,7 +430,7 @@ def build_oracle(spec: OracleSpec, m: int) -> UtilityOracle:
         if gamma is None:
             raise ValidationError("concave oracle needs 'gamma'")
         values = _param_values(params, m)
-        return ConcaveOverModularOracle.normalized(values, float(gamma))
+        return ConcaveOverModularOracle.normalized(values, _as_float(gamma, "gamma"))
     if spec.family == "max-value":
         values = _param_values(params, m)
         return MaxValueOracle.normalized(values)
@@ -431,6 +441,8 @@ def _param_values(params: dict, m: int) -> Sequence[float]:
     values = params.pop("values", None)
     if values is None:
         raise ValidationError("oracle needs a 'values' list")
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"'values' must be a list, got {values!r}")
     if len(values) != m:
         raise ValidationError(f"expected {m} values, got {len(values)}")
     return values

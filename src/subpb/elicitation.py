@@ -149,9 +149,7 @@ def ranking_profile(
     return RankingProfile(method=method, group_index=t, group=group, rankings=rankings)
 
 
-def approval_profile(
-    instance: Instance, partition: GroupPartition, alpha: Fraction
-) -> ApprovalProfile:
+def approval_profile(instance: Instance, alpha: Fraction) -> ApprovalProfile:
     """Approval sets at threshold alpha plus derived weights."""
     approvals = tuple(threshold_approve(v, alpha) for v in instance.voters)
     weights = tuple(
@@ -177,4 +175,4 @@ def elicit(
     if not thresholds:
         raise ValueError("threshold approval needs at least two alternatives")
     alpha = rng.choice(thresholds)
-    return approval_profile(instance, partition, alpha)
+    return approval_profile(instance, alpha)

@@ -1,10 +1,11 @@
 """Instance generation, pipeline evaluation, and sweep reporting.
 
 `evaluate` runs one full pipeline (elicit, aggregate, expected welfare
-against the exhaustive optimum) in one of two modes. Exact mode enumerates
-all public randomness: the uniform group or threshold draw, the rule coin,
-and the shortlist-subset draw, producing an exact expectation. Monte Carlo
-mode samples the same pipeline and reports a mean with a standard error.
+against the exhaustive optimum) in one of two modes. Both read one plan of
+the rule's public randomness (`_plan`): weighted components "a uniform
+k-subset of P" (`aggregation.rule_plan`). Exact mode expands every component
+into its C(|P|, k) sets, producing an exact expectation. Monte Carlo mode
+samples the plan and reports a mean with a standard error.
 
 The reported welfare ratio (optimal over expected) is a per-instance lower
 bound on the rule's distortion: distortion also takes a supremum over all
@@ -14,7 +15,9 @@ utility profiles consistent with the votes, which is not computed here.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,13 +26,14 @@ from typing import Sequence, Union
 from . import rng as rng_mod
 from .aggregation import (
     DEFAULT_MIX,
+    Component,
     SelectionDistribution,
-    aggregate_threshold,
+    check_mix,
     expected_welfare,
-    mix_distributions,
-    rule_a_ranking,
-    rule_a_threshold,
-    rule_b_uniform,
+    plan_distribution,
+    rule_plan,
+    shortlist_branch,
+    threshold_branches,
 )
 from .core import (
     Instance,
@@ -39,10 +43,9 @@ from .core import (
     social_welfare,
     validate_instance,
 )
-from .elicitation import Method, RankingProfile, approval_profile, ranking_profile
+from .elicitation import Method, ranking_profile
 from .optimize import ExactDP, Fptas, OptimalBundle, Solver, optimal_welfare
-from .partition import GroupPartition, build_partition, selection_size, shortlist
-from .partition import harmonic_scores
+from .partition import GroupPartition, build_partition
 
 #: Exact mode refuses to enumerate more support sets than this.
 EXACT_SUPPORT_LIMIT = 10**6
@@ -217,46 +220,17 @@ def exact_distribution(
     solver: Solver = ExactDP(),
     partition: GroupPartition | None = None,
 ) -> SelectionDistribution:
-    """Full selection distribution over all public randomness."""
-    if partition is None:
-        partition = build_partition(instance)
-    mix = Fraction(mix)
-    if method is Method.THRESHOLD_APPROVAL:
-        return aggregate_threshold(instance, mix=mix, solver=solver, partition=partition)
-    profiles = _check_exact_support(instance, method, partition)
-    parts = []
-    if mix > 0:
-        # Rule A averaged over the uniform group draw.
-        share = mix / (partition.T + 1)
-        parts += [(rule_a_ranking(p, partition, instance), share) for p in profiles]
-    if mix < 1:
-        parts.append((rule_b_uniform(instance), 1 - mix))
-    return mix_distributions(parts)
-
-
-def _check_exact_support(
-    instance: Instance, method: Method, partition: GroupPartition
-) -> list[RankingProfile]:
-    """Every group's ranking profile, raising ExactSupportTooLarge as soon as
-    the shortlist supports they induce would exceed the budget."""
-    total = instance.m
-    profiles = []
-    for t in range(partition.T + 1):
-        profile = ranking_profile(instance, partition, method, t)
-        profiles.append(profile)
-        if not profile.group:
-            total += 1
-            continue
-        scores = harmonic_scores(profile)
-        chosen, _ = shortlist(partition, scores, t)
-        size = min(len(chosen), selection_size(partition.m, t))
-        total += math.comb(len(chosen), size)
-        if total > EXACT_SUPPORT_LIMIT:
-            raise ExactSupportTooLarge(
-                f"exact support exceeds {EXACT_SUPPORT_LIMIT} sets; "
-                "rerun in Monte Carlo mode"
-            )
-    return profiles
+    """Full selection distribution over all public randomness, raising
+    ExactSupportTooLarge if the plan's subsets would exceed the budget."""
+    facts = _InstanceFacts(instance)
+    if partition is not None:
+        facts.partition = partition
+    plan = _plan(facts, method, Fraction(mix), solver)
+    if sum(math.comb(len(items), k) for _, items, k in plan) > EXACT_SUPPORT_LIMIT:
+        raise ExactSupportTooLarge(
+            f"exact support exceeds {EXACT_SUPPORT_LIMIT} sets; rerun in Monte Carlo mode"
+        )
+    return plan_distribution(plan)
 
 
 def theoretical_bound(
@@ -338,14 +312,19 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
     mix = Fraction(mix)
     stderr = None
     n_samples = None
-    # Build the distribution before asking the record for the optimum: the
-    # support-budget check must fire before any exhaustive enumeration.
     if mode is Mode.EXACT:
+        # The distribution comes before the optimum: the support-budget
+        # check must fire before any exhaustive enumeration.
         dist = exact_distribution(
             instance, method, mix=mix, solver=solver, partition=facts.partition
         )
         expected = expected_welfare(dist, instance, facts.welfare_cache)
     else:
+        if samples < 2:
+            raise ValueError("need at least 2 samples for a standard error")
+        # Past the optimum's enumeration limit the cell fails before sampling,
+        # so every C(|P|, k) drawn from stays within C(24, 12) < 2**53.
+        facts.optimum
         expected, stderr = _monte_carlo(facts, method, mix, solver, seed, samples)
         n_samples = samples
     optimum = facts.optimum
@@ -372,6 +351,45 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
     )
 
 
+def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, solver: Solver) -> list[Component]:
+    """The rule's components (`aggregation.rule_plan`). A ranking rule lists
+    every group, even at weight 0, so the support budget sees every group;
+    an empty group's profile is not computed."""
+    mix = check_mix(mix)
+    instance, partition = facts.instance, facts.partition
+    if method.is_ranking:
+        branches = [
+            shortlist_branch(ranking_profile(instance, partition, method, t), partition)
+            if partition.groups[t] else ((), 0)
+            for t in range(partition.T + 1)
+        ]
+    else:
+        branches = threshold_branches(instance, partition, solver) if mix else []
+    return rule_plan(instance, mix, branches)
+
+
+def _unrank(items: tuple[int, ...], k: int, rank: int) -> list[int]:
+    """The k-subset of `items` at position `rank` of `itertools.combinations`
+    order. Walking the items, `block` counts the subsets that take the
+    current item, C(items after it, open slots - 1): the rank either falls
+    in that block (take the item) or skips past it."""
+    picked: list[int] = []
+    left = len(items)
+    block = math.comb(left - 1, k - 1) if k else 0
+    for item in items:
+        slots = k - len(picked)
+        if not slots:
+            break
+        left -= 1
+        if rank < block:
+            picked.append(item)
+            block = block * (slots - 1) // left if left else 0
+        else:
+            rank -= block
+            block = block * (left - slots + 1) // left if left else 0
+    return picked
+
+
 def _monte_carlo(
     facts: _InstanceFacts,
     method: Method,
@@ -380,49 +398,28 @@ def _monte_carlo(
     seed: int,
     samples: int,
 ) -> tuple[float, float]:
-    """Sample the full pipeline; returns (mean, standard error).
+    """Sample the rule's plan `samples` times; returns (mean, standard error).
 
-    Profiles and knapsack outcomes are deterministic given the instance, so
-    they are computed once per branch; only the public randomness is drawn
-    per sample."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    instance, partition, welfare = facts.instance, facts.partition, facts.welfare
+    One call draws every sample's component; one more call per component
+    draws its count of ranks among its C(|P|, k) subsets. The draws are
+    i.i.d. from the rule. Each distinct set costs one `_unrank` and one
+    welfare lookup, weighted by how often it was drawn."""
+    instance = facts.instance
     rng = rng_mod.stream(seed, "mc", method.value, instance.m, instance.n)
-    mix_f = float(mix)
-    draws: list[float] = []
-    if method.is_ranking:
-        branches = []
-        for t in range(partition.T + 1):
-            group = partition.groups[t]
-            if not group:
-                branches.append(((), 0))
-                continue
-            profile = ranking_profile(instance, partition, method, t)
-            chosen, _ = shortlist(partition, harmonic_scores(profile), t)
-            branches.append((chosen, min(len(chosen), selection_size(partition.m, t))))
-        for _ in range(samples):
-            if rng.random() < mix_f:
-                chosen, size = branches[rng.randrange(partition.T + 1)]
-                picked = frozenset(rng.sample(chosen, size)) if chosen else frozenset()
-            else:
-                picked = frozenset((rng.randrange(instance.m),))
-            draws.append(welfare(picked))
-    else:
-        thresholds = partition.thresholds
-        outcomes = [
-            rule_a_threshold(approval_profile(instance, partition, alpha), instance, solver)
-            for alpha in thresholds
-        ]
-        for _ in range(samples):
-            if outcomes and rng.random() < mix_f:
-                picked = outcomes[rng.randrange(len(outcomes))]
-            else:
-                picked = frozenset((rng.randrange(instance.m),))
-            draws.append(welfare(picked))
-    mean = math.fsum(draws) / samples
-    spread = math.sqrt(math.fsum((x - mean) ** 2 for x in draws) / (samples - 1))
-    return mean, spread / math.sqrt(samples)
+    plan = _plan(facts, method, mix, solver)
+    scale = math.lcm(*(weight.denominator for weight, _, _ in plan))
+    cum_weights = list(itertools.accumulate(int(weight * scale) for weight, _, _ in plan))
+    pairs: list[tuple[float, int]] = []
+    for index, count in Counter(rng.choices(range(len(plan)), cum_weights=cum_weights,
+                                            k=samples)).items():
+        _, items, k = plan[index]
+        subsets = math.comb(len(items), k)
+        ranks = Counter(rng.choices(range(subsets), k=count)) if subsets > 1 else {0: count}
+        pairs += [(facts.welfare(frozenset(_unrank(items, k, rank))), times)
+                  for rank, times in ranks.items()]
+    mean = math.fsum(value * times for value, times in pairs) / samples
+    spread = math.fsum(times * (value - mean) ** 2 for value, times in pairs)
+    return mean, math.sqrt(spread / (samples - 1)) / math.sqrt(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -508,23 +505,11 @@ def result_row(result: SweepResult) -> dict[str, str]:
     """CSV cells for one sweep result; error cells carry the error name in
     the mode column and leave numeric columns blank."""
     if isinstance(result, SweepFailure):
-        return {
-            "instance_id": result.instance_id,
-            "family": result.family,
-            "m": str(result.m),
-            "n": str(result.n),
-            "curvature": "",
-            "method": result.method.value,
-            "mix": str(result.mix),
-            "mode": f"error:{result.error}",
-            "expected_welfare": "",
-            "optimal_welfare": "",
-            "welfare_ratio": "",
-            "bound_value": "",
-            "bound_satisfied": "",
-            "samples": "",
-            "stderr": "",
-        }
+        row = dict.fromkeys(CSV_COLUMNS, "")
+        row.update(instance_id=result.instance_id, family=result.family, m=str(result.m),
+                   n=str(result.n), method=result.method.value, mix=str(result.mix),
+                   mode=f"error:{result.error}")
+        return row
     return {
         "instance_id": result.instance_id,
         "family": result.family,

@@ -1,4 +1,7 @@
-"""CLI exit codes for malformed flags and unreadable files."""
+"""CLI exit codes for malformed flags, unreadable files and malformed
+instance files."""
+
+import json
 
 import pytest
 
@@ -45,3 +48,41 @@ def test_unreadable_instance_is_io_error(tmp_path, capsys, make_path):
     code, err = run(argv, capsys)
     assert code == cli.EXIT_IO
     assert err.startswith("i/o error:")
+
+
+ADDITIVE = {"family": "additive", "params": {"values": [1.0, 1.0]}}
+
+
+def write_two_alternative_file(path, voter, costs=("1/2", "1/2")):
+    document = {"schema_version": 1, "m": 2, "n": 1, "costs": list(costs), "voters": [voter]}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return str(path)
+
+
+def test_well_formed_two_alternative_file_evaluates(tmp_path, capsys):
+    path = write_two_alternative_file(tmp_path / "ok.json", ADDITIVE)
+    code, err = run(["eval", "--instance", path, "--method", "threshold"], capsys)
+    assert code in (cli.EXIT_OK, cli.EXIT_BOUND) and err == ""
+
+
+@pytest.mark.parametrize("voter, costs", [
+    pytest.param({"family": "additive", "params": {"values": ["x", 1.0]}}, ("1/2", "1/2"),
+                 id="non-numeric-value"),
+    pytest.param({"family": "concave", "params": {"values": [1.0, 1.0], "gamma": "abc"}},
+                 ("1/2", "1/2"), id="non-numeric-gamma"),
+    pytest.param({"family": "additive", "params": {"values": 5}}, ("1/2", "1/2"),
+                 id="values-not-a-list"),
+    pytest.param({"family": "coverage", "params": {"weights": 5, "covers": [[0], [0]]}},
+                 ("1/2", "1/2"), id="weights-not-a-list"),
+    pytest.param({"family": "coverage", "params": {"weights": [1.0], "covers": [[0], 0]}},
+                 ("1/2", "1/2"), id="cover-not-a-list"),
+    pytest.param({"family": "coverage", "params": {"weights": [1.0], "covers": [[0], ["0"]]}},
+                 ("1/2", "1/2"), id="cover-element-not-an-id"),
+    pytest.param(ADDITIVE, (0.1, "1/2"), id="float-cost"),
+    pytest.param(ADDITIVE, (True, "1/2"), id="boolean-cost"),
+])
+def test_malformed_instance_files_are_parse_errors(tmp_path, capsys, voter, costs):
+    path = write_two_alternative_file(tmp_path / "bad.json", voter, costs)
+    code, err = run(["eval", "--instance", path, "--method", "threshold"], capsys)
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("parse error:") and err.count("\n") == 1

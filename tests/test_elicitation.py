@@ -145,8 +145,7 @@ class TestProfiles:
                 OracleSpec("additive", {"values": [0.25, 0.75]}),
             ],
         )
-        partition = build_partition(instance)
-        profile = approval_profile(instance, partition, Fraction(1, 2))
+        profile = approval_profile(instance, Fraction(1, 2))
         assert profile.approvals == (frozenset({0}), frozenset({1}))
         assert profile.weights == (1, 1)
 
