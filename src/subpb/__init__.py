@@ -33,15 +33,7 @@ from .elicitation import (
     rank_by_values,
     threshold_approve,
 )
-from .aggregation import (
-    SelectionDistribution,
-    aggregate_ranking,
-    aggregate_threshold,
-    expected_welfare,
-    rule_a_ranking,
-    rule_a_threshold,
-    rule_b_uniform,
-)
+from .aggregation import Plan, expected_welfare, rule_a_threshold, rule_plan
 from .optimize import (
     ExactDP,
     ExceedsExactBudget,

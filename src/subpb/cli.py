@@ -217,7 +217,9 @@ def _build_parser() -> _Parser:
     ins.add_argument("--group-table", action="store_true")
     ins.add_argument("--scores", action="store_true")
     ins.add_argument("--method", default=None, choices=[m.value for m in Method])
-    ins.add_argument("--opt", action="store_true")
+    ins.add_argument("--opt", action="store_true",
+                     help="print an optimal set: among optima, the lexicographically "
+                          "smallest id sequence that no further alternative fits into")
     ins.add_argument("--seed", type=int, default=None)
     return parser
 

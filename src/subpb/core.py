@@ -13,6 +13,7 @@ with a small comparison tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -29,9 +30,6 @@ MARGINAL_CLAMP = 1e-12
 # Singletons below this value are treated as worthless when taking the
 # curvature minimum (the ratio of two denormal floats is meaningless).
 _SINGLETON_FLOOR = 1e-12
-
-#: Subset tables beyond this many alternatives do not fit desk-scale memory.
-TABLE_LIMIT = 20
 
 
 class ValidationError(ValueError):
@@ -84,6 +82,13 @@ class UtilityOracle(ABC):
         base = tuple(items)
         return self.value(base + (a,)) - self.value(base)
 
+    def expected_uniform(self, items: Sequence[AlternativeId], k: int) -> float:
+        """Mean value of a uniform k-subset of the distinct `items`, for
+        0 <= k <= len(items). This default enumerates all C(len(items), k)
+        subsets; families with a closed form override it."""
+        total = math.fsum(self.value(s) for s in itertools.combinations(items, k))
+        return total / math.comb(len(items), k)
+
 
 class ValueTracker(ABC):
     """Stack-style incremental evaluator used by exhaustive enumeration.
@@ -128,6 +133,12 @@ class AdditiveOracle(UtilityOracle):
     def marginal_value(self, a, items):
         # Marginals never depend on the base set; avoids float cancellation.
         return self.values[a] * self.scale
+
+    def expected_uniform(self, items, k):
+        # Each item is in the subset with probability k / |P|.
+        if not k:
+            return 0.0
+        return k * self.raw_value(items) * self.scale / len(items)
 
     def tracker(self):
         return _SumTracker(self)
@@ -178,6 +189,22 @@ class CoverageOracle(UtilityOracle):
         for a in items:
             union |= self.cover_masks[a]
         return _mask_weight(union, self.weights)
+
+    def expected_uniform(self, items, k):
+        # An element covered by d of the |P| items is missed only when the
+        # subset avoids all d: probability C(|P| - d, k) / C(|P|, k).
+        depth = [0] * len(self.weights)
+        for a in items:
+            mask = self.cover_masks[a]
+            while mask:
+                low = mask & -mask
+                depth[low.bit_length() - 1] += 1
+                mask ^= low
+        n = len(items)
+        subsets = math.comb(n, k)
+        hit = math.fsum(w * (subsets - math.comb(n - d, k))
+                        for w, d in zip(self.weights, depth) if d)
+        return hit / subsets * self.scale
 
     def tracker(self):
         return _CoverageTracker(self)
@@ -240,6 +267,16 @@ class MaxValueOracle(UtilityOracle):
 
     def raw_value(self, items):
         return max((self.values[a] for a in items), default=0.0)
+
+    def expected_uniform(self, items, k):
+        # The i-th largest value (1-based) is the maximum when the subset
+        # takes it and k - 1 of the |P| - i smaller ones.
+        if not k:
+            return 0.0
+        ordered = sorted((self.values[a] for a in items), reverse=True)
+        n = len(ordered)
+        total = math.fsum(v * math.comb(n - i, k - 1) for i, v in enumerate(ordered, 1))
+        return total / math.comb(n, k) * self.scale
 
     def tracker(self):
         return _MaxTracker(self)
@@ -527,26 +564,3 @@ def social_welfare(instance: Instance, items: Iterable[AlternativeId]) -> Welfar
     """Sum of all voters' utilities for a set; in [0, n] after normalization."""
     items = frozenset(items)
     return sum(v.value(items) for v in instance.voters)
-
-
-def subset_value_table(oracle: UtilityOracle) -> list[float]:
-    """Normalized values of all 2^m subsets, indexed by bitmask.
-
-    Exhaustive-check helper; bounded by TABLE_LIMIT alternatives."""
-    m = oracle.m
-    if m > TABLE_LIMIT:
-        raise ValueError(f"m={m} exceeds the 2^{TABLE_LIMIT} subset-table limit")
-    table = [0.0] * (1 << m)
-    tracker = oracle.tracker()
-
-    def fill(idx: int, mask: int, value: float) -> None:
-        if idx == m:
-            table[mask] = value
-            return
-        fill(idx + 1, mask, value)
-        delta = tracker.push(idx)
-        fill(idx + 1, mask | (1 << idx), value + delta)
-        tracker.pop()
-
-    fill(0, 0, 0.0)
-    return table

@@ -3,9 +3,12 @@
 `evaluate` runs one full pipeline (elicit, aggregate, expected welfare
 against the exhaustive optimum) in one of two modes. Both read one plan of
 the rule's public randomness (`_plan`): weighted components "a uniform
-k-subset of P" (`aggregation.rule_plan`). Exact mode expands every component
-into its C(|P|, k) sets, producing an exact expectation. Monte Carlo mode
-samples the plan and reports a mean with a standard error.
+k-subset of P" (`aggregation.rule_plan`). Exact mode takes each
+component's mean welfare in closed form where the utility family has one
+(`aggregation.expected_welfare`), producing an exact expectation without
+enumerating the component's C(|P|, k) sets; it still refuses plans whose
+sets would exceed `EXACT_SUPPORT_LIMIT`. Monte Carlo mode samples the plan
+and reports a mean with a standard error.
 
 The reported welfare ratio (optimal over expected) is a per-instance lower
 bound on the rule's distortion: distortion also takes a supremum over all
@@ -26,11 +29,9 @@ from typing import Sequence, Union
 from . import rng as rng_mod
 from .aggregation import (
     DEFAULT_MIX,
-    Component,
-    SelectionDistribution,
+    Plan,
     check_mix,
     expected_welfare,
-    plan_distribution,
     rule_plan,
     shortlist_branch,
     threshold_branches,
@@ -45,9 +46,9 @@ from .core import (
 )
 from .elicitation import Method, ranking_profile
 from .optimize import ExactDP, Fptas, OptimalBundle, Solver, optimal_welfare
-from .partition import GroupPartition, build_partition
+from .partition import GroupPartition, build_partition, selection_size, shortlist_cap
 
-#: Exact mode refuses to enumerate more support sets than this.
+#: Exact mode refuses plans whose components hold more subsets than this.
 EXACT_SUPPORT_LIMIT = 10**6
 
 BOUND_TOL = 1e-9
@@ -213,24 +214,16 @@ def instance_family(instance: Instance) -> str:
     return families.pop() if len(families) == 1 else "mixed"
 
 
-def exact_distribution(
-    instance: Instance,
-    method: Method,
-    mix: Fraction = DEFAULT_MIX,
-    solver: Solver = ExactDP(),
-    partition: GroupPartition | None = None,
-) -> SelectionDistribution:
-    """Full selection distribution over all public randomness, raising
-    ExactSupportTooLarge if the plan's subsets would exceed the budget."""
-    facts = _InstanceFacts(instance)
-    if partition is not None:
-        facts.partition = partition
-    plan = _plan(facts, method, Fraction(mix), solver)
-    if sum(math.comb(len(items), k) for _, items, k in plan) > EXACT_SUPPORT_LIMIT:
-        raise ExactSupportTooLarge(
-            f"exact support exceeds {EXACT_SUPPORT_LIMIT} sets; rerun in Monte Carlo mode"
-        )
-    return plan_distribution(plan)
+def _support_size(partition: GroupPartition, method: Method, mix: Fraction) -> int:
+    """Sum of C(|P|, k) over the rule's components, zero-weight ones
+    included, from the partition alone: the uniform singleton holds m sets,
+    a threshold outcome one, and group t shortlists min(|G_t|,
+    shortlist_cap) members and selects up to selection_size of them."""
+    m = partition.m
+    if not method.is_ranking:
+        return m + (len(partition.thresholds) if mix else 0)
+    sizes = (min(len(group), shortlist_cap(m, t)) for t, group in enumerate(partition.groups))
+    return m + sum(math.comb(p, min(p, selection_size(m, t))) for t, p in enumerate(sizes))
 
 
 def theoretical_bound(
@@ -262,13 +255,16 @@ def _solver_eps(solver: Solver) -> float:
 
 class _InstanceFacts:
     """What every method's evaluation of one instance shares: the partition,
-    the exhaustive optimum, the curvature and the welfare of each set seen.
+    the exhaustive optimum, the curvature, the mean welfare of each plan
+    component (exact mode) and the welfare of each sampled set (Monte Carlo
+    mode).
 
     Each fact is computed on first use and at most once. A computation
     that raises is not cached, so every cell that needs it raises again."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
+        self.component_welfare: dict[tuple[tuple[int, ...], int], float] = {}
         self.welfare_cache: dict[frozenset, float] = {}
 
     @cached_property
@@ -313,12 +309,14 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
     stderr = None
     n_samples = None
     if mode is Mode.EXACT:
-        # The distribution comes before the optimum: the support-budget
-        # check must fire before any exhaustive enumeration.
-        dist = exact_distribution(
-            instance, method, mix=mix, solver=solver, partition=facts.partition
-        )
-        expected = expected_welfare(dist, instance, facts.welfare_cache)
+        # The support-budget check fires before any profile or exhaustive
+        # enumeration.
+        if _support_size(facts.partition, method, check_mix(mix)) > EXACT_SUPPORT_LIMIT:
+            raise ExactSupportTooLarge(
+                f"exact support exceeds {EXACT_SUPPORT_LIMIT} sets; rerun in Monte Carlo mode"
+            )
+        plan = _plan(facts, method, mix, solver)
+        expected = expected_welfare(plan, instance, facts.component_welfare)
     else:
         if samples < 2:
             raise ValueError("need at least 2 samples for a standard error")
@@ -351,20 +349,21 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
     )
 
 
-def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, solver: Solver) -> list[Component]:
-    """The rule's components (`aggregation.rule_plan`). A ranking rule lists
-    every group, even at weight 0, so the support budget sees every group;
-    an empty group's profile is not computed."""
+def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, solver: Solver) -> Plan:
+    """The rule's components (`aggregation.rule_plan`). Ranking profiles and
+    knapsack outcomes are computed only when the coin gives their components
+    positive weight, and an empty group's profile never is."""
     mix = check_mix(mix)
     instance, partition = facts.instance, facts.partition
-    if method.is_ranking:
+    branches = []
+    if mix and method.is_ranking:
         branches = [
             shortlist_branch(ranking_profile(instance, partition, method, t), partition)
             if partition.groups[t] else ((), 0)
             for t in range(partition.T + 1)
         ]
-    else:
-        branches = threshold_branches(instance, partition, solver) if mix else []
+    elif mix:
+        branches = threshold_branches(instance, partition, solver)
     return rule_plan(instance, mix, branches)
 
 
@@ -406,7 +405,7 @@ def _monte_carlo(
     welfare lookup, weighted by how often it was drawn."""
     instance = facts.instance
     rng = rng_mod.stream(seed, "mc", method.value, instance.m, instance.n)
-    plan = _plan(facts, method, mix, solver)
+    plan = _plan(facts, method, mix, solver).support
     scale = math.lcm(*(weight.denominator for weight, _, _ in plan))
     cum_weights = list(itertools.accumulate(int(weight * scale) for weight, _, _ in plan))
     pairs: list[tuple[float, int]] = []
@@ -471,10 +470,10 @@ def sweep(
     """Evaluate the cross product of specs and methods.
 
     Each spec's instance is generated once, and one per-instance record is
-    shared by all its methods, so the partition, optimum, curvature and set
-    welfares are computed once per instance rather than once per cell; the
-    rows equal those of independent `evaluate` calls. Per-cell failures
-    become marked rows instead of aborting the sweep."""
+    shared by all its methods, so the partition, optimum, curvature and
+    component or set welfares are computed once per instance rather than
+    once per cell; the rows equal those of independent `evaluate` calls.
+    Per-cell failures become marked rows instead of aborting the sweep."""
     results: list[SweepResult] = []
     for spec in specs:
         facts = _InstanceFacts(generate(spec))

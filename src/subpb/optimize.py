@@ -4,13 +4,14 @@ The exact solver runs a profit-indexed dynamic program over costs scaled
 to exact integers (profits are small integers, so this is cheap at desk
 scale) and breaks ties toward the lexicographically smallest id sequence.
 The FPTAS rescales profits and reuses the exact solver. The welfare oracle
-enumerates every feasible subset over the same integer costs; submodular
-upper-bound pruning is deliberately not used because only cost pruning is
-sound for locating the maximum.
+enumerates the maximal feasible subsets (those no unchosen alternative fits
+into) over the same integer costs: utilities are monotone, so one of them
+is optimal. Submodular upper-bound pruning is not used.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,11 +160,14 @@ class OptimalBundle:
 
 
 def optimal_welfare(instance: Instance) -> OptimalBundle:
-    """Exhaustive welfare maximization over all feasible subsets.
+    """Exhaustive welfare maximization over the maximal feasible subsets.
 
-    Depth-first enumeration with exact cost pruning; voter values are
-    maintained incrementally. Ties go to the lexicographically smallest
-    id sequence. Raises ExceedsExactBudget above the enumeration limit."""
+    Depth-first enumeration over exact integer costs; voter values are
+    maintained incrementally. A node is pruned when even taking every
+    remaining item would leave room for the cheapest item skipped so far:
+    no completion of it is maximal. Ties go to the lexicographically smallest
+    id sequence among maximal optima. Raises ExceedsExactBudget above the
+    enumeration limit."""
     m = instance.m
     if m > EXACT_ENUMERATION_LIMIT:
         raise ExceedsExactBudget(
@@ -171,11 +175,12 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
         )
     trackers = [v.tracker() for v in instance.voters]
     costs, budget = _integer_costs(instance.costs, instance.budget)
+    rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
     best_welfare = -1.0
     best_seq: tuple[int, ...] | None = None
     chosen: list[int] = []
 
-    def explore(idx: int, cost: int, welfare: float) -> None:
+    def explore(idx: int, cost: int, welfare: float, cheapest_skipped: int) -> None:
         nonlocal best_welfare, best_seq
         if idx == m:
             seq = tuple(chosen)
@@ -185,18 +190,22 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
                 best_welfare = welfare
                 best_seq = seq
             return
-        explore(idx + 1, cost, welfare)
+        # Taking an item leaves budget - cost - rest[idx] unchanged, so only
+        # a skip can leave room for a skipped item in every completion.
+        skipped = min(cheapest_skipped, costs[idx])
+        if budget - cost - rest[idx + 1] < skipped:
+            explore(idx + 1, cost, welfare, skipped)
         new_cost = cost + costs[idx]
         if new_cost <= budget:
             gained = welfare
             for tracker in trackers:
                 gained += tracker.push(idx)
             chosen.append(idx)
-            explore(idx + 1, new_cost, gained)
+            explore(idx + 1, new_cost, gained, cheapest_skipped)
             chosen.pop()
             for tracker in trackers:
                 tracker.pop()
 
-    explore(0, 0, 0.0)
+    explore(0, 0, 0.0, budget + 1)
     assert best_seq is not None
     return OptimalBundle(items=frozenset(best_seq), welfare=best_welfare)

@@ -1,25 +1,26 @@
-"""Selection rules as exact distributions: support, mixing, and guarantees."""
+"""Selection rules as plans expanded into exact distributions: support,
+mixing, guarantees, and the closed-form expected welfare of a plan."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from subpb.aggregation import (
+from subpb.aggregation import Plan, expected_welfare, rule_a_threshold
+from subpb.core import OracleSpec, RawInstance, social_welfare, validate_instance
+from subpb.elicitation import ApprovalProfile, Method, ranking_profile
+from subpb.optimize import Fptas
+from subpb.partition import build_partition
+
+from helpers import (
     SelectionDistribution,
     aggregate_ranking,
     aggregate_threshold,
-    expected_welfare,
-    mix_distributions,
+    distribution_welfare,
     rule_a_ranking,
-    rule_a_threshold,
     rule_b_uniform,
     validate_support,
 )
-from subpb.core import OracleSpec, RawInstance, social_welfare, validate_instance
-from subpb.elicitation import ApprovalProfile, Method, ranking_profile
-from subpb.optimize import ExactDP, Fptas
-from subpb.partition import build_partition, selection_size, shortlist_cap
 
 
 def simple_instance(costs, voters):
@@ -246,9 +247,9 @@ class TestExpectedWelfare:
                 OracleSpec("additive", {"values": [0.25, 0.75]}),
             ],
         )
-        assert expected_welfare(SelectionDistribution.point(()), instance) == 0.0
+        assert expected_welfare(Plan(((Fraction(1), (), 0),)), instance) == 0.0
         assert expected_welfare(
-            SelectionDistribution.point((0, 1)), instance
+            Plan(((Fraction(1), (0, 1), 2),)), instance
         ) == pytest.approx(2.0, abs=1e-12)
 
     def test_two_point_average(self):
@@ -259,16 +260,23 @@ class TestExpectedWelfare:
                 OracleSpec("additive", {"values": [0.25, 0.75]}),
             ],
         )
-        dist = SelectionDistribution.uniform_over([(0,), (1,)])
-        assert expected_welfare(dist, instance) == pytest.approx(1.0)
+        plan = Plan(((Fraction(1), (0, 1), 1),))
+        assert expected_welfare(plan, instance) == pytest.approx(1.0)
 
     def test_cache_reused(self):
         instance = uniform_additive_instance([Fraction(1, 2)] * 2)
         cache = {}
-        dist = rule_b_uniform(instance)
-        first = expected_welfare(dist, instance, cache)
-        assert cache
-        assert expected_welfare(dist, instance, cache) == first
+        plan = Plan(((Fraction(1, 2), (0, 1), 1), (Fraction(1, 2), (0, 1), 2)))
+        first = expected_welfare(plan, instance, cache)
+        assert first == pytest.approx(0.75)
+        assert set(cache) == {((0, 1), 1), ((0, 1), 2)}
+        assert expected_welfare(plan, instance, cache) == first
+
+    def test_plan_weights_must_be_positive_and_sum_to_one(self):
+        for support in [((Fraction(1, 2), (0,), 1),),
+                        ((Fraction(1), (0,), 1), (Fraction(0), (1,), 1))]:
+            with pytest.raises(ValueError):
+                Plan(support)
 
 
 class TestSamplingLowerBound:
@@ -297,5 +305,5 @@ class TestSamplingLowerBound:
                 continue
             probs = dist.inclusion_probs()
             floor = min(float(probs[a]) for a in union)
-            achieved = expected_welfare(dist, instance)
+            achieved = distribution_welfare(dist, instance)
             assert achieved >= floor * social_welfare(instance, union) - 1e-9

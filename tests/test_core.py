@@ -1,5 +1,7 @@
-"""Instance validation, utility families, curvature, and social welfare."""
+"""Instance validation, utility families, curvature, social welfare, and
+the mean value of a uniform subset."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,12 +24,32 @@ from subpb.core import (
     eval_utility,
     marginal,
     max_curvature,
+    UtilityOracle,
     social_welfare,
-    subset_value_table,
     validate_instance,
 )
 
 import helpers
+
+
+def subset_value_table(oracle: UtilityOracle) -> list[float]:
+    """Normalized values of all 2^m subsets, indexed by bitmask, filled by
+    a depth-first walk over the oracle's incremental tracker."""
+    m = oracle.m
+    table = [0.0] * (1 << m)
+    tracker = oracle.tracker()
+
+    def fill(idx: int, mask: int, value: float) -> None:
+        if idx == m:
+            table[mask] = value
+            return
+        fill(idx + 1, mask, value)
+        delta = tracker.push(idx)
+        fill(idx + 1, mask | (1 << idx), value + delta)
+        tracker.pop()
+
+    fill(0, 0, 0.0)
+    return table
 
 
 def coverage_example() -> CoverageOracle:
@@ -315,3 +337,34 @@ def test_max_curvature_takes_worst_voter():
         )
     )
     assert max_curvature(instance) == pytest.approx(1.0)
+
+
+def random_oracles(rng: random.Random, m: int) -> list[UtilityOracle]:
+    """One oracle per family. Max values are drawn from three levels, so
+    ties are common; coverage element 0 is covered by every alternative and
+    the last element by none."""
+    values = [rng.uniform(0.05, 1.0) for _ in range(m)]
+    universe = rng.randint(2, 6)
+    covers = [[0] + sorted(rng.sample(range(1, universe), rng.randint(0, universe - 1)))
+              for _ in range(m)]
+    return [
+        AdditiveOracle.normalized(values),
+        CoverageOracle.normalized(
+            [rng.uniform(0.1, 1.0) for _ in range(universe + 1)], covers),
+        ConcaveOverModularOracle.normalized(values, rng.uniform(0.3, 1.0)),
+        MaxValueOracle.normalized([rng.choice([0.25, 0.5, 1.0]) for _ in range(m)]),
+    ]
+
+
+def test_expected_uniform_matches_enumeration():
+    rng = random.Random(1729)
+    for _ in range(30):
+        m = rng.randint(1, 8)
+        for oracle in random_oracles(rng, m):
+            for size in range(m + 1):
+                items = tuple(sorted(rng.sample(range(m), size)))
+                for k in range(size + 1):
+                    got = oracle.expected_uniform(items, k)
+                    want = helpers.brute_force_expected_uniform(oracle, items, k)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (
+                        oracle.family, items, k)

@@ -1,6 +1,7 @@
 """Sweeps against independent per-cell evaluation and a pinned exact table,
-sweep failure rows, the randomness plan and its Monte Carlo sampler, and
-the integer-cost exact solvers on mixed denominators."""
+sweep failure rows, the randomness plan against its full expansion and its
+Monte Carlo sampler, and the integer-cost exact solvers on mixed
+denominators."""
 
 import itertools
 import math
@@ -23,6 +24,7 @@ from subpb.experiment import (
     render_csv,
     sweep,
 )
+from subpb.aggregation import expected_welfare
 from subpb.optimize import ExactDP, Fptas, KnapsackProblem, knapsack_exact, optimal_welfare
 
 import helpers
@@ -44,18 +46,23 @@ OVER_LIMIT_SPECS = (
 SHORTLIST_HEAVY = GeneratorSpec("coverage", 10, 12, Fixed((Fraction(3, 20),) * 10), seed=1)
 
 
+PINNED_SPECS = (
+    *(GeneratorSpec(family, 9, 12, seed=seed) for family in FAMILIES for seed in (5, 6)),
+    GeneratorSpec("coverage", 9, 12, seed=7, family_params=(("private_elements", True),)),
+    SHORTLIST_HEAVY,
+)
+PINNED_MIXES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+PINNED_SOLVERS = (ExactDP(), Fptas(0.3))
+
+
 def pinned_sweep_csv() -> str:
     """Exact-mode CSV over every family (coverage also with private
     elements), a shortlist-heavy instance, four coin weights and two
     knapsack solvers, then the over-limit failure rows."""
-    specs = [GeneratorSpec(family, 9, 12, seed=seed) for family in FAMILIES for seed in (5, 6)]
-    specs.append(GeneratorSpec("coverage", 9, 12, seed=7,
-                               family_params=(("private_elements", True),)))
-    specs.append(SHORTLIST_HEAVY)
     results = []
-    for mix in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-        for solver in (ExactDP(), Fptas(0.3)):
-            results += sweep(specs, list(Method), mix=mix, solver=solver)
+    for mix in PINNED_MIXES:
+        for solver in PINNED_SOLVERS:
+            results += sweep(PINNED_SPECS, list(Method), mix=mix, solver=solver)
     results += sweep(OVER_LIMIT_SPECS, list(Method))
     return render_csv(results)
 
@@ -82,19 +89,22 @@ class TestSweep:
         assert render_csv(swept) == render_csv(independent)
 
     def test_over_limit_specs_fail_per_method(self):
+        # The support budget counts every group at every coin weight, so a
+        # mix that gives the shortlists no weight fails the same way.
         specs = OVER_LIMIT_SPECS
-        results = sweep(specs, list(Method))
-        assert all(isinstance(r, SweepFailure) for r in results)
-        assert [(r.instance_id, r.method, r.error) for r in results] == [
-            (specs[0].instance_id, Method.MARGINAL_VALUES, "ExceedsExactBudget"),
-            (specs[0].instance_id, Method.STANDALONE_VALUES, "ExceedsExactBudget"),
-            (specs[0].instance_id, Method.THRESHOLD_APPROVAL, "ExceedsExactBudget"),
-            (specs[1].instance_id, Method.MARGINAL_VALUES, "ExactSupportTooLarge"),
-            (specs[1].instance_id, Method.STANDALONE_VALUES, "ExactSupportTooLarge"),
-            (specs[1].instance_id, Method.THRESHOLD_APPROVAL, "ExceedsExactBudget"),
-        ]
-        lines = render_csv(results).splitlines()
-        assert lines[1].split(",")[7] == "error:ExceedsExactBudget"
+        for mix in (Fraction(1, 2), Fraction(0), Fraction(1)):
+            results = sweep(specs, list(Method), mix=mix)
+            assert all(isinstance(r, SweepFailure) for r in results)
+            assert [(r.instance_id, r.method, r.error) for r in results] == [
+                (specs[0].instance_id, Method.MARGINAL_VALUES, "ExceedsExactBudget"),
+                (specs[0].instance_id, Method.STANDALONE_VALUES, "ExceedsExactBudget"),
+                (specs[0].instance_id, Method.THRESHOLD_APPROVAL, "ExceedsExactBudget"),
+                (specs[1].instance_id, Method.MARGINAL_VALUES, "ExactSupportTooLarge"),
+                (specs[1].instance_id, Method.STANDALONE_VALUES, "ExactSupportTooLarge"),
+                (specs[1].instance_id, Method.THRESHOLD_APPROVAL, "ExceedsExactBudget"),
+            ]
+            lines = render_csv(results).splitlines()
+            assert lines[1].split(",")[7] == "error:ExceedsExactBudget"
 
     def test_mc_cell_past_the_enumeration_limit_fails_per_method(self):
         # Group 1 shortlists all 70 alternatives and draws a 35-subset:
@@ -120,6 +130,31 @@ def assert_mc_agrees(instance, method, mix, samples=20_000, seed=11):
 
 
 class TestPlanAndSampler:
+    def test_plan_welfare_equals_its_expansion_on_the_pinned_grid(self):
+        for spec in PINNED_SPECS:
+            facts = experiment._InstanceFacts(generate(spec))
+            instance = facts.instance
+            for method, mix, solver in itertools.product(Method, PINNED_MIXES, PINNED_SOLVERS):
+                plan = experiment._plan(facts, method, mix, solver)
+                expanded = helpers.distribution_welfare(helpers.plan_distribution(plan), instance)
+                got = expected_welfare(plan, instance)
+                assert got == pytest.approx(expanded, rel=1e-12), (spec, method, mix, solver)
+                if mix == Fraction(1, 2):  # every group and the singleton weigh > 0
+                    assert experiment._support_size(facts.partition, method, mix) == sum(
+                        math.comb(len(items), k) for _, items, k in plan.support)
+
+    def test_zero_weight_groups_build_no_profile(self, monkeypatch):
+        calls = []
+        real = experiment.ranking_profile
+        monkeypatch.setattr(experiment, "ranking_profile",
+                            lambda *args: calls.append(args) or real(*args))
+        ranking = [Method.MARGINAL_VALUES, Method.STANDALONE_VALUES]
+        for mode in Mode:
+            sweep([SHORTLIST_HEAVY], ranking, mix=Fraction(0), mode=mode, samples=100)
+        assert calls == []
+        sweep([SHORTLIST_HEAVY], ranking, mix=Fraction(1, 2))
+        assert calls
+
     @pytest.mark.parametrize("mix", [Fraction(1, 2), Fraction(0), Fraction(1)])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_mc_mean_within_four_stderr_of_exact(self, family, mix):
@@ -132,8 +167,8 @@ class TestPlanAndSampler:
         instance = generate(SHORTLIST_HEAVY)
         facts = experiment._InstanceFacts(instance)
         plan = experiment._plan(facts, Method.MARGINAL_VALUES, mix, ExactDP())
-        assert sum(weight for weight, _, _ in plan) == 1
-        assert any(1 < k < len(items) for _, items, k in plan)
+        assert sum(weight for weight, _, _ in plan.support) == 1
+        assert any(1 < k < len(items) for _, items, k in plan.support)
         for method in Method:
             assert_mc_agrees(instance, method, mix)
 
@@ -160,7 +195,8 @@ class TestMixedDenominators:
 
     def test_optimum_matches_brute_force(self):
         # Dyadic max-value voters make every welfare an exact float sum, so
-        # tied optima compare equal and the lexicographic tie-break decides.
+        # tied optima compare equal and the tie-break among maximal feasible
+        # sets decides; the brute force maximizes over all feasible sets.
         rng = random.Random(2718)
         for _ in range(40):
             m = rng.randint(1, 7)

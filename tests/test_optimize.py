@@ -123,6 +123,20 @@ class TestOptimalWelfare:
         assert bundle.items == {0}
         assert bundle.welfare == pytest.approx(1.0)
 
+    def test_ties_go_to_maximal_sets(self):
+        # {0} and {0, 1} tie, and item 1 fits exactly into what {0} leaves:
+        # only the maximal set {0, 1} is a candidate, although (0,) < (0, 1).
+        instance = validate_instance(
+            RawInstance(
+                costs=(Fraction(1, 2), Fraction(1, 2), Fraction(3, 4)),
+                voters=(OracleSpec("max-value", {"values": [1.0, 0.5, 0.25]}),),
+            )
+        )
+        bundle = optimal_welfare(instance)
+        assert bundle.items == {0, 1}
+        assert bundle.welfare == 1.0
+        assert helpers.brute_force_best_welfare(instance) == (bundle.items, bundle.welfare)
+
     def test_everything_affordable_takes_everything(self):
         instance = validate_instance(
             RawInstance(
