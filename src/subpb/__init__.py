@@ -18,7 +18,6 @@ from .core import (
     ValidationError,
     compute_curvature,
     eval_utility,
-    marginal,
     max_curvature,
     social_welfare,
     validate_instance,
@@ -28,7 +27,6 @@ from .elicitation import (
     ApprovalProfile,
     Method,
     RankingProfile,
-    elicit,
     rank_by_marginal,
     rank_by_values,
     threshold_approve,
@@ -47,7 +45,6 @@ from .optimize import (
 from .experiment import (
     Dyadic,
     EvaluationReport,
-    ExactSupportTooLarge,
     Fixed,
     GeneratorSpec,
     Mode,

@@ -33,7 +33,6 @@ from .elicitation import Method
 from .experiment import (
     Dyadic,
     EvaluationReport,
-    ExactSupportTooLarge,
     Fixed,
     GeneratorSpec,
     Mode,
@@ -156,6 +155,8 @@ def _parse_cost_model(value: str, m: int):
             costs = tuple(Fraction(part) for part in arg.split(","))
             if len(costs) != m:
                 raise ValueError(f"expected {m} costs, got {len(costs)}")
+            if not all(0 < c <= 1 for c in costs):
+                raise ValueError("fixed costs must lie in (0, 1]")
             return Fixed(costs=costs)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --cost-model {value!r}: {exc}") from exc
@@ -185,7 +186,10 @@ def _parse_method(value: str) -> Method:
 
 def _default_seed() -> int:
     env = os.environ.get("SUBPB_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise UsageError(f"SUBPB_SEED must be an integer, got {env!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -347,7 +351,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InstanceFileError, ValidationError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ExceedsExactBudget, ExactSupportTooLarge) as exc:
+    except ExceedsExactBudget as exc:
         print(f"exact budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

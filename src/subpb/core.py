@@ -23,9 +23,9 @@ from typing import Iterable, Mapping, Sequence
 AlternativeId = int
 WelfareValue = float
 
-# Negative marginals inside this band are floating-point noise, not a
-# monotonicity violation; they are clamped to zero.
-MARGINAL_CLAMP = 1e-12
+#: The default `UtilityOracle.expected_uniform` refuses to enumerate more
+#: subsets than this.
+EXACT_SUPPORT_LIMIT = 10**6
 
 # Singletons below this value are treated as worthless when taking the
 # curvature minimum (the ratio of two denormal floats is meaningless).
@@ -50,6 +50,11 @@ class CostExceedsBudget(ValidationError):
 
 class UnnormalizableUtility(ValidationError):
     """A voter values the grand set at zero, so no scaling can reach 1."""
+
+
+class ExceedsExactBudget(Exception):
+    """An exact computation would enumerate past its limit; use Monte Carlo
+    mode or a smaller instance."""
 
 
 class UtilityOracle(ABC):
@@ -78,20 +83,28 @@ class UtilityOracle(ABC):
         return self.raw_value(items) * self.scale  # type: ignore[attr-defined]
 
     def marginal_value(self, a: AlternativeId, items: Iterable[AlternativeId]) -> float:
-        """Raw (unclamped) gain of adding `a` to `items`; `a` must not be present."""
+        """Gain of adding `a` to `items`; `a` must not be present."""
         base = tuple(items)
         return self.value(base + (a,)) - self.value(base)
 
     def expected_uniform(self, items: Sequence[AlternativeId], k: int) -> float:
         """Mean value of a uniform k-subset of the distinct `items`, for
-        0 <= k <= len(items). This default enumerates all C(len(items), k)
-        subsets; families with a closed form override it."""
+        0 <= k <= len(items). Families with a closed form override it. This
+        default enumerates all C(len(items), k) subsets, and it is the one
+        place where exact mode enumerates a plan component: past
+        `EXACT_SUPPORT_LIMIT` subsets it raises ExceedsExactBudget."""
+        subsets = math.comb(len(items), k)
+        if subsets > EXACT_SUPPORT_LIMIT:
+            raise ExceedsExactBudget(
+                f"{self.family} welfare would enumerate {subsets} subsets, over the "
+                f"exact limit of {EXACT_SUPPORT_LIMIT}; rerun in Monte Carlo mode")
         total = math.fsum(self.value(s) for s in itertools.combinations(items, k))
-        return total / math.comb(len(items), k)
+        return total / subsets
 
 
 class ValueTracker(ABC):
-    """Stack-style incremental evaluator used by exhaustive enumeration.
+    """Stack-style incremental evaluator used by the exhaustive optimum and
+    by greedy marginal rankings.
 
     `push(a)` adds alternative a to the tracked set and returns the value
     delta; `pop()` undoes the most recent push exactly."""
@@ -514,22 +527,6 @@ def eval_utility(oracle: UtilityOracle, items: Iterable[AlternativeId]) -> float
         if not 0 <= a < oracle.m:
             raise ValueError(f"alternative id {a} out of range for m={oracle.m}")
     return oracle.value(items)
-
-
-def marginal(oracle: UtilityOracle, a: AlternativeId, items: Iterable[AlternativeId]) -> float:
-    """Gain of adding `a` to `items`, clamped so float noise never turns a
-    zero marginal negative."""
-    base = frozenset(items)
-    if a in base:
-        raise ValueError(f"alternative {a} already in the base set")
-    if not 0 <= a < oracle.m:
-        raise ValueError(f"alternative id {a} out of range for m={oracle.m}")
-    gain = oracle.marginal_value(a, base)
-    if gain < 0.0:
-        if gain < -MARGINAL_CLAMP:
-            return gain  # genuine violation; let property tests see it
-        return 0.0
-    return gain
 
 
 def compute_curvature(oracle: UtilityOracle) -> float:

@@ -4,19 +4,20 @@ Three elicitation formats are supported: greedy marginal-gain rankings of
 one cost group, standalone-value rankings of one cost group, and approval
 sets at a rational threshold. Ranking profiles carry one permutation of
 the group per voter; approval profiles carry per-voter approval sets plus
-the derived approval weights that aggregation reads.
+the derived approval weights that aggregation reads. The rule's plan, not
+this module, weighs the groups and thresholds. Greedy rankings read each
+gain from the oracle's incremental tracker.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
-from .core import AlternativeId, Instance, UtilityOracle, marginal
-from .partition import GroupPartition, build_partition
+from .core import AlternativeId, Instance, UtilityOracle
+from .partition import GroupPartition
 
 #: Utilities within this distance of a rational threshold count as >=.
 APPROVAL_TOL = 1e-12
@@ -79,28 +80,27 @@ class ApprovalProfile:
         return len(self.approvals)
 
 
-VoteProfile = Union[RankingProfile, ApprovalProfile]
-
-
 def rank_by_marginal(
     oracle: UtilityOracle, group: Sequence[AlternativeId]
 ) -> tuple[AlternativeId, ...]:
     """Greedy order: repeatedly append the member with the largest marginal
-    gain over the already-ranked prefix, ties by ascending id."""
+    gain over the already-ranked prefix, ties by ascending id. Each gain is
+    a tracker delta (push, then pop); the winner is pushed for good."""
     if not group:
         raise ValueError("cannot rank an empty group")
+    tracker = oracle.tracker()
     remaining = sorted(group)
-    prefix: list[int] = []
     order: list[int] = []
     while remaining:
         best = None
         best_gain = -1.0
         for a in remaining:
-            gain = marginal(oracle, a, prefix)
+            gain = tracker.push(a)
+            tracker.pop()
             if gain > best_gain:
                 best, best_gain = a, gain
+        tracker.push(best)
         order.append(best)
-        prefix.append(best)
         remaining.remove(best)
     return tuple(order)
 
@@ -118,18 +118,6 @@ def threshold_approve(oracle: UtilityOracle, alpha: Fraction) -> frozenset:
     """All alternatives whose standalone value meets the threshold."""
     cutoff = float(alpha) - APPROVAL_TOL
     return frozenset(a for a in range(oracle.m) if oracle.value((a,)) >= cutoff)
-
-
-def greedy_prefix_marginals(
-    oracle: UtilityOracle, ranking: Sequence[AlternativeId]
-) -> tuple[float, ...]:
-    """Marginal gain of each ranked alternative over its predecessors."""
-    gains = []
-    prefix: list[int] = []
-    for a in ranking:
-        gains.append(marginal(oracle, a, prefix))
-        prefix.append(a)
-    return tuple(gains)
 
 
 def ranking_profile(
@@ -156,23 +144,3 @@ def approval_profile(instance: Instance, alpha: Fraction) -> ApprovalProfile:
         sum(1 for approved in approvals if a in approved) for a in instance.alternatives
     )
     return ApprovalProfile(threshold=Fraction(alpha), approvals=approvals, weights=weights)
-
-
-def elicit(
-    instance: Instance,
-    method: Method,
-    rng: random.Random,
-    partition: GroupPartition | None = None,
-) -> VoteProfile:
-    """Draw the public randomness (a group index, or a threshold) and collect
-    every voter's vote. Deterministic given the RNG state."""
-    if partition is None:
-        partition = build_partition(instance)
-    if method.is_ranking:
-        t = rng.randrange(partition.T + 1)
-        return ranking_profile(instance, partition, method, t)
-    thresholds = partition.thresholds
-    if not thresholds:
-        raise ValueError("threshold approval needs at least two alternatives")
-    alpha = rng.choice(thresholds)
-    return approval_profile(instance, alpha)

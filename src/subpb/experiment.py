@@ -1,14 +1,14 @@
 """Instance generation, pipeline evaluation, and sweep reporting.
 
 `evaluate` runs one full pipeline (elicit, aggregate, expected welfare
-against the exhaustive optimum) in one of two modes. Both read one plan of
-the rule's public randomness (`_plan`): weighted components "a uniform
-k-subset of P" (`aggregation.rule_plan`). Exact mode takes each
-component's mean welfare in closed form where the utility family has one
-(`aggregation.expected_welfare`), producing an exact expectation without
-enumerating the component's C(|P|, k) sets; it still refuses plans whose
-sets would exceed `EXACT_SUPPORT_LIMIT`. Monte Carlo mode samples the plan
-and reports a mean with a standard error.
+against the exhaustive optimum) in one of two modes. Both take the optimum
+first, then read one plan of the rule's public randomness (`_plan`):
+weighted components "a uniform k-subset of P" (`aggregation.rule_plan`).
+Exact mode takes each component's mean welfare from the utility family
+(`aggregation.expected_welfare`); only a family without a closed form
+enumerates the C(|P|, k) subsets, and it alone refuses a component past
+`core.EXACT_SUPPORT_LIMIT`. Monte Carlo mode samples the plan and reports a
+mean with a standard error.
 
 The reported welfare ratio (optimal over expected) is a per-instance lower
 bound on the rule's distortion: distortion also takes a supremum over all
@@ -46,16 +46,9 @@ from .core import (
 )
 from .elicitation import Method, ranking_profile
 from .optimize import ExactDP, Fptas, OptimalBundle, Solver, optimal_welfare
-from .partition import GroupPartition, build_partition, selection_size, shortlist_cap
-
-#: Exact mode refuses plans whose components hold more subsets than this.
-EXACT_SUPPORT_LIMIT = 10**6
+from .partition import GroupPartition, build_partition
 
 BOUND_TOL = 1e-9
-
-
-class ExactSupportTooLarge(Exception):
-    """Exact enumeration would exceed the support budget; use Monte Carlo."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +207,6 @@ def instance_family(instance: Instance) -> str:
     return families.pop() if len(families) == 1 else "mixed"
 
 
-def _support_size(partition: GroupPartition, method: Method, mix: Fraction) -> int:
-    """Sum of C(|P|, k) over the rule's components, zero-weight ones
-    included, from the partition alone: the uniform singleton holds m sets,
-    a threshold outcome one, and group t shortlists min(|G_t|,
-    shortlist_cap) members and selects up to selection_size of them."""
-    m = partition.m
-    if not method.is_ranking:
-        return m + (len(partition.thresholds) if mix else 0)
-    sizes = (min(len(group), shortlist_cap(m, t)) for t, group in enumerate(partition.groups))
-    return m + sum(math.comb(p, min(p, selection_size(m, t))) for t, p in enumerate(sizes))
-
-
 def theoretical_bound(
     method: Method,
     m: int,
@@ -308,24 +289,18 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
     mix = Fraction(mix)
     stderr = None
     n_samples = None
+    # Past the optimum's enumeration limit the cell fails in either mode
+    # before any plan is built, so every C(|P|, k) that Monte Carlo mode
+    # draws from stays within C(24, 12) < 2**53.
+    optimum = facts.optimum
     if mode is Mode.EXACT:
-        # The support-budget check fires before any profile or exhaustive
-        # enumeration.
-        if _support_size(facts.partition, method, check_mix(mix)) > EXACT_SUPPORT_LIMIT:
-            raise ExactSupportTooLarge(
-                f"exact support exceeds {EXACT_SUPPORT_LIMIT} sets; rerun in Monte Carlo mode"
-            )
         plan = _plan(facts, method, mix, solver)
         expected = expected_welfare(plan, instance, facts.component_welfare)
     else:
         if samples < 2:
             raise ValueError("need at least 2 samples for a standard error")
-        # Past the optimum's enumeration limit the cell fails before sampling,
-        # so every C(|P|, k) drawn from stays within C(24, 12) < 2**53.
-        facts.optimum
         expected, stderr = _monte_carlo(facts, method, mix, solver, seed, samples)
         n_samples = samples
-    optimum = facts.optimum
     curvature = facts.curvature
     bound = theoretical_bound(
         method, instance.m, curvature, optimum.welfare, mix, _solver_eps(solver)

@@ -17,14 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .core import AlternativeId, Instance, WelfareValue
+from .core import AlternativeId, ExceedsExactBudget, Instance, WelfareValue
 
 #: Exhaustive enumeration is refused above this many alternatives.
 EXACT_ENUMERATION_LIMIT = 24
-
-
-class ExceedsExactBudget(Exception):
-    """The instance is too large for exhaustive enumeration."""
 
 
 @dataclass(frozen=True)

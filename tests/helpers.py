@@ -2,17 +2,18 @@
 
 Everything here deliberately avoids the production code paths it is used
 to verify: the knapsack and welfare oracles enumerate subsets directly,
-the property checkers evaluate oracles set by set instead of going through
-the incremental trackers, and the rules' plans are expanded into full
-selection distributions with exact rational probabilities, so that expected
-welfare and inclusion probabilities can be computed by enumeration rather
-than in closed form.
+the property checkers and the reference greedy ranking evaluate oracles set
+by set instead of going through the incremental trackers, and the rules'
+plans are expanded into full selection distributions with exact rational
+probabilities, so that expected welfare and inclusion probabilities can be
+computed by enumeration rather than in closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,12 +28,25 @@ from subpb.aggregation import (
     shortlist_branch,
     threshold_branches,
 )
-from subpb.core import AlternativeId, Instance, UtilityOracle, social_welfare
+from subpb.core import (
+    AdditiveOracle,
+    AlternativeId,
+    ConcaveOverModularOracle,
+    CoverageOracle,
+    Instance,
+    MaxValueOracle,
+    UtilityOracle,
+    social_welfare,
+)
 from subpb.elicitation import RankingProfile
 from subpb.optimize import ExactDP, KnapsackProblem, Solver
 from subpb.partition import GroupPartition, build_partition
 
 TOL = 1e-9
+
+# Negative gains inside this band are floating-point noise of the set-by-set
+# evaluation; the reference greedy ranking clamps them to zero.
+MARGINAL_CLAMP = 1e-12
 
 
 def powerset(universe):
@@ -74,6 +88,47 @@ def brute_force_expected_uniform(oracle: UtilityOracle, items, k: int) -> float:
     """Mean value of the k-subsets of `items`, each evaluated directly."""
     values = [oracle.value(c) for c in itertools.combinations(items, k)]
     return math.fsum(values) / len(values)
+
+
+def random_oracles(rng: random.Random, m: int) -> list[UtilityOracle]:
+    """One oracle per family. Max values are drawn from three levels, so
+    ties are common; coverage element 0 is covered by every alternative and
+    the last element by none, so coverage gains are often zero or tied."""
+    values = [rng.uniform(0.05, 1.0) for _ in range(m)]
+    universe = rng.randint(2, 6)
+    covers = [[0] + sorted(rng.sample(range(1, universe), rng.randint(0, universe - 1)))
+              for _ in range(m)]
+    return [
+        AdditiveOracle.normalized(values),
+        CoverageOracle.normalized(
+            [rng.uniform(0.1, 1.0) for _ in range(universe + 1)], covers),
+        ConcaveOverModularOracle.normalized(values, rng.uniform(0.3, 1.0)),
+        MaxValueOracle.normalized([rng.choice([0.25, 0.5, 1.0]) for _ in range(m)]),
+    ]
+
+
+def rank_by_rebuilding(oracle: UtilityOracle, group) -> tuple[AlternativeId, ...]:
+    """The greedy marginal-gain ranking with every gain evaluated against the
+    whole prefix set, rebuilt per candidate; ties by ascending id."""
+    remaining = sorted(group)
+    prefix: list[int] = []
+    while remaining:
+        best, best_gain = None, -1.0
+        for a in remaining:
+            gain = oracle.marginal_value(a, frozenset(prefix))
+            if -MARGINAL_CLAMP <= gain < 0.0:
+                gain = 0.0
+            if gain > best_gain:
+                best, best_gain = a, gain
+        prefix.append(best)
+        remaining.remove(best)
+    return tuple(prefix)
+
+
+def tracker_gains(oracle: UtilityOracle, sequence) -> list[float]:
+    """The tracker's delta for each alternative pushed in order."""
+    tracker = oracle.tracker()
+    return [tracker.push(a) for a in sequence]
 
 
 # ---------------------------------------------------------------------------

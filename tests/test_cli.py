@@ -1,11 +1,12 @@
-"""CLI exit codes for malformed flags, unreadable files and malformed
-instance files."""
+"""CLI exit codes for malformed flags and environment, unreadable files,
+malformed instance files and over-limit exact enumeration."""
 
 import json
+import math
 
 import pytest
 
-from subpb import cli
+from subpb import cli, core
 
 
 @pytest.fixture
@@ -33,13 +34,43 @@ def test_bad_eval_flags_are_usage_errors(instance_file, capsys, flags):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("model", ["uniform:x", "uniform:0", "dyadic:-1", "fixed:1/2,1/4"])
+@pytest.mark.parametrize("model", ["uniform:x", "uniform:0", "dyadic:-1", "fixed:1/2,1/4",
+                                   "fixed:1/2,2,1/3", "fixed:0,1/2,1/3"])
 def test_bad_cost_models_are_usage_errors(tmp_path, capsys, model):
     argv = ["gen", "--family", "additive", "--m", "3", "--n", "2",
             "--cost-model", model, "--out", str(tmp_path / "x.json")]
     code, err = run(argv, capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["gen", "eval", "inspect"])
+def test_non_integer_seed_variable_is_usage_error(instance_file, tmp_path, capsys,
+                                                  monkeypatch, command):
+    argv = {
+        "gen": ["gen", "--family", "additive", "--m", "3", "--n", "2",
+                "--out", str(tmp_path / "x.json")],
+        "eval": ["eval", "--instance", instance_file, "--method", "threshold"],
+        "inspect": ["inspect", "--instance", instance_file],
+    }[command]
+    monkeypatch.setenv("SUBPB_SEED", "abc")
+    code, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_enumeration_past_the_exact_limit_exits_4(tmp_path, capsys, monkeypatch):
+    # All ten alternatives share one group, whose rule draws a 5-subset; the
+    # concave family has no closed form and would enumerate C(10, 5) sets.
+    path = str(tmp_path / "concave.json")
+    costs = ",".join(["3/20"] * 10)
+    argv = ["gen", "--family", "concave", "--m", "10", "--n", "4",
+            "--cost-model", f"fixed:{costs}", "--out", path]
+    assert cli.main(argv) == cli.EXIT_OK
+    monkeypatch.setattr(core, "EXACT_SUPPORT_LIMIT", math.comb(10, 5) - 1)
+    code, err = run(["eval", "--instance", path, "--method", "marginal-rank"], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert err.startswith("exact budget exceeded:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("make_path", [lambda d: d / "missing.json", lambda d: d])

@@ -22,7 +22,6 @@ from subpb.core import (
     ValidationError,
     compute_curvature,
     eval_utility,
-    marginal,
     max_curvature,
     UtilityOracle,
     social_welfare,
@@ -158,23 +157,20 @@ class TestEvalUtility:
 
 
 class TestMarginal:
+    """Gains as the trackers report them: the delta of the last push."""
+
     def test_additive_independent_of_base(self):
         oracle = AdditiveOracle.normalized([0.5, 0.5])
-        assert marginal(oracle, 1, {0}) == pytest.approx(0.5)
+        assert helpers.tracker_gains(oracle, [0, 1])[-1] == pytest.approx(0.5)
 
     def test_coverage_subsumed_alternative(self):
         oracle = coverage_example()
         # The third alternative covers only what the first already covers.
-        assert marginal(oracle, 2, {0}) == 0.0
+        assert helpers.tracker_gains(oracle, [0, 2])[-1] == 0.0
 
     def test_max_value_dominated(self):
         oracle = MaxValueOracle.normalized([0.4, 1.0])
-        assert marginal(oracle, 0, {1}) == 0.0
-
-    def test_member_of_base_rejected(self):
-        oracle = AdditiveOracle.normalized([0.5, 0.5])
-        with pytest.raises(ValueError):
-            marginal(oracle, 0, {0})
+        assert helpers.tracker_gains(oracle, [1, 0])[-1] == 0.0
 
 
 class TestCurvature:
@@ -339,28 +335,11 @@ def test_max_curvature_takes_worst_voter():
     assert max_curvature(instance) == pytest.approx(1.0)
 
 
-def random_oracles(rng: random.Random, m: int) -> list[UtilityOracle]:
-    """One oracle per family. Max values are drawn from three levels, so
-    ties are common; coverage element 0 is covered by every alternative and
-    the last element by none."""
-    values = [rng.uniform(0.05, 1.0) for _ in range(m)]
-    universe = rng.randint(2, 6)
-    covers = [[0] + sorted(rng.sample(range(1, universe), rng.randint(0, universe - 1)))
-              for _ in range(m)]
-    return [
-        AdditiveOracle.normalized(values),
-        CoverageOracle.normalized(
-            [rng.uniform(0.1, 1.0) for _ in range(universe + 1)], covers),
-        ConcaveOverModularOracle.normalized(values, rng.uniform(0.3, 1.0)),
-        MaxValueOracle.normalized([rng.choice([0.25, 0.5, 1.0]) for _ in range(m)]),
-    ]
-
-
 def test_expected_uniform_matches_enumeration():
     rng = random.Random(1729)
     for _ in range(30):
         m = rng.randint(1, 8)
-        for oracle in random_oracles(rng, m):
+        for oracle in helpers.random_oracles(rng, m):
             for size in range(m + 1):
                 items = tuple(sorted(rng.sample(range(m), size)))
                 for k in range(size + 1):

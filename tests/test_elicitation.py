@@ -1,5 +1,6 @@
 """Rankings, approvals, and the derived statistics each profile carries."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,19 +15,17 @@ from subpb.core import (
     validate_instance,
 )
 from subpb.elicitation import (
-    ApprovalProfile,
     Method,
     RankingProfile,
     approval_profile,
-    elicit,
-    greedy_prefix_marginals,
     rank_by_marginal,
     rank_by_values,
     ranking_profile,
     threshold_approve,
 )
 from subpb.partition import build_partition
-from subpb.rng import stream
+
+import helpers
 
 
 def coverage_example():
@@ -64,9 +63,25 @@ class TestRankByMarginal:
             covers=[[0, 1], [1, 2], [2, 3], [4], [0, 4]],
         )
         ranking = rank_by_marginal(oracle, [0, 1, 2, 3, 4])
-        gains = greedy_prefix_marginals(oracle, ranking)
+        gains = helpers.tracker_gains(oracle, ranking)
         for earlier, later in zip(gains, gains[1:]):
             assert later <= earlier + 1e-9
+
+    def test_matches_set_rebuilding_greedy(self):
+        rng = random.Random(4242)
+        zero_gains = tied_gains = 0
+        for _ in range(60):
+            m = rng.randint(1, 8)
+            for oracle in helpers.random_oracles(rng, m):
+                group = sorted(rng.sample(range(m), rng.randint(1, m)))
+                ranking = rank_by_marginal(oracle, group)
+                assert ranking == helpers.rank_by_rebuilding(oracle, group), (
+                    oracle, group)
+                if oracle.family == "coverage":
+                    gains = helpers.tracker_gains(oracle, ranking)
+                    zero_gains += gains.count(0.0)
+                    tied_gains += len(gains) - len(set(gains))
+        assert zero_gains and tied_gains
 
 
 class TestRankByValues:
@@ -165,7 +180,7 @@ class TestGreedyPrefixBound:
         partition = build_partition(instance)
         profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 0)
         for voter, ranking in zip(instance.voters, profile.rankings):
-            gains = greedy_prefix_marginals(voter, ranking)
+            gains = helpers.tracker_gains(voter, ranking)
             for pos, gain in enumerate(gains, start=1):
                 assert gain <= 1.0 / pos + 1e-9
 
@@ -184,44 +199,3 @@ class TestGreedyPrefixBound:
             assert c < 1 - 1e-6
             for pos, a in enumerate(ranking, start=1):
                 assert voter.value((a,)) <= 1.0 / ((1.0 - c) * pos) + 1e-9
-
-
-class TestElicit:
-    def _instance(self):
-        return simple_instance(
-            [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2), Fraction(1)],
-            [
-                OracleSpec("additive", {"values": [0.4, 0.3, 0.2, 0.1]}),
-                OracleSpec("max-value", {"values": [1.0, 0.3, 0.8, 0.2]}),
-            ],
-        )
-
-    def test_same_seed_same_profile(self):
-        instance = self._instance()
-        for method in Method:
-            first = elicit(instance, method, stream(42, "elicit"))
-            second = elicit(instance, method, stream(42, "elicit"))
-            assert first == second
-
-    def test_ranking_draw_covers_one_group(self):
-        instance = self._instance()
-        partition = build_partition(instance)
-        for seed in range(20):
-            profile = elicit(instance, Method.MARGINAL_VALUES, stream(seed))
-            assert profile.group == partition.groups[profile.group_index]
-
-    def test_threshold_draw_is_uniform_over_lower_bounds(self):
-        instance = self._instance()
-        seen = {Fraction(1, 4): 0, Fraction(1, 2): 0}
-        for seed in range(200):
-            profile = elicit(instance, Method.THRESHOLD_APPROVAL, stream(seed))
-            assert isinstance(profile, ApprovalProfile)
-            seen[profile.threshold] += 1
-        assert min(seen.values()) >= 60
-
-    def test_single_alternative_has_no_thresholds(self):
-        instance = simple_instance(
-            [Fraction(1)], [OracleSpec("additive", {"values": [1.0]})]
-        )
-        with pytest.raises(ValueError):
-            elicit(instance, Method.THRESHOLD_APPROVAL, stream(0))

@@ -1,8 +1,9 @@
 """Sweeps against independent per-cell evaluation and a pinned exact table,
-sweep failure rows, the randomness plan against its full expansion and its
-Monte Carlo sampler, and the integer-cost exact solvers on mixed
-denominators."""
+sweep failure rows, the exact-mode refusal of enumerated components, the
+randomness plan against its full expansion and its Monte Carlo sampler, and
+the integer-cost exact solvers on mixed denominators."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from subpb import experiment
+from subpb import core, experiment
 from subpb.core import OracleSpec, RawInstance, validate_instance
 from subpb.elicitation import Method
 from subpb.experiment import (
@@ -25,7 +26,14 @@ from subpb.experiment import (
     sweep,
 )
 from subpb.aggregation import expected_welfare
-from subpb.optimize import ExactDP, Fptas, KnapsackProblem, knapsack_exact, optimal_welfare
+from subpb.optimize import (
+    ExactDP,
+    ExceedsExactBudget,
+    Fptas,
+    KnapsackProblem,
+    knapsack_exact,
+    optimal_welfare,
+)
 
 import helpers
 
@@ -33,9 +41,9 @@ FAMILIES = ("additive", "coverage", "concave", "max-value")
 DENOMINATORS = (3, 5, 7, 8)
 PINNED_CSV = Path(__file__).parent / "data" / "exact_sweep.csv"
 
-# m=25 passes the support check for every method of the first spec and fails
-# on the exhaustive optimum; the second spec's shortlist supports (C(25, 12)
-# sets) exceed the exact budget first.
+# m=25 is past the exhaustive optimum's limit, so every method of both specs
+# fails on the optimum before any plan is built, even the second spec's
+# coverage shortlists, whose C(25, 12) sets the closed form never enumerates.
 OVER_LIMIT_SPECS = (
     GeneratorSpec("additive", 25, 3, seed=2),
     GeneratorSpec("coverage", 25, 3, Fixed((Fraction(2, 25),) * 25), seed=1),
@@ -89,22 +97,30 @@ class TestSweep:
         assert render_csv(swept) == render_csv(independent)
 
     def test_over_limit_specs_fail_per_method(self):
-        # The support budget counts every group at every coin weight, so a
-        # mix that gives the shortlists no weight fails the same way.
+        # The optimum is taken before the plan, so the coin weight does not
+        # change which error a cell reports.
         specs = OVER_LIMIT_SPECS
         for mix in (Fraction(1, 2), Fraction(0), Fraction(1)):
             results = sweep(specs, list(Method), mix=mix)
             assert all(isinstance(r, SweepFailure) for r in results)
             assert [(r.instance_id, r.method, r.error) for r in results] == [
-                (specs[0].instance_id, Method.MARGINAL_VALUES, "ExceedsExactBudget"),
-                (specs[0].instance_id, Method.STANDALONE_VALUES, "ExceedsExactBudget"),
-                (specs[0].instance_id, Method.THRESHOLD_APPROVAL, "ExceedsExactBudget"),
-                (specs[1].instance_id, Method.MARGINAL_VALUES, "ExactSupportTooLarge"),
-                (specs[1].instance_id, Method.STANDALONE_VALUES, "ExactSupportTooLarge"),
-                (specs[1].instance_id, Method.THRESHOLD_APPROVAL, "ExceedsExactBudget"),
+                (spec.instance_id, method, "ExceedsExactBudget")
+                for spec in specs for method in Method
             ]
             lines = render_csv(results).splitlines()
             assert lines[1].split(",")[7] == "error:ExceedsExactBudget"
+
+    def test_only_enumerated_components_are_refused(self, monkeypatch):
+        # SHORTLIST_HEAVY draws a uniform 5-subset of 10 alternatives: past a
+        # limit below C(10, 5), coverage still has its closed form, while the
+        # concave family would have to enumerate the component.
+        concave = generate(dataclasses.replace(SHORTLIST_HEAVY, family="concave"))
+        monkeypatch.setattr(core, "EXACT_SUPPORT_LIMIT", math.comb(10, 5))
+        evaluate(concave, Method.MARGINAL_VALUES)
+        monkeypatch.setattr(core, "EXACT_SUPPORT_LIMIT", math.comb(10, 5) - 1)
+        assert evaluate(generate(SHORTLIST_HEAVY), Method.MARGINAL_VALUES).mode is Mode.EXACT
+        with pytest.raises(ExceedsExactBudget):
+            evaluate(concave, Method.MARGINAL_VALUES)
 
     def test_mc_cell_past_the_enumeration_limit_fails_per_method(self):
         # Group 1 shortlists all 70 alternatives and draws a 35-subset:
@@ -139,9 +155,6 @@ class TestPlanAndSampler:
                 expanded = helpers.distribution_welfare(helpers.plan_distribution(plan), instance)
                 got = expected_welfare(plan, instance)
                 assert got == pytest.approx(expanded, rel=1e-12), (spec, method, mix, solver)
-                if mix == Fraction(1, 2):  # every group and the singleton weigh > 0
-                    assert experiment._support_size(facts.partition, method, mix) == sum(
-                        math.comb(len(items), k) for _, items, k in plan.support)
 
     def test_zero_weight_groups_build_no_profile(self, monkeypatch):
         calls = []
