@@ -17,7 +17,6 @@ from .core import (
     UtilityOracle,
     ValidationError,
     compute_curvature,
-    eval_utility,
     max_curvature,
     social_welfare,
     validate_instance,

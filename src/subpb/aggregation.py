@@ -6,9 +6,9 @@ uniform k-subset of the sorted items P". The ranking rules mix each
 group's score-shortlist subset draw with a uniform singleton draw; the
 threshold rule mixes per-threshold knapsack outcomes S, each the component
 (S, |S|), with the same uniform singleton draw. `expected_welfare` takes
-the exact expectation component by component, from each voter's mean value
-over the component's subsets (`UtilityOracle.expected_uniform`), without
-expanding the plan into its sets.
+the exact expectation component by component, from the mean social welfare
+of the component's subsets (`expected_uniform` of the instance welfare
+oracle, `core.Instance.welfare`), without expanding the plan into its sets.
 """
 
 from __future__ import annotations
@@ -107,6 +107,6 @@ def expected_welfare(
     for weight, items, k in plan.support:
         value = cache.get((items, k))
         if value is None:
-            value = cache[items, k] = sum(v.expected_uniform(items, k) for v in instance.voters)
+            value = cache[items, k] = instance.welfare.expected_uniform(items, k)
         total += weight * value
     return total

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -58,8 +59,9 @@ class ExceedsExactBudget(Exception):
 
 
 class UtilityOracle(ABC):
-    """Monotone submodular set function over alternatives, scaled to value 1
-    on the grand set.
+    """Monotone submodular set function over alternatives. A voter's oracle
+    is scaled to value 1 on the grand set; the instance welfare oracle
+    (`Instance.welfare`) is the sum over voters, so it is scaled to n, not 1.
 
     Subclasses are immutable; evaluating them from many threads needs no
     coordination."""
@@ -154,7 +156,7 @@ class AdditiveOracle(UtilityOracle):
         return k * self.raw_value(items) * self.scale / len(items)
 
     def tracker(self):
-        return _SumTracker(self)
+        return _AdditiveTracker(self)
 
 
 @dataclass(frozen=True)
@@ -295,6 +297,29 @@ class MaxValueOracle(UtilityOracle):
         return _MaxTracker(self)
 
 
+@dataclass(frozen=True)
+class SumOracle(UtilityOracle):
+    """f(S) = sum of the parts' values; each part keeps its own scale."""
+
+    parts: tuple[UtilityOracle, ...]
+
+    scale = 1.0  # each part applies its own
+
+    @property
+    def m(self) -> int:
+        return self.parts[0].m
+
+    def raw_value(self, items):
+        items = tuple(items)
+        return sum(part.value(items) for part in self.parts)
+
+    def expected_uniform(self, items, k):
+        return sum(part.expected_uniform(items, k) for part in self.parts)
+
+    def tracker(self):
+        return _SumOfTrackers([part.tracker() for part in self.parts])
+
+
 def _as_float(value, name: str) -> float:
     try:
         return float(value)
@@ -312,6 +337,14 @@ def _nonnegative_floats(values: Sequence[float]) -> tuple[float, ...]:
     return vals
 
 
+def _set_bits(mask: int) -> Iterable[int]:
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _mask_weight(mask: int, weights: Sequence[float]) -> float:
     total = 0.0
     while mask:
@@ -321,7 +354,7 @@ def _mask_weight(mask: int, weights: Sequence[float]) -> float:
     return total
 
 
-class _SumTracker(ValueTracker):
+class _AdditiveTracker(ValueTracker):
     __slots__ = ("_oracle", "_stack", "_current")
 
     def __init__(self, oracle: AdditiveOracle):
@@ -413,6 +446,23 @@ class _MaxTracker(ValueTracker):
         return self._current
 
 
+class _SumOfTrackers(ValueTracker):
+    __slots__ = ("_trackers",)
+
+    def __init__(self, trackers: list[ValueTracker]):
+        self._trackers = trackers
+
+    def push(self, a):
+        return sum(tracker.push(a) for tracker in self._trackers)
+
+    def pop(self):
+        for tracker in self._trackers:
+            tracker.pop()
+
+    def value(self):
+        return sum(tracker.value() for tracker in self._trackers)
+
+
 @dataclass(frozen=True)
 class OracleSpec:
     """Unvalidated voter description: a family name plus raw parameters."""
@@ -454,6 +504,12 @@ class Instance:
 
     def feasible(self, items: Iterable[AlternativeId]) -> bool:
         return self.cost(items) <= self.budget
+
+    @cached_property
+    def welfare(self) -> UtilityOracle:
+        """Social welfare as one oracle, scaled to n (`welfare_oracle`);
+        built on first use."""
+        return welfare_oracle(self.voters, self.m)
 
 
 _FAMILIES = ("additive", "coverage", "concave", "max-value")
@@ -520,13 +576,43 @@ def validate_instance(raw: RawInstance) -> Instance:
     return Instance(costs=tuple(costs), voters=voters)
 
 
-def eval_utility(oracle: UtilityOracle, items: Iterable[AlternativeId]) -> float:
-    """Normalized utility of a set; ids must be valid for the oracle."""
-    items = frozenset(items)
-    for a in items:
-        if not 0 <= a < oracle.m:
-            raise ValueError(f"alternative id {a} out of range for m={oracle.m}")
-    return oracle.value(items)
+def welfare_oracle(voters: Sequence[UtilityOracle], m: int) -> UtilityOracle:
+    """The sum of the voters' scaled utilities as one oracle.
+
+    Additive and coverage voters fold into one unscaled `CoverageOracle`
+    whose elements are cover signatures: the set of alternatives covering
+    an element, as an m-bit mask. A signature weighs the fsum of w * s_v
+    over the (voter v, element of weight w) pairs that have it, and an
+    additive value v_a counts as an element covered by a alone. Elements no
+    alternative covers, and zero weights, are dropped. Concave and max-value
+    voters stay parts of a `SumOracle` next to it; a lone part is returned
+    as it is."""
+    buckets: dict[int, list[float]] = {}
+    parts: list[UtilityOracle] = []
+    for voter in voters:
+        if isinstance(voter, AdditiveOracle):
+            for a, v in enumerate(voter.values):
+                if v:
+                    buckets.setdefault(1 << a, []).append(v * voter.scale)
+        elif isinstance(voter, CoverageOracle):
+            signatures = [0] * len(voter.weights)
+            for a, mask in enumerate(voter.cover_masks):
+                for u in _set_bits(mask):
+                    signatures[u] |= 1 << a
+            for signature, w in zip(signatures, voter.weights):
+                if signature and w:
+                    buckets.setdefault(signature, []).append(w * voter.scale)
+        else:
+            parts.append(voter)
+    if buckets:
+        signatures = sorted(buckets)
+        masks = [0] * m
+        for j, signature in enumerate(signatures):
+            for a in _set_bits(signature):
+                masks[a] |= 1 << j
+        weights = tuple(math.fsum(buckets[signature]) for signature in signatures)
+        parts.insert(0, CoverageOracle(weights, tuple(masks)))
+    return parts[0] if len(parts) == 1 else SumOracle(tuple(parts))
 
 
 def compute_curvature(oracle: UtilityOracle) -> float:

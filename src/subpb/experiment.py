@@ -4,11 +4,14 @@
 against the exhaustive optimum) in one of two modes. Both take the optimum
 first, then read one plan of the rule's public randomness (`_plan`):
 weighted components "a uniform k-subset of P" (`aggregation.rule_plan`).
-Exact mode takes each component's mean welfare from the utility family
-(`aggregation.expected_welfare`); only a family without a closed form
-enumerates the C(|P|, k) subsets, and it alone refuses a component past
-`core.EXACT_SUPPORT_LIMIT`. Monte Carlo mode samples the plan and reports a
-mean with a standard error.
+The optimum and exact mode read welfare from one per-instance oracle
+(`core.Instance.welfare`), in which additive and coverage voters fold into
+one coverage function. Exact mode takes each component's mean welfare from
+it in closed form (`aggregation.expected_welfare`); only a family without a
+closed form (concave) enumerates the C(|P|, k) subsets, and it alone
+refuses a component past `core.EXACT_SUPPORT_LIMIT`. Monte Carlo mode
+samples the plan and reports a mean with a standard error; it sums each
+sampled set's welfare voter by voter (`core.social_welfare`).
 
 The reported welfare ratio (optimal over expected) is a per-instance lower
 bound on the rule's distortion: distortion also takes a supremum over all

@@ -1,12 +1,14 @@
-"""Exact and approximate knapsack solvers, plus the exhaustive welfare oracle.
+"""Exact and approximate knapsack solvers, plus the exhaustive welfare optimum.
 
 The exact solver runs a profit-indexed dynamic program over costs scaled
 to exact integers (profits are small integers, so this is cheap at desk
 scale) and breaks ties toward the lexicographically smallest id sequence.
-The FPTAS rescales profits and reuses the exact solver. The welfare oracle
+The FPTAS rescales profits and reuses the exact solver. The optimum
 enumerates the maximal feasible subsets (those no unchosen alternative fits
 into) over the same integer costs: utilities are monotone, so one of them
-is optimal. Submodular upper-bound pruning is not used.
+is optimal. Welfare comes from one tracker of the instance welfare oracle
+(`core.Instance.welfare`), not from one tracker per voter. Submodular
+upper-bound pruning is not used.
 """
 
 from __future__ import annotations
@@ -158,27 +160,29 @@ class OptimalBundle:
 def optimal_welfare(instance: Instance) -> OptimalBundle:
     """Exhaustive welfare maximization over the maximal feasible subsets.
 
-    Depth-first enumeration over exact integer costs; voter values are
-    maintained incrementally. A node is pruned when even taking every
-    remaining item would leave room for the cheapest item skipped so far:
-    no completion of it is maximal. Ties go to the lexicographically smallest
-    id sequence among maximal optima. Raises ExceedsExactBudget above the
-    enumeration limit."""
+    Depth-first enumeration over exact integer costs; one tracker of the
+    instance welfare oracle (`Instance.welfare`) keeps the welfare of the
+    current set. A node is pruned when even taking every remaining item
+    would leave room for the cheapest item skipped so far: no completion of
+    it is maximal. Ties go to the lexicographically smallest id sequence
+    among maximal optima. Raises ExceedsExactBudget above the enumeration
+    limit."""
     m = instance.m
     if m > EXACT_ENUMERATION_LIMIT:
         raise ExceedsExactBudget(
             f"m={m} exceeds the exhaustive limit of {EXACT_ENUMERATION_LIMIT}"
         )
-    trackers = [v.tracker() for v in instance.voters]
+    tracker = instance.welfare.tracker()
     costs, budget = _integer_costs(instance.costs, instance.budget)
     rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
     best_welfare = -1.0
     best_seq: tuple[int, ...] | None = None
     chosen: list[int] = []
 
-    def explore(idx: int, cost: int, welfare: float, cheapest_skipped: int) -> None:
+    def explore(idx: int, cost: int, cheapest_skipped: int) -> None:
         nonlocal best_welfare, best_seq
         if idx == m:
+            welfare = tracker.value()
             seq = tuple(chosen)
             if welfare > best_welfare or (
                 welfare == best_welfare and (best_seq is None or seq < best_seq)
@@ -190,18 +194,15 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
         # a skip can leave room for a skipped item in every completion.
         skipped = min(cheapest_skipped, costs[idx])
         if budget - cost - rest[idx + 1] < skipped:
-            explore(idx + 1, cost, welfare, skipped)
+            explore(idx + 1, cost, skipped)
         new_cost = cost + costs[idx]
         if new_cost <= budget:
-            gained = welfare
-            for tracker in trackers:
-                gained += tracker.push(idx)
+            tracker.push(idx)
             chosen.append(idx)
-            explore(idx + 1, new_cost, gained, cheapest_skipped)
+            explore(idx + 1, new_cost, cheapest_skipped)
             chosen.pop()
-            for tracker in trackers:
-                tracker.pop()
+            tracker.pop()
 
-    explore(0, 0, 0.0, budget + 1)
+    explore(0, 0, budget + 1)
     assert best_seq is not None
     return OptimalBundle(items=frozenset(best_seq), welfare=best_welfare)

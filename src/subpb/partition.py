@@ -49,12 +49,6 @@ class GroupPartition:
         """The lower boundaries l_1..l_T, used as approval thresholds."""
         return tuple(self.bounds[t][0] for t in range(1, self.T + 1))
 
-    def group_of(self, a: AlternativeId) -> int:
-        for t, members in enumerate(self.groups):
-            if a in members:
-                return t
-        raise ValueError(f"alternative {a} not in any group")
-
 
 def build_partition(instance: Instance) -> GroupPartition:
     """Assign every alternative to the unique group whose cost interval

@@ -118,7 +118,7 @@ class TestRuleARanking:
         for m in (4, 8, 16):
             instance = uniform_additive_instance([Fraction(3, m)] * m)
             partition = build_partition(instance)
-            t = partition.group_of(0)
+            t = next(t for t, members in enumerate(partition.groups) if 0 in members)
             profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, t)
             dist = rule_a_ranking(profile, partition, instance)
             probs = dist.inclusion_probs()

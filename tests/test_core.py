@@ -1,6 +1,8 @@
-"""Instance validation, utility families, curvature, social welfare, and
-the mean value of a uniform subset."""
+"""Instance validation, utility families, curvature, social welfare, the
+mean value of a uniform subset, and the instance welfare oracle against
+the per-voter definition."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,14 +16,15 @@ from subpb.core import (
     CostExceedsBudget,
     CoverageOracle,
     EmptyInstance,
+    Instance,
     MaxValueOracle,
     NonPositiveCost,
     OracleSpec,
     RawInstance,
+    SumOracle,
     UnnormalizableUtility,
     ValidationError,
     compute_curvature,
-    eval_utility,
     max_curvature,
     UtilityOracle,
     social_welfare,
@@ -96,7 +99,7 @@ class TestValidation:
         instance = validate_instance(raw)
         oracle = instance.voters[0]
         assert oracle.scale == pytest.approx(0.25)
-        assert eval_utility(oracle, {0, 1}) == pytest.approx(1.0, abs=1e-12)
+        assert oracle.value({0, 1}) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_voter_rejected(self):
         raw = RawInstance(
@@ -135,25 +138,22 @@ class TestValidation:
 
 
 class TestEvalUtility:
+    """Normalized utilities as `UtilityOracle.value` reports them."""
+
     def test_additive(self):
         oracle = AdditiveOracle.normalized([0.5, 0.5])
-        assert eval_utility(oracle, {0}) == pytest.approx(0.5)
+        assert oracle.value({0}) == pytest.approx(0.5)
 
     def test_coverage_union(self):
         oracle = coverage_example()
         # First two alternatives cover the whole universe.
-        assert eval_utility(oracle, {0, 1}) == pytest.approx(1.0, abs=1e-12)
-        assert eval_utility(oracle, {2}) == pytest.approx(1.0 / 3.0)
+        assert oracle.value({0, 1}) == pytest.approx(1.0, abs=1e-12)
+        assert oracle.value({2}) == pytest.approx(1.0 / 3.0)
 
     def test_max_value_attains_one(self):
         oracle = MaxValueOracle.normalized([0.4, 1.0])
-        assert eval_utility(oracle, {0, 1}) == pytest.approx(1.0, abs=1e-12)
-        assert eval_utility(oracle, {0}) == pytest.approx(0.4)
-
-    def test_invalid_id(self):
-        oracle = AdditiveOracle.normalized([1.0])
-        with pytest.raises(ValueError):
-            eval_utility(oracle, {3})
+        assert oracle.value({0, 1}) == pytest.approx(1.0, abs=1e-12)
+        assert oracle.value({0}) == pytest.approx(0.4)
 
 
 class TestMarginal:
@@ -347,3 +347,95 @@ def test_expected_uniform_matches_enumeration():
                     want = helpers.brute_force_expected_uniform(oracle, items, k)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (
                         oracle.family, items, k)
+
+
+# ---------------------------------------------------------------------------
+# The instance welfare oracle against the per-voter definition
+
+
+def shared_signature_instance() -> Instance:
+    """Two coverage voters with the same covers, so every signature is
+    shared; element 1 weighs zero and element 3 is covered by no
+    alternative. The additive voter's zero value at 0 is dropped, and its
+    value at 1 lands on the signature {1} that element 2 also has."""
+    covers = [[0, 1], [1, 2], [0]]
+    return Instance(
+        costs=(Fraction(1, 3),) * 3,
+        voters=(
+            CoverageOracle.normalized([0.5, 0.0, 0.3, 0.2], covers),
+            CoverageOracle.normalized([0.25, 0.0, 0.7, 0.9], covers),
+            AdditiveOracle.normalized([0.0, 1.0, 2.0]),
+            MaxValueOracle.normalized([0.0, 0.5, 1.0]),
+        ),
+    )
+
+
+def welfare_instances():
+    """Seeded single-family and mixed instances (m <= 8), plus the shared
+    signature instance. `helpers.random_oracles` covers coverage element 0
+    by every alternative and the last element by none."""
+    rng = random.Random(2406)
+    yield shared_signature_instance()
+    for _ in range(12):
+        m = rng.randint(1, 8)
+        costs = (Fraction(1, m),) * m
+        drawn = [helpers.random_oracles(rng, m) for _ in range(rng.randint(1, 3))]
+        for family in range(4):
+            yield Instance(costs=costs, voters=tuple(row[family] for row in drawn))
+        yield Instance(costs=costs, voters=tuple(o for row in drawn for o in row))
+
+
+class TestInstanceWelfare:
+    def test_signatures_fold_shared_and_drop_empty(self):
+        instance = shared_signature_instance()
+        welfare = instance.welfare
+        assert isinstance(welfare, SumOracle)
+        folded, max_voter = welfare.parts
+        assert max_voter is instance.voters[3]
+        # Signatures {1}, {2} and {0, 2}: element 1 (zero weight), element 3
+        # (uncovered) and the additive zero at 0 leave nothing behind.
+        assert len(folded.weights) == 3
+        assert folded.cover_masks == (0b100, 0b001, 0b110)
+        assert instance.welfare is welfare
+
+    def test_lone_part_is_used_directly(self):
+        concave = ConcaveOverModularOracle.normalized([1.0, 2.0], 0.5)
+        assert Instance(costs=(Fraction(1, 2),) * 2, voters=(concave,)).welfare is concave
+        additive = Instance(costs=(Fraction(1, 2),) * 2, voters=(
+            AdditiveOracle.normalized([1.0, 3.0]), AdditiveOracle.normalized([2.0, 1.0])))
+        assert isinstance(additive.welfare, CoverageOracle)
+        assert additive.welfare.cover_masks == (0b01, 0b10)
+
+    def test_value_equals_social_welfare(self):
+        for instance in welfare_instances():
+            for members in helpers.powerset(instance.alternatives):
+                assert instance.welfare.value(members) == pytest.approx(
+                    social_welfare(instance, members), rel=1e-12, abs=1e-12)
+
+    def test_tracker_deltas_equal_welfare_differences(self):
+        for instance in welfare_instances():
+            tracker = instance.welfare.tracker()
+
+            def walk(idx: int, members: tuple) -> None:
+                here = social_welfare(instance, members)
+                assert tracker.value() == pytest.approx(here, rel=1e-12, abs=1e-12)
+                for a in range(idx, instance.m):
+                    delta = tracker.push(a)
+                    gain = social_welfare(instance, members + (a,)) - here
+                    assert delta == pytest.approx(gain, rel=1e-9, abs=1e-12)
+                    walk(a + 1, members + (a,))
+                    tracker.pop()
+                    assert tracker.value() == pytest.approx(here, rel=1e-12, abs=1e-12)
+
+            walk(0, ())
+
+    def test_expected_uniform_equals_per_voter_enumeration(self):
+        rng = random.Random(11)
+        for instance in welfare_instances():
+            for size in range(instance.m + 1):
+                items = tuple(sorted(rng.sample(range(instance.m), size)))
+                for k in range(size + 1):
+                    want = math.fsum(helpers.brute_force_expected_uniform(v, items, k)
+                                     for v in instance.voters)
+                    got = instance.welfare.expected_uniform(items, k)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -1,9 +1,11 @@
-"""Sweeps against independent per-cell evaluation and a pinned exact table,
-sweep failure rows, the exact-mode refusal of enumerated components, the
+"""Sweeps against independent per-cell evaluation, a pinned exact table and
+pinned optimal sets, seeded Monte Carlo reproducibility, sweep failure rows, the exact-mode refusal of enumerated components, the
 randomness plan against its full expansion and its Monte Carlo sampler, and
 the integer-cost exact solvers on mixed denominators."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import math
 import random
@@ -60,6 +62,22 @@ PINNED_SPECS = (
     SHORTLIST_HEAVY,
 )
 PINNED_MIXES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+# The optimal id sequence of every pinned instance, recorded while welfare
+# was still summed voter by voter. The optimum breaks ties by comparing
+# float welfares exactly, so a change in summation order could flip a tie.
+PINNED_OPTIMA = {
+    "additive-m9-n12-uniformrational-s5": (1, 3),
+    "additive-m9-n12-uniformrational-s6": (1, 2, 6),
+    "coverage-m9-n12-uniformrational-s5": (0, 4, 6, 8),
+    "coverage-m9-n12-uniformrational-s6": (0, 2, 6),
+    "concave-m9-n12-uniformrational-s5": (2, 5, 8),
+    "concave-m9-n12-uniformrational-s6": (3, 6),
+    "max-value-m9-n12-uniformrational-s5": (0, 1, 3, 8),
+    "max-value-m9-n12-uniformrational-s6": (2, 3, 6),
+    "coverage-m9-n12-uniformrational-s7": (2, 3, 6, 7, 8),
+    "coverage-m10-n12-fixed-s1": (1, 2, 4, 5, 7, 8),
+}
 PINNED_SOLVERS = (ExactDP(), Fptas(0.3))
 
 
@@ -134,6 +152,33 @@ class TestSweep:
 
     def test_exact_csv_matches_pinned_table(self):
         assert pinned_sweep_csv() == PINNED_CSV.read_text(encoding="utf-8")
+
+    def test_pinned_optimal_sets_are_unchanged(self):
+        assert {spec.instance_id: tuple(sorted(optimal_welfare(generate(spec)).items))
+                for spec in PINNED_SPECS} == PINNED_OPTIMA
+
+    def test_seeded_monte_carlo_sweep_is_reproducible(self):
+        specs = [GeneratorSpec(family, 7, 5, seed=3) for family in FAMILIES]
+        mc_columns = ("expected_welfare", "welfare_ratio", "stderr")
+
+        def run(specs):
+            return render_csv(sweep(specs, list(Method), mode=Mode.MONTE_CARLO, samples=500))
+
+        first = run(specs)
+        assert run(specs).encode() == first.encode()
+        rows = list(csv.DictReader(io.StringIO(first)))
+        reseeded = csv.DictReader(io.StringIO(
+            run([dataclasses.replace(spec, seed=4) for spec in specs])))
+        for row, other in zip(rows, reseeded, strict=True):
+            assert all(row[col] != other[col] for col in mc_columns), (row, other)
+        # The Monte Carlo stream alone moves the MC columns: the same
+        # instance under another seed keeps its optimum and curvature.
+        instance = generate(specs[1])
+        for method in Method:
+            a, b = (evaluate(instance, method, mode=Mode.MONTE_CARLO, seed=seed, samples=500)
+                    for seed in (3, 4))
+            assert (a.optimal_welfare, a.curvature) == (b.optimal_welfare, b.curvature)
+            assert a.expected_welfare != b.expected_welfare and a.stderr != b.stderr
 
 
 def assert_mc_agrees(instance, method, mix, samples=20_000, seed=11):

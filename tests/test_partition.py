@@ -193,7 +193,7 @@ class TestShortlist:
         # toward ascending id.
         instance = instance_with_costs(["3/4"] * 8)
         partition = build_partition(instance)
-        t = partition.group_of(0)
+        t = next(t for t, members in enumerate(partition.groups) if 0 in members)
         profile = ranking_profile(instance, partition, Method.STANDALONE_VALUES, t)
         chosen, rest = shortlist(partition, harmonic_scores(profile), t)
         assert len(chosen) == shortlist_cap(8, t)
