@@ -10,8 +10,9 @@ one coverage function. Exact mode takes each component's mean welfare from
 it in closed form (`aggregation.expected_welfare`); only a family without a
 closed form (concave) enumerates the C(|P|, k) subsets, and it alone
 refuses a component past `core.EXACT_SUPPORT_LIMIT`. Monte Carlo mode
-samples the plan and reports a mean with a standard error; it sums each
-sampled set's welfare voter by voter (`core.social_welfare`).
+draws how many samples fall on each component and on each of its subsets,
+without a loop over samples, and reports a mean with a standard error; it
+sums each drawn set's welfare voter by voter (`core.social_welfare`).
 
 The reported welfare ratio (optimal over expected) is a per-instance lower
 bound on the rule's distortion: distortion also takes a supremum over all
@@ -293,8 +294,7 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
     stderr = None
     n_samples = None
     # Past the optimum's enumeration limit the cell fails in either mode
-    # before any plan is built, so every C(|P|, k) that Monte Carlo mode
-    # draws from stays within C(24, 12) < 2**53.
+    # before any plan is built.
     optimum = facts.optimum
     if mode is Mode.EXACT:
         plan = _plan(facts, method, mix, solver)
@@ -367,6 +367,61 @@ def _unrank(items: tuple[int, ...], k: int, rank: int) -> list[int]:
     return picked
 
 
+def _binomial(rng, n: int, num: int, den: int) -> int:
+    """An exact Binomial(n, num/den) draw from fair bits.
+
+    Trial i succeeds when its uniform U_i < p. The binary digits of every
+    open trial's U_i are drawn together, one `getrandbits` call per digit
+    of p (integer doubling of num mod den): where p's digit is 1, the trials
+    whose digit is 0 succeed; where it is 0, the trials whose digit is 1
+    fail; the rest stay open. When p's remaining digits are all 0 the open
+    trials fail. Each step closes about half the open trials, so a draw
+    takes about log2(n) + 2 calls."""
+    if num >= den:
+        return n
+    successes = 0
+    while n and num:
+        num *= 2
+        ones = rng.getrandbits(n).bit_count()
+        if num >= den:
+            num -= den
+            successes += n - ones
+            n = ones
+        else:
+            n -= ones
+    return successes
+
+
+def _split(rng, count: int, lo: int, hi: int, cum: Sequence[int] | None = None) -> Counter:
+    """The counts of `count` i.i.d. draws over the indices [lo, hi), where
+    index i has weight cum[i+1] - cum[i]; without `cum` every index weighs 1.
+
+    Each range sends a binomial share of its draws to its lower half and the
+    rest to its upper half; only non-empty halves are split further. In a
+    uniform range with fewer draws than indices, each draw is taken directly:
+    draws conditioned on landing in a range are i.i.d. uniform on it."""
+    counts: Counter = Counter()
+    stack = [(count, lo, hi)]
+    while stack:
+        count, lo, hi = stack.pop()
+        if hi - lo == 1:
+            counts[lo] = count
+            continue
+        if cum is None and count < hi - lo:
+            counts.update(rng.randrange(lo, hi) for _ in range(count))
+            continue
+        mid = (lo + hi) // 2
+        if cum is None:
+            left = _binomial(rng, count, mid - lo, hi - lo)
+        else:
+            left = _binomial(rng, count, cum[mid] - cum[lo], cum[hi] - cum[lo])
+        if left:
+            stack.append((left, lo, mid))
+        if count - left:
+            stack.append((count - left, mid, hi))
+    return counts
+
+
 def _monte_carlo(
     facts: _InstanceFacts,
     method: Method,
@@ -377,21 +432,21 @@ def _monte_carlo(
 ) -> tuple[float, float]:
     """Sample the rule's plan `samples` times; returns (mean, standard error).
 
-    One call draws every sample's component; one more call per component
-    draws its count of ranks among its C(|P|, k) subsets. The draws are
-    i.i.d. from the rule. Each distinct set costs one `_unrank` and one
-    welfare lookup, weighted by how often it was drawn."""
+    The draws are i.i.d. from the rule, but only their counts are drawn
+    (`_split`): first how many samples fall on each component, then how
+    many of a component's samples fall on each of its C(|P|, k) subsets,
+    a Python int however large. Each distinct set costs one `_unrank` and
+    one welfare lookup, weighted by how often it was drawn."""
     instance = facts.instance
     rng = rng_mod.stream(seed, "mc", method.value, instance.m, instance.n)
     plan = _plan(facts, method, mix, solver).support
     scale = math.lcm(*(weight.denominator for weight, _, _ in plan))
-    cum_weights = list(itertools.accumulate(int(weight * scale) for weight, _, _ in plan))
+    cum_weights = list(itertools.accumulate((int(weight * scale) for weight, _, _ in plan),
+                                            initial=0))
     pairs: list[tuple[float, int]] = []
-    for index, count in Counter(rng.choices(range(len(plan)), cum_weights=cum_weights,
-                                            k=samples)).items():
+    for index, count in _split(rng, samples, 0, len(plan), cum_weights).items():
         _, items, k = plan[index]
-        subsets = math.comb(len(items), k)
-        ranks = Counter(rng.choices(range(subsets), k=count)) if subsets > 1 else {0: count}
+        ranks = _split(rng, count, 0, math.comb(len(items), k))
         pairs += [(facts.welfare(frozenset(_unrank(items, k, rank))), times)
                   for rank, times in ranks.items()]
     mean = math.fsum(value * times for value, times in pairs) / samples

@@ -1,7 +1,8 @@
 """Sweeps against independent per-cell evaluation, a pinned exact table and
 pinned optimal sets, seeded Monte Carlo reproducibility, sweep failure rows, the exact-mode refusal of enumerated components, the
-randomness plan against its full expansion and its Monte Carlo sampler, and
-the integer-cost exact solvers on mixed denominators."""
+randomness plan against its full expansion and its Monte Carlo sampler, the
+sampler's exact binomial and multinomial count draws, and the integer-cost
+exact solvers on mixed denominators."""
 
 import csv
 import dataclasses
@@ -9,6 +10,7 @@ import io
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +56,10 @@ OVER_LIMIT_SPECS = (
 # Every cost is 3/(2m): all ten alternatives share group 1 and are
 # shortlisted, and the rule draws a uniform 5-subset of them.
 SHORTLIST_HEAVY = GeneratorSpec("coverage", 10, 12, Fixed((Fraction(3, 20),) * 10), seed=1)
+
+# The exact-shortlist benchmark's shape: a uniform 8-subset of 16 shortlisted
+# alternatives, C(16, 8) = 12,870 sets, more than a cell's share of 20k draws.
+MANY_SETS = GeneratorSpec("coverage", 16, 20, Fixed((Fraction(3, 32),) * 16), seed=1)
 
 
 PINNED_SPECS = (
@@ -141,9 +147,10 @@ class TestSweep:
             evaluate(concave, Method.MARGINAL_VALUES)
 
     def test_mc_cell_past_the_enumeration_limit_fails_per_method(self):
-        # Group 1 shortlists all 70 alternatives and draws a 35-subset:
-        # C(70, 35) ranks are past what `rng.choices` can index, so the cell
-        # must fail on the optimum before any sampling.
+        # Group 1 shortlists all 70 alternatives and draws a 35-subset. The
+        # sampler can draw among C(70, 35) ranks (see TestCountSampler), but
+        # the exhaustive optimum cannot take m = 70, so the cell must fail on
+        # the optimum before any sampling.
         spec = GeneratorSpec("coverage", 70, 3, Fixed((Fraction(3, 140),) * 70), seed=1)
         results = sweep([spec], list(Method), mode=Mode.MONTE_CARLO, samples=1_000)
         assert [(r.method, r.error) for r in results] == [
@@ -237,6 +244,120 @@ class TestPlanAndSampler:
             unranked = [tuple(experiment._unrank(items, k, rank))
                         for rank in range(math.comb(size, k))]
             assert unranked == list(itertools.combinations(items, k))
+
+
+class _Branch(Exception):
+    def __init__(self, bits):
+        super().__init__(bits)
+        self.bits = bits
+
+
+class _ScriptedBits:
+    """Replays scripted `getrandbits` results; the first call past the script
+    raises `_Branch` with its bit count."""
+
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def getrandbits(self, bits):
+        value = next(self.script, None)
+        if value is None:
+            raise _Branch(bits)
+        return value
+
+
+def binomial_pmf(n, num, den):
+    """The exact distribution of `_binomial(rng, n, num, den)` for dyadic
+    num/den: every return value of every `getrandbits(k)` call is replayed,
+    each with probability 2**-k. Dyadic p has at most log2(den) digits."""
+    pmf = Counter()
+    scripts = [((), Fraction(1))]
+    while scripts:
+        script, prob = scripts.pop()
+        try:
+            pmf[experiment._binomial(_ScriptedBits(script), n, num, den)] += prob
+        except _Branch as branch:
+            assert len(script) < den.bit_length() - 1, (n, num, den, script)
+            scripts += [(script + (value,), prob / 2**branch.bits)
+                        for value in range(2**branch.bits)]
+    return pmf
+
+
+def chi_square(counts, weights):
+    total = sum(counts.values())
+    weight = sum(weights.values())
+    return sum((counts[i] - total * w / weight) ** 2 / (total * w / weight)
+               for i, w in weights.items())
+
+
+#: Index weights with zeros inside the range; `cum[i + 1] - cum[i]` is index i's.
+SPLIT_WEIGHTS = (3, 0, 5, 1, 0, 7, 2, 4)
+SPLIT_CUM = list(itertools.accumulate(SPLIT_WEIGHTS, initial=0))
+
+
+class TestCountSampler:
+    @pytest.mark.parametrize("den", [2, 4, 8])
+    def test_binomial_pmf_is_exact_for_dyadic_p(self, den):
+        for num, n in itertools.product(range(den + 1), range(5)):
+            p = Fraction(num, den)
+            pmf = binomial_pmf(n, num, den)
+            assert pmf == {h: math.comb(n, h) * p**h * (1 - p) ** (n - h)
+                           for h in range(n + 1)
+                           if p**h * (1 - p) ** (n - h)}, (n, num, den)
+
+    def test_binomial_at_p_zero_and_one_draws_no_bits(self):
+        for n in (0, 1, 10**6):
+            assert experiment._binomial(_ScriptedBits(()), n, 0, 7) == 0
+            assert experiment._binomial(_ScriptedBits(()), n, 7, 7) == n
+
+    def test_split_counts_sum_and_stay_on_positive_weights(self):
+        rng = random.Random(5)
+        for count in (1, 2, 7, 100, 10_000):
+            for lo, hi in ((0, 8), (2, 7), (5, 6), (3, 8)):
+                counts = experiment._split(rng, count, lo, hi, SPLIT_CUM)
+                assert sum(counts.values()) == count
+                assert all(lo <= i < hi and SPLIT_WEIGHTS[i] and c > 0
+                           for i, c in counts.items()), counts
+            for lo, hi in ((0, 1), (0, 10), (10**20, 10**20 + 3 * count)):
+                counts = experiment._split(rng, count, lo, hi)
+                assert sum(counts.values()) == count
+                assert all(lo <= i < hi and c > 0 for i, c in counts.items()), counts
+
+    def test_split_pooled_counts_pass_chi_square(self):
+        # Critical values of chi-square at 0.999: 20.515 for 5 degrees of
+        # freedom, 27.877 for 9.
+        rng = random.Random(17)
+        weights = {i: w for i, w in enumerate(SPLIT_WEIGHTS) if w}
+        pooled = Counter()
+        for _ in range(200):
+            pooled.update(experiment._split(rng, 50, 0, len(SPLIT_WEIGHTS), SPLIT_CUM))
+        assert chi_square(pooled, weights) < 20.515, pooled
+        # Fewer draws than indices take the direct path at the top; more
+        # split first.
+        for count in (7, 30):
+            pooled = Counter()
+            for _ in range(10_000 // count):
+                pooled.update(experiment._split(rng, count, 0, 10))
+            assert chi_square(pooled, dict.fromkeys(range(10), 1)) < 27.877, (count, pooled)
+
+    def test_split_reaches_ranks_past_sys_maxsize(self):
+        subsets = math.comb(70, 35)
+        counts = experiment._split(random.Random(3), 1_000, 0, subsets)
+        assert sum(counts.values()) == 1_000
+        assert all(0 <= rank < subsets for rank in counts)
+        assert max(counts) > 2**64
+        items = tuple(range(70))
+        assert all(len(experiment._unrank(items, 35, rank)) == 35 for rank in counts)
+
+    @pytest.mark.parametrize("mix", [Fraction(1, 2), Fraction(1)])
+    @pytest.mark.parametrize("family", ["coverage", "additive"])
+    def test_mc_agrees_where_draws_rarely_repeat(self, family, mix):
+        instance = generate(dataclasses.replace(MANY_SETS, family=family))
+        plan = experiment._plan(experiment._InstanceFacts(instance), Method.MARGINAL_VALUES,
+                                mix, ExactDP())
+        assert any(math.comb(len(items), k) > weight * 20_000
+                   for weight, items, k in plan.support)
+        assert_mc_agrees(instance, Method.MARGINAL_VALUES, mix)
 
 
 class TestMixedDenominators:
