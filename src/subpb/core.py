@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 AlternativeId = int
 WelfareValue = float
@@ -58,6 +58,14 @@ class ExceedsExactBudget(Exception):
     mode or a smaller instance."""
 
 
+class SingletonTable(NamedTuple):
+    """Per-alternative facts of one set function: the standalone value
+    f({a}) and the last gain f(a | A - a) against all other alternatives."""
+
+    singles: tuple[float, ...]
+    last_gains: tuple[float, ...]
+
+
 class UtilityOracle(ABC):
     """Monotone submodular set function over alternatives. A voter's oracle
     is scaled to value 1 on the grand set; the instance welfare oracle
@@ -84,10 +92,15 @@ class UtilityOracle(ABC):
     def value(self, items: Iterable[AlternativeId]) -> float:
         return self.raw_value(items) * self.scale  # type: ignore[attr-defined]
 
-    def marginal_value(self, a: AlternativeId, items: Iterable[AlternativeId]) -> float:
-        """Gain of adding `a` to `items`; `a` must not be present."""
-        base = tuple(items)
-        return self.value(base + (a,)) - self.value(base)
+    def singleton_table(self) -> SingletonTable:
+        """f({a}) and f(a | A - a) for every alternative a. This default is
+        the definition, f(A) - f(A - a), through `value`; each voter family
+        overrides it with a closed form, and `SumOracle` keeps it."""
+        grand = tuple(range(self.m))
+        full = self.value(grand)
+        return SingletonTable(
+            tuple(self.value((a,)) for a in grand),
+            tuple(full - self.value(grand[:a] + grand[a + 1:]) for a in grand))
 
     def expected_uniform(self, items: Sequence[AlternativeId], k: int) -> float:
         """Mean value of a uniform k-subset of the distinct `items`, for
@@ -145,9 +158,10 @@ class AdditiveOracle(UtilityOracle):
     def raw_value(self, items):
         return sum(self.values[a] for a in items)
 
-    def marginal_value(self, a, items):
-        # Marginals never depend on the base set; avoids float cancellation.
-        return self.values[a] * self.scale
+    def singleton_table(self):
+        # Marginals never depend on the base set, so c = 0 exactly.
+        singles = tuple(v * self.scale for v in self.values)
+        return SingletonTable(singles, singles)
 
     def expected_uniform(self, items, k):
         # Each item is in the subset with probability k / |P|.
@@ -205,6 +219,18 @@ class CoverageOracle(UtilityOracle):
             union |= self.cover_masks[a]
         return _mask_weight(union, self.weights)
 
+    def singleton_table(self):
+        # The last gain of a is the weight of the elements only a covers.
+        once = twice = 0
+        for mask in self.cover_masks:
+            twice |= once & mask
+            once |= mask
+        only = once & ~twice
+        return SingletonTable(
+            tuple(_mask_weight(mask, self.weights) * self.scale for mask in self.cover_masks),
+            tuple(_mask_weight(mask & only, self.weights) * self.scale
+                  for mask in self.cover_masks))
+
     def expected_uniform(self, items, k):
         # An element covered by d of the |P| items is missed only when the
         # subset avoids all d: probability C(|P| - d, k) / C(|P|, k).
@@ -252,8 +278,22 @@ class ConcaveOverModularOracle(UtilityOracle):
         return len(self.values)
 
     def raw_value(self, items):
-        inner = sum(self.values[a] for a in items)
-        return inner**self.gamma if inner > 0.0 else 0.0
+        return _concave(sum(self.values[a] for a in items), self.gamma)
+
+    def singleton_table(self):
+        total = sum(self.values)
+        full = _concave(total, self.gamma) * self.scale
+        return SingletonTable(
+            tuple(_concave(v, self.gamma) * self.scale for v in self.values),
+            tuple(full - _concave(total - v, self.gamma) * self.scale for v in self.values))
+
+    def expected_uniform(self, items, k):
+        # A uniform singleton's mean is that of the standalone values, summed
+        # as the enumeration would; larger subsets are enumerated.
+        if k != 1:
+            return super().expected_uniform(items, k)
+        return math.fsum(_concave(self.values[a], self.gamma) * self.scale
+                         for a in items) / len(items)
 
     def tracker(self):
         return _ConcaveTracker(self)
@@ -282,6 +322,15 @@ class MaxValueOracle(UtilityOracle):
 
     def raw_value(self, items):
         return max((self.values[a] for a in items), default=0.0)
+
+    def singleton_table(self):
+        # Only a maximum gains over the rest, by top - second, which is 0
+        # when the top is tied.
+        ordered = sorted(self.values, reverse=True)
+        top, second = ordered[0], ordered[1] if len(ordered) > 1 else 0.0
+        return SingletonTable(
+            tuple(v * self.scale for v in self.values),
+            tuple((v - second) * self.scale if v == top else 0.0 for v in self.values))
 
     def expected_uniform(self, items, k):
         # The i-th largest value (1-based) is the maximum when the subset
@@ -335,6 +384,11 @@ def _nonnegative_floats(values: Sequence[float]) -> tuple[float, ...]:
         if v < 0.0 or not math.isfinite(v):
             raise ValidationError(f"utility parameters must be finite and >= 0, got {v}")
     return vals
+
+
+def _concave(inner: float, gamma: float) -> float:
+    """inner ** gamma, where 0 ** gamma counts as 0."""
+    return inner**gamma if inner > 0.0 else 0.0
 
 
 def _set_bits(mask: int) -> Iterable[int]:
@@ -511,6 +565,12 @@ class Instance:
         built on first use."""
         return welfare_oracle(self.voters, self.m)
 
+    @cached_property
+    def singleton_table(self) -> tuple[SingletonTable, ...]:
+        """Each voter's standalone values and last gains
+        (`UtilityOracle.singleton_table`); built on first use."""
+        return tuple(voter.singleton_table() for voter in self.voters)
+
 
 _FAMILIES = ("additive", "coverage", "concave", "max-value")
 
@@ -621,16 +681,23 @@ def compute_curvature(oracle: UtilityOracle) -> float:
 
     For monotone submodular f the worst marginal of `a` is attained against
     all other alternatives, so the minimum ratio f(a | A-a) / f({a}) over
-    positive singletons decides c."""
+    positive singletons decides c. Both numbers come from the oracle's
+    `singleton_table`, in closed form per family (with s the scale):
+    additive v_a*s for both, so c = 0 exactly; coverage, the weight of a's
+    elements and of the elements only a covers; concave, v_a^g*s and
+    (sum v)^g*s - (sum v - v_a)^g*s; max-value, v_a*s and, if a holds the
+    unique maximum, (v_a - the second largest)*s, else 0."""
+    return _curvature(oracle.singleton_table())
+
+
+def _curvature(table: SingletonTable) -> float:
     worst = 1.0
     found = False
-    for a in range(oracle.m):
-        single = oracle.value((a,))
+    for single, last in zip(table.singles, table.last_gains):
         if single <= _SINGLETON_FLOOR:
             continue
         found = True
-        rest = tuple(b for b in range(oracle.m) if b != a)
-        ratio = oracle.marginal_value(a, rest) / single
+        ratio = last / single
         if ratio < worst:
             worst = ratio
     if not found:
@@ -639,8 +706,9 @@ def compute_curvature(oracle: UtilityOracle) -> float:
 
 
 def max_curvature(instance: Instance) -> float:
-    """Largest voter curvature; the uniform c valid for the whole profile."""
-    return max(compute_curvature(v) for v in instance.voters)
+    """Largest voter curvature; the uniform c valid for the whole profile.
+    Reads the instance's `singleton_table`."""
+    return max(_curvature(table) for table in instance.singleton_table)
 
 
 def social_welfare(instance: Instance, items: Iterable[AlternativeId]) -> WelfareValue:

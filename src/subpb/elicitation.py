@@ -6,7 +6,10 @@ sets at a rational threshold. Ranking profiles carry one permutation of
 the group per voter; approval profiles carry per-voter approval sets plus
 the derived approval weights that aggregation reads. The rule's plan, not
 this module, weighs the groups and thresholds. Greedy rankings read each
-gain from the oracle's incremental tracker.
+gain from the oracle's incremental tracker. Value rankings and approval
+sets read only standalone values f({a}): the profile functions take them
+from the instance's per-voter `core.Instance.singleton_table`, built once
+per instance, so no singleton is evaluated per group or per threshold.
 """
 
 from __future__ import annotations
@@ -106,18 +109,18 @@ def rank_by_marginal(
 
 
 def rank_by_values(
-    oracle: UtilityOracle, group: Sequence[AlternativeId]
+    singles: Sequence[float], group: Sequence[AlternativeId]
 ) -> tuple[AlternativeId, ...]:
-    """Sort by standalone value, descending; ties by ascending id."""
+    """Sort by standalone value `singles[a]`, descending; ties by ascending id."""
     if not group:
         raise ValueError("cannot rank an empty group")
-    return tuple(sorted(group, key=lambda a: (-oracle.value((a,)), a)))
+    return tuple(sorted(group, key=lambda a: (-singles[a], a)))
 
 
-def threshold_approve(oracle: UtilityOracle, alpha: Fraction) -> frozenset:
-    """All alternatives whose standalone value meets the threshold."""
+def threshold_approve(singles: Sequence[float], alpha: Fraction) -> frozenset:
+    """All alternatives whose standalone value `singles[a]` meets the threshold."""
     cutoff = float(alpha) - APPROVAL_TOL
-    return frozenset(a for a in range(oracle.m) if oracle.value((a,)) >= cutoff)
+    return frozenset(a for a, single in enumerate(singles) if single >= cutoff)
 
 
 def ranking_profile(
@@ -133,13 +136,15 @@ def ranking_profile(
     elif method is Method.MARGINAL_VALUES:
         rankings = tuple(rank_by_marginal(v, group) for v in instance.voters)
     else:
-        rankings = tuple(rank_by_values(v, group) for v in instance.voters)
+        rankings = tuple(rank_by_values(table.singles, group)
+                         for table in instance.singleton_table)
     return RankingProfile(method=method, group_index=t, group=group, rankings=rankings)
 
 
 def approval_profile(instance: Instance, alpha: Fraction) -> ApprovalProfile:
     """Approval sets at threshold alpha plus derived weights."""
-    approvals = tuple(threshold_approve(v, alpha) for v in instance.voters)
+    approvals = tuple(threshold_approve(table.singles, alpha)
+                      for table in instance.singleton_table)
     weights = tuple(
         sum(1 for approved in approvals if a in approved) for a in instance.alternatives
     )

@@ -7,12 +7,13 @@ weighted components "a uniform k-subset of P" (`aggregation.rule_plan`).
 The optimum and exact mode read welfare from one per-instance oracle
 (`core.Instance.welfare`), in which additive and coverage voters fold into
 one coverage function. Exact mode takes each component's mean welfare from
-it in closed form (`aggregation.expected_welfare`); only a family without a
-closed form (concave) enumerates the C(|P|, k) subsets, and it alone
-refuses a component past `core.EXACT_SUPPORT_LIMIT`. Monte Carlo mode
-draws how many samples fall on each component and on each of its subsets,
-without a loop over samples, and reports a mean with a standard error; it
-sums each drawn set's welfare voter by voter (`core.social_welfare`).
+it in closed form (`aggregation.expected_welfare`); only the concave family,
+whose closed form covers k = 1 alone, enumerates the C(|P|, k) subsets of
+larger components, and it alone refuses one past
+`core.EXACT_SUPPORT_LIMIT`. Monte Carlo mode draws how many samples fall on
+each component and on each of its subsets, without a loop over samples, and
+reports a mean with a standard error; it sums each drawn set's welfare
+voter by voter (`core.social_welfare`).
 
 The reported welfare ratio (optimal over expected) is a per-instance lower
 bound on the rule's distortion: distortion also takes a supremum over all
@@ -245,7 +246,11 @@ class _InstanceFacts:
     mode).
 
     Each fact is computed on first use and at most once. A computation
-    that raises is not cached, so every cell that needs it raises again."""
+    that raises is not cached, so every cell that needs it raises again.
+    The per-voter standalone values and last gains, which the curvature,
+    approval sets and value rankings read, live on the instance itself
+    (`core.Instance.singleton_table`), so a fresh record made by `evaluate`
+    reuses them as well."""
 
     def __init__(self, instance: Instance):
         self.instance = instance

@@ -115,7 +115,7 @@ def rank_by_rebuilding(oracle: UtilityOracle, group) -> tuple[AlternativeId, ...
     while remaining:
         best, best_gain = None, -1.0
         for a in remaining:
-            gain = oracle.marginal_value(a, frozenset(prefix))
+            gain = oracle.value(prefix + [a]) - oracle.value(prefix)
             if -MARGINAL_CLAMP <= gain < 0.0:
                 gain = 0.0
             if gain > best_gain:
@@ -123,6 +123,15 @@ def rank_by_rebuilding(oracle: UtilityOracle, group) -> tuple[AlternativeId, ...
         prefix.append(best)
         remaining.remove(best)
     return tuple(prefix)
+
+
+def singleton_reference(oracle: UtilityOracle) -> tuple[list[float], list[float]]:
+    """Standalone values f({a}) and last gains f(A) - f(A - a), each set
+    evaluated directly."""
+    grand = list(range(oracle.m))
+    full = oracle.value(grand)
+    return ([oracle.value([a]) for a in grand],
+            [full - oracle.value([b for b in grand if b != a]) for a in grand])
 
 
 def tracker_gains(oracle: UtilityOracle, sequence) -> list[float]:

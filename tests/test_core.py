@@ -195,6 +195,88 @@ class TestCurvature:
         assert 0.1 < c < 1.0
 
 
+class TestSingletonTable:
+    """Each family's closed-form `singleton_table` against the definition."""
+
+    @staticmethod
+    def assert_matches_definition(oracle):
+        singles, last_gains = oracle.singleton_table()
+        want_singles, want_last = helpers.singleton_reference(oracle)
+        assert singles == pytest.approx(want_singles, rel=0, abs=1e-12), oracle
+        assert last_gains == pytest.approx(want_last, rel=0, abs=1e-12), oracle
+
+    def test_closed_forms_match_definition_on_seeded_oracles(self):
+        rng = random.Random(1306)
+        families = set()
+        for _ in range(80):
+            m = rng.randint(1, 8)
+            for oracle in helpers.random_oracles(rng, m):
+                self.assert_matches_definition(oracle)
+                families.add(type(oracle).singleton_table)
+        assert len(families) == 4 and UtilityOracle.singleton_table not in families
+
+    def test_default_is_the_definition(self):
+        # The welfare oracle of a mixed instance is a `SumOracle`, which
+        # keeps the generic table.
+        for instance in welfare_instances():
+            if isinstance(instance.welfare, SumOracle):
+                self.assert_matches_definition(instance.welfare)
+
+    def test_max_value_tie_at_the_top(self):
+        oracle = MaxValueOracle.normalized([1.0, 0.5, 1.0])
+        self.assert_matches_definition(oracle)
+        assert oracle.singleton_table().last_gains == (0.0, 0.0, 0.0)
+        assert compute_curvature(oracle) == 1.0
+
+    def test_max_value_unique_top_gains_over_the_second(self):
+        oracle = MaxValueOracle.normalized([0.25, 1.0, 0.5])
+        self.assert_matches_definition(oracle)
+        assert oracle.singleton_table().last_gains == (0.0, 0.5, 0.0)
+
+    def test_single_alternative(self):
+        oracles = [
+            AdditiveOracle.normalized([2.0]),
+            CoverageOracle.normalized([0.5, 0.25], [[0, 1]]),
+            ConcaveOverModularOracle.normalized([3.0], 0.5),
+            MaxValueOracle.normalized([0.7]),
+        ]
+        for oracle in oracles:
+            self.assert_matches_definition(oracle)
+            singles, last_gains = oracle.singleton_table()
+            assert singles == pytest.approx([1.0]) and last_gains == pytest.approx([1.0])
+            assert compute_curvature(oracle) == pytest.approx(0.0, abs=1e-12)
+
+    def test_coverage_element_shared_by_two_alternatives(self):
+        # Element 1 is covered by alternatives 0 and 1, so neither gains it
+        # last; element 3 is covered by alternative 2 alone.
+        oracle = CoverageOracle.normalized([0.1, 0.2, 0.3, 0.4], [[0, 1], [1, 2], [3]])
+        self.assert_matches_definition(oracle)
+        singles, last_gains = oracle.singleton_table()
+        assert singles == pytest.approx([0.3, 0.5, 0.4])
+        assert last_gains == pytest.approx([0.1, 0.3, 0.4])
+
+    def test_concave_weight_on_one_alternative(self):
+        # Sum v - v_1 = 0 exactly, and 0 ** gamma counts as 0.
+        oracle = ConcaveOverModularOracle.normalized([0.0, 2.0, 0.0], 0.5)
+        self.assert_matches_definition(oracle)
+        assert oracle.singleton_table() == ((0.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+        assert compute_curvature(oracle) == 0.0
+
+    def test_zero_additive_value_is_skipped(self):
+        oracle = AdditiveOracle.normalized([0.0, 0.5, 0.25])
+        self.assert_matches_definition(oracle)
+        singles, last_gains = oracle.singleton_table()
+        assert singles[0] == last_gains[0] == 0.0
+        assert compute_curvature(oracle) == 0.0
+
+    def test_instance_table_is_built_once_per_voter(self):
+        instance = shared_signature_instance()
+        table = instance.singleton_table
+        assert table == tuple(voter.singleton_table() for voter in instance.voters)
+        assert instance.singleton_table is table
+        assert max_curvature(instance) == max(compute_curvature(v) for v in instance.voters)
+
+
 class TestSocialWelfare:
     def test_empty_and_full(self):
         instance = validate_instance(two_voter_instance())

@@ -11,10 +11,12 @@ from subpb.core import (
     MaxValueOracle,
     OracleSpec,
     RawInstance,
+    UtilityOracle,
     compute_curvature,
     validate_instance,
 )
 from subpb.elicitation import (
+    APPROVAL_TOL,
     Method,
     RankingProfile,
     approval_profile,
@@ -23,6 +25,7 @@ from subpb.elicitation import (
     ranking_profile,
     threshold_approve,
 )
+from subpb.experiment import GeneratorSpec, generate
 from subpb.partition import build_partition
 
 import helpers
@@ -33,6 +36,10 @@ def coverage_example():
     return CoverageOracle.normalized(
         weights=[third, third, third], covers=[[0, 1], [1, 2], [1]]
     )
+
+
+def singles(oracle):
+    return oracle.singleton_table().singles
 
 
 def simple_instance(costs, voters):
@@ -87,34 +94,34 @@ class TestRankByMarginal:
 class TestRankByValues:
     def test_additive(self):
         oracle = AdditiveOracle.normalized([0.1, 0.7, 0.2])
-        assert rank_by_values(oracle, [0, 1, 2]) == (1, 2, 0)
+        assert rank_by_values(singles(oracle), [0, 1, 2]) == (1, 2, 0)
 
     def test_coverage_standalone_tie(self):
         # Standalone weights 2/3, 2/3, 1/3: the leading tie breaks by id.
-        assert rank_by_values(coverage_example(), [0, 1, 2]) == (0, 1, 2)
+        assert rank_by_values(singles(coverage_example()), [0, 1, 2]) == (0, 1, 2)
 
     def test_all_equal_gives_id_order(self):
         oracle = AdditiveOracle.normalized([0.5, 0.5, 0.5])
-        assert rank_by_values(oracle, [2, 0, 1]) == (0, 1, 2)
+        assert rank_by_values(singles(oracle), [2, 0, 1]) == (0, 1, 2)
 
 
 class TestThresholdApprove:
     def test_half_threshold(self):
         oracle = AdditiveOracle.normalized([0.75, 0.25])
-        assert threshold_approve(oracle, Fraction(1, 2)) == {0}
+        assert threshold_approve(singles(oracle), Fraction(1, 2)) == {0}
 
     def test_threshold_above_everything(self):
         oracle = AdditiveOracle.normalized([0.3, 0.3, 0.4])
-        assert threshold_approve(oracle, Fraction(1, 2)) == frozenset()
+        assert threshold_approve(singles(oracle), Fraction(1, 2)) == frozenset()
 
     def test_threshold_below_everything(self):
         oracle = AdditiveOracle.normalized([0.5, 0.5])
-        assert threshold_approve(oracle, Fraction(1, 4)) == {0, 1}
+        assert threshold_approve(singles(oracle), Fraction(1, 4)) == {0, 1}
 
     def test_boundary_tolerance(self):
         # A value an ulp under the threshold still counts as approving.
         oracle = AdditiveOracle.normalized([0.25, 0.75])
-        assert 0 in threshold_approve(oracle, Fraction(1, 4))
+        assert 0 in threshold_approve(singles(oracle), Fraction(1, 4))
 
 
 class TestProfiles:
@@ -199,3 +206,73 @@ class TestGreedyPrefixBound:
             assert c < 1 - 1e-6
             for pos, a in enumerate(ranking, start=1):
                 assert voter.value((a,)) <= 1.0 / ((1.0 - c) * pos) + 1e-9
+
+
+def seeded_instances():
+    """Small generated instances of every family, plus one whose max-value
+    voters value every alternative alike, so all values tie."""
+    for family in ("additive", "coverage", "concave", "max-value"):
+        for seed in range(3):
+            yield generate(GeneratorSpec(family=family, m=7, n=6, seed=seed))
+    yield generate(GeneratorSpec(family="max-value", m=6, n=5, seed=1,
+                                 family_params=(("value_range", (0.5, 0.5)),)))
+
+
+def approve_by_value(oracle, alpha):
+    return frozenset(a for a in range(oracle.m)
+                     if oracle.value((a,)) >= float(alpha) - APPROVAL_TOL)
+
+
+class TestProfilesReadTheSingletonTable:
+    """Profiles built from `Instance.singleton_table` against each voter's
+    singleton values evaluated one by one."""
+
+    def test_approval_profile_matches_per_voter_values(self):
+        edges = 0
+        for instance in seeded_instances():
+            # A threshold equal to a singleton value, or above it by less
+            # than APPROVAL_TOL, still approves it.
+            values = {Fraction(v.value((a,))) for v in instance.voters for a in range(instance.m)}
+            above = {value + Fraction(APPROVAL_TOL / 2) for value in values}
+            for alpha in sorted(set(build_partition(instance).thresholds) | values | above):
+                profile = approval_profile(instance, alpha)
+                want = tuple(approve_by_value(v, alpha) for v in instance.voters)
+                assert profile.approvals == want, (instance, alpha)
+                assert profile.weights == tuple(
+                    sum(a in approved for approved in want) for a in instance.alternatives)
+                edges += alpha in values
+        assert edges
+
+    def test_value_rank_profile_matches_per_voter_values(self):
+        for instance in seeded_instances():
+            partition = build_partition(instance)
+            for t, group in enumerate(partition.groups):
+                if not group:
+                    continue
+                profile = ranking_profile(instance, partition, Method.STANDALONE_VALUES, t)
+                assert profile.rankings == tuple(
+                    tuple(sorted(group, key=lambda a: (-v.value((a,)), a)))
+                    for v in instance.voters)
+
+    def test_profiles_evaluate_no_set_once_the_table_exists(self, monkeypatch):
+        calls = []
+        value = UtilityOracle.value
+
+        def counting(self, items):
+            calls.append(items)
+            return value(self, items)
+
+        for instance in seeded_instances():
+            partition = build_partition(instance)
+            instance.singleton_table
+            monkeypatch.setattr(UtilityOracle, "value", counting)
+            for alpha in partition.thresholds:
+                approval_profile(instance, alpha)
+            for t, group in enumerate(partition.groups):
+                if group:
+                    ranking_profile(instance, partition, Method.STANDALONE_VALUES, t)
+            monkeypatch.undo()
+        assert calls == []
+        monkeypatch.setattr(UtilityOracle, "value", counting)
+        instance.voters[0].value((0,))
+        assert calls == [(0,)]

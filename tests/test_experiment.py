@@ -164,6 +164,38 @@ class TestSweep:
         assert {spec.instance_id: tuple(sorted(optimal_welfare(generate(spec)).items))
                 for spec in PINNED_SPECS} == PINNED_OPTIMA
 
+    @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.MONTE_CARLO])
+    def test_each_singleton_is_computed_once_per_instance(self, mode, monkeypatch):
+        # Curvature, approvals and value rankings read one table per voter.
+        # The only `value` calls on a singleton left are welfare lookups.
+        builds, singles, alive = Counter(), Counter(), []
+
+        def counting(build):
+            def singleton_table(oracle):
+                alive.append(oracle)  # ids stay unique while counted
+                builds[id(oracle)] += 1
+                return build(oracle)
+            return singleton_table
+
+        for cls in (core.UtilityOracle, core.AdditiveOracle, core.CoverageOracle,
+                    core.ConcaveOverModularOracle, core.MaxValueOracle):
+            monkeypatch.setattr(cls, "singleton_table", counting(vars(cls)["singleton_table"]))
+        value = core.UtilityOracle.value
+
+        def counting_value(oracle, items):
+            items = tuple(items)
+            if len(items) == 1:
+                alive.append(oracle)
+                singles[id(oracle), items[0]] += 1
+            return value(oracle, items)
+
+        monkeypatch.setattr(core.UtilityOracle, "value", counting_value)
+        specs = [GeneratorSpec(family, 9, 12, seed=5) for family in FAMILIES]
+        results = sweep(specs, list(Method), mode=mode, samples=500)
+        assert not any(isinstance(r, SweepFailure) for r in results)
+        assert sorted(builds.values()) == [1] * sum(spec.n for spec in specs)
+        assert max(singles.values(), default=1) == 1, singles.most_common(3)
+
     def test_seeded_monte_carlo_sweep_is_reproducible(self):
         specs = [GeneratorSpec(family, 7, 5, seed=3) for family in FAMILIES]
         mc_columns = ("expected_welfare", "welfare_ratio", "stderr")
