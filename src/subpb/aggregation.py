@@ -59,7 +59,7 @@ def shortlist_branch(profile: RankingProfile, partition: GroupPartition) -> Bran
     t = profile.group_index
     if not profile.group:
         return (), 0
-    chosen, _ = shortlist(partition, harmonic_scores(profile), t)
+    chosen = shortlist(partition, harmonic_scores(profile), t)
     return chosen, min(len(chosen), selection_size(partition.m, t))
 
 

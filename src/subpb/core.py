@@ -50,7 +50,8 @@ class CostExceedsBudget(ValidationError):
 
 
 class UnnormalizableUtility(ValidationError):
-    """A voter values the grand set at zero, so no scaling can reach 1."""
+    """No finite positive scale takes a voter's grand-set value to 1: the
+    value is zero, past the float range, or so small that its inverse is."""
 
 
 class ExceedsExactBudget(Exception):
@@ -71,6 +72,12 @@ class UtilityOracle(ABC):
     is scaled to value 1 on the grand set; the instance welfare oracle
     (`Instance.welfare`) is the sum over voters, so it is scaled to n, not 1.
 
+    Sets can also be evaluated one alternative at a time through states. A
+    state is a tuple (scaled value, payload) describing one set: `start()`
+    is the empty set's and `extend(state, a)` that of the set plus a. States
+    are never mutated, so one state can be extended by every candidate in
+    turn, and the gain of a is `extend(state, a)[0] - state[0]`.
+
     Subclasses are immutable; evaluating them from many threads needs no
     coordination."""
 
@@ -85,9 +92,15 @@ class UtilityOracle(ABC):
     def raw_value(self, items: Iterable[AlternativeId]) -> float:
         """Unscaled value of a set of alternatives."""
 
+    def start(self) -> tuple:
+        """State of the empty set: value 0, and a payload of 0 unless the
+        family needs one."""
+        return (0.0, 0)
+
     @abstractmethod
-    def tracker(self) -> "ValueTracker":
-        """Fresh incremental evaluator positioned at the empty set."""
+    def extend(self, state: tuple, a: AlternativeId) -> tuple:
+        """State of the set that `state` describes plus alternative a, which
+        it must not contain. `state` itself is left as it is."""
 
     def value(self, items: Iterable[AlternativeId]) -> float:
         return self.raw_value(items) * self.scale  # type: ignore[attr-defined]
@@ -117,23 +130,6 @@ class UtilityOracle(ABC):
         return total / subsets
 
 
-class ValueTracker(ABC):
-    """Stack-style incremental evaluator used by the exhaustive optimum and
-    by greedy marginal rankings.
-
-    `push(a)` adds alternative a to the tracked set and returns the value
-    delta; `pop()` undoes the most recent push exactly."""
-
-    @abstractmethod
-    def push(self, a: AlternativeId) -> float: ...
-
-    @abstractmethod
-    def pop(self) -> None: ...
-
-    @abstractmethod
-    def value(self) -> float: ...
-
-
 @dataclass(frozen=True)
 class AdditiveOracle(UtilityOracle):
     """f(S) = sum of per-alternative values."""
@@ -146,10 +142,7 @@ class AdditiveOracle(UtilityOracle):
     @classmethod
     def normalized(cls, values: Sequence[float]) -> "AdditiveOracle":
         vals = _nonnegative_floats(values)
-        total = sum(vals)
-        if total <= 0.0:
-            raise UnnormalizableUtility("additive values sum to zero")
-        return cls(vals, 1.0 / total)
+        return cls(vals, _scale(sum(vals), "the sum of the values"))
 
     @property
     def m(self) -> int:
@@ -169,8 +162,8 @@ class AdditiveOracle(UtilityOracle):
             return 0.0
         return k * self.raw_value(items) * self.scale / len(items)
 
-    def tracker(self):
-        return _AdditiveTracker(self)
+    def extend(self, state, a):
+        return (state[0] + self.values[a] * self.scale, 0)
 
 
 @dataclass(frozen=True)
@@ -204,10 +197,7 @@ class CoverageOracle(UtilityOracle):
         full = 0
         for mask in masks:
             full |= mask
-        total = _mask_weight(full, wts)
-        if total <= 0.0:
-            raise UnnormalizableUtility("no alternative covers positive weight")
-        return cls(wts, tuple(masks), 1.0 / total)
+        return cls(wts, tuple(masks), _scale(_mask_weight(full, wts), "the covered weight"))
 
     @property
     def m(self) -> int:
@@ -247,8 +237,12 @@ class CoverageOracle(UtilityOracle):
                         for w, d in zip(self.weights, depth) if d)
         return hit / subsets * self.scale
 
-    def tracker(self):
-        return _CoverageTracker(self)
+    def extend(self, state, a):
+        # The payload is the mask of covered elements.
+        value, covered = state
+        added = self.cover_masks[a] & ~covered
+        return (value + _mask_weight(added, self.weights) * self.scale,
+                covered | self.cover_masks[a])
 
 
 @dataclass(frozen=True)
@@ -268,10 +262,7 @@ class ConcaveOverModularOracle(UtilityOracle):
         if not 0.0 < gamma <= 1.0:
             raise ValidationError(f"gamma must lie in (0, 1], got {gamma}")
         vals = _nonnegative_floats(values)
-        total = sum(vals)
-        if total <= 0.0:
-            raise UnnormalizableUtility("modular weights sum to zero")
-        return cls(vals, float(gamma), 1.0 / total**gamma)
+        return cls(vals, float(gamma), _scale(_concave(sum(vals), gamma), "the concave total"))
 
     @property
     def m(self) -> int:
@@ -295,8 +286,10 @@ class ConcaveOverModularOracle(UtilityOracle):
         return math.fsum(_concave(self.values[a], self.gamma) * self.scale
                          for a in items) / len(items)
 
-    def tracker(self):
-        return _ConcaveTracker(self)
+    def extend(self, state, a):
+        # The payload is the inner sum.
+        inner = state[1] + self.values[a]
+        return (_concave(inner, self.gamma) * self.scale, inner)
 
 
 @dataclass(frozen=True)
@@ -311,10 +304,7 @@ class MaxValueOracle(UtilityOracle):
     @classmethod
     def normalized(cls, values: Sequence[float]) -> "MaxValueOracle":
         vals = _nonnegative_floats(values)
-        top = max(vals, default=0.0)
-        if top <= 0.0:
-            raise UnnormalizableUtility("all values are zero")
-        return cls(vals, 1.0 / top)
+        return cls(vals, _scale(max(vals, default=0.0), "the largest value"))
 
     @property
     def m(self) -> int:
@@ -342,8 +332,10 @@ class MaxValueOracle(UtilityOracle):
         total = math.fsum(v * math.comb(n - i, k - 1) for i, v in enumerate(ordered, 1))
         return total / math.comb(n, k) * self.scale
 
-    def tracker(self):
-        return _MaxTracker(self)
+    def extend(self, state, a):
+        # The value is the running maximum.
+        scaled = self.values[a] * self.scale
+        return (scaled if scaled > state[0] else state[0], 0)
 
 
 @dataclass(frozen=True)
@@ -365,8 +357,13 @@ class SumOracle(UtilityOracle):
     def expected_uniform(self, items, k):
         return sum(part.expected_uniform(items, k) for part in self.parts)
 
-    def tracker(self):
-        return _SumOfTrackers([part.tracker() for part in self.parts])
+    def start(self):
+        # The payload is the tuple of the parts' states.
+        return (0.0, tuple(part.start() for part in self.parts))
+
+    def extend(self, state, a):
+        states = tuple(part.extend(s, a) for part, s in zip(self.parts, state[1]))
+        return (sum(s[0] for s in states), states)
 
 
 def _as_float(value, name: str) -> float:
@@ -384,6 +381,17 @@ def _nonnegative_floats(values: Sequence[float]) -> tuple[float, ...]:
         if v < 0.0 or not math.isfinite(v):
             raise ValidationError(f"utility parameters must be finite and >= 0, got {v}")
     return vals
+
+
+def _scale(total: float, what: str) -> float:
+    """1 / total, the factor taking the grand set to 1, which must be finite
+    and positive: finite parameters can sum past the float range (scale 0),
+    and a denormal total has no finite inverse (scale inf)."""
+    scale = 1.0 / total if total > 0.0 else 0.0
+    if not 0.0 < scale < math.inf:
+        raise UnnormalizableUtility(
+            f"{what} is {total!r}; no finite positive scale takes it to 1")
+    return scale
 
 
 def _concave(inner: float, gamma: float) -> float:
@@ -406,115 +414,6 @@ def _mask_weight(mask: int, weights: Sequence[float]) -> float:
         total += weights[low.bit_length() - 1]
         mask ^= low
     return total
-
-
-class _AdditiveTracker(ValueTracker):
-    __slots__ = ("_oracle", "_stack", "_current")
-
-    def __init__(self, oracle: AdditiveOracle):
-        self._oracle = oracle
-        self._stack: list[float] = []
-        self._current = 0.0
-
-    def push(self, a):
-        before = self._current
-        self._stack.append(before)
-        self._current = before + self._oracle.values[a] * self._oracle.scale
-        return self._current - before
-
-    def pop(self):
-        self._current = self._stack.pop()
-
-    def value(self):
-        return self._current
-
-
-class _CoverageTracker(ValueTracker):
-    __slots__ = ("_oracle", "_stack", "_mask", "_current")
-
-    def __init__(self, oracle: CoverageOracle):
-        self._oracle = oracle
-        self._stack: list[tuple[int, float]] = []
-        self._mask = 0
-        self._current = 0.0
-
-    def push(self, a):
-        before = self._current
-        self._stack.append((self._mask, before))
-        added = self._oracle.cover_masks[a] & ~self._mask
-        self._mask |= self._oracle.cover_masks[a]
-        self._current = before + _mask_weight(added, self._oracle.weights) * self._oracle.scale
-        return self._current - before
-
-    def pop(self):
-        self._mask, self._current = self._stack.pop()
-
-    def value(self):
-        return self._current
-
-
-class _ConcaveTracker(ValueTracker):
-    __slots__ = ("_oracle", "_stack", "_inner", "_current")
-
-    def __init__(self, oracle: ConcaveOverModularOracle):
-        self._oracle = oracle
-        self._stack: list[tuple[float, float]] = []
-        self._inner = 0.0
-        self._current = 0.0
-
-    def push(self, a):
-        before = self._current
-        self._stack.append((self._inner, before))
-        self._inner += self._oracle.values[a]
-        if self._inner > 0.0:
-            self._current = self._inner**self._oracle.gamma * self._oracle.scale
-        return self._current - before
-
-    def pop(self):
-        self._inner, self._current = self._stack.pop()
-
-    def value(self):
-        return self._current
-
-
-class _MaxTracker(ValueTracker):
-    __slots__ = ("_oracle", "_stack", "_current")
-
-    def __init__(self, oracle: MaxValueOracle):
-        self._oracle = oracle
-        self._stack: list[float] = []
-        self._current = 0.0
-
-    def push(self, a):
-        before = self._current
-        self._stack.append(before)
-        scaled = self._oracle.values[a] * self._oracle.scale
-        if scaled > before:
-            self._current = scaled
-        return self._current - before
-
-    def pop(self):
-        self._current = self._stack.pop()
-
-    def value(self):
-        return self._current
-
-
-class _SumOfTrackers(ValueTracker):
-    __slots__ = ("_trackers",)
-
-    def __init__(self, trackers: list[ValueTracker]):
-        self._trackers = trackers
-
-    def push(self, a):
-        return sum(tracker.push(a) for tracker in self._trackers)
-
-    def pop(self):
-        for tracker in self._trackers:
-            tracker.pop()
-
-    def value(self):
-        return sum(tracker.value() for tracker in self._trackers)
 
 
 @dataclass(frozen=True)

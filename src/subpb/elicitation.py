@@ -6,10 +6,11 @@ sets at a rational threshold. Ranking profiles carry one permutation of
 the group per voter; approval profiles carry per-voter approval sets plus
 the derived approval weights that aggregation reads. The rule's plan, not
 this module, weighs the groups and thresholds. Greedy rankings read each
-gain from the oracle's incremental tracker. Value rankings and approval
-sets read only standalone values f({a}): the profile functions take them
-from the instance's per-voter `core.Instance.singleton_table`, built once
-per instance, so no singleton is evaluated per group or per threshold.
+gain from the oracle's states (`UtilityOracle.start`/`extend`). Value
+rankings and approval sets read only standalone values f({a}): the profile
+functions take them from the instance's per-voter
+`core.Instance.singleton_table`, built once per instance, so no singleton
+is evaluated per group or per threshold.
 """
 
 from __future__ import annotations
@@ -87,22 +88,23 @@ def rank_by_marginal(
     oracle: UtilityOracle, group: Sequence[AlternativeId]
 ) -> tuple[AlternativeId, ...]:
     """Greedy order: repeatedly append the member with the largest marginal
-    gain over the already-ranked prefix, ties by ascending id. Each gain is
-    a tracker delta (push, then pop); the winner is pushed for good."""
+    gain over the already-ranked prefix, ties by ascending id. The prefix's
+    state is extended by each candidate; the best candidate's state becomes
+    the next prefix's."""
     if not group:
         raise ValueError("cannot rank an empty group")
-    tracker = oracle.tracker()
+    state = oracle.start()
     remaining = sorted(group)
     order: list[int] = []
     while remaining:
-        best = None
+        best = best_state = None
         best_gain = -1.0
         for a in remaining:
-            gain = tracker.push(a)
-            tracker.pop()
+            after = oracle.extend(state, a)
+            gain = after[0] - state[0]
             if gain > best_gain:
-                best, best_gain = a, gain
-        tracker.push(best)
+                best, best_gain, best_state = a, gain, after
+        state = best_state
         order.append(best)
         remaining.remove(best)
     return tuple(order)

@@ -6,9 +6,10 @@ scale) and breaks ties toward the lexicographically smallest id sequence.
 The FPTAS rescales profits and reuses the exact solver. The optimum
 enumerates the maximal feasible subsets (those no unchosen alternative fits
 into) over the same integer costs: utilities are monotone, so one of them
-is optimal. Welfare comes from one tracker of the instance welfare oracle
-(`core.Instance.welfare`), not from one tracker per voter. Submodular
-upper-bound pruning is not used.
+is optimal. Welfare comes from states of the instance welfare oracle
+(`core.Instance.welfare`), not of each voter's: each node extends its
+parent's state by the item it takes. Submodular upper-bound pruning is not
+used.
 """
 
 from __future__ import annotations
@@ -160,29 +161,30 @@ class OptimalBundle:
 def optimal_welfare(instance: Instance) -> OptimalBundle:
     """Exhaustive welfare maximization over the maximal feasible subsets.
 
-    Depth-first enumeration over exact integer costs; one tracker of the
-    instance welfare oracle (`Instance.welfare`) keeps the welfare of the
-    current set. A node is pruned when even taking every remaining item
-    would leave room for the cheapest item skipped so far: no completion of
-    it is maximal. Ties go to the lexicographically smallest id sequence
-    among maximal optima. Raises ExceedsExactBudget above the enumeration
-    limit."""
+    Depth-first enumeration over exact integer costs. Each node carries the
+    state (`UtilityOracle.start`/`extend`) of the instance welfare oracle
+    (`Instance.welfare`) for its set; taking an item hands the child that
+    state extended by it, and a skip hands it on as it is. A node is pruned
+    when even taking every remaining item would leave room for the cheapest
+    item skipped so far: no completion of it is maximal. Ties go to the
+    lexicographically smallest id sequence among maximal optima. Raises
+    ExceedsExactBudget above the enumeration limit."""
     m = instance.m
     if m > EXACT_ENUMERATION_LIMIT:
         raise ExceedsExactBudget(
             f"m={m} exceeds the exhaustive limit of {EXACT_ENUMERATION_LIMIT}"
         )
-    tracker = instance.welfare.tracker()
+    oracle = instance.welfare
     costs, budget = _integer_costs(instance.costs, instance.budget)
     rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
     best_welfare = -1.0
     best_seq: tuple[int, ...] | None = None
     chosen: list[int] = []
 
-    def explore(idx: int, cost: int, cheapest_skipped: int) -> None:
+    def explore(idx: int, cost: int, cheapest_skipped: int, state: tuple) -> None:
         nonlocal best_welfare, best_seq
         if idx == m:
-            welfare = tracker.value()
+            welfare = state[0]
             seq = tuple(chosen)
             if welfare > best_welfare or (
                 welfare == best_welfare and (best_seq is None or seq < best_seq)
@@ -194,15 +196,13 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
         # a skip can leave room for a skipped item in every completion.
         skipped = min(cheapest_skipped, costs[idx])
         if budget - cost - rest[idx + 1] < skipped:
-            explore(idx + 1, cost, skipped)
+            explore(idx + 1, cost, skipped, state)
         new_cost = cost + costs[idx]
         if new_cost <= budget:
-            tracker.push(idx)
             chosen.append(idx)
-            explore(idx + 1, new_cost, cheapest_skipped)
+            explore(idx + 1, new_cost, cheapest_skipped, oracle.extend(state, idx))
             chosen.pop()
-            tracker.pop()
 
-    explore(0, 0, budget + 1)
+    explore(0, 0, budget + 1, oracle.start())
     assert best_seq is not None
     return OptimalBundle(items=frozenset(best_seq), welfare=best_welfare)

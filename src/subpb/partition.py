@@ -102,13 +102,10 @@ class HarmonicScoreTable:
 
 def harmonic_scores(profile: "RankingProfile") -> HarmonicScoreTable:
     """sc(a) = sum over voters of 1 / position(a), positions 1-indexed.
-
-    Every voter must rank exactly the same group."""
-    members = frozenset(profile.group)
+    `RankingProfile` already holds each ranking to a permutation of the
+    group."""
     scores: dict[int, float] = {a: 0.0 for a in profile.group}
     for ranking in profile.rankings:
-        if frozenset(ranking) != members or len(ranking) != len(profile.group):
-            raise ValueError("rankings disagree on group membership")
         for pos, a in enumerate(ranking, start=1):
             scores[a] += 1.0 / pos
     return HarmonicScoreTable(group_index=profile.group_index, scores=scores)
@@ -116,17 +113,12 @@ def harmonic_scores(profile: "RankingProfile") -> HarmonicScoreTable:
 
 def shortlist(
     partition: GroupPartition, scores: HarmonicScoreTable, t: int
-) -> tuple[tuple[AlternativeId, ...], tuple[AlternativeId, ...]]:
-    """Split G_t into the score shortlist and the rest.
-
-    The shortlist holds the top min(|G_t|, floor(sqrt(m)/u_t)) members by
-    harmonic score, ties by ascending id. For t = 0 the cap is at least m,
-    so the whole group is shortlisted."""
-    members = partition.groups[t]
+) -> tuple[AlternativeId, ...]:
+    """The score shortlist of G_t, in ascending id order: the top
+    min(|G_t|, floor(sqrt(m)/u_t)) members by harmonic score, ties by
+    ascending id. For t = 0 the cap is at least m, so the whole group is
+    shortlisted."""
     if scores.group_index != t:
         raise ValueError(f"scores computed for group {scores.group_index}, not {t}")
-    cap = shortlist_cap(partition.m, t)
-    chosen = scores.top(min(len(members), cap))
-    chosen_set = frozenset(chosen)
-    rest = tuple(a for a in members if a not in chosen_set)
-    return tuple(sorted(chosen)), rest
+    cap = min(len(partition.groups[t]), shortlist_cap(partition.m, t))
+    return tuple(sorted(scores.top(cap)))

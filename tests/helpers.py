@@ -3,10 +3,10 @@
 Everything here deliberately avoids the production code paths it is used
 to verify: the knapsack and welfare oracles enumerate subsets directly,
 the property checkers and the reference greedy ranking evaluate oracles set
-by set instead of going through the incremental trackers, and the rules'
-plans are expanded into full selection distributions with exact rational
-probabilities, so that expected welfare and inclusion probabilities can be
-computed by enumeration rather than in closed form.
+by set instead of extending oracle states one alternative at a time, and
+the rules' plans are expanded into full selection distributions with exact
+rational probabilities, so that expected welfare and inclusion
+probabilities can be computed by enumeration rather than in closed form.
 """
 
 from __future__ import annotations
@@ -134,10 +134,15 @@ def singleton_reference(oracle: UtilityOracle) -> tuple[list[float], list[float]
             [full - oracle.value([b for b in grand if b != a]) for a in grand])
 
 
-def tracker_gains(oracle: UtilityOracle, sequence) -> list[float]:
-    """The tracker's delta for each alternative pushed in order."""
-    tracker = oracle.tracker()
-    return [tracker.push(a) for a in sequence]
+def extend_gains(oracle: UtilityOracle, sequence) -> list[float]:
+    """The value each `extend` adds, for the alternatives added in order."""
+    state = oracle.start()
+    gains = []
+    for a in sequence:
+        after = oracle.extend(state, a)
+        gains.append(after[0] - state[0])
+        state = after
+    return gains
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +263,7 @@ def aggregate_threshold(
 
 
 def direct_value_table(oracle: UtilityOracle) -> np.ndarray:
-    """Values of all subsets by direct per-set evaluation (no trackers)."""
+    """Values of all subsets by direct per-set evaluation (no states)."""
     m = oracle.m
     table = np.empty(1 << m)
     for mask in range(1 << m):

@@ -117,3 +117,20 @@ def test_malformed_instance_files_are_parse_errors(tmp_path, capsys, voter, cost
     code, err = run(["eval", "--instance", path, "--method", "threshold"], capsys)
     assert code == cli.EXIT_PARSE
     assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("voter", [
+    pytest.param({"family": "additive", "params": {"values": [1e308, 1e308]}},
+                 id="additive-sum-overflows"),
+    pytest.param({"family": "max-value", "params": {"values": [1e-320, 0.0]}},
+                 id="max-value-denormal"),
+    pytest.param({"family": "concave", "params": {"values": [1e-320, 0.0], "gamma": 1.0}},
+                 id="concave-denormal"),
+])
+def test_totals_without_finite_scale_are_parse_errors(tmp_path, capsys, voter):
+    # Scaling these would report an inf or nan welfare ratio.
+    path = write_two_alternative_file(tmp_path / "bad.json", voter)
+    code, err = run(["eval", "--instance", path, "--method", "threshold"], capsys)
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@
 mean value of a uniform subset, and the instance welfare oracle against
 the per-voter definition."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -36,21 +37,18 @@ import helpers
 
 def subset_value_table(oracle: UtilityOracle) -> list[float]:
     """Normalized values of all 2^m subsets, indexed by bitmask, filled by
-    a depth-first walk over the oracle's incremental tracker."""
+    a depth-first walk that extends the oracle's states."""
     m = oracle.m
     table = [0.0] * (1 << m)
-    tracker = oracle.tracker()
 
-    def fill(idx: int, mask: int, value: float) -> None:
+    def fill(idx: int, mask: int, state: tuple) -> None:
         if idx == m:
-            table[mask] = value
+            table[mask] = state[0]
             return
-        fill(idx + 1, mask, value)
-        delta = tracker.push(idx)
-        fill(idx + 1, mask | (1 << idx), value + delta)
-        tracker.pop()
+        fill(idx + 1, mask, state)
+        fill(idx + 1, mask | (1 << idx), oracle.extend(state, idx))
 
-    fill(0, 0, 0.0)
+    fill(0, 0, oracle.start())
     return table
 
 
@@ -109,6 +107,35 @@ class TestValidation:
         with pytest.raises(UnnormalizableUtility):
             validate_instance(raw)
 
+    @pytest.mark.parametrize("spec", [
+        pytest.param(OracleSpec("additive", {"values": [1e308, 1e308]}), id="additive-inf"),
+        pytest.param(OracleSpec("additive", {"values": [1e-320, 0.0]}), id="additive-denormal"),
+        pytest.param(OracleSpec("coverage", {"weights": [1e308, 1e308], "covers": [[0], [1]]}),
+                     id="coverage-inf"),
+        pytest.param(OracleSpec("coverage", {"weights": [1e-320], "covers": [[0], []]}),
+                     id="coverage-denormal"),
+        pytest.param(OracleSpec("concave", {"values": [1e308, 1e308], "gamma": 0.5}),
+                     id="concave-inf"),
+        pytest.param(OracleSpec("concave", {"values": [1e-320, 0.0], "gamma": 1.0}),
+                     id="concave-denormal"),
+        pytest.param(OracleSpec("max-value", {"values": [1e-320, 0.0]}), id="max-denormal"),
+    ])
+    def test_total_without_finite_positive_scale_rejected(self, spec):
+        # Finite parameters whose total overflows get scale 0; a denormal
+        # total gets scale inf. Either would put inf or nan in the report.
+        raw = RawInstance(costs=(Fraction(1, 2),) * 2, voters=(spec,))
+        with pytest.raises(UnnormalizableUtility):
+            validate_instance(raw)
+
+    @pytest.mark.parametrize("spec", [
+        OracleSpec("concave", {"values": [1e-320, 0.0], "gamma": 0.5}),
+        OracleSpec("max-value", {"values": [1.7e308, 0.0]}),
+    ], ids=["concave-root-of-denormal", "max-near-the-float-limit"])
+    def test_extreme_total_with_finite_positive_scale_accepted(self, spec):
+        raw = RawInstance(costs=(Fraction(1, 2),) * 2, voters=(spec,))
+        oracle = validate_instance(raw).voters[0]
+        assert oracle.value({0, 1}) == pytest.approx(1.0, rel=1e-9)
+
     def test_empty_instance_rejected(self):
         with pytest.raises(EmptyInstance):
             validate_instance(RawInstance(costs=(), voters=()))
@@ -157,20 +184,21 @@ class TestEvalUtility:
 
 
 class TestMarginal:
-    """Gains as the trackers report them: the delta of the last push."""
+    """Gains as oracle states report them: the value the last `extend`
+    adds."""
 
     def test_additive_independent_of_base(self):
         oracle = AdditiveOracle.normalized([0.5, 0.5])
-        assert helpers.tracker_gains(oracle, [0, 1])[-1] == pytest.approx(0.5)
+        assert helpers.extend_gains(oracle, [0, 1])[-1] == pytest.approx(0.5)
 
     def test_coverage_subsumed_alternative(self):
         oracle = coverage_example()
         # The third alternative covers only what the first already covers.
-        assert helpers.tracker_gains(oracle, [0, 2])[-1] == 0.0
+        assert helpers.extend_gains(oracle, [0, 2])[-1] == 0.0
 
     def test_max_value_dominated(self):
         oracle = MaxValueOracle.normalized([0.4, 1.0])
-        assert helpers.tracker_gains(oracle, [1, 0])[-1] == 0.0
+        assert helpers.extend_gains(oracle, [1, 0])[-1] == 0.0
 
 
 class TestCurvature:
@@ -494,22 +522,43 @@ class TestInstanceWelfare:
                 assert instance.welfare.value(members) == pytest.approx(
                     social_welfare(instance, members), rel=1e-12, abs=1e-12)
 
-    def test_tracker_deltas_equal_welfare_differences(self):
+    def test_state_deltas_equal_welfare_differences(self):
         for instance in welfare_instances():
-            tracker = instance.welfare.tracker()
+            oracle = instance.welfare
 
-            def walk(idx: int, members: tuple) -> None:
+            def walk(idx: int, members: tuple, state: tuple) -> None:
                 here = social_welfare(instance, members)
-                assert tracker.value() == pytest.approx(here, rel=1e-12, abs=1e-12)
+                assert state[0] == pytest.approx(here, rel=1e-12, abs=1e-12)
                 for a in range(idx, instance.m):
-                    delta = tracker.push(a)
+                    after = oracle.extend(state, a)
                     gain = social_welfare(instance, members + (a,)) - here
-                    assert delta == pytest.approx(gain, rel=1e-9, abs=1e-12)
-                    walk(a + 1, members + (a,))
-                    tracker.pop()
-                    assert tracker.value() == pytest.approx(here, rel=1e-12, abs=1e-12)
+                    assert after[0] - state[0] == pytest.approx(gain, rel=1e-9, abs=1e-12)
+                    walk(a + 1, members + (a,), after)
 
-            walk(0, ())
+            walk(0, (), oracle.start())
+
+    def test_extending_leaves_the_parent_state_unchanged(self):
+        # Four voter families plus the welfare oracle of all of them: a
+        # SumOracle of the folded coverage, concave and max-value parts.
+        rng = random.Random(14)
+        for _ in range(20):
+            m = rng.randint(2, 8)
+            voters = helpers.random_oracles(rng, m)
+            welfare = Instance(costs=(Fraction(1, m),) * m, voters=tuple(voters)).welfare
+            assert isinstance(welfare, SumOracle) and len(welfare.parts) == 3
+            for oracle in voters + [welfare]:
+                prefix = rng.sample(range(m), rng.randint(0, m - 1))
+                parent = oracle.start()
+                for a in prefix:
+                    parent = oracle.extend(parent, a)
+                before = copy.deepcopy(parent)
+                for a in range(m):
+                    if a in prefix:
+                        continue
+                    child = oracle.extend(parent, a)
+                    assert parent == before, (oracle, prefix, a)
+                    assert child[0] == pytest.approx(
+                        oracle.value(prefix + [a]), rel=1e-12, abs=1e-12)
 
     def test_expected_uniform_equals_per_voter_enumeration(self):
         rng = random.Random(11)

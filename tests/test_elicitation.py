@@ -70,7 +70,7 @@ class TestRankByMarginal:
             covers=[[0, 1], [1, 2], [2, 3], [4], [0, 4]],
         )
         ranking = rank_by_marginal(oracle, [0, 1, 2, 3, 4])
-        gains = helpers.tracker_gains(oracle, ranking)
+        gains = helpers.extend_gains(oracle, ranking)
         for earlier, later in zip(gains, gains[1:]):
             assert later <= earlier + 1e-9
 
@@ -85,7 +85,7 @@ class TestRankByMarginal:
                 assert ranking == helpers.rank_by_rebuilding(oracle, group), (
                     oracle, group)
                 if oracle.family == "coverage":
-                    gains = helpers.tracker_gains(oracle, ranking)
+                    gains = helpers.extend_gains(oracle, ranking)
                     zero_gains += gains.count(0.0)
                     tied_gains += len(gains) - len(set(gains))
         assert zero_gains and tied_gains
@@ -187,7 +187,7 @@ class TestGreedyPrefixBound:
         partition = build_partition(instance)
         profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 0)
         for voter, ranking in zip(instance.voters, profile.rankings):
-            gains = helpers.tracker_gains(voter, ranking)
+            gains = helpers.extend_gains(voter, ranking)
             for pos, gain in enumerate(gains, start=1):
                 assert gain <= 1.0 / pos + 1e-9
 
