@@ -22,14 +22,7 @@ from .core import (
     validate_instance,
 )
 from .partition import GroupPartition, build_partition, harmonic_scores, shortlist
-from .elicitation import (
-    ApprovalProfile,
-    Method,
-    RankingProfile,
-    rank_by_marginal,
-    rank_by_values,
-    threshold_approve,
-)
+from .elicitation import Method, rank_by_marginal, rank_by_values, threshold_approve
 from .aggregation import Plan, expected_welfare, rule_a_threshold, rule_plan
 from .optimize import (
     ExactDP,

@@ -1,14 +1,18 @@
 """Randomized aggregation rules as plans of their public randomness.
 
-Every rule is written once as a `Plan` (`rule_plan`): a few components
-(weight, P, k) with exact positive weights summing to 1, each meaning "a
-uniform k-subset of the sorted items P". The ranking rules mix each
-group's score-shortlist subset draw with a uniform singleton draw; the
-threshold rule mixes per-threshold knapsack outcomes S, each the component
-(S, |S|), with the same uniform singleton draw. `expected_welfare` takes
-the exact expectation component by component, from the mean social welfare
-of the component's subsets (`expected_uniform` of the instance welfare
-oracle, `core.Instance.welfare`), without expanding the plan into its sets.
+The rules read the votes of `elicitation` as plain tuples, one per voter,
+and aggregate them themselves: a ranked group's harmonic scores pick its
+score shortlist, and the approval counts at a threshold are the knapsack
+profits. Every rule is written once as a `Plan` (`rule_plan`): a few
+components (weight, P, k) with exact positive weights summing to 1, each
+meaning "a uniform k-subset of the sorted items P". The ranking rules mix
+each group's score-shortlist subset draw with a uniform singleton draw;
+the threshold rule mixes per-threshold knapsack outcomes S, each the
+component (S, |S|), with the same uniform singleton draw.
+`expected_welfare` takes the exact expectation component by component,
+from the mean social welfare of the component's subsets (`expected_uniform`
+of the instance welfare oracle, `core.Instance.welfare`), without expanding
+the plan into its sets.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import AlternativeId, Instance, WelfareValue
-from .elicitation import ApprovalProfile, RankingProfile, approval_profile
+from .elicitation import approval_profile
 from .optimize import ExactDP, KnapsackProblem, Solver, solve_knapsack
 from .partition import GroupPartition, harmonic_scores, selection_size, shortlist
 
@@ -51,15 +55,14 @@ def check_mix(mix: Fraction) -> Fraction:
     return mix
 
 
-def shortlist_branch(profile: RankingProfile, partition: GroupPartition) -> Branch:
-    """Score-shortlist rule for a ranked group: the top scorers P of G_t, of
-    which a uniform subset of size k = floor(1/u_t) (capped at |P|) is
-    selected. Feasible because the subset holds at most 1/u_t members each
-    costing at most u_t. An empty group selects nothing."""
-    t = profile.group_index
-    if not profile.group:
-        return (), 0
-    chosen = shortlist(partition, harmonic_scores(profile), t)
+def shortlist_branch(
+    rankings: Sequence[Sequence[AlternativeId]], partition: GroupPartition, t: int
+) -> Branch:
+    """Score-shortlist rule for the rankings of the non-empty group G_t: the
+    top harmonic scorers P of G_t, of which a uniform subset of size
+    k = floor(1/u_t) (capped at |P|) is selected. Feasible because the
+    subset holds at most 1/u_t members each costing at most u_t."""
+    chosen = shortlist(partition, harmonic_scores(rankings), t)
     return chosen, min(len(chosen), selection_size(partition.m, t))
 
 
@@ -86,12 +89,16 @@ def rule_plan(instance: Instance, mix: Fraction, branches: Sequence[Branch]) -> 
 
 
 def rule_a_threshold(
-    profile: ApprovalProfile, instance: Instance, solver: Solver = ExactDP()
+    approvals: Sequence[frozenset], instance: Instance, solver: Solver = ExactDP()
 ) -> frozenset:
-    """Best feasible set by approval weight, via the chosen knapsack solver."""
-    problem = KnapsackProblem(
-        profits=profile.weights, costs=instance.costs, capacity=instance.budget
-    )
+    """Best feasible set by approval count, the number of voters approving
+    each alternative, via the chosen knapsack solver."""
+    counts = [0] * instance.m
+    for approved in approvals:
+        for a in approved:
+            counts[a] += 1
+    problem = KnapsackProblem(profits=tuple(counts), costs=instance.costs,
+                              capacity=instance.budget)
     return solve_knapsack(problem, solver)
 
 

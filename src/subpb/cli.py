@@ -29,7 +29,7 @@ from .core import (
     compute_curvature,
     validate_instance,
 )
-from .elicitation import Method
+from .elicitation import Method, ranking_profile
 from .experiment import (
     Dyadic,
     EvaluationReport,
@@ -43,7 +43,6 @@ from .experiment import (
 )
 from .optimize import ExactDP, ExceedsExactBudget, Fptas, optimal_welfare
 from .partition import build_partition, harmonic_scores
-from .elicitation import ranking_profile
 
 SCHEMA_VERSION = 1
 
@@ -106,9 +105,11 @@ def parse_instance_file(text: str) -> RawInstance:
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InstanceFileError(f"malformed instance document: {exc}") from exc
-    if document.get("m") != len(costs):
+    # A JSON true would otherwise equal a count of 1.
+    m, n = document.get("m"), document.get("n")
+    if isinstance(m, bool) or m != len(costs):
         raise InstanceFileError("declared m disagrees with the cost list")
-    if document.get("n") != len(voters):
+    if isinstance(n, bool) or n != len(voters):
         raise InstanceFileError("declared n disagrees with the voter list")
     return RawInstance(costs=costs, voters=voters)
 
@@ -311,12 +312,11 @@ def cmd_inspect(args) -> int:
             raise UsageError("--scores applies to ranking methods only")
         rng = rng_mod.stream(seed, "inspect", method.value)
         t = rng.randrange(partition.T + 1)
-        profile = ranking_profile(instance, partition, method, t)
         print(f"group {t} scores ({method.value})")
-        if profile.group:
-            table = harmonic_scores(profile)
-            for a in profile.group:
-                print(f"{a} {table.scores[a]!r}")
+        if partition.groups[t]:
+            scores = harmonic_scores(ranking_profile(instance, partition, method, t))
+            for a in partition.groups[t]:
+                print(f"{a} {scores[a]!r}")
         else:
             print("(empty group)")
     if args.opt:

@@ -105,16 +105,6 @@ class UtilityOracle(ABC):
     def value(self, items: Iterable[AlternativeId]) -> float:
         return self.raw_value(items) * self.scale  # type: ignore[attr-defined]
 
-    def singleton_table(self) -> SingletonTable:
-        """f({a}) and f(a | A - a) for every alternative a. This default is
-        the definition, f(A) - f(A - a), through `value`; each voter family
-        overrides it with a closed form, and `SumOracle` keeps it."""
-        grand = tuple(range(self.m))
-        full = self.value(grand)
-        return SingletonTable(
-            tuple(self.value((a,)) for a in grand),
-            tuple(full - self.value(grand[:a] + grand[a + 1:]) for a in grand))
-
     def expected_uniform(self, items: Sequence[AlternativeId], k: int) -> float:
         """Mean value of a uniform k-subset of the distinct `items`, for
         0 <= k <= len(items). Families with a closed form override it. This
@@ -190,7 +180,7 @@ class CoverageOracle(UtilityOracle):
                 raise ValidationError(f"a cover set must be a list, got {cover!r}")
             mask = 0
             for u in cover:
-                if not isinstance(u, int) or not 0 <= u < len(wts):
+                if isinstance(u, bool) or not isinstance(u, int) or not 0 <= u < len(wts):
                     raise ValidationError(f"covered element {u!r} outside universe")
                 mask |= 1 << u
             masks.append(mask)
@@ -367,10 +357,14 @@ class SumOracle(UtilityOracle):
 
 
 def _as_float(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    """A float from a number; booleans are refused, though Python counts
+    them as the integers 0 and 1."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
 def _nonnegative_floats(values: Sequence[float]) -> tuple[float, ...]:
@@ -466,8 +460,8 @@ class Instance:
 
     @cached_property
     def singleton_table(self) -> tuple[SingletonTable, ...]:
-        """Each voter's standalone values and last gains
-        (`UtilityOracle.singleton_table`); built on first use."""
+        """Each voter's standalone values and last gains, from its family's
+        closed-form `singleton_table`; built on first use."""
         return tuple(voter.singleton_table() for voter in self.voters)
 
 
@@ -475,12 +469,12 @@ _FAMILIES = ("additive", "coverage", "concave", "max-value")
 
 
 def build_oracle(spec: OracleSpec, m: int) -> UtilityOracle:
-    """Construct and normalize one voter oracle, checking parameter shape."""
+    """Construct and normalize one voter oracle, checking parameter shape.
+    Parameters the family does not read are refused."""
     params = dict(spec.params)
     if spec.family == "additive":
-        values = _param_values(params, m)
-        return AdditiveOracle.normalized(values)
-    if spec.family == "coverage":
+        oracle = AdditiveOracle.normalized(_param_values(params, m))
+    elif spec.family == "coverage":
         weights = params.pop("weights", None)
         covers = params.pop("covers", None)
         if weights is None or covers is None:
@@ -489,17 +483,20 @@ def build_oracle(spec: OracleSpec, m: int) -> UtilityOracle:
             raise ValidationError(f"'covers' must be a list, got {covers!r}")
         if len(covers) != m:
             raise ValidationError(f"expected {m} cover sets, got {len(covers)}")
-        return CoverageOracle.normalized(weights, covers)
-    if spec.family == "concave":
+        oracle = CoverageOracle.normalized(weights, covers)
+    elif spec.family == "concave":
         gamma = params.pop("gamma", None)
         if gamma is None:
             raise ValidationError("concave oracle needs 'gamma'")
         values = _param_values(params, m)
-        return ConcaveOverModularOracle.normalized(values, _as_float(gamma, "gamma"))
-    if spec.family == "max-value":
-        values = _param_values(params, m)
-        return MaxValueOracle.normalized(values)
-    raise ValidationError(f"unknown utility family {spec.family!r}; known: {_FAMILIES}")
+        oracle = ConcaveOverModularOracle.normalized(values, _as_float(gamma, "gamma"))
+    elif spec.family == "max-value":
+        oracle = MaxValueOracle.normalized(_param_values(params, m))
+    else:
+        raise ValidationError(f"unknown utility family {spec.family!r}; known: {_FAMILIES}")
+    if params:
+        raise ValidationError(f"unknown {spec.family} parameters: {sorted(map(str, params))}")
+    return oracle
 
 
 def _param_values(params: dict, m: int) -> Sequence[float]:

@@ -1,12 +1,12 @@
-"""Vote profiles induced by utility oracles.
+"""Votes elicited from utility oracles.
 
 Three elicitation formats are supported: greedy marginal-gain rankings of
 one cost group, standalone-value rankings of one cost group, and approval
-sets at a rational threshold. Ranking profiles carry one permutation of
-the group per voter; approval profiles carry per-voter approval sets plus
-the derived approval weights that aggregation reads. The rule's plan, not
-this module, weighs the groups and thresholds. Greedy rankings read each
-gain from the oracle's states (`UtilityOracle.start`/`extend`). Value
+sets at a rational threshold. Votes are plain data, one per voter in voter
+order: a ranking is a tuple that permutes the group, an approval set a
+frozenset. The rules in `aggregation` aggregate them, and the rule's plan,
+not this module, weighs the groups and thresholds. Greedy rankings read
+each gain from the oracle's states (`UtilityOracle.start`/`extend`). Value
 rankings and approval sets read only standalone values f({a}): the profile
 functions take them from the instance's per-voter
 `core.Instance.singleton_table`, built once per instance, so no singleton
@@ -16,7 +16,6 @@ is evaluated per group or per threshold.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,51 +36,6 @@ class Method(enum.Enum):
     @property
     def is_ranking(self) -> bool:
         return self is not Method.THRESHOLD_APPROVAL
-
-
-RANKING_METHODS = (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES)
-
-
-@dataclass(frozen=True)
-class RankingProfile:
-    """Per-voter permutations of one cost group.
-
-    For MARGINAL_VALUES the order is the greedy marginal-gain order, so
-    gains are nonincreasing along each ranking; for STANDALONE_VALUES the
-    standalone values are nonincreasing."""
-
-    method: Method
-    group_index: int
-    group: tuple[AlternativeId, ...]
-    rankings: tuple[tuple[AlternativeId, ...], ...]
-
-    def __post_init__(self):
-        members = frozenset(self.group)
-        for ranking in self.rankings:
-            if len(ranking) != len(members) or frozenset(ranking) != members:
-                raise ValueError("each ranking must be a permutation of the group")
-
-    @property
-    def n(self) -> int:
-        return len(self.rankings)
-
-    def position(self, voter: int, a: AlternativeId) -> int:
-        """1-indexed position of `a` in the voter's ranking."""
-        return self.rankings[voter].index(a) + 1
-
-
-@dataclass(frozen=True)
-class ApprovalProfile:
-    """Per-voter approval sets at one threshold; weights[a] counts the
-    voters approving `a`."""
-
-    threshold: Fraction
-    approvals: tuple[frozenset, ...]
-    weights: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.approvals)
 
 
 def rank_by_marginal(
@@ -127,27 +81,16 @@ def threshold_approve(singles: Sequence[float], alpha: Fraction) -> frozenset:
 
 def ranking_profile(
     instance: Instance, partition: GroupPartition, method: Method, t: int
-) -> RankingProfile:
-    """Deterministic profile for group t; an empty group yields empty
-    rankings rather than an error."""
-    if method not in RANKING_METHODS:
-        raise ValueError(f"{method} is not a ranking method")
+) -> tuple[tuple[AlternativeId, ...], ...]:
+    """One ranking of the non-empty group t per voter, in voter order."""
     group = partition.groups[t]
-    if not group:
-        rankings = tuple(() for _ in instance.voters)
-    elif method is Method.MARGINAL_VALUES:
-        rankings = tuple(rank_by_marginal(v, group) for v in instance.voters)
-    else:
-        rankings = tuple(rank_by_values(table.singles, group)
-                         for table in instance.singleton_table)
-    return RankingProfile(method=method, group_index=t, group=group, rankings=rankings)
+    if method is Method.MARGINAL_VALUES:
+        return tuple(rank_by_marginal(v, group) for v in instance.voters)
+    if method is Method.STANDALONE_VALUES:
+        return tuple(rank_by_values(table.singles, group) for table in instance.singleton_table)
+    raise ValueError(f"{method} is not a ranking method")
 
 
-def approval_profile(instance: Instance, alpha: Fraction) -> ApprovalProfile:
-    """Approval sets at threshold alpha plus derived weights."""
-    approvals = tuple(threshold_approve(table.singles, alpha)
-                      for table in instance.singleton_table)
-    weights = tuple(
-        sum(1 for approved in approvals if a in approved) for a in instance.alternatives
-    )
-    return ApprovalProfile(threshold=Fraction(alpha), approvals=approvals, weights=weights)
+def approval_profile(instance: Instance, alpha: Fraction) -> tuple[frozenset, ...]:
+    """One approval set at threshold alpha per voter, in voter order."""
+    return tuple(threshold_approve(table.singles, alpha) for table in instance.singleton_table)

@@ -125,30 +125,27 @@ def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
     if spec.family == "additive":
         return OracleSpec("additive", {"values": [rng.uniform(lo, hi) for _ in range(spec.m)]})
     if spec.family == "coverage":
-        universe = int(spec.param("universe", max(2, 2 * spec.m)))
-        max_cover = int(spec.param("max_cover", 3))
         # Private elements give every alternative an uncoverable remainder,
         # pulling curvature below 1; pure random covers usually pin it at 1.
+        # Either pool holds at least one element of a universe of 2m >= 2.
         private = bool(spec.param("private_elements", False))
-        if private:
-            universe = max(universe, spec.m + 1)
+        universe = max(2, 2 * spec.m)
         weights = [rng.uniform(0.1, 1.0) for _ in range(universe)]
         covers = []
         for a in range(spec.m):
             pool = range(spec.m, universe) if private else range(universe)
-            count = rng.randint(1, max(1, min(max_cover, len(pool))))
+            count = rng.randint(1, min(3, len(pool)))
             cover = sorted(rng.sample(pool, count))
             if private:
                 cover = [a] + cover
             covers.append(cover)
         return OracleSpec("coverage", {"weights": weights, "covers": covers})
     if spec.family == "concave":
-        g_lo, g_hi = spec.param("gamma_range", (0.4, 1.0))
         return OracleSpec(
             "concave",
             {
                 "values": [rng.uniform(lo, hi) for _ in range(spec.m)],
-                "gamma": rng.uniform(g_lo, g_hi),
+                "gamma": rng.uniform(0.4, 1.0),
             },
         )
     if spec.family == "max-value":
@@ -335,13 +332,13 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
 def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, solver: Solver) -> Plan:
     """The rule's components (`aggregation.rule_plan`). Ranking profiles and
     knapsack outcomes are computed only when the coin gives their components
-    positive weight, and an empty group's profile never is."""
+    positive weight; an empty group is never ranked and selects nothing."""
     mix = check_mix(mix)
     instance, partition = facts.instance, facts.partition
     branches = []
     if mix and method.is_ranking:
         branches = [
-            shortlist_branch(ranking_profile(instance, partition, method, t), partition)
+            shortlist_branch(ranking_profile(instance, partition, method, t), partition, t)
             if partition.groups[t] else ((), 0)
             for t in range(partition.T + 1)
         ]

@@ -11,12 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping, Sequence
 
 from .core import AlternativeId, Instance
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .elicitation import RankingProfile
 
 
 def group_index_bound(m: int) -> int:
@@ -52,23 +49,15 @@ class GroupPartition:
 
 def build_partition(instance: Instance) -> GroupPartition:
     """Assign every alternative to the unique group whose cost interval
-    contains it."""
+    contains it: cost * m lies in (2^(t-1), 2^t], so its ceiling c does
+    too, and t is the bit length of c - 1 (0 when cost <= 1/m)."""
     m = instance.m
     T = group_index_bound(m)
-    bounds = group_bounds(m)
     groups: list[list[int]] = [[] for _ in range(T + 1)]
     for a, cost in enumerate(instance.costs):
-        if cost <= bounds[0][1]:
-            groups[0].append(a)
-            continue
-        for t in range(1, T + 1):
-            low, high = bounds[t]
-            if low < cost <= high:
-                groups[t].append(a)
-                break
-        else:  # pragma: no cover - u_T >= 1 >= cost by validation
-            raise AssertionError(f"cost {cost} escaped all groups")
-    return GroupPartition(m=m, T=T, bounds=bounds, groups=tuple(tuple(g) for g in groups))
+        groups[(math.ceil(cost * m) - 1).bit_length()].append(a)
+    return GroupPartition(m=m, T=T, bounds=group_bounds(m),
+                          groups=tuple(tuple(g) for g in groups))
 
 
 def shortlist_cap(m: int, t: int) -> int:
@@ -87,38 +76,24 @@ def selection_size(m: int, t: int) -> int:
     return max(1, m >> t)
 
 
-@dataclass(frozen=True)
-class HarmonicScoreTable:
-    """Per-alternative harmonic scores over one ranked group."""
-
-    group_index: int
-    scores: Mapping[AlternativeId, float]
-
-    def top(self, count: int) -> tuple[AlternativeId, ...]:
-        """Highest-scored alternatives; ties broken by ascending id."""
-        ordered = sorted(self.scores, key=lambda a: (-self.scores[a], a))
-        return tuple(ordered[:count])
-
-
-def harmonic_scores(profile: "RankingProfile") -> HarmonicScoreTable:
-    """sc(a) = sum over voters of 1 / position(a), positions 1-indexed.
-    `RankingProfile` already holds each ranking to a permutation of the
-    group."""
-    scores: dict[int, float] = {a: 0.0 for a in profile.group}
-    for ranking in profile.rankings:
+def harmonic_scores(
+    rankings: Sequence[Sequence[AlternativeId]],
+) -> dict[AlternativeId, float]:
+    """sc(a) = sum over voters of 1 / position(a), positions 1-indexed."""
+    scores: dict[AlternativeId, float] = {}
+    for ranking in rankings:
         for pos, a in enumerate(ranking, start=1):
-            scores[a] += 1.0 / pos
-    return HarmonicScoreTable(group_index=profile.group_index, scores=scores)
+            scores[a] = scores.get(a, 0.0) + 1.0 / pos
+    return scores
 
 
 def shortlist(
-    partition: GroupPartition, scores: HarmonicScoreTable, t: int
+    partition: GroupPartition, scores: Mapping[AlternativeId, float], t: int
 ) -> tuple[AlternativeId, ...]:
     """The score shortlist of G_t, in ascending id order: the top
     min(|G_t|, floor(sqrt(m)/u_t)) members by harmonic score, ties by
     ascending id. For t = 0 the cap is at least m, so the whole group is
     shortlisted."""
-    if scores.group_index != t:
-        raise ValueError(f"scores computed for group {scores.group_index}, not {t}")
     cap = min(len(partition.groups[t]), shortlist_cap(partition.m, t))
-    return tuple(sorted(scores.top(cap)))
+    ordered = sorted(scores, key=lambda a: (-scores[a], a))
+    return tuple(sorted(ordered[:cap]))

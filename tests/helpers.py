@@ -38,7 +38,6 @@ from subpb.core import (
     UtilityOracle,
     social_welfare,
 )
-from subpb.elicitation import RankingProfile
 from subpb.optimize import ExactDP, KnapsackProblem, Solver
 from subpb.partition import GroupPartition, build_partition
 
@@ -229,10 +228,11 @@ def distribution_welfare(dist: SelectionDistribution, instance: Instance) -> flo
 
 
 def rule_a_ranking(
-    profile: RankingProfile, partition: GroupPartition, instance: Instance
+    rankings: Sequence[Sequence[AlternativeId]], partition: GroupPartition, t: int
 ) -> SelectionDistribution:
-    """The score-shortlist rule alone (`shortlist_branch`) as a distribution."""
-    return plan_distribution(Plan(((Fraction(1), *shortlist_branch(profile, partition)),)))
+    """The score-shortlist rule alone (`shortlist_branch`) on the rankings of
+    group t, as a distribution."""
+    return plan_distribution(Plan(((Fraction(1), *shortlist_branch(rankings, partition, t)),)))
 
 
 def rule_b_uniform(instance: Instance) -> SelectionDistribution:
@@ -241,13 +241,14 @@ def rule_b_uniform(instance: Instance) -> SelectionDistribution:
 
 
 def aggregate_ranking(
-    profile: RankingProfile,
+    rankings: Sequence[Sequence[AlternativeId]],
     partition: GroupPartition,
+    t: int,
     instance: Instance,
     mix: Fraction = DEFAULT_MIX,
 ) -> SelectionDistribution:
-    """Coin-flip mixture of one group's shortlist rule and the uniform singleton."""
-    branches = [shortlist_branch(profile, partition)]
+    """Coin-flip mixture of group t's shortlist rule and the uniform singleton."""
+    branches = [shortlist_branch(rankings, partition, t)]
     return plan_distribution(rule_plan(instance, check_mix(mix), branches))
 
 

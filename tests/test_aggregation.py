@@ -8,14 +8,16 @@ import pytest
 
 from subpb.aggregation import Plan, expected_welfare, rule_a_threshold
 from subpb.core import OracleSpec, RawInstance, social_welfare, validate_instance
-from subpb.elicitation import ApprovalProfile, Method, ranking_profile
-from subpb.optimize import Fptas
+from subpb.elicitation import Method, approval_profile, ranking_profile
+from subpb.experiment import GeneratorSpec, generate
+from subpb.optimize import Fptas, KnapsackProblem
 from subpb.partition import build_partition
 
 from helpers import (
     SelectionDistribution,
     aggregate_ranking,
     aggregate_threshold,
+    brute_force_knapsack,
     distribution_welfare,
     rule_a_ranking,
     rule_b_uniform,
@@ -32,14 +34,11 @@ def uniform_additive_instance(costs):
     return simple_instance(costs, [OracleSpec("additive", {"values": [1.0] * m})])
 
 
-def approval_stub(weights):
-    # rule_a_threshold only reads the weights.
-    m = len(weights)
-    return ApprovalProfile(
-        threshold=Fraction(1, 2),
-        approvals=(frozenset(a for a in range(m) if weights[a]),),
-        weights=tuple(weights),
-    )
+def approvals_with_counts(counts):
+    """Approval sets of max(counts) voters: voter i approves every a with
+    counts[a] > i, so counts[a] voters approve a."""
+    return tuple(frozenset(a for a, count in enumerate(counts) if count > i)
+                 for i in range(max(counts)))
 
 
 class TestSelectionDistribution:
@@ -71,8 +70,8 @@ class TestRuleARanking:
             [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
         )
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 0)
-        dist = rule_a_ranking(profile, partition, instance)
+        rankings = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 0)
+        dist = rule_a_ranking(rankings, partition, 0)
         assert dist.support == ((frozenset({0, 1}), Fraction(1)),)
 
     def test_singleton_group_point_mass(self):
@@ -80,8 +79,8 @@ class TestRuleARanking:
             [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
         )
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 2)
-        dist = rule_a_ranking(profile, partition, instance)
+        rankings = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 2)
+        dist = rule_a_ranking(rankings, partition, 2)
         assert dist.support == ((frozenset({3}), Fraction(1)),)
 
     def test_three_member_shortlist_gives_three_pairs(self):
@@ -90,18 +89,19 @@ class TestRuleARanking:
         )
         partition = build_partition(instance)
         assert partition.groups[1] == (0, 1, 2)
-        profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 1)
-        dist = rule_a_ranking(profile, partition, instance)
+        rankings = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 1)
+        dist = rule_a_ranking(rankings, partition, 1)
         assert len(dist.support) == 3
         for items, p in dist.support:
             assert len(items) == 2
             assert p == Fraction(1, 3)
 
     def test_empty_group_selects_nothing(self):
+        # An empty group's rankings are empty, so nothing is shortlisted.
         instance = uniform_additive_instance([Fraction(1, 4)] * 4)
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 1)
-        dist = rule_a_ranking(profile, partition, instance)
+        assert partition.groups[1] == ()
+        dist = rule_a_ranking(((),) * instance.n, partition, 1)
         assert dist.support == ((frozenset(), Fraction(1)),)
 
     def test_support_always_feasible(self):
@@ -109,8 +109,8 @@ class TestRuleARanking:
         instance = uniform_additive_instance(costs)
         partition = build_partition(instance)
         for t in range(partition.T + 1):
-            profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, t)
-            validate_support(rule_a_ranking(profile, partition, instance), instance)
+            rankings = ranking_profile(instance, partition, Method.MARGINAL_VALUES, t)
+            validate_support(rule_a_ranking(rankings, partition, t), instance)
 
     def test_shortlisted_inclusion_at_least_reciprocal_sqrt_m(self):
         # With the whole instance in one group, conditional inclusion is
@@ -119,8 +119,8 @@ class TestRuleARanking:
             instance = uniform_additive_instance([Fraction(3, m)] * m)
             partition = build_partition(instance)
             t = next(t for t, members in enumerate(partition.groups) if 0 in members)
-            profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, t)
-            dist = rule_a_ranking(profile, partition, instance)
+            rankings = ranking_profile(instance, partition, Method.MARGINAL_VALUES, t)
+            dist = rule_a_ranking(rankings, partition, t)
             probs = dist.inclusion_probs()
             for a in dist.union():
                 assert float(probs[a]) >= 1.0 / math.sqrt(m) - 1e-12
@@ -147,31 +147,31 @@ class TestAggregateRanking:
             [Fraction(1, 5), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
         )
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 2)
-        return instance, partition, profile
+        rankings = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 2)
+        return instance, partition, rankings
 
     def test_pure_shortlist(self):
-        instance, partition, profile = self._setup()
-        mixed = aggregate_ranking(profile, partition, instance, mix=Fraction(1))
-        assert mixed.support == rule_a_ranking(profile, partition, instance).support
+        instance, partition, rankings = self._setup()
+        mixed = aggregate_ranking(rankings, partition, 2, instance, mix=Fraction(1))
+        assert mixed.support == rule_a_ranking(rankings, partition, 2).support
 
     def test_pure_uniform(self):
-        instance, partition, profile = self._setup()
-        mixed = aggregate_ranking(profile, partition, instance, mix=Fraction(0))
+        instance, partition, rankings = self._setup()
+        mixed = aggregate_ranking(rankings, partition, 2, instance, mix=Fraction(0))
         assert mixed.support == rule_b_uniform(instance).support
 
     def test_even_mixture_merges_support(self):
-        instance, partition, profile = self._setup()
-        mixed = aggregate_ranking(profile, partition, instance, mix=Fraction(1, 2))
+        instance, partition, rankings = self._setup()
+        mixed = aggregate_ranking(rankings, partition, 2, instance, mix=Fraction(1, 2))
         probs = dict(mixed.support)
         assert probs[frozenset({3})] == Fraction(1, 2) + Fraction(1, 8)
         for a in (0, 1, 2):
             assert probs[frozenset({a})] == Fraction(1, 8)
 
     def test_bad_mix_rejected(self):
-        instance, partition, profile = self._setup()
+        instance, partition, rankings = self._setup()
         with pytest.raises(ValueError):
-            aggregate_ranking(profile, partition, instance, mix=Fraction(3, 2))
+            aggregate_ranking(rankings, partition, 2, instance, mix=Fraction(3, 2))
 
 
 class TestRuleAThreshold:
@@ -179,23 +179,33 @@ class TestRuleAThreshold:
         instance = uniform_additive_instance(
             [Fraction(3, 5), Fraction(1, 2), Fraction(1, 2)]
         )
-        profile = approval_stub([3, 2, 2])
-        assert rule_a_threshold(profile, instance) == {1, 2}
+        approvals = approvals_with_counts([3, 2, 2])
+        assert rule_a_threshold(approvals, instance) == {1, 2}
 
     def test_all_zero_weights_pick_nothing(self):
         instance = uniform_additive_instance([Fraction(1, 2)] * 3)
-        assert rule_a_threshold(approval_stub([0, 0, 0]), instance) == frozenset()
+        assert rule_a_threshold(approvals_with_counts([0, 0, 0]), instance) == frozenset()
 
     def test_single_alternative(self):
         instance = uniform_additive_instance([Fraction(1)])
-        assert rule_a_threshold(approval_stub([5]), instance) == {0}
+        assert rule_a_threshold(approvals_with_counts([5]), instance) == {0}
 
     def test_fptas_solver_accepted(self):
         instance = uniform_additive_instance(
             [Fraction(3, 5), Fraction(1, 2), Fraction(1, 2)]
         )
-        picked = rule_a_threshold(approval_stub([3, 2, 2]), instance, Fptas(eps=0.1))
+        picked = rule_a_threshold(approvals_with_counts([3, 2, 2]), instance, Fptas(eps=0.1))
         assert picked == {1, 2}
+
+    def test_profits_are_the_approval_counts_of_real_profiles(self):
+        for family in ("additive", "coverage", "concave", "max-value"):
+            instance = generate(GeneratorSpec(family=family, m=7, n=6, seed=2))
+            for alpha in build_partition(instance).thresholds:
+                approvals = approval_profile(instance, alpha)
+                counts = tuple(sum(a in approved for approved in approvals)
+                               for a in instance.alternatives)
+                problem = KnapsackProblem(counts, instance.costs)
+                assert rule_a_threshold(approvals, instance) == brute_force_knapsack(problem)
 
 
 class TestAggregateThreshold:
@@ -296,9 +306,9 @@ class TestSamplingLowerBound:
         partition = build_partition(instance)
         dists = [rule_b_uniform(instance), aggregate_threshold(instance)]
         for t in range(partition.T + 1):
-            profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, t)
-            dists.append(rule_a_ranking(profile, partition, instance))
-            dists.append(aggregate_ranking(profile, partition, instance))
+            rankings = ranking_profile(instance, partition, Method.MARGINAL_VALUES, t)
+            dists.append(rule_a_ranking(rankings, partition, t))
+            dists.append(aggregate_ranking(rankings, partition, t, instance))
         for dist in dists:
             union = dist.union()
             if not union:

@@ -1,5 +1,6 @@
 """CLI exit codes for malformed flags and environment, unreadable files,
-malformed instance files and over-limit exact enumeration."""
+malformed instance files and over-limit exact enumeration, and the scores
+that `inspect --scores` prints."""
 
 import json
 import math
@@ -7,6 +8,8 @@ import math
 import pytest
 
 from subpb import cli, core
+from subpb.elicitation import Method, ranking_profile
+from subpb.partition import build_partition, harmonic_scores
 
 
 @pytest.fixture
@@ -111,10 +114,31 @@ def test_well_formed_two_alternative_file_evaluates(tmp_path, capsys):
                  ("1/2", "1/2"), id="cover-element-not-an-id"),
     pytest.param(ADDITIVE, (0.1, "1/2"), id="float-cost"),
     pytest.param(ADDITIVE, (True, "1/2"), id="boolean-cost"),
+    pytest.param({"family": "coverage", "params": {"weights": [1.0, 1.0],
+                                                   "covers": [[True], [0]]}},
+                 ("1/2", "1/2"), id="boolean-cover-element"),
+    pytest.param({"family": "additive", "params": {"values": [True, 0.5]}}, ("1/2", "1/2"),
+                 id="boolean-value"),
+    pytest.param({"family": "concave", "params": {"values": [1.0, 1.0], "gamma": True}},
+                 ("1/2", "1/2"), id="boolean-gamma"),
+    pytest.param({"family": "additive", "params": {"values": [1.0, 1.0], "extra": 3}},
+                 ("1/2", "1/2"), id="unknown-param"),
 ])
 def test_malformed_instance_files_are_parse_errors(tmp_path, capsys, voter, costs):
     path = write_two_alternative_file(tmp_path / "bad.json", voter, costs)
     code, err = run(["eval", "--instance", path, "--method", "threshold"], capsys)
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header", [{"m": True}, {"n": True}], ids=["boolean-m", "boolean-n"])
+def test_boolean_counts_are_parse_errors(tmp_path, capsys, header):
+    # A one-cost, one-voter file, where a JSON true would count as 1.
+    document = {"schema_version": 1, "m": 1, "n": 1, "costs": ["1"],
+                "voters": [{"family": "additive", "params": {"values": [1.0]}}], **header}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, err = run(["eval", "--instance", str(path), "--method", "threshold"], capsys)
     assert code == cli.EXIT_PARSE
     assert err.startswith("parse error:") and err.count("\n") == 1
 
@@ -134,3 +158,59 @@ def test_totals_without_finite_scale_are_parse_errors(tmp_path, capsys, voter):
     assert code == cli.EXIT_PARSE
     assert err.startswith("parse error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def write_instance_file(path, costs, voters):
+    document = {"schema_version": 1, "m": len(costs), "n": len(voters),
+                "costs": list(costs), "voters": voters}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return str(path)
+
+
+def inspect_scores(path, method, seed, capsys):
+    code = cli.main(["inspect", "--instance", path, "--scores", "--method", method,
+                     "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    header, *lines = out.splitlines()
+    assert header.startswith("group ") and header.endswith(f" scores ({method})")
+    return code, err, int(header.split()[1]), lines
+
+
+@pytest.mark.parametrize("method", [Method.MARGINAL_VALUES, Method.STANDALONE_VALUES],
+                         ids=lambda method: method.value)
+def test_inspect_scores_print_the_group_harmonic_scores(tmp_path, capsys, method):
+    # Two alternatives in each of the four groups of m = 8.
+    costs = ["1/8", "1/10", "1/4", "1/5", "1/2", "1/3", "1", "3/4"]
+    voters = [{"family": "additive", "params": {"values": values}}
+              for values in ([8, 7, 6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6, 7, 8],
+                             [1, 3, 5, 7, 2, 4, 6, 8])]
+    path = write_instance_file(tmp_path / "inst.json", costs, voters)
+    _, instance = cli.load_instance(path)
+    partition = build_partition(instance)
+    assert all(len(group) == 2 for group in partition.groups)
+    shown = set()
+    for seed in range(8):
+        code, err, t, lines = inspect_scores(path, method.value, seed, capsys)
+        scores = harmonic_scores(ranking_profile(instance, partition, method, t))
+        assert code == cli.EXIT_OK and err == ""
+        assert lines == [f"{a} {scores[a]!r}" for a in partition.groups[t]]
+        shown.add(t)
+    assert len(shown) > 1
+
+
+def test_inspect_scores_of_an_empty_group(tmp_path, capsys):
+    # Both costs are 1/m, so group 1 of m = 2 is empty.
+    path = write_two_alternative_file(tmp_path / "inst.json", ADDITIVE)
+    shown = set()
+    for seed in range(8):
+        code, err, t, lines = inspect_scores(path, "marginal-rank", seed, capsys)
+        assert code == cli.EXIT_OK and err == ""
+        assert lines == (["0 1.0", "1 0.5"] if t == 0 else ["(empty group)"])
+        shown.add(t)
+    assert shown == {0, 1}
+
+
+def test_inspect_scores_without_method_is_usage_error(instance_file, capsys):
+    code, err = run(["inspect", "--instance", instance_file, "--scores"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("usage error:") and err.count("\n") == 1

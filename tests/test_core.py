@@ -241,14 +241,7 @@ class TestSingletonTable:
             for oracle in helpers.random_oracles(rng, m):
                 self.assert_matches_definition(oracle)
                 families.add(type(oracle).singleton_table)
-        assert len(families) == 4 and UtilityOracle.singleton_table not in families
-
-    def test_default_is_the_definition(self):
-        # The welfare oracle of a mixed instance is a `SumOracle`, which
-        # keeps the generic table.
-        for instance in welfare_instances():
-            if isinstance(instance.welfare, SumOracle):
-                self.assert_matches_definition(instance.welfare)
+        assert len(families) == 4
 
     def test_max_value_tie_at_the_top(self):
         oracle = MaxValueOracle.normalized([1.0, 0.5, 1.0])

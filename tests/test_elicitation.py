@@ -1,4 +1,4 @@
-"""Rankings, approvals, and the derived statistics each profile carries."""
+"""Rankings and approval sets: the votes each elicitation method returns."""
 
 import random
 from fractions import Fraction
@@ -18,7 +18,6 @@ from subpb.core import (
 from subpb.elicitation import (
     APPROVAL_TOL,
     Method,
-    RankingProfile,
     approval_profile,
     rank_by_marginal,
     rank_by_values,
@@ -134,30 +133,29 @@ class TestProfiles:
             ],
         )
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 0)
-        assert profile.group == (0, 1)
-        for ranking in profile.rankings:
-            assert sorted(ranking) == [0, 1]
-        assert profile.position(0, profile.rankings[0][0]) == 1
+        assert partition.groups[0] == (0, 1)
+        for method in (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES):
+            rankings = ranking_profile(instance, partition, method, 0)
+            assert len(rankings) == instance.n
+            for ranking in rankings:
+                assert sorted(ranking) == [0, 1]
 
     def test_empty_group_profile(self):
+        # Only non-empty groups are ranked; an empty one is refused.
         instance = simple_instance(
             [Fraction(1, 4)] * 4,
             [OracleSpec("additive", {"values": [1.0] * 4})],
         )
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 2)
-        assert profile.group == ()
-        assert profile.rankings == ((),)
+        assert partition.groups[2] == ()
+        for method in (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES):
+            with pytest.raises(ValueError):
+                ranking_profile(instance, partition, method, 2)
 
-    def test_non_permutation_rejected(self):
+    def test_threshold_is_not_a_ranking_method(self):
+        instance = simple_instance([Fraction(1)], [OracleSpec("additive", {"values": [1.0]})])
         with pytest.raises(ValueError):
-            RankingProfile(
-                method=Method.MARGINAL_VALUES,
-                group_index=0,
-                group=(0, 1),
-                rankings=((0, 0),),
-            )
+            ranking_profile(instance, build_partition(instance), Method.THRESHOLD_APPROVAL, 0)
 
     def test_approval_profile_statistics(self):
         instance = simple_instance(
@@ -167,9 +165,7 @@ class TestProfiles:
                 OracleSpec("additive", {"values": [0.25, 0.75]}),
             ],
         )
-        profile = approval_profile(instance, Fraction(1, 2))
-        assert profile.approvals == (frozenset({0}), frozenset({1}))
-        assert profile.weights == (1, 1)
+        assert approval_profile(instance, Fraction(1, 2)) == (frozenset({0}), frozenset({1}))
 
 
 class TestGreedyPrefixBound:
@@ -185,8 +181,8 @@ class TestGreedyPrefixBound:
             ],
         )
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 0)
-        for voter, ranking in zip(instance.voters, profile.rankings):
+        rankings = ranking_profile(instance, partition, Method.MARGINAL_VALUES, 0)
+        for voter, ranking in zip(instance.voters, rankings):
             gains = helpers.extend_gains(voter, ranking)
             for pos, gain in enumerate(gains, start=1):
                 assert gain <= 1.0 / pos + 1e-9
@@ -200,8 +196,8 @@ class TestGreedyPrefixBound:
             ],
         )
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.STANDALONE_VALUES, 0)
-        for voter, ranking in zip(instance.voters, profile.rankings):
+        rankings = ranking_profile(instance, partition, Method.STANDALONE_VALUES, 0)
+        for voter, ranking in zip(instance.voters, rankings):
             c = compute_curvature(voter)
             assert c < 1 - 1e-6
             for pos, a in enumerate(ranking, start=1):
@@ -235,11 +231,8 @@ class TestProfilesReadTheSingletonTable:
             values = {Fraction(v.value((a,))) for v in instance.voters for a in range(instance.m)}
             above = {value + Fraction(APPROVAL_TOL / 2) for value in values}
             for alpha in sorted(set(build_partition(instance).thresholds) | values | above):
-                profile = approval_profile(instance, alpha)
                 want = tuple(approve_by_value(v, alpha) for v in instance.voters)
-                assert profile.approvals == want, (instance, alpha)
-                assert profile.weights == tuple(
-                    sum(a in approved for approved in want) for a in instance.alternatives)
+                assert approval_profile(instance, alpha) == want, (instance, alpha)
                 edges += alpha in values
         assert edges
 
@@ -249,8 +242,8 @@ class TestProfilesReadTheSingletonTable:
             for t, group in enumerate(partition.groups):
                 if not group:
                     continue
-                profile = ranking_profile(instance, partition, Method.STANDALONE_VALUES, t)
-                assert profile.rankings == tuple(
+                rankings = ranking_profile(instance, partition, Method.STANDALONE_VALUES, t)
+                assert rankings == tuple(
                     tuple(sorted(group, key=lambda a: (-v.value((a,)), a)))
                     for v in instance.voters)
 

@@ -177,7 +177,7 @@ class TestSweep:
                 return build(oracle)
             return singleton_table
 
-        for cls in (core.UtilityOracle, core.AdditiveOracle, core.CoverageOracle,
+        for cls in (core.AdditiveOracle, core.CoverageOracle,
                     core.ConcaveOverModularOracle, core.MaxValueOracle):
             monkeypatch.setattr(cls, "singleton_table", counting(vars(cls)["singleton_table"]))
         value = core.UtilityOracle.value
@@ -251,6 +251,23 @@ class TestPlanAndSampler:
         assert calls == []
         sweep([SHORTLIST_HEAVY], ranking, mix=Fraction(1, 2))
         assert calls
+
+    def test_empty_group_is_never_ranked_and_selects_nothing(self, monkeypatch):
+        # Every cost is 1/m, so groups 1 and 2 of m = 4 are empty; each still
+        # takes its share of the coin, as the component ((), 0).
+        calls = []
+        real = experiment.ranking_profile
+        monkeypatch.setattr(experiment, "ranking_profile",
+                            lambda *args: calls.append(args[3]) or real(*args))
+        spec = GeneratorSpec("additive", 4, 3, Fixed((Fraction(1, 4),) * 4))
+        facts = experiment._InstanceFacts(generate(spec))
+        assert facts.partition.groups == ((0, 1, 2, 3), (), ())
+        for method in (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES):
+            plan = experiment._plan(facts, method, Fraction(1, 2), ExactDP())
+            sixth = Fraction(1, 6)
+            assert plan.support == ((Fraction(1, 2), (0, 1, 2, 3), 1),
+                                    (sixth, (0, 1, 2, 3), 4), (sixth, (), 0), (sixth, (), 0))
+        assert calls == [0, 0]
 
     @pytest.mark.parametrize("mix", [Fraction(1, 2), Fraction(0), Fraction(1)])
     @pytest.mark.parametrize("family", FAMILIES)

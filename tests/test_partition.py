@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpb.core import OracleSpec, RawInstance, validate_instance
-from subpb.elicitation import Method, RankingProfile, ranking_profile
+from subpb.elicitation import Method, ranking_profile
 from subpb.partition import (
     build_partition,
     group_index_bound,
@@ -26,15 +26,6 @@ def instance_with_costs(costs):
             costs=tuple(Fraction(c) for c in costs),
             voters=(OracleSpec("additive", {"values": [1.0] * m}),),
         )
-    )
-
-
-def profile_from_rankings(rankings, group, t=0):
-    return RankingProfile(
-        method=Method.STANDALONE_VALUES,
-        group_index=t,
-        group=tuple(group),
-        rankings=tuple(tuple(r) for r in rankings),
     )
 
 
@@ -109,28 +100,21 @@ def test_partition_is_disjoint_cover(m, data):
 
 class TestHarmonicScores:
     def test_two_voters_positions_one_and_two(self):
-        profile = profile_from_rankings([(0, 1), (1, 0)], group=(0, 1))
-        table = harmonic_scores(profile)
-        assert table.scores[0] == pytest.approx(1.5)
-        assert table.scores[1] == pytest.approx(1.5)
+        scores = harmonic_scores([(0, 1), (1, 0)])
+        assert scores[0] == pytest.approx(1.5)
+        assert scores[1] == pytest.approx(1.5)
 
     def test_single_voter_harmonic_sum(self):
-        profile = profile_from_rankings([(2, 0, 1)], group=(0, 1, 2))
-        table = harmonic_scores(profile)
-        assert table.scores[2] == pytest.approx(1.0)
-        assert table.scores[0] == pytest.approx(0.5)
-        assert table.scores[1] == pytest.approx(1.0 / 3.0)
-        assert sum(table.scores.values()) == pytest.approx(1 + 0.5 + 1 / 3)
+        scores = harmonic_scores([(2, 0, 1)])
+        assert scores[2] == pytest.approx(1.0)
+        assert scores[0] == pytest.approx(0.5)
+        assert scores[1] == pytest.approx(1.0 / 3.0)
+        assert sum(scores.values()) == pytest.approx(1 + 0.5 + 1 / 3)
 
     def test_unanimous_order(self):
-        profile = profile_from_rankings([(0, 1)] * 3, group=(0, 1))
-        table = harmonic_scores(profile)
-        assert table.scores[0] == pytest.approx(3.0)
-        assert table.scores[1] == pytest.approx(1.5)
-
-    def test_mismatched_membership_rejected(self):
-        with pytest.raises(ValueError):
-            profile_from_rankings([(0, 1), (2, 0)], group=(0, 1))
+        scores = harmonic_scores([(0, 1)] * 3)
+        assert scores[0] == pytest.approx(3.0)
+        assert scores[1] == pytest.approx(1.5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -145,9 +129,9 @@ class TestHarmonicScores:
             order = list(group)
             rnd.shuffle(order)
             rankings.append(tuple(order))
-        table = harmonic_scores(profile_from_rankings(rankings, group))
+        scores = harmonic_scores(rankings)
         harmonic = sum(1.0 / k for k in range(1, size + 1))
-        assert sum(table.scores.values()) == pytest.approx(n * harmonic, abs=1e-9)
+        assert sum(scores.values()) == pytest.approx(n * harmonic, abs=1e-9)
 
 
 class TestShortlist:
@@ -174,15 +158,15 @@ class TestShortlist:
     def test_group_zero_never_truncated(self):
         instance = instance_with_costs(["1/8", "1/8", "1/8", "1/8"])
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.STANDALONE_VALUES, 0)
-        chosen = shortlist(partition, harmonic_scores(profile), 0)
+        rankings = ranking_profile(instance, partition, Method.STANDALONE_VALUES, 0)
+        chosen = shortlist(partition, harmonic_scores(rankings), 0)
         assert chosen == (0, 1, 2, 3)
 
     def test_singleton_group(self):
         instance = instance_with_costs(["1/5", "1/4", "1/2", "1"])
         partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.STANDALONE_VALUES, 2)
-        chosen = shortlist(partition, harmonic_scores(profile), 2)
+        rankings = ranking_profile(instance, partition, Method.STANDALONE_VALUES, 2)
+        chosen = shortlist(partition, harmonic_scores(rankings), 2)
         assert chosen == (3,)
 
     def test_truncation_and_tie_break(self):
@@ -192,14 +176,7 @@ class TestShortlist:
         instance = instance_with_costs(["3/4"] * 8)
         partition = build_partition(instance)
         t = next(t for t, members in enumerate(partition.groups) if 0 in members)
-        profile = ranking_profile(instance, partition, Method.STANDALONE_VALUES, t)
-        chosen = shortlist(partition, harmonic_scores(profile), t)
+        rankings = ranking_profile(instance, partition, Method.STANDALONE_VALUES, t)
+        chosen = shortlist(partition, harmonic_scores(rankings), t)
         assert len(chosen) == shortlist_cap(8, t)
         assert chosen == (0, 1)
-
-    def test_wrong_group_rejected(self):
-        instance = instance_with_costs(["1/5", "1/4", "1/2", "1"])
-        partition = build_partition(instance)
-        profile = ranking_profile(instance, partition, Method.STANDALONE_VALUES, 2)
-        with pytest.raises(ValueError):
-            shortlist(partition, harmonic_scores(profile), 1)
