@@ -105,11 +105,11 @@ def parse_instance_file(text: str) -> RawInstance:
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InstanceFileError(f"malformed instance document: {exc}") from exc
-    # A JSON true would otherwise equal a count of 1.
+    # A JSON true or 2.0 would otherwise equal a count of 1 or 2.
     m, n = document.get("m"), document.get("n")
-    if isinstance(m, bool) or m != len(costs):
+    if type(m) is not int or m != len(costs):
         raise InstanceFileError("declared m disagrees with the cost list")
-    if isinstance(n, bool) or n != len(voters):
+    if type(n) is not int or n != len(voters):
         raise InstanceFileError("declared n disagrees with the voter list")
     return RawInstance(costs=costs, voters=voters)
 
@@ -292,6 +292,10 @@ def exit_code_for(reports: Sequence[EvaluationReport]) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.scores and args.method is None:
+        raise UsageError("--scores needs --method")
+    if args.method is not None and not args.scores:
+        raise UsageError("--method applies to --scores only")
     seed = args.seed if args.seed is not None else _default_seed()
     _, instance = load_instance(args.instance)
     partition = build_partition(instance)
@@ -305,8 +309,6 @@ def cmd_inspect(args) -> int:
             print(f"{t} {low} {high} {members}")
     if args.scores:
         shown = True
-        if args.method is None:
-            raise UsageError("--scores needs --method")
         method = _parse_method(args.method)
         if not method.is_ranking:
             raise UsageError("--scores applies to ranking methods only")

@@ -357,13 +357,11 @@ class SumOracle(UtilityOracle):
 
 
 def _as_float(value, name: str) -> float:
-    """A float from a number; booleans are refused, though Python counts
-    them as the integers 0 and 1."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
+    """A float from a JSON number. Strings are refused, since the format
+    stores utility parameters as numbers, and so are booleans, though Python
+    counts them as the integers 0 and 1."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
     raise ValidationError(f"{name} must be a number, got {value!r}")
 
 

@@ -1,19 +1,23 @@
 """Exact and approximate knapsack solvers, plus the exhaustive welfare optimum.
 
-The exact solver runs a profit-indexed dynamic program over costs scaled
-to exact integers (profits are small integers, so this is cheap at desk
-scale) and breaks ties toward the lexicographically smallest id sequence.
-The FPTAS rescales profits and reuses the exact solver. The optimum
-enumerates the maximal feasible subsets (those no unchosen alternative fits
-into) over the same integer costs: utilities are monotone, so one of them
-is optimal. Welfare comes from states of the instance welfare oracle
-(`core.Instance.welfare`), not of each voter's: each node extends its
-parent's state by the item it takes. Submodular upper-bound pruning is not
-used.
+The exact solver scales costs to exact integers and builds the suffix
+Pareto frontiers of (cost, profit) points (Nemhauser & Ullmann 1969). A
+frontier holds at most min(scaled budget, total profit) + 1 points, so it
+stays as narrow as the narrower of the two axes: many coprime cost
+denominators widen only the budget axis, and many approvals only the
+profit axis. Ties break toward the lexicographically smallest id sequence.
+The FPTAS rescales profits, which narrows the frontiers further, and
+reuses the exact solver. The optimum enumerates the maximal feasible
+subsets (those no unchosen alternative fits into) over the same integer
+costs: utilities are monotone, so one of them is optimal. Welfare comes
+from states of the instance welfare oracle (`core.Instance.welfare`), not
+of each voter's: each node extends its parent's state by the item it
+takes. Submodular upper-bound pruning is not used.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,6 +71,9 @@ class Fptas:
 
 Solver = Union[ExactDP, Fptas]
 
+#: A Pareto frontier: costs ascending and profits strictly ascending.
+Front = tuple[list[int], list[int]]
+
 
 def _integer_costs(costs: Sequence[Fraction], budget: Fraction) -> tuple[list[int], int]:
     """Costs and budget times the LCM of their denominators: exact integers
@@ -75,49 +82,71 @@ def _integer_costs(costs: Sequence[Fraction], budget: Fraction) -> tuple[list[in
     return [int(c * scale) for c in costs], int(budget * scale)
 
 
-def _suffix_min_cost(profits: Sequence[int], costs: Sequence[int]) -> list[list[int | None]]:
-    """suffix[j][q]: minimal cost of a subset of items j.. with profit exactly q."""
-    total = sum(profits)
-    size = len(profits)
-    suffix: list[list[int | None]] = [[None] * (total + 1) for _ in range(size + 1)]
-    suffix[size][0] = 0
-    for j in reversed(range(size)):
-        p, c = profits[j], costs[j]
-        nxt = suffix[j + 1]
-        row = suffix[j]
-        for q in range(total + 1):
-            best = nxt[q]
-            if q >= p and nxt[q - p] is not None:
-                with_j = nxt[q - p] + c
-                if best is None or with_j < best:
-                    best = with_j
-            row[q] = best
-    return suffix
+def _frontiers(profits: Sequence[int], costs: Sequence[int], capacity: int) -> list[Front]:
+    """fronts[j]: the Pareto-optimal (cost, profit) points of the subsets of
+    items j.. that fit the capacity (Nemhauser & Ullmann 1969), as a list of
+    costs ascending and a list of profits strictly ascending. fronts[j] is
+    fronts[j + 1] merged with its shift by item j, dropping the points over
+    capacity and the dominated ones."""
+    fronts: list[Front] = [([0], [0])]
+    for p, c in zip(reversed(profits), reversed(costs)):
+        old_costs, old_profits = fronts[-1]
+        new_costs: list[int] = []
+        new_profits: list[int] = []
+        top = -1
+        i = 0
+        fits = bisect.bisect_right(old_costs, capacity - c)
+        # Merge by cost ascending and, at equal cost, profit descending: a
+        # point is dominated exactly when it does not beat the last kept, top.
+        for shift_cost, shift_profit in zip(old_costs[:fits], old_profits[:fits]):
+            shift_cost += c
+            shift_profit += p
+            while i < len(old_costs) and (old_costs[i] < shift_cost or (
+                    old_costs[i] == shift_cost and old_profits[i] >= shift_profit)):
+                if old_profits[i] > top:
+                    top = old_profits[i]
+                    new_costs.append(old_costs[i])
+                    new_profits.append(top)
+                i += 1
+            if shift_profit > top:
+                top = shift_profit
+                new_costs.append(shift_cost)
+                new_profits.append(top)
+        # Past the shifted points, the old ones that beat top remain.
+        i = bisect.bisect_right(old_profits, top, i)
+        new_costs += old_costs[i:]
+        new_profits += old_profits[i:]
+        fronts.append((new_costs, new_profits))
+    return fronts[::-1]
+
+
+def _best_profit(front: Front, budget: int) -> int:
+    """The largest profit of a front point costing at most budget >= 0."""
+    costs, profits = front
+    return profits[bisect.bisect_right(costs, budget) - 1]
 
 
 def knapsack_exact(problem: KnapsackProblem) -> frozenset:
     """Maximum-profit feasible set; among optima, the lexicographically
-    smallest id sequence (so the empty set wins when all profits are zero)."""
+    smallest id sequence (so the empty set wins when all profits are zero).
+
+    The suffix Pareto frontiers of `_frontiers` hold at most
+    min(scaled capacity, total profit) + 1 points each. The set is read off
+    them item by item: take j when an optimum of what is left still exists
+    with j, and stop once no profit is left to collect."""
     costs, capacity = _integer_costs(problem.costs, problem.capacity)
-    suffix = _suffix_min_cost(problem.profits, costs)
-    opt = max(
-        q
-        for q, cost in enumerate(suffix[0])
-        if cost is not None and cost <= capacity
-    )
+    fronts = _frontiers(problem.profits, costs, capacity)
     chosen: list[int] = []
     budget = capacity
-    need = opt
+    need = fronts[0][1][-1]
     for j in range(problem.size):
         if need == 0:
             break
         p, c = problem.profits[j], costs[j]
-        if p <= need and c <= budget:
-            rest = suffix[j + 1][need - p]
-            if rest is not None and rest <= budget - c:
-                chosen.append(j)
-                budget -= c
-                need -= p
+        if c <= budget and p + _best_profit(fronts[j + 1], budget - c) >= need:
+            chosen.append(j)
+            budget -= c
+            need -= p
     return frozenset(chosen)
 
 

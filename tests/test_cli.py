@@ -123,6 +123,10 @@ def test_well_formed_two_alternative_file_evaluates(tmp_path, capsys):
                  ("1/2", "1/2"), id="boolean-gamma"),
     pytest.param({"family": "additive", "params": {"values": [1.0, 1.0], "extra": 3}},
                  ("1/2", "1/2"), id="unknown-param"),
+    pytest.param({"family": "concave", "params": {"values": ["0.5", "1e0"], "gamma": "0.5"}},
+                 ("1/2", "1/2"), id="string-values-and-gamma"),
+    pytest.param({"family": "concave", "params": {"values": [0.5, 1.0], "gamma": "0.5"}},
+                 ("1/2", "1/2"), id="string-gamma"),
 ])
 def test_malformed_instance_files_are_parse_errors(tmp_path, capsys, voter, costs):
     path = write_two_alternative_file(tmp_path / "bad.json", voter, costs)
@@ -131,9 +135,11 @@ def test_malformed_instance_files_are_parse_errors(tmp_path, capsys, voter, cost
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("header", [{"m": True}, {"n": True}], ids=["boolean-m", "boolean-n"])
+@pytest.mark.parametrize("header", [{"m": True}, {"n": True}, {"m": 1.0, "n": 1.0},
+                                    {"m": 1.0}, {"n": 1.0}],
+                         ids=["boolean-m", "boolean-n", "float-m-and-n", "float-m", "float-n"])
 def test_boolean_counts_are_parse_errors(tmp_path, capsys, header):
-    # A one-cost, one-voter file, where a JSON true would count as 1.
+    # A one-cost, one-voter file, where a JSON true or 1.0 would count as 1.
     document = {"schema_version": 1, "m": 1, "n": 1, "costs": ["1"],
                 "voters": [{"family": "additive", "params": {"values": [1.0]}}], **header}
     path = tmp_path / "bad.json"
@@ -212,5 +218,11 @@ def test_inspect_scores_of_an_empty_group(tmp_path, capsys):
 
 def test_inspect_scores_without_method_is_usage_error(instance_file, capsys):
     code, err = run(["inspect", "--instance", instance_file, "--scores"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_inspect_method_without_scores_is_usage_error(instance_file, capsys):
+    code, err = run(["inspect", "--instance", instance_file, "--method", "value-rank"], capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("usage error:") and err.count("\n") == 1

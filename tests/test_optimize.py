@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subpb.core import OracleSpec, RawInstance, social_welfare, validate_instance
 from subpb.optimize import (
@@ -12,6 +14,8 @@ from subpb.optimize import (
     ExceedsExactBudget,
     Fptas,
     KnapsackProblem,
+    _frontiers,
+    _integer_costs,
     knapsack_exact,
     knapsack_fptas,
     optimal_welfare,
@@ -106,6 +110,61 @@ class TestKnapsackFptas:
         assert solve_knapsack(p, Fptas(eps=0.1)) == {1, 2}
         with pytest.raises(TypeError):
             solve_knapsack(p, object())
+
+
+#: Distinct primes as cost denominators make the scaled budget axis their
+#: LCM: up to 6.5e9 at ten items.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@st.composite
+def knapsack_problems(draw, wide):
+    """m <= 10 items with profits often in {0, 1, 2}, so that ties and zero
+    profits are common. Wide: costs k/p over distinct primes p. Narrow:
+    costs on the grid of eighths."""
+    m = draw(st.integers(min_value=0, max_value=10))
+    profit = st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=0, max_value=100))
+    profits = draw(st.lists(profit, min_size=m, max_size=m))
+    if wide:
+        primes = draw(st.permutations(PRIMES))[:m]
+        costs = [Fraction(draw(st.integers(1, max(1, p // 3))), p) for p in primes]
+    else:
+        costs = [Fraction(draw(st.integers(1, 8)), 8) for _ in range(m)]
+    capacity = draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(5, 7)]))
+    return problem(profits, costs, capacity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(knapsack_problems(wide=True), knapsack_problems(wide=False)))
+def test_exact_matches_brute_force_with_its_tie_rule(p):
+    assert knapsack_exact(p) == helpers.brute_force_knapsack(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(knapsack_problems(wide=True), st.sampled_from([0.1, 0.3, 0.5, 0.9]))
+def test_fptas_contract_on_a_wide_budget_axis(p, eps):
+    chosen = knapsack_fptas(p, eps)
+    assert sum((p.costs[a] for a in chosen), Fraction(0)) <= p.capacity
+    assert p.profit(chosen) >= (1 - eps) * p.profit(helpers.brute_force_knapsack(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(knapsack_problems(wide=True), knapsack_problems(wide=False)))
+def test_frontiers_are_the_pareto_points_of_each_suffix(p):
+    costs, capacity = _integer_costs(p.costs, p.capacity)
+    fronts = _frontiers(p.profits, costs, capacity)
+    for j, (front_costs, front_profits) in enumerate(fronts):
+        points = {
+            (sum(costs[a] for a in combo), p.profit(combo))
+            for combo in helpers.powerset(range(j, p.size))
+        }
+        points = {(c, q) for c, q in points if c <= capacity}
+        pareto = sorted(
+            (c, q) for c, q in points
+            if not any(c2 <= c and q2 >= q and (c2, q2) != (c, q) for c2, q2 in points)
+        )
+        assert list(zip(front_costs, front_profits)) == pareto
+        assert len(pareto) <= min(capacity, sum(p.profits[j:])) + 1
 
 
 class TestOptimalWelfare:
