@@ -13,7 +13,6 @@ with a small comparison tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -72,11 +71,15 @@ class UtilityOracle(ABC):
     is scaled to value 1 on the grand set; the instance welfare oracle
     (`Instance.welfare`) is the sum over voters, so it is scaled to n, not 1.
 
-    Sets can also be evaluated one alternative at a time through states. A
-    state is a tuple (scaled value, payload) describing one set: `start()`
-    is the empty set's and `extend(state, a)` that of the set plus a. States
-    are never mutated, so one state can be extended by every candidate in
-    turn, and the gain of a is `extend(state, a)[0] - state[0]`.
+    Sets are evaluated one alternative at a time through states. A state is
+    a tuple (scaled value, payload) describing one set: `start()` is the
+    empty set's and `extend(state, a)` that of the set plus a. States are
+    never mutated, so one state can be extended by every candidate in turn,
+    and the gain of a is `extend(state, a)[0] - state[0]`.
+
+    A family supplies `extend` (and `start` if its empty payload is not 0),
+    `singleton_table`, and optionally a closed-form `expected_uniform`;
+    `value` is the fold of `extend` over a set.
 
     Subclasses are immutable; evaluating them from many threads needs no
     coordination."""
@@ -87,10 +90,6 @@ class UtilityOracle(ABC):
     @abstractmethod
     def m(self) -> int:
         """Number of alternatives the oracle is defined over."""
-
-    @abstractmethod
-    def raw_value(self, items: Iterable[AlternativeId]) -> float:
-        """Unscaled value of a set of alternatives."""
 
     def start(self) -> tuple:
         """State of the empty set: value 0, and a payload of 0 unless the
@@ -103,21 +102,38 @@ class UtilityOracle(ABC):
         it must not contain. `state` itself is left as it is."""
 
     def value(self, items: Iterable[AlternativeId]) -> float:
-        return self.raw_value(items) * self.scale  # type: ignore[attr-defined]
+        """Scaled value of a set of distinct alternatives: `extend` folded
+        over it from `start()`."""
+        state = self.start()
+        for a in items:
+            state = self.extend(state, a)
+        return state[0]
 
     def expected_uniform(self, items: Sequence[AlternativeId], k: int) -> float:
         """Mean value of a uniform k-subset of the distinct `items`, for
         0 <= k <= len(items). Families with a closed form override it. This
         default enumerates all C(len(items), k) subsets, and it is the one
         place where exact mode enumerates a plan component: past
-        `EXACT_SUPPORT_LIMIT` subsets it raises ExceedsExactBudget."""
+        `EXACT_SUPPORT_LIMIT` subsets it raises ExceedsExactBudget. Each
+        subset's state extends that of its (k-1)-prefix."""
         subsets = math.comb(len(items), k)
         if subsets > EXACT_SUPPORT_LIMIT:
             raise ExceedsExactBudget(
                 f"{self.family} welfare would enumerate {subsets} subsets, over the "
                 f"exact limit of {EXACT_SUPPORT_LIMIT}; rerun in Monte Carlo mode")
-        total = math.fsum(self.value(s) for s in itertools.combinations(items, k))
-        return total / subsets
+        return math.fsum(self._subset_values(items, k)) / subsets
+
+    def _subset_values(self, items: Sequence[AlternativeId], k: int) -> Iterable[float]:
+        # Depth first, in `itertools.combinations` order: a stack entry is
+        # (state, first index it may extend by, alternatives still to add).
+        stack = [(self.start(), 0, k)]
+        while stack:
+            state, first, left = stack.pop()
+            if not left:
+                yield state[0]
+                continue
+            for i in range(len(items) - left, first - 1, -1):
+                stack.append((self.extend(state, items[i]), i + 1, left - 1))
 
 
 @dataclass(frozen=True)
@@ -138,19 +154,10 @@ class AdditiveOracle(UtilityOracle):
     def m(self) -> int:
         return len(self.values)
 
-    def raw_value(self, items):
-        return sum(self.values[a] for a in items)
-
     def singleton_table(self):
         # Marginals never depend on the base set, so c = 0 exactly.
         singles = tuple(v * self.scale for v in self.values)
         return SingletonTable(singles, singles)
-
-    def expected_uniform(self, items, k):
-        # Each item is in the subset with probability k / |P|.
-        if not k:
-            return 0.0
-        return k * self.raw_value(items) * self.scale / len(items)
 
     def extend(self, state, a):
         return (state[0] + self.values[a] * self.scale, 0)
@@ -192,12 +199,6 @@ class CoverageOracle(UtilityOracle):
     @property
     def m(self) -> int:
         return len(self.cover_masks)
-
-    def raw_value(self, items):
-        union = 0
-        for a in items:
-            union |= self.cover_masks[a]
-        return _mask_weight(union, self.weights)
 
     def singleton_table(self):
         # The last gain of a is the weight of the elements only a covers.
@@ -258,23 +259,12 @@ class ConcaveOverModularOracle(UtilityOracle):
     def m(self) -> int:
         return len(self.values)
 
-    def raw_value(self, items):
-        return _concave(sum(self.values[a] for a in items), self.gamma)
-
     def singleton_table(self):
         total = sum(self.values)
         full = _concave(total, self.gamma) * self.scale
         return SingletonTable(
             tuple(_concave(v, self.gamma) * self.scale for v in self.values),
             tuple(full - _concave(total - v, self.gamma) * self.scale for v in self.values))
-
-    def expected_uniform(self, items, k):
-        # A uniform singleton's mean is that of the standalone values, summed
-        # as the enumeration would; larger subsets are enumerated.
-        if k != 1:
-            return super().expected_uniform(items, k)
-        return math.fsum(_concave(self.values[a], self.gamma) * self.scale
-                         for a in items) / len(items)
 
     def extend(self, state, a):
         # The payload is the inner sum.
@@ -299,9 +289,6 @@ class MaxValueOracle(UtilityOracle):
     @property
     def m(self) -> int:
         return len(self.values)
-
-    def raw_value(self, items):
-        return max((self.values[a] for a in items), default=0.0)
 
     def singleton_table(self):
         # Only a maximum gains over the rest, by top - second, which is 0
@@ -334,15 +321,9 @@ class SumOracle(UtilityOracle):
 
     parts: tuple[UtilityOracle, ...]
 
-    scale = 1.0  # each part applies its own
-
     @property
     def m(self) -> int:
         return self.parts[0].m
-
-    def raw_value(self, items):
-        items = tuple(items)
-        return sum(part.value(items) for part in self.parts)
 
     def expected_uniform(self, items, k):
         return sum(part.expected_uniform(items, k) for part in self.parts)

@@ -1,19 +1,22 @@
 """Instance generation, pipeline evaluation, and sweep reporting.
 
 `evaluate` runs one full pipeline (elicit, aggregate, expected welfare
-against the exhaustive optimum) in one of two modes. Both take the optimum
-first, then read one plan of the rule's public randomness (`_plan`):
-weighted components "a uniform k-subset of P" (`aggregation.rule_plan`).
+against the exhaustive optimum) in one of two modes. Both read one plan of
+the rule's public randomness (`_plan`): weighted components "a uniform
+k-subset of P" (`aggregation.rule_plan`). Exact mode takes the plan's
+expected welfare before the optimum, so that a component past the
+enumeration limit fails before the optimum is paid for; Monte Carlo mode
+takes the optimum first.
 The optimum and exact mode read welfare from one per-instance oracle
 (`core.Instance.welfare`), in which additive and coverage voters fold into
 one coverage function. Exact mode takes each component's mean welfare from
-it in closed form (`aggregation.expected_welfare`); only the concave family,
-whose closed form covers k = 1 alone, enumerates the C(|P|, k) subsets of
-larger components, and it alone refuses one past
-`core.EXACT_SUPPORT_LIMIT`. Monte Carlo mode draws how many samples fall on
-each component and on each of its subsets, without a loop over samples, and
-reports a mean with a standard error; it sums each drawn set's welfare
-voter by voter (`core.social_welfare`).
+it (`aggregation.expected_welfare`): in closed form for coverage and
+max-value, while the concave family enumerates the C(|P|, k) subsets of a
+component and alone refuses one past `core.EXACT_SUPPORT_LIMIT`. Monte
+Carlo mode draws how many samples fall on each component and on each of
+its subsets, without a loop over samples, and reports a mean with a
+standard error; it sums each drawn set's welfare voter by voter
+(`core.social_welfare`).
 
 The reported welfare ratio (optimal over expected) is a per-instance lower
 bound on the rule's distortion: distortion also takes a supremum over all
@@ -51,7 +54,7 @@ from .core import (
 )
 from .elicitation import Method, ranking_profile
 from .optimize import ExactDP, Fptas, OptimalBundle, Solver, optimal_welfare
-from .partition import GroupPartition, build_partition
+from .partition import GroupPartition, build_partition, group_index_bound
 
 BOUND_TOL = 1e-9
 
@@ -223,7 +226,7 @@ def theoretical_bound(
     by 2*min(mix, 1-mix), which degenerates to 0 at mix 0 or 1. The
     threshold guarantee for a single alternative is vacuous (no thresholds)
     and reported as 0."""
-    T = (m - 1).bit_length()
+    T = group_index_bound(m)
     coin = 2.0 * float(min(mix, 1 - mix))
     if method is Method.THRESHOLD_APPROVAL:
         if T == 0:
@@ -295,13 +298,14 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
     mix = Fraction(mix)
     stderr = None
     n_samples = None
-    # Past the optimum's enumeration limit the cell fails in either mode
-    # before any plan is built.
-    optimum = facts.optimum
     if mode is Mode.EXACT:
+        # A component past the enumeration limit fails before the optimum.
         plan = _plan(facts, method, mix, solver)
         expected = expected_welfare(plan, instance, facts.component_welfare)
+        optimum = facts.optimum
     else:
+        # Past the optimum's enumeration limit the cell fails before sampling.
+        optimum = facts.optimum
         if samples < 2:
             raise ValueError("need at least 2 samples for a standard error")
         expected, stderr = _monte_carlo(facts, method, mix, solver, seed, samples)

@@ -79,7 +79,8 @@ def _integer_costs(costs: Sequence[Fraction], budget: Fraction) -> tuple[list[in
     """Costs and budget times the LCM of their denominators: exact integers
     that add and compare like the rationals."""
     scale = math.lcm(budget.denominator, *(c.denominator for c in costs))
-    return [int(c * scale) for c in costs], int(budget * scale)
+    return ([c.numerator * (scale // c.denominator) for c in costs],
+            budget.numerator * (scale // budget.denominator))
 
 
 def _frontiers(profits: Sequence[int], costs: Sequence[int], capacity: int) -> list[Front]:

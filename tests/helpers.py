@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the production code paths it is used
 to verify: the knapsack and welfare oracles enumerate subsets directly,
-the property checkers and the reference greedy ranking evaluate oracles set
-by set instead of extending oracle states one alternative at a time, and
+the property checkers and the reference greedy ranking evaluate each set
+from its family's formula (`direct_value`) instead of extending oracle
+states one alternative at a time, and
 the rules' plans are expanded into full selection distributions with exact
 rational probabilities, so that expected welfare and inclusion
 probabilities can be computed by enumeration rather than in closed form.
@@ -35,6 +36,7 @@ from subpb.core import (
     CoverageOracle,
     Instance,
     MaxValueOracle,
+    SumOracle,
     UtilityOracle,
     social_welfare,
 )
@@ -83,9 +85,32 @@ def brute_force_best_welfare(instance: Instance) -> tuple[frozenset, float]:
     return frozenset(best), best_welfare
 
 
+def direct_value(oracle: UtilityOracle, items) -> float:
+    """Scaled f(S), written straight from the family's formula: a sum, the
+    weight of a union, a power of an inner sum, a maximum, or the sum over
+    a `SumOracle`'s parts."""
+    items = list(items)
+    if isinstance(oracle, SumOracle):
+        return sum(direct_value(part, items) for part in oracle.parts)
+    if isinstance(oracle, AdditiveOracle):
+        raw = sum(oracle.values[a] for a in items)
+    elif isinstance(oracle, CoverageOracle):
+        covered = {u for a in items for u in range(len(oracle.weights))
+                   if oracle.cover_masks[a] >> u & 1}
+        raw = sum(oracle.weights[u] for u in sorted(covered))
+    elif isinstance(oracle, ConcaveOverModularOracle):
+        inner = sum(oracle.values[a] for a in items)
+        raw = inner**oracle.gamma if inner > 0.0 else 0.0
+    elif isinstance(oracle, MaxValueOracle):
+        raw = max((oracle.values[a] for a in items), default=0.0)
+    else:
+        raise TypeError(f"no direct formula for {type(oracle).__name__}")
+    return raw * oracle.scale
+
+
 def brute_force_expected_uniform(oracle: UtilityOracle, items, k: int) -> float:
     """Mean value of the k-subsets of `items`, each evaluated directly."""
-    values = [oracle.value(c) for c in itertools.combinations(items, k)]
+    values = [direct_value(oracle, c) for c in itertools.combinations(items, k)]
     return math.fsum(values) / len(values)
 
 
@@ -114,7 +139,7 @@ def rank_by_rebuilding(oracle: UtilityOracle, group) -> tuple[AlternativeId, ...
     while remaining:
         best, best_gain = None, -1.0
         for a in remaining:
-            gain = oracle.value(prefix + [a]) - oracle.value(prefix)
+            gain = direct_value(oracle, prefix + [a]) - direct_value(oracle, prefix)
             if -MARGINAL_CLAMP <= gain < 0.0:
                 gain = 0.0
             if gain > best_gain:
@@ -128,9 +153,9 @@ def singleton_reference(oracle: UtilityOracle) -> tuple[list[float], list[float]
     """Standalone values f({a}) and last gains f(A) - f(A - a), each set
     evaluated directly."""
     grand = list(range(oracle.m))
-    full = oracle.value(grand)
-    return ([oracle.value([a]) for a in grand],
-            [full - oracle.value([b for b in grand if b != a]) for a in grand])
+    full = direct_value(oracle, grand)
+    return ([direct_value(oracle, [a]) for a in grand],
+            [full - direct_value(oracle, [b for b in grand if b != a]) for a in grand])
 
 
 def extend_gains(oracle: UtilityOracle, sequence) -> list[float]:
@@ -269,7 +294,7 @@ def direct_value_table(oracle: UtilityOracle) -> np.ndarray:
     table = np.empty(1 << m)
     for mask in range(1 << m):
         members = [a for a in range(m) if mask >> a & 1]
-        table[mask] = oracle.value(members)
+        table[mask] = direct_value(oracle, members)
     return table
 
 

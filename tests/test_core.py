@@ -442,7 +442,9 @@ def test_expected_uniform_matches_enumeration():
     rng = random.Random(1729)
     for _ in range(30):
         m = rng.randint(1, 8)
-        for oracle in helpers.random_oracles(rng, m):
+        voters = helpers.random_oracles(rng, m)
+        for oracle in voters + [SumOracle(tuple(voters))]:
+            assert oracle.value(()) == 0.0
             for size in range(m + 1):
                 items = tuple(sorted(rng.sample(range(m), size)))
                 for k in range(size + 1):
@@ -450,6 +452,14 @@ def test_expected_uniform_matches_enumeration():
                     want = helpers.brute_force_expected_uniform(oracle, items, k)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (
                         oracle.family, items, k)
+                # Concave voters enumerate above; a SumOracle can also walk
+                # its parts' joint states.
+                if isinstance(oracle, SumOracle):
+                    for k in {0, min(1, size), size}:
+                        got = UtilityOracle.expected_uniform(oracle, items, k)
+                        want = helpers.brute_force_expected_uniform(oracle, items, k)
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (
+                            oracle, items, k)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +561,7 @@ class TestInstanceWelfare:
                     child = oracle.extend(parent, a)
                     assert parent == before, (oracle, prefix, a)
                     assert child[0] == pytest.approx(
-                        oracle.value(prefix + [a]), rel=1e-12, abs=1e-12)
+                        helpers.direct_value(oracle, prefix + [a]), rel=1e-12, abs=1e-12)
 
     def test_expected_uniform_equals_per_voter_enumeration(self):
         rng = random.Random(11)

@@ -46,8 +46,8 @@ DENOMINATORS = (3, 5, 7, 8)
 PINNED_CSV = Path(__file__).parent / "data" / "exact_sweep.csv"
 
 # m=25 is past the exhaustive optimum's limit, so every method of both specs
-# fails on the optimum before any plan is built, even the second spec's
-# coverage shortlists, whose C(25, 12) sets the closed form never enumerates.
+# fails on the optimum, even the second spec's coverage shortlists, whose
+# C(25, 12) sets the closed form never enumerates.
 OVER_LIMIT_SPECS = (
     GeneratorSpec("additive", 25, 3, seed=2),
     GeneratorSpec("coverage", 25, 3, Fixed((Fraction(2, 25),) * 25), seed=1),
@@ -121,7 +121,7 @@ class TestSweep:
         assert render_csv(swept) == render_csv(independent)
 
     def test_over_limit_specs_fail_per_method(self):
-        # The optimum is taken before the plan, so the coin weight does not
+        # Only the optimum refuses these cells, so the coin weight does not
         # change which error a cell reports.
         specs = OVER_LIMIT_SPECS
         for mix in (Fraction(1, 2), Fraction(0), Fraction(1)):
@@ -143,6 +143,19 @@ class TestSweep:
         evaluate(concave, Method.MARGINAL_VALUES)
         monkeypatch.setattr(core, "EXACT_SUPPORT_LIMIT", math.comb(10, 5) - 1)
         assert evaluate(generate(SHORTLIST_HEAVY), Method.MARGINAL_VALUES).mode is Mode.EXACT
+        with pytest.raises(ExceedsExactBudget):
+            evaluate(concave, Method.MARGINAL_VALUES)
+
+    def test_exact_refusal_comes_before_the_optimum(self, monkeypatch):
+        # Every cost is 3/48: group 1 shortlists all 24 alternatives and
+        # draws a 12-subset, C(24, 12) sets, past the exact limit. The
+        # optimum, which m = 24 still allows, must not be paid for first.
+        def no_optimum(instance):
+            raise AssertionError("the optimum was taken before the plan")
+
+        monkeypatch.setattr(experiment, "optimal_welfare", no_optimum)
+        concave = generate(GeneratorSpec("concave", 24, 3, Fixed((Fraction(3, 48),) * 24),
+                                         seed=1))
         with pytest.raises(ExceedsExactBudget):
             evaluate(concave, Method.MARGINAL_VALUES)
 

@@ -1,5 +1,6 @@
 """Knapsack solvers against brute force, and the exhaustive welfare oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -152,6 +153,9 @@ def test_fptas_contract_on_a_wide_budget_axis(p, eps):
 @given(st.one_of(knapsack_problems(wide=True), knapsack_problems(wide=False)))
 def test_frontiers_are_the_pareto_points_of_each_suffix(p):
     costs, capacity = _integer_costs(p.costs, p.capacity)
+    scale = math.lcm(p.capacity.denominator, *(c.denominator for c in p.costs))
+    assert costs == [int(c * scale) for c in p.costs]
+    assert capacity == int(p.capacity * scale)
     fronts = _frontiers(p.profits, costs, capacity)
     for j, (front_costs, front_profits) in enumerate(fronts):
         points = {
