@@ -12,7 +12,9 @@ component (S, |S|), with the same uniform singleton draw.
 `expected_welfare` takes the exact expectation component by component,
 from the mean social welfare of the component's subsets (`expected_uniform`
 of the instance welfare oracle, `core.Instance.welfare`), without expanding
-the plan into its sets.
+the plan into its sets. That oracle has one part per kind of voter, so a
+component costs one closed form or one walk over its subsets per part,
+not one per voter.
 """
 
 from __future__ import annotations

@@ -97,14 +97,23 @@ def parse_instance_file(text: str) -> RawInstance:
         raise InstanceFileError(
             f"unsupported schema_version {document.get('schema_version')!r}"
         )
+    # A string or an object would otherwise be iterated as costs or voters,
+    # and a list of pairs taken as the params.
+    if not isinstance(document.get("costs"), list) or not isinstance(
+            document.get("voters"), list):
+        raise InstanceFileError("'costs' and 'voters' must be arrays")
+    for v in document["voters"]:
+        if not isinstance(v, dict) or v.keys() != {"family", "params"} or not isinstance(
+                v["params"], dict):
+            raise InstanceFileError(
+                f"a voter must be an object with exactly the keys 'family' and 'params', "
+                f"and object params; got {v!r}")
     try:
         costs = tuple(_exact_cost(c) for c in document["costs"])
-        voters = tuple(
-            OracleSpec(family=v["family"], params=dict(v["params"]))
-            for v in document["voters"]
-        )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFileError(f"malformed instance document: {exc}") from exc
+    voters = tuple(OracleSpec(family=v["family"], params=dict(v["params"]))
+                   for v in document["voters"])
     # A JSON true or 2.0 would otherwise equal a count of 1 or 2.
     m, n = document.get("m"), document.get("n")
     if type(m) is not int or m != len(costs):

@@ -14,6 +14,7 @@ with a small comparison tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,9 +78,12 @@ class UtilityOracle(ABC):
     never mutated, so one state can be extended by every candidate in turn,
     and the gain of a is `extend(state, a)[0] - state[0]`.
 
-    A family supplies `extend` (and `start` if its empty payload is not 0),
-    `singleton_table`, and optionally a closed-form `expected_uniform`;
-    `value` is the fold of `extend` over a set.
+    A voter family supplies `extend` (and `start` if its empty payload is
+    not 0) and `singleton_table`, which marginal rankings and curvature
+    read; `value` is the fold of `extend` over a set. The welfare parts
+    (`welfare_oracle`) supply `extend` and `start`, and a closed-form
+    `expected_uniform` where one exists: coverage and max-value have one,
+    while the concave part enumerates.
 
     Subclasses are immutable; evaluating them from many threads needs no
     coordination."""
@@ -299,16 +303,6 @@ class MaxValueOracle(UtilityOracle):
             tuple(v * self.scale for v in self.values),
             tuple((v - second) * self.scale if v == top else 0.0 for v in self.values))
 
-    def expected_uniform(self, items, k):
-        # The i-th largest value (1-based) is the maximum when the subset
-        # takes it and k - 1 of the |P| - i smaller ones.
-        if not k:
-            return 0.0
-        ordered = sorted((self.values[a] for a in items), reverse=True)
-        n = len(ordered)
-        total = math.fsum(v * math.comb(n - i, k - 1) for i, v in enumerate(ordered, 1))
-        return total / math.comb(n, k) * self.scale
-
     def extend(self, state, a):
         # The value is the running maximum.
         scaled = self.values[a] * self.scale
@@ -316,8 +310,88 @@ class MaxValueOracle(UtilityOracle):
 
 
 @dataclass(frozen=True)
+class ConcaveSumOracle(UtilityOracle):
+    """The sum of concave-over-modular voters, f(S) = sum over voters v of
+    s_v * (sum of v's values over S) ** g_v, as one oracle. `columns[a]`
+    holds every voter's value at a. The payload is the tuple of the voters'
+    inner sums, so a state extends all voters at once; `expected_uniform`
+    is the inherited walk, run once for all of them."""
+
+    columns: tuple[tuple[float, ...], ...]
+    gammas: tuple[float, ...]
+    scales: tuple[float, ...]
+
+    family = "concave"
+
+    @classmethod
+    def of(cls, voters: Sequence[ConcaveOverModularOracle]) -> "ConcaveSumOracle":
+        return cls(tuple(zip(*(v.values for v in voters))),
+                   tuple(v.gamma for v in voters), tuple(v.scale for v in voters))
+
+    @property
+    def m(self) -> int:
+        return len(self.columns)
+
+    def start(self):
+        return (0.0, (0.0,) * len(self.gammas))
+
+    def extend(self, state, a):
+        # 0.0 ** g is 0.0 for g > 0, as in `_concave`.
+        inner = tuple(map(operator.add, state[1], self.columns[a]))
+        return (sum(map(operator.mul, map(operator.pow, inner, self.gammas), self.scales)),
+                inner)
+
+
+@dataclass(frozen=True)
+class MaxValueSumOracle(UtilityOracle):
+    """The sum of max-value voters, f(S) = sum over voters v of s_v times
+    v's largest value in S, as one oracle. `rows[v]` holds voter v's
+    values and `scales[v]` its scale. The payload is the tuple of the
+    voters' scaled running maxima."""
+
+    rows: tuple[tuple[float, ...], ...]
+    scales: tuple[float, ...]
+
+    family = "max-value"
+
+    @classmethod
+    def of(cls, voters: Sequence[MaxValueOracle]) -> "MaxValueSumOracle":
+        return cls(tuple(v.values for v in voters), tuple(v.scale for v in voters))
+
+    @property
+    def m(self) -> int:
+        return len(self.rows[0])
+
+    @cached_property
+    def columns(self) -> tuple[tuple[float, ...], ...]:
+        """columns[a]: every voter's scaled value at a."""
+        return tuple(zip(*(tuple(v * s for v in row) for row, s in zip(self.rows, self.scales))))
+
+    def start(self):
+        return (0.0, (0.0,) * len(self.scales))
+
+    def extend(self, state, a):
+        maxima = tuple([v if v > top else top for top, v in zip(state[1], self.columns[a])])
+        return (sum(maxima), maxima)
+
+    def expected_uniform(self, items, k):
+        # A voter's i-th largest value (1-based) is the maximum when the
+        # subset takes it and k - 1 of the |P| - i smaller ones.
+        if not k:
+            return 0.0
+        n = len(items)
+        takes = [math.comb(n - i, k - 1) for i in range(1, n + 1)]
+        subsets = math.comb(n, k)
+        return sum(
+            math.fsum(map(operator.mul, sorted((row[a] for a in items), reverse=True), takes))
+            / subsets * scale
+            for row, scale in zip(self.rows, self.scales))
+
+
+@dataclass(frozen=True)
 class SumOracle(UtilityOracle):
-    """f(S) = sum of the parts' values; each part keeps its own scale."""
+    """f(S) = sum of the parts' values; each part keeps its own scale. Only
+    an instance that mixes families has more than one welfare part."""
 
     parts: tuple[UtilityOracle, ...]
 
@@ -512,18 +586,22 @@ def validate_instance(raw: RawInstance) -> Instance:
 
 
 def welfare_oracle(voters: Sequence[UtilityOracle], m: int) -> UtilityOracle:
-    """The sum of the voters' scaled utilities as one oracle.
+    """The sum of the voters' scaled utilities as one oracle, with one part
+    per kind of voter.
 
     Additive and coverage voters fold into one unscaled `CoverageOracle`
     whose elements are cover signatures: the set of alternatives covering
     an element, as an m-bit mask. A signature weighs the fsum of w * s_v
     over the (voter v, element of weight w) pairs that have it, and an
     additive value v_a counts as an element covered by a alone. Elements no
-    alternative covers, and zero weights, are dropped. Concave and max-value
-    voters stay parts of a `SumOracle` next to it; a lone part is returned
-    as it is."""
+    alternative covers, and zero weights, are dropped. All concave voters,
+    even a lone one, fold into one `ConcaveSumOracle` and all max-value
+    voters into one `MaxValueSumOracle`, so a state of either extends every
+    voter of its family at once. A lone part is returned as it is; parts of
+    several families are summed by a `SumOracle`."""
     buckets: dict[int, list[float]] = {}
-    parts: list[UtilityOracle] = []
+    concave: list[ConcaveOverModularOracle] = []
+    maxima: list[MaxValueOracle] = []
     for voter in voters:
         if isinstance(voter, AdditiveOracle):
             for a, v in enumerate(voter.values):
@@ -537,8 +615,13 @@ def welfare_oracle(voters: Sequence[UtilityOracle], m: int) -> UtilityOracle:
             for signature, w in zip(signatures, voter.weights):
                 if signature and w:
                     buckets.setdefault(signature, []).append(w * voter.scale)
+        elif isinstance(voter, ConcaveOverModularOracle):
+            concave.append(voter)
+        elif isinstance(voter, MaxValueOracle):
+            maxima.append(voter)
         else:
-            parts.append(voter)
+            raise TypeError(f"no welfare part for {type(voter).__name__}")
+    parts: list[UtilityOracle] = []
     if buckets:
         signatures = sorted(buckets)
         masks = [0] * m
@@ -546,7 +629,11 @@ def welfare_oracle(voters: Sequence[UtilityOracle], m: int) -> UtilityOracle:
             for a in _set_bits(signature):
                 masks[a] |= 1 << j
         weights = tuple(math.fsum(buckets[signature]) for signature in signatures)
-        parts.insert(0, CoverageOracle(weights, tuple(masks)))
+        parts.append(CoverageOracle(weights, tuple(masks)))
+    if concave:
+        parts.append(ConcaveSumOracle.of(concave))
+    if maxima:
+        parts.append(MaxValueSumOracle.of(maxima))
     return parts[0] if len(parts) == 1 else SumOracle(tuple(parts))
 
 

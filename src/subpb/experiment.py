@@ -8,11 +8,13 @@ expected welfare before the optimum, so that a component past the
 enumeration limit fails before the optimum is paid for; Monte Carlo mode
 takes the optimum first.
 The optimum and exact mode read welfare from one per-instance oracle
-(`core.Instance.welfare`), in which additive and coverage voters fold into
-one coverage function. Exact mode takes each component's mean welfare from
-it (`aggregation.expected_welfare`): in closed form for coverage and
-max-value, while the concave family enumerates the C(|P|, k) subsets of a
-component and alone refuses one past `core.EXACT_SUPPORT_LIMIT`. Monte
+(`core.Instance.welfare`) with one part per kind of voter: additive and
+coverage voters fold into one coverage function, and the concave and the
+max-value voters each into one part. Exact mode takes each component's
+mean welfare from it (`aggregation.expected_welfare`): in closed form for
+coverage and max-value, while the concave part enumerates the C(|P|, k)
+subsets of a component once for all concave voters, and alone refuses a
+component past `core.EXACT_SUPPORT_LIMIT`. Monte
 Carlo mode draws how many samples fall on each component and on each of
 its subsets, without a loop over samples, and reports a mean with a
 standard error; it sums each drawn set's welfare voter by voter

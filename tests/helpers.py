@@ -33,9 +33,11 @@ from subpb.core import (
     AdditiveOracle,
     AlternativeId,
     ConcaveOverModularOracle,
+    ConcaveSumOracle,
     CoverageOracle,
     Instance,
     MaxValueOracle,
+    MaxValueSumOracle,
     SumOracle,
     UtilityOracle,
     social_welfare,
@@ -87,11 +89,21 @@ def brute_force_best_welfare(instance: Instance) -> tuple[frozenset, float]:
 
 def direct_value(oracle: UtilityOracle, items) -> float:
     """Scaled f(S), written straight from the family's formula: a sum, the
-    weight of a union, a power of an inner sum, a maximum, or the sum over
-    a `SumOracle`'s parts."""
+    weight of a union, a power of an inner sum, a maximum, the sum of such
+    powers or maxima over a merged part's voters, or the sum over a
+    `SumOracle`'s parts."""
     items = list(items)
     if isinstance(oracle, SumOracle):
         return sum(direct_value(part, items) for part in oracle.parts)
+    if isinstance(oracle, ConcaveSumOracle):
+        total = 0.0
+        for v, (gamma, scale) in enumerate(zip(oracle.gammas, oracle.scales)):
+            inner = sum(oracle.columns[a][v] for a in items)
+            total += (inner**gamma if inner > 0.0 else 0.0) * scale
+        return total
+    if isinstance(oracle, MaxValueSumOracle):
+        return sum(max((row[a] for a in items), default=0.0) * scale
+                   for row, scale in zip(oracle.rows, oracle.scales))
     if isinstance(oracle, AdditiveOracle):
         raw = sum(oracle.values[a] for a in items)
     elif isinstance(oracle, CoverageOracle):

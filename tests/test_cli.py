@@ -135,6 +135,28 @@ def test_malformed_instance_files_are_parse_errors(tmp_path, capsys, voter, cost
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fields", [
+    pytest.param({"costs": "11"}, id="costs-a-string"),
+    pytest.param({"costs": {"1/2": 0, "1/3": 0}}, id="costs-an-object"),
+    pytest.param({"voters": {"family": "additive", "params": {"values": [1.0, 1.0]}}},
+                 id="voters-an-object"),
+    pytest.param({"voters": [{"family": "max-value", "params": [["values", [1.0, 2.0]]]}]},
+                 id="params-a-list-of-pairs"),
+    pytest.param({"voters": [{**ADDITIVE, "weight": 2}]}, id="unknown-voter-key"),
+    pytest.param({"voters": [{"family": "additive"}]}, id="voter-without-params"),
+    pytest.param({"voters": [["additive", {"values": [1.0, 1.0]}]]}, id="voter-a-list"),
+])
+def test_misshapen_documents_are_parse_errors(tmp_path, capsys, fields):
+    # Two alternatives and one voter, so each file passes the m and n checks.
+    document = {"schema_version": 1, "m": 2, "n": 1, "costs": ["1/2", "1/2"],
+                "voters": [ADDITIVE], **fields}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, err = run(["eval", "--instance", str(path), "--method", "threshold"], capsys)
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("header", [{"m": True}, {"n": True}, {"m": 1.0, "n": 1.0},
                                     {"m": 1.0}, {"n": 1.0}],
                          ids=["boolean-m", "boolean-n", "float-m-and-n", "float-m", "float-n"])

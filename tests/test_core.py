@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 from subpb.core import (
     AdditiveOracle,
     ConcaveOverModularOracle,
+    ConcaveSumOracle,
     CostExceedsBudget,
     CoverageOracle,
+    EXACT_SUPPORT_LIMIT,
     EmptyInstance,
+    ExceedsExactBudget,
     Instance,
     MaxValueOracle,
+    MaxValueSumOracle,
     NonPositiveCost,
     OracleSpec,
     RawInstance,
@@ -31,6 +35,8 @@ from subpb.core import (
     social_welfare,
     validate_instance,
 )
+from subpb.experiment import GeneratorSpec, generate
+from subpb.optimize import optimal_welfare
 
 import helpers
 
@@ -452,8 +458,8 @@ def test_expected_uniform_matches_enumeration():
                     want = helpers.brute_force_expected_uniform(oracle, items, k)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (
                         oracle.family, items, k)
-                # Concave voters enumerate above; a SumOracle can also walk
-                # its parts' joint states.
+                # Concave and max-value voters enumerate above; a SumOracle
+                # can also walk its parts' joint states.
                 if isinstance(oracle, SumOracle):
                     for k in {0, min(1, size), size}:
                         got = UtilityOracle.expected_uniform(oracle, items, k)
@@ -503,8 +509,9 @@ class TestInstanceWelfare:
         instance = shared_signature_instance()
         welfare = instance.welfare
         assert isinstance(welfare, SumOracle)
-        folded, max_voter = welfare.parts
-        assert max_voter is instance.voters[3]
+        folded, max_part = welfare.parts
+        max_voter = instance.voters[3]
+        assert max_part == MaxValueSumOracle((max_voter.values,), (max_voter.scale,))
         # Signatures {1}, {2} and {0, 2}: element 1 (zero weight), element 3
         # (uncovered) and the additive zero at 0 leave nothing behind.
         assert len(folded.weights) == 3
@@ -512,8 +519,17 @@ class TestInstanceWelfare:
         assert instance.welfare is welfare
 
     def test_lone_part_is_used_directly(self):
+        # Even a lone concave or max-value voter becomes its family's part.
+        costs = (Fraction(1, 2),) * 2
         concave = ConcaveOverModularOracle.normalized([1.0, 2.0], 0.5)
-        assert Instance(costs=(Fraction(1, 2),) * 2, voters=(concave,)).welfare is concave
+        assert Instance(costs=costs, voters=(concave,)).welfare == ConcaveSumOracle(
+            ((1.0,), (2.0,)), (0.5,), (concave.scale,))
+        maximum = MaxValueOracle.normalized([1.0, 2.0])
+        assert Instance(costs=costs, voters=(maximum,)).welfare == MaxValueSumOracle(
+            ((1.0, 2.0),), (maximum.scale,))
+        second = ConcaveOverModularOracle.normalized([3.0, 0.0], 1.0)
+        assert Instance(costs=costs, voters=(concave, second)).welfare == ConcaveSumOracle(
+            ((1.0, 3.0), (2.0, 0.0)), (0.5, 1.0), (concave.scale, second.scale))
         additive = Instance(costs=(Fraction(1, 2),) * 2, voters=(
             AdditiveOracle.normalized([1.0, 3.0]), AdditiveOracle.normalized([2.0, 1.0])))
         assert isinstance(additive.welfare, CoverageOracle)
@@ -549,7 +565,9 @@ class TestInstanceWelfare:
             voters = helpers.random_oracles(rng, m)
             welfare = Instance(costs=(Fraction(1, m),) * m, voters=tuple(voters)).welfare
             assert isinstance(welfare, SumOracle) and len(welfare.parts) == 3
-            for oracle in voters + [welfare]:
+            assert [type(part) for part in welfare.parts] == [
+                CoverageOracle, ConcaveSumOracle, MaxValueSumOracle]
+            for oracle in voters + [welfare, *welfare.parts]:
                 prefix = rng.sample(range(m), rng.randint(0, m - 1))
                 parent = oracle.start()
                 for a in prefix:
@@ -573,3 +591,81 @@ class TestInstanceWelfare:
                                      for v in instance.voters)
                     got = instance.welfare.expected_uniform(items, k)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The merged concave and max-value parts against their voters
+
+
+def merged_parts():
+    """Seeded (merged part, the same voters as a SumOracle) pairs: one to
+    four concave or max-value voters over m <= 7 alternatives, with the
+    three-level max values of `helpers.random_oracles`, so ties are common."""
+    rng = random.Random(18)
+    for _ in range(15):
+        m = rng.randint(1, 7)
+        rows = [helpers.random_oracles(rng, m) for _ in range(rng.randint(1, 4))]
+        concave = [row[2] for row in rows]
+        maxima = [row[3] for row in rows]
+        yield ConcaveSumOracle.of(concave), SumOracle(tuple(concave))
+        yield MaxValueSumOracle.of(maxima), SumOracle(tuple(maxima))
+
+
+class TestMergedParts:
+    def test_value_and_extend_match_the_formula_and_the_voters(self):
+        for part, voters in merged_parts():
+            assert part.m == voters.m and part.value(()) == 0.0
+
+            def walk(idx: int, members: list, state: tuple) -> None:
+                want = helpers.direct_value(part, members)
+                assert state[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
+                # Both add the same per-voter terms in voter order.
+                assert state[0] == voters.value(members), (part, members)
+                for a in range(idx, part.m):
+                    walk(a + 1, members + [a], part.extend(state, a))
+
+            walk(0, [], part.start())
+
+    def test_extending_leaves_the_parent_state_unchanged(self):
+        for part, _ in merged_parts():
+            parent = part.extend(part.start(), 0)
+            before = copy.deepcopy(parent)
+            children = [part.extend(parent, a) for a in range(1, part.m)]
+            assert parent == before
+            for a, child in enumerate(children, 1):
+                assert child[0] == pytest.approx(
+                    helpers.direct_value(part, [0, a]), rel=1e-12, abs=1e-15)
+
+    def test_expected_uniform_matches_enumeration_and_the_voters(self):
+        rng = random.Random(7)
+        for part, voters in merged_parts():
+            for size in range(part.m + 1):
+                items = tuple(sorted(rng.sample(range(part.m), size)))
+                for k in range(size + 1):
+                    got = part.expected_uniform(items, k)
+                    want = helpers.brute_force_expected_uniform(part, items, k)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (part, items, k)
+                    assert got == pytest.approx(
+                        voters.expected_uniform(items, k), rel=1e-12, abs=1e-15)
+
+    def test_optimum_state_equals_the_per_voter_sum(self):
+        # Generated instances fold every voter into one part, and the
+        # optimum's welfare is bit-for-bit the per-voter sum.
+        for family in ("concave", "max-value"):
+            for seed in range(1, 6):
+                instance = generate(GeneratorSpec(family, 9, 12, seed=seed))
+                assert isinstance(instance.welfare, (ConcaveSumOracle, MaxValueSumOracle))
+                bundle = optimal_welfare(instance)
+                assert bundle.welfare == SumOracle(instance.voters).value(sorted(bundle.items))
+
+    def test_concave_part_refuses_past_the_exact_limit(self):
+        part = ConcaveSumOracle.of([ConcaveOverModularOracle.normalized([1.0] * 40, 0.5)] * 2)
+        assert math.comb(40, 20) > EXACT_SUPPORT_LIMIT
+        with pytest.raises(ExceedsExactBudget, match="^concave welfare would enumerate"):
+            part.expected_uniform(range(40), 20)
+
+    def test_max_value_part_is_closed_form_past_the_exact_limit(self):
+        # The largest of a uniform k-subset of 1..N has mean k(N + 1)/(k + 1).
+        part = MaxValueSumOracle.of([MaxValueOracle.normalized([float(v) for v in range(1, 41)])])
+        assert part.expected_uniform(range(40), 20) == pytest.approx(
+            20 * 41 / 21 / 40, rel=1e-12)
