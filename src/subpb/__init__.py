@@ -25,13 +25,10 @@ from .partition import GroupPartition, build_partition, harmonic_scores, shortli
 from .elicitation import Method, rank_by_marginal, rank_by_values, threshold_approve
 from .aggregation import Plan, expected_welfare, rule_a_threshold, rule_plan
 from .optimize import (
-    ExactDP,
     ExceedsExactBudget,
-    Fptas,
     KnapsackProblem,
     OptimalBundle,
     knapsack_exact,
-    knapsack_fptas,
     optimal_welfare,
 )
 from .experiment import (

@@ -8,7 +8,8 @@ components (weight, P, k) with exact positive weights summing to 1, each
 meaning "a uniform k-subset of the sorted items P". The ranking rules mix
 each group's score-shortlist subset draw with a uniform singleton draw;
 the threshold rule mixes per-threshold knapsack outcomes S, each the
-component (S, |S|), with the same uniform singleton draw.
+component (S, |S|), with the same uniform singleton draw. Its knapsack is
+exact at eps = 0, else a (1 - eps)-approximation.
 `expected_welfare` takes the exact expectation component by component,
 from the mean social welfare of the component's subsets (`expected_uniform`
 of the instance welfare oracle, `core.Instance.welfare`), without expanding
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .core import AlternativeId, Instance, WelfareValue
 from .elicitation import approval_profile
-from .optimize import ExactDP, KnapsackProblem, Solver, solve_knapsack
+from .optimize import KnapsackProblem, solve_knapsack
 from .partition import GroupPartition, harmonic_scores, selection_size, shortlist
 
 DEFAULT_MIX = Fraction(1, 2)
@@ -69,10 +70,10 @@ def shortlist_branch(
 
 
 def threshold_branches(
-    instance: Instance, partition: GroupPartition, solver: Solver = ExactDP()
+    instance: Instance, partition: GroupPartition, eps: float = 0.0
 ) -> list[Branch]:
     """Each threshold's knapsack outcome S as the point branch (S, |S|)."""
-    outcomes = (rule_a_threshold(approval_profile(instance, alpha), instance, solver)
+    outcomes = (rule_a_threshold(approval_profile(instance, alpha), instance, eps)
                 for alpha in partition.thresholds)
     return [(tuple(sorted(outcome)), len(outcome)) for outcome in outcomes]
 
@@ -91,17 +92,18 @@ def rule_plan(instance: Instance, mix: Fraction, branches: Sequence[Branch]) -> 
 
 
 def rule_a_threshold(
-    approvals: Sequence[frozenset], instance: Instance, solver: Solver = ExactDP()
+    approvals: Sequence[frozenset], instance: Instance, eps: float = 0.0
 ) -> frozenset:
     """Best feasible set by approval count, the number of voters approving
-    each alternative, via the chosen knapsack solver."""
+    each alternative: exact at eps = 0, else within a factor (1 - eps) of
+    the best count (`optimize.solve_knapsack`)."""
     counts = [0] * instance.m
     for approved in approvals:
         for a in approved:
             counts[a] += 1
     problem = KnapsackProblem(profits=tuple(counts), costs=instance.costs,
                               capacity=instance.budget)
-    return solve_knapsack(problem, solver)
+    return solve_knapsack(problem, eps)
 
 
 def expected_welfare(

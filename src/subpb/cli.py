@@ -32,7 +32,6 @@ from .core import (
 from .elicitation import Method, ranking_profile
 from .experiment import (
     Dyadic,
-    EvaluationReport,
     Fixed,
     GeneratorSpec,
     Mode,
@@ -41,7 +40,7 @@ from .experiment import (
     generate_raw,
     render_csv,
 )
-from .optimize import ExactDP, ExceedsExactBudget, Fptas, optimal_welfare
+from .optimize import ExceedsExactBudget, optimal_welfare
 from .partition import build_partition, harmonic_scores
 
 SCHEMA_VERSION = 1
@@ -93,10 +92,16 @@ def parse_instance_file(text: str) -> RawInstance:
         raise InstanceFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise InstanceFileError("top-level value must be an object")
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise InstanceFileError(
-            f"unsupported schema_version {document.get('schema_version')!r}"
-        )
+    # A misspelt or unsupported key, such as "budget", would otherwise be
+    # ignored without a word.
+    unknown = sorted(document.keys() - {"schema_version", "m", "n", "costs", "voters",
+                                        "metadata"})
+    if unknown:
+        raise InstanceFileError(f"unknown top-level keys {unknown}")
+    # A JSON true or 1.0 would otherwise equal version 1.
+    version = document.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InstanceFileError(f"unsupported schema_version {version!r}")
     # A string or an object would otherwise be iterated as costs or voters,
     # and a list of pairs taken as the params.
     if not isinstance(document.get("costs"), list) or not isinstance(
@@ -173,25 +178,22 @@ def _parse_cost_model(value: str, m: int):
     raise UsageError(f"unknown cost model {value!r}")
 
 
-def _parse_solver(value: str):
+def _parse_solver(value: str) -> float:
+    """The knapsack eps: 0 for the exact `dp`, EPS in (0, 1) for `fptas:EPS`."""
     name, _, arg = value.partition(":")
     if name == "dp":
-        return ExactDP()
+        return 0.0
     if name == "fptas":
         if not arg:
             raise UsageError("fptas solver needs an epsilon, e.g. fptas:0.1")
         try:
-            return Fptas(eps=float(arg))
+            eps = float(arg)
         except ValueError as exc:
             raise UsageError(f"bad --solver {value!r}: {exc}") from exc
+        if not 0.0 < eps < 1.0:
+            raise UsageError(f"bad --solver {value!r}: eps must lie in (0, 1), got {eps}")
+        return eps
     raise UsageError(f"unknown solver {value!r}")
-
-
-def _parse_method(value: str) -> Method:
-    for method in Method:
-        if method.value == value:
-            return method
-    raise UsageError(f"unknown method {value!r}")
 
 
 def _default_seed() -> int:
@@ -211,7 +213,8 @@ def _build_parser() -> _Parser:
                      choices=["additive", "coverage", "concave", "max-value"])
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--cost-model", default="uniform")
+    gen.add_argument("--cost-model", default="uniform",
+                     help="uniform[:GRID] (default GRID 4m), dyadic[:EXP] or fixed:c1,...,cm")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
 
@@ -219,18 +222,23 @@ def _build_parser() -> _Parser:
     ev.add_argument("--instance", required=True)
     ev.add_argument("--method", required=True,
                     choices=[m.value for m in Method])
-    ev.add_argument("--mix", default="1/2")
-    ev.add_argument("--mode", default="exact", choices=["exact", "mc"])
-    ev.add_argument("--samples", type=int, default=100_000)
+    ev.add_argument("--mix", default="1/2",
+                    help="weight in [0, 1] of the rule's branch against a uniform singleton")
+    ev.add_argument("--mode", default=Mode.EXACT.value, choices=[m.value for m in Mode],
+                    help="exact expected welfare, or a Monte Carlo mean and standard error")
+    ev.add_argument("--samples", type=int, default=100_000, help="Monte Carlo draws, >= 2")
     ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--solver", default="dp")
+    ev.add_argument("--solver", default="dp",
+                    help="threshold knapsack: dp (exact), or fptas:EPS with 0 < EPS < 1, "
+                         "which scales the threshold bound by 1 - EPS")
     ev.add_argument("--out", default=None)
 
     ins = sub.add_parser("inspect", help="dump instance structure")
     ins.add_argument("--instance", required=True)
     ins.add_argument("--group-table", action="store_true")
     ins.add_argument("--scores", action="store_true")
-    ins.add_argument("--method", default=None, choices=[m.value for m in Method])
+    ins.add_argument("--method", default=None,
+                     choices=[m.value for m in Method if m.is_ranking])
     ins.add_argument("--opt", action="store_true",
                      help="print an optimal set: among optima, the lexicographically "
                           "smallest id sequence that no further alternative fits into")
@@ -265,15 +273,15 @@ def cmd_gen(args) -> int:
 def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     _, instance = load_instance(args.instance)
-    method = _parse_method(args.method)
+    method = Method(args.method)
     try:
         mix = Fraction(args.mix)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --mix value {args.mix!r}") from exc
     if not 0 <= mix <= 1:
         raise UsageError("--mix must lie in [0, 1]")
-    solver = _parse_solver(args.solver)
-    mode = Mode.EXACT if args.mode == "exact" else Mode.MONTE_CARLO
+    eps = _parse_solver(args.solver)
+    mode = Mode(args.mode)
     if mode is Mode.MONTE_CARLO and args.samples < 2:
         raise UsageError("--samples must be at least 2 for a standard error")
     report = evaluate(
@@ -283,7 +291,7 @@ def cmd_eval(args) -> int:
         mode=mode,
         seed=seed,
         samples=args.samples,
-        solver=solver,
+        eps=eps,
         instance_id=os.path.basename(args.instance),
     )
     text = render_csv([report])
@@ -292,12 +300,7 @@ def cmd_eval(args) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return exit_code_for([report])
-
-
-def exit_code_for(reports: Sequence[EvaluationReport]) -> int:
-    """0 when every report satisfies its bound, else the bound-failure code."""
-    return EXIT_OK if all(r.bound_satisfied for r in reports) else EXIT_BOUND
+    return EXIT_OK if report.bound_satisfied else EXIT_BOUND
 
 
 def cmd_inspect(args) -> int:
@@ -318,9 +321,7 @@ def cmd_inspect(args) -> int:
             print(f"{t} {low} {high} {members}")
     if args.scores:
         shown = True
-        method = _parse_method(args.method)
-        if not method.is_ranking:
-            raise UsageError("--scores applies to ranking methods only")
+        method = Method(args.method)
         rng = rng_mod.stream(seed, "inspect", method.value)
         t = rng.randrange(partition.T + 1)
         print(f"group {t} scores ({method.value})")

@@ -55,7 +55,7 @@ from .core import (
     validate_instance,
 )
 from .elicitation import Method, ranking_profile
-from .optimize import ExactDP, Fptas, OptimalBundle, Solver, optimal_welfare
+from .optimize import OptimalBundle, optimal_welfare
 from .partition import GroupPartition, build_partition, group_index_bound
 
 BOUND_TOL = 1e-9
@@ -237,10 +237,6 @@ def theoretical_bound(
     return coin * (1.0 - curvature) * optimal / (4.0 * (1 + T) * math.sqrt(m))
 
 
-def _solver_eps(solver: Solver) -> float:
-    return solver.eps if isinstance(solver, Fptas) else 0.0
-
-
 class _InstanceFacts:
     """What every method's evaluation of one instance shares: the partition,
     the exhaustive optimum, the curvature, the mean welfare of each plan
@@ -285,24 +281,25 @@ def evaluate(
     mode: Mode = Mode.EXACT,
     seed: int = 0,
     samples: int = 100_000,
-    solver: Solver = ExactDP(),
+    eps: float = 0.0,
     instance_id: str = "",
 ) -> EvaluationReport:
     """Evaluate one elicitation method on one instance, with a fresh
-    per-instance record (`sweep` shares one record across methods)."""
+    per-instance record (`sweep` shares one record across methods). At
+    eps > 0 the threshold knapsack and its bound are (1 - eps)-approximate."""
     facts = _InstanceFacts(instance)
-    return _evaluate(facts, method, mix, mode, seed, samples, solver, instance_id)
+    return _evaluate(facts, method, mix, mode, seed, samples, eps, instance_id)
 
 
 def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
-              seed: int, samples: int, solver: Solver, instance_id: str) -> EvaluationReport:
+              seed: int, samples: int, eps: float, instance_id: str) -> EvaluationReport:
     instance = facts.instance
     mix = Fraction(mix)
     stderr = None
     n_samples = None
     if mode is Mode.EXACT:
         # A component past the enumeration limit fails before the optimum.
-        plan = _plan(facts, method, mix, solver)
+        plan = _plan(facts, method, mix, eps)
         expected = expected_welfare(plan, instance, facts.component_welfare)
         optimum = facts.optimum
     else:
@@ -310,12 +307,10 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
         optimum = facts.optimum
         if samples < 2:
             raise ValueError("need at least 2 samples for a standard error")
-        expected, stderr = _monte_carlo(facts, method, mix, solver, seed, samples)
+        expected, stderr = _monte_carlo(facts, method, mix, eps, seed, samples)
         n_samples = samples
     curvature = facts.curvature
-    bound = theoretical_bound(
-        method, instance.m, curvature, optimum.welfare, mix, _solver_eps(solver)
-    )
+    bound = theoretical_bound(method, instance.m, curvature, optimum.welfare, mix, eps)
     ratio = optimum.welfare / expected if expected > 0 else math.inf
     return EvaluationReport(
         instance_id=instance_id,
@@ -335,7 +330,7 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
     )
 
 
-def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, solver: Solver) -> Plan:
+def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, eps: float) -> Plan:
     """The rule's components (`aggregation.rule_plan`). Ranking profiles and
     knapsack outcomes are computed only when the coin gives their components
     positive weight; an empty group is never ranked and selects nothing."""
@@ -349,7 +344,7 @@ def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, solver: Solver) 
             for t in range(partition.T + 1)
         ]
     elif mix:
-        branches = threshold_branches(instance, partition, solver)
+        branches = threshold_branches(instance, partition, eps)
     return rule_plan(instance, mix, branches)
 
 
@@ -434,7 +429,7 @@ def _monte_carlo(
     facts: _InstanceFacts,
     method: Method,
     mix: Fraction,
-    solver: Solver,
+    eps: float,
     seed: int,
     samples: int,
 ) -> tuple[float, float]:
@@ -447,7 +442,7 @@ def _monte_carlo(
     one welfare lookup, weighted by how often it was drawn."""
     instance = facts.instance
     rng = rng_mod.stream(seed, "mc", method.value, instance.m, instance.n)
-    plan = _plan(facts, method, mix, solver).support
+    plan = _plan(facts, method, mix, eps).support
     scale = math.lcm(*(weight.denominator for weight, _, _ in plan))
     cum_weights = list(itertools.accumulate((int(weight * scale) for weight, _, _ in plan),
                                             initial=0))
@@ -506,7 +501,7 @@ def sweep(
     mix: Fraction = DEFAULT_MIX,
     mode: Mode = Mode.EXACT,
     samples: int = 100_000,
-    solver: Solver = ExactDP(),
+    eps: float = 0.0,
 ) -> list[SweepResult]:
     """Evaluate the cross product of specs and methods.
 
@@ -522,7 +517,7 @@ def sweep(
             try:
                 results.append(
                     _evaluate(
-                        facts, method, mix, mode, spec.seed, samples, solver,
+                        facts, method, mix, mode, spec.seed, samples, eps,
                         spec.instance_id,
                     )
                 )

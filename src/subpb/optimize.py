@@ -1,18 +1,20 @@
-"""Exact and approximate knapsack solvers, plus the exhaustive welfare optimum.
+"""The threshold rule's knapsack solver, plus the exhaustive welfare optimum.
 
-The exact solver scales costs to exact integers and builds the suffix
-Pareto frontiers of (cost, profit) points (Nemhauser & Ullmann 1969). A
-frontier holds at most min(scaled budget, total profit) + 1 points, so it
-stays as narrow as the narrower of the two axes: many coprime cost
-denominators widen only the budget axis, and many approvals only the
+The knapsack solver is named by its eps alone (`solve_knapsack`). At
+eps = 0 it is exact: it scales costs to exact integers and builds the
+suffix Pareto frontiers of (cost, profit) points (Nemhauser & Ullmann
+1969). A frontier holds at most min(scaled budget, total profit) + 1
+points, so it stays as narrow as the narrower of the two axes: many coprime
+cost denominators widen only the budget axis, and many approvals only the
 profit axis. Ties break toward the lexicographically smallest id sequence.
-The FPTAS rescales profits, which narrows the frontiers further, and
-reuses the exact solver. The optimum enumerates the maximal feasible
-subsets (those no unchosen alternative fits into) over the same integer
-costs: utilities are monotone, so one of them is optimal. Welfare comes
-from states of the instance welfare oracle (`core.Instance.welfare`), not
-of each voter's: each node extends its parent's state by the item it
-takes. Submodular upper-bound pruning is not used.
+At eps in (0, 1) it first scales the profits down (the FPTAS), which
+narrows the frontiers further, and then runs the same exact solver. The
+optimum enumerates the maximal feasible subsets (those no unchosen
+alternative fits into) over the same integer costs: utilities are monotone,
+so one of them is optimal. Welfare comes from states of the instance
+welfare oracle (`core.Instance.welfare`), not of each voter's: each node
+extends its parent's state by the item it takes. Submodular upper-bound
+pruning is not used.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .core import AlternativeId, ExceedsExactBudget, Instance, WelfareValue
 
@@ -52,24 +54,6 @@ class KnapsackProblem:
     def profit(self, items: Iterable[int]) -> int:
         return sum(self.profits[a] for a in items)
 
-
-@dataclass(frozen=True)
-class ExactDP:
-    """Marker for the exact dynamic-programming solver."""
-
-
-@dataclass(frozen=True)
-class Fptas:
-    """Profit-scaling approximation scheme with guarantee (1 - eps)."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-
-
-Solver = Union[ExactDP, Fptas]
 
 #: A Pareto frontier: costs ascending and profits strictly ascending.
 Front = tuple[list[int], list[int]]
@@ -151,33 +135,19 @@ def knapsack_exact(problem: KnapsackProblem) -> frozenset:
     return frozenset(chosen)
 
 
-def knapsack_fptas(problem: KnapsackProblem, eps: float) -> frozenset:
-    """Feasible set with profit >= (1 - eps) * OPT via profit scaling.
+def solve_knapsack(problem: KnapsackProblem, eps: float = 0.0) -> frozenset:
+    """The exact optimum (`knapsack_exact`) at eps = 0; at eps in (0, 1), a
+    feasible set with profit >= (1 - eps) * OPT by profit scaling.
 
-    Scaling factor K = eps * max profit / size; when K <= 1 scaling cannot
-    coarsen anything and the exact solver runs directly."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    top = max(problem.profits, default=0)
-    if top == 0:
-        return frozenset()
-    scale = eps * top / problem.size
-    if scale <= 1.0:
-        return knapsack_exact(problem)
-    scaled = KnapsackProblem(
-        profits=tuple(int(p / scale) for p in problem.profits),
-        costs=problem.costs,
-        capacity=problem.capacity,
-    )
-    return knapsack_exact(scaled)
-
-
-def solve_knapsack(problem: KnapsackProblem, solver: Solver) -> frozenset:
-    if isinstance(solver, ExactDP):
-        return knapsack_exact(problem)
-    if isinstance(solver, Fptas):
-        return knapsack_fptas(problem, solver.eps)
-    raise TypeError(f"unknown solver {solver!r}")
+    Scaling factor K = eps * max profit / size; when K <= 1 (always at
+    eps = 0, and for a problem without items or profits) scaling cannot
+    coarsen anything and the exact solver runs on the problem as given."""
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    scale = eps * max(problem.profits, default=0) / max(1, problem.size)
+    if scale > 1.0:
+        problem = replace(problem, profits=tuple(int(p / scale) for p in problem.profits))
+    return knapsack_exact(problem)
 
 
 @dataclass(frozen=True)

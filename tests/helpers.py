@@ -42,7 +42,7 @@ from subpb.core import (
     UtilityOracle,
     social_welfare,
 )
-from subpb.optimize import ExactDP, KnapsackProblem, Solver
+from subpb.optimize import KnapsackProblem
 from subpb.partition import GroupPartition, build_partition
 
 TOL = 1e-9
@@ -290,13 +290,13 @@ def aggregate_ranking(
 
 
 def aggregate_threshold(
-    instance: Instance, mix: Fraction = DEFAULT_MIX, solver: Solver = ExactDP()
+    instance: Instance, mix: Fraction = DEFAULT_MIX, eps: float = 0.0
 ) -> SelectionDistribution:
     """Threshold-approval rule: with probability `mix` a uniform threshold's
     knapsack outcome, otherwise a uniform singleton. With a single
     alternative there are no thresholds and all mass goes to the singleton."""
     mix = check_mix(mix)
-    branches = threshold_branches(instance, build_partition(instance), solver) if mix else []
+    branches = threshold_branches(instance, build_partition(instance), eps) if mix else []
     return plan_distribution(rule_plan(instance, mix, branches))
 
 

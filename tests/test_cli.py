@@ -1,14 +1,18 @@
 """CLI exit codes for malformed flags and environment, unreadable files,
-malformed instance files and over-limit exact enumeration, and the scores
-that `inspect --scores` prints."""
+malformed instance files and over-limit exact enumeration, the scores that
+`inspect --scores` prints, and the instance file round trip."""
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subpb import cli, core
 from subpb.elicitation import Method, ranking_profile
+from subpb.experiment import Dyadic, Fixed, GeneratorSpec, UniformRational, generate_raw
 from subpb.partition import build_partition, harmonic_scores
 
 
@@ -29,6 +33,14 @@ def run(argv, capsys):
     ["--solver", "fptas:abc"],
     ["--solver", "fptas:2"],
     ["--mode", "mc", "--samples", "1"],
+    # fptas:0 is not a spelling of the exact solver, which is dp.
+    ["--solver", "fptas:0"],
+    ["--solver", "fptas:1"],
+    ["--solver", "fptas:-0.5"],
+    ["--solver", "fptas:nan"],
+    ["--solver", "fptas:inf"],
+    ["--solver", "fptas"],
+    ["--solver", "exact"],
 ])
 def test_bad_eval_flags_are_usage_errors(instance_file, capsys, flags):
     code, err = run(["eval", "--instance", instance_file, "--method", "threshold", *flags],
@@ -145,6 +157,7 @@ def test_malformed_instance_files_are_parse_errors(tmp_path, capsys, voter, cost
     pytest.param({"voters": [{**ADDITIVE, "weight": 2}]}, id="unknown-voter-key"),
     pytest.param({"voters": [{"family": "additive"}]}, id="voter-without-params"),
     pytest.param({"voters": [["additive", {"values": [1.0, 1.0]}]]}, id="voter-a-list"),
+    pytest.param({"budget": 2}, id="unknown-top-level-key"),
 ])
 def test_misshapen_documents_are_parse_errors(tmp_path, capsys, fields):
     # Two alternatives and one voter, so each file passes the m and n checks.
@@ -158,10 +171,13 @@ def test_misshapen_documents_are_parse_errors(tmp_path, capsys, fields):
 
 
 @pytest.mark.parametrize("header", [{"m": True}, {"n": True}, {"m": 1.0, "n": 1.0},
-                                    {"m": 1.0}, {"n": 1.0}],
-                         ids=["boolean-m", "boolean-n", "float-m-and-n", "float-m", "float-n"])
+                                    {"m": 1.0}, {"n": 1.0}, {"schema_version": True},
+                                    {"schema_version": 1.0}],
+                         ids=["boolean-m", "boolean-n", "float-m-and-n", "float-m", "float-n",
+                              "boolean-schema-version", "float-schema-version"])
 def test_boolean_counts_are_parse_errors(tmp_path, capsys, header):
-    # A one-cost, one-voter file, where a JSON true or 1.0 would count as 1.
+    # A one-cost, one-voter file, where a JSON true or 1.0 would count as 1
+    # and pass for schema version 1.
     document = {"schema_version": 1, "m": 1, "n": 1, "costs": ["1"],
                 "voters": [{"family": "additive", "params": {"values": [1.0]}}], **header}
     path = tmp_path / "bad.json"
@@ -248,3 +264,50 @@ def test_inspect_method_without_scores_is_usage_error(instance_file, capsys):
     code, err = run(["inspect", "--instance", instance_file, "--method", "value-rank"], capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_inspect_scores_of_threshold_fail_before_the_file_is_read(tmp_path, capsys):
+    # Threshold votes have no scores: the flags alone are a usage error, so
+    # neither the missing file nor the group table is reached.
+    argv = ["inspect", "--instance", str(tmp_path / "missing.json"), "--group-table",
+            "--scores", "--method", "threshold"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+#: Distinct primes as denominators of fixed costs.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@st.composite
+def generator_specs(draw):
+    """Small specs of every family, with uniform, dyadic or fixed costs whose
+    denominators are pairwise coprime."""
+    m = draw(st.integers(min_value=1, max_value=len(PRIMES)))
+    primes = draw(st.permutations(PRIMES))[:m]
+    cost_model = draw(st.one_of(
+        st.builds(UniformRational, st.integers(min_value=1, max_value=64)),
+        st.builds(Dyadic, st.integers(min_value=0, max_value=6)),
+        st.tuples(*(st.integers(1, p).map(lambda k, p=p: Fraction(k, p)) for p in primes))
+        .map(Fixed),
+    ))
+    family = draw(st.sampled_from(["additive", "coverage", "concave", "max-value"]))
+    params = (("private_elements", True),) if family == "coverage" and draw(st.booleans()) else ()
+    return GeneratorSpec(family, m, draw(st.integers(min_value=1, max_value=4)), cost_model,
+                         draw(st.integers(min_value=0, max_value=2**32)), params)
+
+
+METADATA = st.one_of(st.none(), st.dictionaries(
+    st.text(max_size=6), st.one_of(st.integers(), st.text(max_size=6)), max_size=3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(generator_specs(), METADATA)
+def test_parse_inverts_render(spec, metadata):
+    raw = generate_raw(spec)
+    text = cli.render_instance_file(raw, metadata)
+    parsed = cli.parse_instance_file(text)
+    assert parsed == raw
+    assert cli.render_instance_file(parsed, metadata) == text

@@ -31,9 +31,7 @@ from subpb.experiment import (
 )
 from subpb.aggregation import expected_welfare
 from subpb.optimize import (
-    ExactDP,
     ExceedsExactBudget,
-    Fptas,
     KnapsackProblem,
     knapsack_exact,
     optimal_welfare,
@@ -84,17 +82,18 @@ PINNED_OPTIMA = {
     "coverage-m9-n12-uniformrational-s7": (2, 3, 6, 7, 8),
     "coverage-m10-n12-fixed-s1": (1, 2, 4, 5, 7, 8),
 }
-PINNED_SOLVERS = (ExactDP(), Fptas(0.3))
+#: Knapsack eps: 0 is the exact solver.
+PINNED_EPS = (0.0, 0.3)
 
 
 def pinned_sweep_csv() -> str:
     """Exact-mode CSV over every family (coverage also with private
-    elements), a shortlist-heavy instance, four coin weights and two
-    knapsack solvers, then the over-limit failure rows."""
+    elements), a shortlist-heavy instance, four coin weights and the exact
+    and an approximate knapsack, then the over-limit failure rows."""
     results = []
     for mix in PINNED_MIXES:
-        for solver in PINNED_SOLVERS:
-            results += sweep(PINNED_SPECS, list(Method), mix=mix, solver=solver)
+        for eps in PINNED_EPS:
+            results += sweep(PINNED_SPECS, list(Method), mix=mix, eps=eps)
     results += sweep(OVER_LIMIT_SPECS, list(Method))
     return render_csv(results)
 
@@ -247,11 +246,11 @@ class TestPlanAndSampler:
         for spec in PINNED_SPECS:
             facts = experiment._InstanceFacts(generate(spec))
             instance = facts.instance
-            for method, mix, solver in itertools.product(Method, PINNED_MIXES, PINNED_SOLVERS):
-                plan = experiment._plan(facts, method, mix, solver)
+            for method, mix, eps in itertools.product(Method, PINNED_MIXES, PINNED_EPS):
+                plan = experiment._plan(facts, method, mix, eps)
                 expanded = helpers.distribution_welfare(helpers.plan_distribution(plan), instance)
                 got = expected_welfare(plan, instance)
-                assert got == pytest.approx(expanded, rel=1e-12), (spec, method, mix, solver)
+                assert got == pytest.approx(expanded, rel=1e-12), (spec, method, mix, eps)
 
     def test_zero_weight_groups_build_no_profile(self, monkeypatch):
         calls = []
@@ -276,7 +275,7 @@ class TestPlanAndSampler:
         facts = experiment._InstanceFacts(generate(spec))
         assert facts.partition.groups == ((0, 1, 2, 3), (), ())
         for method in (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES):
-            plan = experiment._plan(facts, method, Fraction(1, 2), ExactDP())
+            plan = experiment._plan(facts, method, Fraction(1, 2), 0.0)
             sixth = Fraction(1, 6)
             assert plan.support == ((Fraction(1, 2), (0, 1, 2, 3), 1),
                                     (sixth, (0, 1, 2, 3), 4), (sixth, (), 0), (sixth, (), 0))
@@ -293,7 +292,7 @@ class TestPlanAndSampler:
     def test_mc_on_a_partial_shortlist_draw(self, mix):
         instance = generate(SHORTLIST_HEAVY)
         facts = experiment._InstanceFacts(instance)
-        plan = experiment._plan(facts, Method.MARGINAL_VALUES, mix, ExactDP())
+        plan = experiment._plan(facts, Method.MARGINAL_VALUES, mix, 0.0)
         assert sum(weight for weight, _, _ in plan.support) == 1
         assert any(1 < k < len(items) for _, items, k in plan.support)
         for method in Method:
@@ -416,7 +415,7 @@ class TestCountSampler:
     def test_mc_agrees_where_draws_rarely_repeat(self, family, mix):
         instance = generate(dataclasses.replace(MANY_SETS, family=family))
         plan = experiment._plan(experiment._InstanceFacts(instance), Method.MARGINAL_VALUES,
-                                mix, ExactDP())
+                                mix, 0.0)
         assert any(math.comb(len(items), k) > weight * 20_000
                    for weight, items, k in plan.support)
         assert_mc_agrees(instance, Method.MARGINAL_VALUES, mix)
@@ -450,3 +449,12 @@ class TestMixedDenominators:
                 costs=tuple(mixed_cost(rng) for _ in range(m)), voters=tuple(voters)))
             bundle = optimal_welfare(instance)
             assert (bundle.items, bundle.welfare) == helpers.brute_force_best_welfare(instance)
+
+
+def test_threshold_knapsack_eps_must_lie_below_one():
+    # eps = 0 is the exact knapsack; eps = 1 would promise nothing.
+    instance = generate(GeneratorSpec("additive", 6, 3, seed=1))
+    assert evaluate(instance, Method.THRESHOLD_APPROVAL, eps=0.0) == evaluate(
+        instance, Method.THRESHOLD_APPROVAL)
+    with pytest.raises(ValueError):
+        evaluate(instance, Method.THRESHOLD_APPROVAL, eps=1.0)

@@ -1,4 +1,5 @@
-"""Knapsack solvers against brute force, and the exhaustive welfare oracle."""
+"""The knapsack solver, exact and approximate, against brute force, and the
+exhaustive welfare oracle."""
 
 import math
 import random
@@ -11,14 +12,11 @@ from hypothesis import strategies as st
 from subpb.core import OracleSpec, RawInstance, social_welfare, validate_instance
 from subpb.optimize import (
     EXACT_ENUMERATION_LIMIT,
-    ExactDP,
     ExceedsExactBudget,
-    Fptas,
     KnapsackProblem,
     _frontiers,
     _integer_costs,
     knapsack_exact,
-    knapsack_fptas,
     optimal_welfare,
     solve_knapsack,
 )
@@ -85,32 +83,34 @@ class TestKnapsackFptas:
         for _ in range(30):
             p = random_problem(rng, max_m=8)
             exact_profit = p.profit(knapsack_exact(p))
-            approx_profit = p.profit(knapsack_fptas(p, 0.5))
+            approx_profit = p.profit(solve_knapsack(p, 0.5))
             assert approx_profit >= 0.5 * exact_profit
 
     def test_small_eps_recovers_optimum(self):
         p = problem([3, 2, 2], ["3/5", "1/2", "1/2"])
         # OPT = 4 and eps = 0.1 leaves no room below ceil(0.9 * 4) = 4.
-        assert p.profit(knapsack_fptas(p, 0.1)) == 4
+        assert p.profit(solve_knapsack(p, 0.1)) == 4
 
     def test_single_item(self):
-        assert knapsack_fptas(problem([7], ["1/2"]), 0.3) == {0}
+        assert solve_knapsack(problem([7], ["1/2"]), 0.3) == {0}
 
     def test_zero_profits(self):
-        assert knapsack_fptas(problem([0, 0], ["1/2", "1/2"]), 0.5) == frozenset()
+        assert solve_knapsack(problem([0, 0], ["1/2", "1/2"]), 0.5) == frozenset()
 
     def test_bad_eps_rejected(self):
         p = problem([1], ["1/2"])
-        for eps in (0.0, 1.0, -0.5):
+        for eps in (1.0, -0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
-                knapsack_fptas(p, eps)
+                solve_knapsack(p, eps)
 
     def test_solver_dispatch(self):
+        # eps = 0, the default, is the exact solver.
         p = problem([3, 2, 2], ["3/5", "1/2", "1/2"])
-        assert solve_knapsack(p, ExactDP()) == {1, 2}
-        assert solve_knapsack(p, Fptas(eps=0.1)) == {1, 2}
-        with pytest.raises(TypeError):
-            solve_knapsack(p, object())
+        assert solve_knapsack(p) == solve_knapsack(p, 0.0) == {1, 2}
+        assert solve_knapsack(p, 0.1) == {1, 2}
+
+    def test_empty_problem(self):
+        assert solve_knapsack(problem([], []), 0.5) == frozenset()
 
 
 #: Distinct primes as cost denominators make the scaled budget axis their
@@ -144,7 +144,7 @@ def test_exact_matches_brute_force_with_its_tie_rule(p):
 @settings(max_examples=100, deadline=None)
 @given(knapsack_problems(wide=True), st.sampled_from([0.1, 0.3, 0.5, 0.9]))
 def test_fptas_contract_on_a_wide_budget_axis(p, eps):
-    chosen = knapsack_fptas(p, eps)
+    chosen = solve_knapsack(p, eps)
     assert sum((p.costs[a] for a in chosen), Fraction(0)) <= p.capacity
     assert p.profit(chosen) >= (1 - eps) * p.profit(helpers.brute_force_knapsack(p))
 
