@@ -26,7 +26,7 @@ from .core import (
     OracleSpec,
     RawInstance,
     ValidationError,
-    compute_curvature,
+    curvature,
     validate_instance,
 )
 from .elicitation import Method, ranking_profile
@@ -180,9 +180,9 @@ def _parse_cost_model(value: str, m: int):
 
 def _parse_solver(value: str) -> float:
     """The knapsack eps: 0 for the exact `dp`, EPS in (0, 1) for `fptas:EPS`."""
-    name, _, arg = value.partition(":")
-    if name == "dp":
+    if value == "dp":
         return 0.0
+    name, _, arg = value.partition(":")
     if name == "fptas":
         if not arg:
             raise UsageError("fptas solver needs an epsilon, e.g. fptas:0.1")
@@ -265,14 +265,15 @@ def cmd_gen(args) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render_instance_file(raw, metadata))
     print(f"wrote {args.out}: m={instance.m} n={instance.n}")
-    for i, voter in enumerate(instance.voters):
-        print(f"voter {i}: family={voter.family} curvature={compute_curvature(voter):.6f}")
+    for i, (voter, table) in enumerate(zip(instance.voters, instance.singleton_table)):
+        print(f"voter {i}: family={voter.family} curvature={curvature(table):.6f}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    # Every flag is checked before the file is read, so a usage error is
+    # reported as one whatever the file holds.
     seed = args.seed if args.seed is not None else _default_seed()
-    _, instance = load_instance(args.instance)
     method = Method(args.method)
     try:
         mix = Fraction(args.mix)
@@ -284,6 +285,7 @@ def cmd_eval(args) -> int:
     mode = Mode(args.mode)
     if mode is Mode.MONTE_CARLO and args.samples < 2:
         raise UsageError("--samples must be at least 2 for a standard error")
+    _, instance = load_instance(args.instance)
     report = evaluate(
         instance,
         method,
@@ -339,9 +341,8 @@ def cmd_inspect(args) -> int:
         print(f"optimal welfare: {bundle.welfare!r}")
     if not shown:
         print(f"m={instance.m} n={instance.n}")
-        for i, voter in enumerate(instance.voters):
-            print(f"voter {i}: family={voter.family} "
-                  f"curvature={compute_curvature(voter):.6f}")
+        for i, (voter, table) in enumerate(zip(instance.voters, instance.singleton_table)):
+            print(f"voter {i}: family={voter.family} curvature={curvature(table):.6f}")
     return EXIT_OK
 
 

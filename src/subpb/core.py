@@ -19,13 +19,14 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 AlternativeId = int
 WelfareValue = float
 
-#: The default `UtilityOracle.expected_uniform` refuses to enumerate more
-#: subsets than this.
+#: `ConcaveSumOracle.expected_uniform`, the only mean over a plan component
+#: that enumerates its subsets, refuses to enumerate more than this; the
+#: coverage and max-value parts take theirs in closed form.
 EXACT_SUPPORT_LIMIT = 10**6
 
 # Singletons below this value are treated as worthless when taking the
@@ -68,9 +69,10 @@ class SingletonTable(NamedTuple):
 
 
 class UtilityOracle(ABC):
-    """Monotone submodular set function over alternatives. A voter's oracle
-    is scaled to value 1 on the grand set; the instance welfare oracle
-    (`Instance.welfare`) is the sum over voters, so it is scaled to n, not 1.
+    """Monotone submodular set function over alternatives, as a protocol of
+    states. A voter's oracle is scaled to value 1 on the grand set; the
+    instance welfare oracle (`Instance.welfare`) is the sum over voters, so
+    it is scaled to n, not 1.
 
     Sets are evaluated one alternative at a time through states. A state is
     a tuple (scaled value, payload) describing one set: `start()` is the
@@ -79,21 +81,18 @@ class UtilityOracle(ABC):
     and the gain of a is `extend(state, a)[0] - state[0]`.
 
     A voter family supplies `extend` (and `start` if its empty payload is
-    not 0) and `singleton_table`, which marginal rankings and curvature
-    read; `value` is the fold of `extend` over a set. The welfare parts
-    (`welfare_oracle`) supply `extend` and `start`, and a closed-form
-    `expected_uniform` where one exists: coverage and max-value have one,
-    while the concave part enumerates.
+    not 0) and `singleton_table`, which value rankings, approvals and
+    curvature read; `value` is the fold of `extend` over a set. The welfare
+    parts (`welfare_oracle`) supply `extend`, `start` and
+    `expected_uniform`, the mean value of a uniform k-subset: in closed
+    form on `CoverageOracle` and `MaxValueSumOracle`, by enumerating the
+    subsets on `ConcaveSumOracle`, and as the sum of the parts' on
+    `SumOracle`.
 
     Subclasses are immutable; evaluating them from many threads needs no
     coordination."""
 
     family: str = ""
-
-    @property
-    @abstractmethod
-    def m(self) -> int:
-        """Number of alternatives the oracle is defined over."""
 
     def start(self) -> tuple:
         """State of the empty set: value 0, and a payload of 0 unless the
@@ -113,32 +112,6 @@ class UtilityOracle(ABC):
             state = self.extend(state, a)
         return state[0]
 
-    def expected_uniform(self, items: Sequence[AlternativeId], k: int) -> float:
-        """Mean value of a uniform k-subset of the distinct `items`, for
-        0 <= k <= len(items). Families with a closed form override it. This
-        default enumerates all C(len(items), k) subsets, and it is the one
-        place where exact mode enumerates a plan component: past
-        `EXACT_SUPPORT_LIMIT` subsets it raises ExceedsExactBudget. Each
-        subset's state extends that of its (k-1)-prefix."""
-        subsets = math.comb(len(items), k)
-        if subsets > EXACT_SUPPORT_LIMIT:
-            raise ExceedsExactBudget(
-                f"{self.family} welfare would enumerate {subsets} subsets, over the "
-                f"exact limit of {EXACT_SUPPORT_LIMIT}; rerun in Monte Carlo mode")
-        return math.fsum(self._subset_values(items, k)) / subsets
-
-    def _subset_values(self, items: Sequence[AlternativeId], k: int) -> Iterable[float]:
-        # Depth first, in `itertools.combinations` order: a stack entry is
-        # (state, first index it may extend by, alternatives still to add).
-        stack = [(self.start(), 0, k)]
-        while stack:
-            state, first, left = stack.pop()
-            if not left:
-                yield state[0]
-                continue
-            for i in range(len(items) - left, first - 1, -1):
-                stack.append((self.extend(state, items[i]), i + 1, left - 1))
-
 
 @dataclass(frozen=True)
 class AdditiveOracle(UtilityOracle):
@@ -153,10 +126,6 @@ class AdditiveOracle(UtilityOracle):
     def normalized(cls, values: Sequence[float]) -> "AdditiveOracle":
         vals = _nonnegative_floats(values)
         return cls(vals, _scale(sum(vals), "the sum of the values"))
-
-    @property
-    def m(self) -> int:
-        return len(self.values)
 
     def singleton_table(self):
         # Marginals never depend on the base set, so c = 0 exactly.
@@ -199,10 +168,6 @@ class CoverageOracle(UtilityOracle):
         for mask in masks:
             full |= mask
         return cls(wts, tuple(masks), _scale(_mask_weight(full, wts), "the covered weight"))
-
-    @property
-    def m(self) -> int:
-        return len(self.cover_masks)
 
     def singleton_table(self):
         # The last gain of a is the weight of the elements only a covers.
@@ -259,10 +224,6 @@ class ConcaveOverModularOracle(UtilityOracle):
         vals = _nonnegative_floats(values)
         return cls(vals, float(gamma), _scale(_concave(sum(vals), gamma), "the concave total"))
 
-    @property
-    def m(self) -> int:
-        return len(self.values)
-
     def singleton_table(self):
         total = sum(self.values)
         full = _concave(total, self.gamma) * self.scale
@@ -290,10 +251,6 @@ class MaxValueOracle(UtilityOracle):
         vals = _nonnegative_floats(values)
         return cls(vals, _scale(max(vals, default=0.0), "the largest value"))
 
-    @property
-    def m(self) -> int:
-        return len(self.values)
-
     def singleton_table(self):
         # Only a maximum gains over the rest, by top - second, which is 0
         # when the top is tied.
@@ -314,8 +271,8 @@ class ConcaveSumOracle(UtilityOracle):
     """The sum of concave-over-modular voters, f(S) = sum over voters v of
     s_v * (sum of v's values over S) ** g_v, as one oracle. `columns[a]`
     holds every voter's value at a. The payload is the tuple of the voters'
-    inner sums, so a state extends all voters at once; `expected_uniform`
-    is the inherited walk, run once for all of them."""
+    inner sums, so a state extends all voters at once, and the walk of
+    `expected_uniform` runs once for all of them."""
 
     columns: tuple[tuple[float, ...], ...]
     gammas: tuple[float, ...]
@@ -328,10 +285,6 @@ class ConcaveSumOracle(UtilityOracle):
         return cls(tuple(zip(*(v.values for v in voters))),
                    tuple(v.gamma for v in voters), tuple(v.scale for v in voters))
 
-    @property
-    def m(self) -> int:
-        return len(self.columns)
-
     def start(self):
         return (0.0, (0.0,) * len(self.gammas))
 
@@ -340,6 +293,32 @@ class ConcaveSumOracle(UtilityOracle):
         inner = tuple(map(operator.add, state[1], self.columns[a]))
         return (sum(map(operator.mul, map(operator.pow, inner, self.gammas), self.scales)),
                 inner)
+
+    def expected_uniform(self, items: Sequence[AlternativeId], k: int) -> float:
+        """Mean value of a uniform k-subset of the distinct `items`, for
+        0 <= k <= len(items). No closed form is known, so this enumerates
+        all C(len(items), k) subsets; it is the one place where exact mode
+        enumerates a plan component, and past `EXACT_SUPPORT_LIMIT` subsets
+        it raises ExceedsExactBudget. Each subset's state extends that of
+        its (k-1)-prefix."""
+        subsets = math.comb(len(items), k)
+        if subsets > EXACT_SUPPORT_LIMIT:
+            raise ExceedsExactBudget(
+                f"concave welfare would enumerate {subsets} subsets, over the "
+                f"exact limit of {EXACT_SUPPORT_LIMIT}; rerun in Monte Carlo mode")
+        return math.fsum(self._subset_values(items, k)) / subsets
+
+    def _subset_values(self, items: Sequence[AlternativeId], k: int) -> Iterable[float]:
+        # Depth first, in `itertools.combinations` order: a stack entry is
+        # (state, first index it may extend by, alternatives still to add).
+        stack = [(self.start(), 0, k)]
+        while stack:
+            state, first, left = stack.pop()
+            if not left:
+                yield state[0]
+                continue
+            for i in range(len(items) - left, first - 1, -1):
+                stack.append((self.extend(state, items[i]), i + 1, left - 1))
 
 
 @dataclass(frozen=True)
@@ -357,10 +336,6 @@ class MaxValueSumOracle(UtilityOracle):
     @classmethod
     def of(cls, voters: Sequence[MaxValueOracle]) -> "MaxValueSumOracle":
         return cls(tuple(v.values for v in voters), tuple(v.scale for v in voters))
-
-    @property
-    def m(self) -> int:
-        return len(self.rows[0])
 
     @cached_property
     def columns(self) -> tuple[tuple[float, ...], ...]:
@@ -394,10 +369,6 @@ class SumOracle(UtilityOracle):
     an instance that mixes families has more than one welfare part."""
 
     parts: tuple[UtilityOracle, ...]
-
-    @property
-    def m(self) -> int:
-        return self.parts[0].m
 
     def expected_uniform(self, items, k):
         return sum(part.expected_uniform(items, k) for part in self.parts)
@@ -485,7 +456,7 @@ class Instance:
 
     costs: tuple[Fraction, ...]
     voters: tuple[UtilityOracle, ...]
-    budget: Fraction = Fraction(1)
+    budget: ClassVar[Fraction] = Fraction(1)
 
     @property
     def m(self) -> int:
@@ -498,12 +469,6 @@ class Instance:
     @property
     def alternatives(self) -> range:
         return range(self.m)
-
-    def cost(self, items: Iterable[AlternativeId]) -> Fraction:
-        return sum((self.costs[a] for a in items), Fraction(0))
-
-    def feasible(self, items: Iterable[AlternativeId]) -> bool:
-        return self.cost(items) <= self.budget
 
     @cached_property
     def welfare(self) -> UtilityOracle:
@@ -637,22 +602,19 @@ def welfare_oracle(voters: Sequence[UtilityOracle], m: int) -> UtilityOracle:
     return parts[0] if len(parts) == 1 else SumOracle(tuple(parts))
 
 
-def compute_curvature(oracle: UtilityOracle) -> float:
+def curvature(table: SingletonTable) -> float:
     """Least c in [0, 1] such that every marginal is >= (1-c) times the
-    standalone value.
+    standalone value, for the set function whose `singleton_table` this is.
 
     For monotone submodular f the worst marginal of `a` is attained against
     all other alternatives, so the minimum ratio f(a | A-a) / f({a}) over
-    positive singletons decides c. Both numbers come from the oracle's
-    `singleton_table`, in closed form per family (with s the scale):
-    additive v_a*s for both, so c = 0 exactly; coverage, the weight of a's
-    elements and of the elements only a covers; concave, v_a^g*s and
-    (sum v)^g*s - (sum v - v_a)^g*s; max-value, v_a*s and, if a holds the
-    unique maximum, (v_a - the second largest)*s, else 0."""
-    return _curvature(oracle.singleton_table())
-
-
-def _curvature(table: SingletonTable) -> float:
+    positive singletons decides c. Both numbers are read from the table,
+    which each voter family's `singleton_table` method fills in closed form
+    (with s the scale): additive v_a*s for both, so c = 0 exactly;
+    coverage, the weight of a's elements and of the elements only a covers;
+    concave, v_a^g*s and (sum v)^g*s - (sum v - v_a)^g*s; max-value, v_a*s
+    and, if a holds the unique maximum, (v_a - the second largest)*s,
+    else 0."""
     worst = 1.0
     found = False
     for single, last in zip(table.singles, table.last_gains):
@@ -670,7 +632,7 @@ def _curvature(table: SingletonTable) -> float:
 def max_curvature(instance: Instance) -> float:
     """Largest voter curvature; the uniform c valid for the whole profile.
     Reads the instance's `singleton_table`."""
-    return max(_curvature(table) for table in instance.singleton_table)
+    return max(curvature(table) for table in instance.singleton_table)
 
 
 def social_welfare(instance: Instance, items: Iterable[AlternativeId]) -> WelfareValue:

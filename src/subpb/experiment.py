@@ -96,13 +96,18 @@ class GeneratorSpec:
     seed: int = 0
     family_params: tuple[tuple[str, object], ...] = ()
 
+    def __post_init__(self):
+        # Only the coverage generator reads a parameter (`_draw_voter`).
+        reads = {"private_elements"} if self.family == "coverage" else set()
+        unknown = dict(self.family_params).keys() - reads
+        if unknown:
+            raise ValueError(f"the {self.family} generator reads no parameters "
+                             f"{sorted(map(str, unknown))}")
+
     @property
     def instance_id(self) -> str:
         tag = type(self.cost_model).__name__.lower()
         return f"{self.family}-m{self.m}-n{self.n}-{tag}-s{self.seed}"
-
-    def param(self, key: str, default):
-        return dict(self.family_params).get(key, default)
 
 
 def _draw_costs(spec: GeneratorSpec) -> tuple[Fraction, ...]:
@@ -126,14 +131,14 @@ def _draw_costs(spec: GeneratorSpec) -> tuple[Fraction, ...]:
 
 def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
     rng = rng_mod.stream(spec.seed, "voter", spec.family, spec.m, spec.n, voter)
-    lo, hi = spec.param("value_range", (0.05, 1.0))
+    lo, hi = 0.05, 1.0
     if spec.family == "additive":
         return OracleSpec("additive", {"values": [rng.uniform(lo, hi) for _ in range(spec.m)]})
     if spec.family == "coverage":
         # Private elements give every alternative an uncoverable remainder,
         # pulling curvature below 1; pure random covers usually pin it at 1.
         # Either pool holds at least one element of a universe of 2m >= 2.
-        private = bool(spec.param("private_elements", False))
+        private = bool(dict(spec.family_params).get("private_elements", False))
         universe = max(2, 2 * spec.m)
         weights = [rng.uniform(0.1, 1.0) for _ in range(universe)]
         covers = []

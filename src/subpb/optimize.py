@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import AlternativeId, ExceedsExactBudget, Instance, WelfareValue
 
@@ -50,9 +50,6 @@ class KnapsackProblem:
     @property
     def size(self) -> int:
         return len(self.profits)
-
-    def profit(self, items: Iterable[int]) -> int:
-        return sum(self.profits[a] for a in items)
 
 
 #: A Pareto frontier: costs ascending and profits strictly ascending.

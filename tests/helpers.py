@@ -58,6 +58,15 @@ def powerset(universe):
         yield from itertools.combinations(items, r)
 
 
+def feasible(instance: Instance, items) -> bool:
+    """Whether a set's exact total cost fits the budget."""
+    return sum((instance.costs[a] for a in items), Fraction(0)) <= instance.budget
+
+
+def profit(problem: KnapsackProblem, items) -> int:
+    return sum(problem.profits[a] for a in items)
+
+
 def brute_force_knapsack(problem: KnapsackProblem) -> frozenset:
     """Max-profit feasible subset by full enumeration; ties broken toward the
     lexicographically smallest id sequence."""
@@ -67,9 +76,9 @@ def brute_force_knapsack(problem: KnapsackProblem) -> frozenset:
         cost = sum((problem.costs[a] for a in combo), Fraction(0))
         if cost > problem.capacity:
             continue
-        profit = problem.profit(combo)
-        if profit > best_profit or (profit == best_profit and combo < best_seq):
-            best_profit = profit
+        value = profit(problem, combo)
+        if value > best_profit or (value == best_profit and combo < best_seq):
+            best_profit = value
             best_seq = combo
     return frozenset(best_seq)
 
@@ -78,11 +87,11 @@ def brute_force_best_welfare(instance: Instance) -> tuple[frozenset, float]:
     """The welfare maximum over all feasible subsets by full enumeration,
     with the lexicographically smallest id sequence among the maximal
     feasible subsets (no other alternative fits) that attain it."""
-    feasible = [c for c in powerset(instance.alternatives) if instance.feasible(c)]
-    welfare = {c: social_welfare(instance, c) for c in feasible}
+    fits = [c for c in powerset(instance.alternatives) if feasible(instance, c)]
+    welfare = {c: social_welfare(instance, c) for c in fits}
     best_welfare = max(welfare.values())
-    maximal = [c for c in feasible if not any(
-        instance.feasible(c + (a,)) for a in instance.alternatives if a not in c)]
+    maximal = [c for c in fits if not any(
+        feasible(instance, c + (a,)) for a in instance.alternatives if a not in c)]
     best = min(c for c in maximal if welfare[c] == best_welfare)
     return frozenset(best), best_welfare
 
@@ -161,10 +170,10 @@ def rank_by_rebuilding(oracle: UtilityOracle, group) -> tuple[AlternativeId, ...
     return tuple(prefix)
 
 
-def singleton_reference(oracle: UtilityOracle) -> tuple[list[float], list[float]]:
-    """Standalone values f({a}) and last gains f(A) - f(A - a), each set
-    evaluated directly."""
-    grand = list(range(oracle.m))
+def singleton_reference(oracle: UtilityOracle, m: int) -> tuple[list[float], list[float]]:
+    """Standalone values f({a}) and last gains f(A) - f(A - a) over the m
+    alternatives, each set evaluated directly."""
+    grand = list(range(m))
     full = direct_value(oracle, grand)
     return ([direct_value(oracle, [a]) for a in grand],
             [full - direct_value(oracle, [b for b in grand if b != a]) for a in grand])
@@ -247,7 +256,7 @@ def mix_distributions(
 def validate_support(dist: SelectionDistribution, instance: Instance) -> None:
     """Raise if any support set exceeds the budget (exact rational check)."""
     for items, _ in dist.support:
-        if not instance.feasible(items):
+        if not feasible(instance, items):
             raise ValueError(f"infeasible support set {sorted(items)}")
 
 
@@ -300,9 +309,9 @@ def aggregate_threshold(
     return plan_distribution(rule_plan(instance, mix, branches))
 
 
-def direct_value_table(oracle: UtilityOracle) -> np.ndarray:
-    """Values of all subsets by direct per-set evaluation (no states)."""
-    m = oracle.m
+def direct_value_table(oracle: UtilityOracle, m: int) -> np.ndarray:
+    """Values of all subsets of the m alternatives by direct per-set
+    evaluation (no states)."""
     table = np.empty(1 << m)
     for mask in range(1 << m):
         members = [a for a in range(m) if mask >> a & 1]

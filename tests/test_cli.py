@@ -41,10 +41,26 @@ def run(argv, capsys):
     ["--solver", "fptas:inf"],
     ["--solver", "fptas"],
     ["--solver", "exact"],
+    # dp is the exact solver and takes no argument.
+    ["--solver", "dp:0.5"],
+    ["--solver", "dp:banana"],
 ])
 def test_bad_eval_flags_are_usage_errors(instance_file, capsys, flags):
     code, err = run(["eval", "--instance", instance_file, "--method", "threshold", *flags],
                     capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mix", "2"],
+    ["--solver", "fptas:0"],
+    ["--mode", "mc", "--samples", "1"],
+])
+def test_bad_eval_flags_fail_before_the_file_is_read(tmp_path, capsys, flags):
+    argv = ["eval", "--instance", str(tmp_path / "missing.json"), "--method", "threshold",
+            *flags]
+    code, err = run(argv, capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("usage error:") and err.count("\n") == 1
 

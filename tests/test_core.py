@@ -29,7 +29,7 @@ from subpb.core import (
     SumOracle,
     UnnormalizableUtility,
     ValidationError,
-    compute_curvature,
+    curvature,
     max_curvature,
     UtilityOracle,
     social_welfare,
@@ -41,10 +41,9 @@ from subpb.optimize import optimal_welfare
 import helpers
 
 
-def subset_value_table(oracle: UtilityOracle) -> list[float]:
+def subset_value_table(oracle: UtilityOracle, m: int) -> list[float]:
     """Normalized values of all 2^m subsets, indexed by bitmask, filled by
     a depth-first walk that extends the oracle's states."""
-    m = oracle.m
     table = [0.0] * (1 << m)
 
     def fill(idx: int, mask: int, state: tuple) -> None:
@@ -210,22 +209,22 @@ class TestMarginal:
 class TestCurvature:
     def test_additive_is_exactly_zero(self):
         oracle = AdditiveOracle.normalized([0.3, 1.7, 0.4])
-        assert compute_curvature(oracle) == 0.0
+        assert curvature(oracle.singleton_table()) == 0.0
 
     def test_max_value_full_curvature(self):
         oracle = MaxValueOracle.normalized([0.5, 0.5])
-        assert compute_curvature(oracle) == pytest.approx(1.0)
+        assert curvature(oracle.singleton_table()) == pytest.approx(1.0)
 
     def test_coverage_example_full_curvature(self):
         # The third alternative contributes nothing next to the others even
         # though it has positive standalone value.
-        assert compute_curvature(coverage_example()) == pytest.approx(1.0)
+        assert curvature(coverage_example().singleton_table()) == pytest.approx(1.0)
 
     def test_concave_interpolates(self):
         linear = ConcaveOverModularOracle.normalized([1.0, 2.0], 1.0)
-        assert compute_curvature(linear) <= 1e-9
+        assert curvature(linear.singleton_table()) <= 1e-9
         bent = ConcaveOverModularOracle.normalized([1.0, 1.0], 0.5)
-        c = compute_curvature(bent)
+        c = curvature(bent.singleton_table())
         assert 0.1 < c < 1.0
 
 
@@ -233,9 +232,9 @@ class TestSingletonTable:
     """Each family's closed-form `singleton_table` against the definition."""
 
     @staticmethod
-    def assert_matches_definition(oracle):
+    def assert_matches_definition(oracle, m):
         singles, last_gains = oracle.singleton_table()
-        want_singles, want_last = helpers.singleton_reference(oracle)
+        want_singles, want_last = helpers.singleton_reference(oracle, m)
         assert singles == pytest.approx(want_singles, rel=0, abs=1e-12), oracle
         assert last_gains == pytest.approx(want_last, rel=0, abs=1e-12), oracle
 
@@ -245,19 +244,19 @@ class TestSingletonTable:
         for _ in range(80):
             m = rng.randint(1, 8)
             for oracle in helpers.random_oracles(rng, m):
-                self.assert_matches_definition(oracle)
+                self.assert_matches_definition(oracle, m)
                 families.add(type(oracle).singleton_table)
         assert len(families) == 4
 
     def test_max_value_tie_at_the_top(self):
         oracle = MaxValueOracle.normalized([1.0, 0.5, 1.0])
-        self.assert_matches_definition(oracle)
+        self.assert_matches_definition(oracle, 3)
         assert oracle.singleton_table().last_gains == (0.0, 0.0, 0.0)
-        assert compute_curvature(oracle) == 1.0
+        assert curvature(oracle.singleton_table()) == 1.0
 
     def test_max_value_unique_top_gains_over_the_second(self):
         oracle = MaxValueOracle.normalized([0.25, 1.0, 0.5])
-        self.assert_matches_definition(oracle)
+        self.assert_matches_definition(oracle, 3)
         assert oracle.singleton_table().last_gains == (0.0, 0.5, 0.0)
 
     def test_single_alternative(self):
@@ -268,16 +267,16 @@ class TestSingletonTable:
             MaxValueOracle.normalized([0.7]),
         ]
         for oracle in oracles:
-            self.assert_matches_definition(oracle)
+            self.assert_matches_definition(oracle, 1)
             singles, last_gains = oracle.singleton_table()
             assert singles == pytest.approx([1.0]) and last_gains == pytest.approx([1.0])
-            assert compute_curvature(oracle) == pytest.approx(0.0, abs=1e-12)
+            assert curvature(oracle.singleton_table()) == pytest.approx(0.0, abs=1e-12)
 
     def test_coverage_element_shared_by_two_alternatives(self):
         # Element 1 is covered by alternatives 0 and 1, so neither gains it
         # last; element 3 is covered by alternative 2 alone.
         oracle = CoverageOracle.normalized([0.1, 0.2, 0.3, 0.4], [[0, 1], [1, 2], [3]])
-        self.assert_matches_definition(oracle)
+        self.assert_matches_definition(oracle, 3)
         singles, last_gains = oracle.singleton_table()
         assert singles == pytest.approx([0.3, 0.5, 0.4])
         assert last_gains == pytest.approx([0.1, 0.3, 0.4])
@@ -285,23 +284,24 @@ class TestSingletonTable:
     def test_concave_weight_on_one_alternative(self):
         # Sum v - v_1 = 0 exactly, and 0 ** gamma counts as 0.
         oracle = ConcaveOverModularOracle.normalized([0.0, 2.0, 0.0], 0.5)
-        self.assert_matches_definition(oracle)
+        self.assert_matches_definition(oracle, 3)
         assert oracle.singleton_table() == ((0.0, 1.0, 0.0), (0.0, 1.0, 0.0))
-        assert compute_curvature(oracle) == 0.0
+        assert curvature(oracle.singleton_table()) == 0.0
 
     def test_zero_additive_value_is_skipped(self):
         oracle = AdditiveOracle.normalized([0.0, 0.5, 0.25])
-        self.assert_matches_definition(oracle)
+        self.assert_matches_definition(oracle, 3)
         singles, last_gains = oracle.singleton_table()
         assert singles[0] == last_gains[0] == 0.0
-        assert compute_curvature(oracle) == 0.0
+        assert curvature(oracle.singleton_table()) == 0.0
 
     def test_instance_table_is_built_once_per_voter(self):
         instance = shared_signature_instance()
         table = instance.singleton_table
         assert table == tuple(voter.singleton_table() for voter in instance.voters)
         assert instance.singleton_table is table
-        assert max_curvature(instance) == max(compute_curvature(v) for v in instance.voters)
+        assert max_curvature(instance) == max(
+            curvature(voter.singleton_table()) for voter in instance.voters)
 
 
 class TestSocialWelfare:
@@ -327,6 +327,7 @@ class TestSocialWelfare:
 
 @st.composite
 def oracles(draw, max_m=6):
+    """A normalized oracle of some family over m alternatives, with m."""
     m = draw(st.integers(min_value=1, max_value=max_m))
     family = draw(st.sampled_from(["additive", "coverage", "concave", "max-value"]))
     values = st.lists(
@@ -336,14 +337,14 @@ def oracles(draw, max_m=6):
     )
     if family == "additive":
         vals = draw(values.filter(lambda vs: sum(vs) > 1e-6))
-        return AdditiveOracle.normalized(vals)
+        return AdditiveOracle.normalized(vals), m
     if family == "max-value":
         vals = draw(values.filter(lambda vs: max(vs) > 1e-6))
-        return MaxValueOracle.normalized(vals)
+        return MaxValueOracle.normalized(vals), m
     if family == "concave":
         vals = draw(values.filter(lambda vs: sum(vs) > 1e-6))
         gamma = draw(st.floats(min_value=0.1, max_value=1.0))
-        return ConcaveOverModularOracle.normalized(vals, gamma)
+        return ConcaveOverModularOracle.normalized(vals, gamma), m
     universe = draw(st.integers(min_value=1, max_value=8))
     weights = draw(
         st.lists(
@@ -359,34 +360,37 @@ def oracles(draw, max_m=6):
             max_size=m,
         )
     )
-    return CoverageOracle.normalized(weights, [sorted(c) for c in covers])
+    return CoverageOracle.normalized(weights, [sorted(c) for c in covers]), m
 
 
 @settings(max_examples=150, deadline=None)
 @given(oracles())
-def test_oracles_are_normalized_monotone_submodular(oracle):
-    table = helpers.direct_value_table(oracle)
+def test_oracles_are_normalized_monotone_submodular(oracle_and_m):
+    oracle, m = oracle_and_m
+    table = helpers.direct_value_table(oracle, m)
     helpers.check_normalized(table)
-    helpers.check_monotone(table, oracle.m)
-    helpers.check_submodular(table, oracle.m)
+    helpers.check_monotone(table, m)
+    helpers.check_submodular(table, m)
 
 
 @settings(max_examples=100, deadline=None)
 @given(oracles())
-def test_curvature_floor_holds_everywhere(oracle):
-    c = compute_curvature(oracle)
+def test_curvature_floor_holds_everywhere(oracle_and_m):
+    oracle, m = oracle_and_m
+    c = curvature(oracle.singleton_table())
     assert 0.0 <= c <= 1.0
-    table = helpers.direct_value_table(oracle)
-    helpers.check_curvature_floor(table, oracle.m, c)
+    table = helpers.direct_value_table(oracle, m)
+    helpers.check_curvature_floor(table, m, c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(oracles(max_m=5), st.randoms(use_true_random=False))
-def test_values_nondecreasing_along_chains(oracle, rnd):
-    order = list(range(oracle.m))
+def test_values_nondecreasing_along_chains(oracle_and_m, rnd):
+    oracle, m = oracle_and_m
+    order = list(range(m))
     rnd.shuffle(order)
     previous = 0.0
-    for end in range(oracle.m + 1):
+    for end in range(m + 1):
         value = oracle.value(order[:end])
         assert value >= previous - 1e-12
         previous = value
@@ -400,9 +404,9 @@ def test_subset_table_matches_direct_evaluation():
         MaxValueOracle.normalized([0.4, 1.0, 0.7]),
     ]
     for oracle in examples:
-        fast = subset_value_table(oracle)
-        slow = helpers.direct_value_table(oracle)
-        for mask in range(1 << oracle.m):
+        fast = subset_value_table(oracle, 3)
+        slow = helpers.direct_value_table(oracle, 3)
+        for mask in range(1 << 3):
             assert fast[mask] == pytest.approx(slow[mask], abs=1e-12)
 
 
@@ -445,11 +449,14 @@ def test_max_curvature_takes_worst_voter():
 
 
 def test_expected_uniform_matches_enumeration():
+    # One voter of each family: the welfare oracle is a SumOracle of the
+    # folded coverage, the concave and the max-value part.
     rng = random.Random(1729)
     for _ in range(30):
         m = rng.randint(1, 8)
         voters = helpers.random_oracles(rng, m)
-        for oracle in voters + [SumOracle(tuple(voters))]:
+        welfare = Instance(costs=(Fraction(1, m),) * m, voters=tuple(voters)).welfare
+        for oracle in [welfare, *welfare.parts]:
             assert oracle.value(()) == 0.0
             for size in range(m + 1):
                 items = tuple(sorted(rng.sample(range(m), size)))
@@ -458,14 +465,6 @@ def test_expected_uniform_matches_enumeration():
                     want = helpers.brute_force_expected_uniform(oracle, items, k)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (
                         oracle.family, items, k)
-                # Concave and max-value voters enumerate above; a SumOracle
-                # can also walk its parts' joint states.
-                if isinstance(oracle, SumOracle):
-                    for k in {0, min(1, size), size}:
-                        got = UtilityOracle.expected_uniform(oracle, items, k)
-                        want = helpers.brute_force_expected_uniform(oracle, items, k)
-                        assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (
-                            oracle, items, k)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +597,8 @@ class TestInstanceWelfare:
 
 
 def merged_parts():
-    """Seeded (merged part, the same voters as a SumOracle) pairs: one to
-    four concave or max-value voters over m <= 7 alternatives, with the
+    """Seeded (m, merged part, the same voters as a SumOracle) triples: one
+    to four concave or max-value voters over m <= 7 alternatives, with the
     three-level max values of `helpers.random_oracles`, so ties are common."""
     rng = random.Random(18)
     for _ in range(15):
@@ -607,30 +606,30 @@ def merged_parts():
         rows = [helpers.random_oracles(rng, m) for _ in range(rng.randint(1, 4))]
         concave = [row[2] for row in rows]
         maxima = [row[3] for row in rows]
-        yield ConcaveSumOracle.of(concave), SumOracle(tuple(concave))
-        yield MaxValueSumOracle.of(maxima), SumOracle(tuple(maxima))
+        yield m, ConcaveSumOracle.of(concave), SumOracle(tuple(concave))
+        yield m, MaxValueSumOracle.of(maxima), SumOracle(tuple(maxima))
 
 
 class TestMergedParts:
     def test_value_and_extend_match_the_formula_and_the_voters(self):
-        for part, voters in merged_parts():
-            assert part.m == voters.m and part.value(()) == 0.0
+        for m, part, voters in merged_parts():
+            assert part.value(()) == 0.0
 
             def walk(idx: int, members: list, state: tuple) -> None:
                 want = helpers.direct_value(part, members)
                 assert state[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
                 # Both add the same per-voter terms in voter order.
                 assert state[0] == voters.value(members), (part, members)
-                for a in range(idx, part.m):
+                for a in range(idx, m):
                     walk(a + 1, members + [a], part.extend(state, a))
 
             walk(0, [], part.start())
 
     def test_extending_leaves_the_parent_state_unchanged(self):
-        for part, _ in merged_parts():
+        for m, part, _ in merged_parts():
             parent = part.extend(part.start(), 0)
             before = copy.deepcopy(parent)
-            children = [part.extend(parent, a) for a in range(1, part.m)]
+            children = [part.extend(parent, a) for a in range(1, m)]
             assert parent == before
             for a, child in enumerate(children, 1):
                 assert child[0] == pytest.approx(
@@ -638,15 +637,16 @@ class TestMergedParts:
 
     def test_expected_uniform_matches_enumeration_and_the_voters(self):
         rng = random.Random(7)
-        for part, voters in merged_parts():
-            for size in range(part.m + 1):
-                items = tuple(sorted(rng.sample(range(part.m), size)))
+        for m, part, voters in merged_parts():
+            for size in range(m + 1):
+                items = tuple(sorted(rng.sample(range(m), size)))
                 for k in range(size + 1):
                     got = part.expected_uniform(items, k)
                     want = helpers.brute_force_expected_uniform(part, items, k)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (part, items, k)
-                    assert got == pytest.approx(
-                        voters.expected_uniform(items, k), rel=1e-12, abs=1e-15)
+                    per_voter = math.fsum(helpers.brute_force_expected_uniform(v, items, k)
+                                          for v in voters.parts)
+                    assert got == pytest.approx(per_voter, rel=1e-12, abs=1e-15)
 
     def test_optimum_state_equals_the_per_voter_sum(self):
         # Generated instances fold every voter into one part, and the

@@ -12,7 +12,7 @@ from subpb.core import (
     OracleSpec,
     RawInstance,
     UtilityOracle,
-    compute_curvature,
+    curvature,
     validate_instance,
 )
 from subpb.elicitation import (
@@ -24,7 +24,7 @@ from subpb.elicitation import (
     ranking_profile,
     threshold_approve,
 )
-from subpb.experiment import GeneratorSpec, generate
+from subpb.experiment import GeneratorSpec, generate, generate_raw
 from subpb.partition import build_partition
 
 import helpers
@@ -198,7 +198,7 @@ class TestGreedyPrefixBound:
         partition = build_partition(instance)
         rankings = ranking_profile(instance, partition, Method.STANDALONE_VALUES, 0)
         for voter, ranking in zip(instance.voters, rankings):
-            c = compute_curvature(voter)
+            c = curvature(voter.singleton_table())
             assert c < 1 - 1e-6
             for pos, a in enumerate(ranking, start=1):
                 assert voter.value((a,)) <= 1.0 / ((1.0 - c) * pos) + 1e-9
@@ -210,12 +210,12 @@ def seeded_instances():
     for family in ("additive", "coverage", "concave", "max-value"):
         for seed in range(3):
             yield generate(GeneratorSpec(family=family, m=7, n=6, seed=seed))
-    yield generate(GeneratorSpec(family="max-value", m=6, n=5, seed=1,
-                                 family_params=(("value_range", (0.5, 0.5)),)))
+    costs = generate_raw(GeneratorSpec(family="max-value", m=6, n=5, seed=1)).costs
+    yield simple_instance(costs, [OracleSpec("max-value", {"values": [0.5] * 6})] * 5)
 
 
-def approve_by_value(oracle, alpha):
-    return frozenset(a for a in range(oracle.m)
+def approve_by_value(oracle, m, alpha):
+    return frozenset(a for a in range(m)
                      if oracle.value((a,)) >= float(alpha) - APPROVAL_TOL)
 
 
@@ -231,7 +231,7 @@ class TestProfilesReadTheSingletonTable:
             values = {Fraction(v.value((a,))) for v in instance.voters for a in range(instance.m)}
             above = {value + Fraction(APPROVAL_TOL / 2) for value in values}
             for alpha in sorted(set(build_partition(instance).thresholds) | values | above):
-                want = tuple(approve_by_value(v, alpha) for v in instance.voters)
+                want = tuple(approve_by_value(v, instance.m, alpha) for v in instance.voters)
                 assert approval_profile(instance, alpha) == want, (instance, alpha)
                 edges += alpha in values
         assert edges

@@ -458,3 +458,15 @@ def test_threshold_knapsack_eps_must_lie_below_one():
         instance, Method.THRESHOLD_APPROVAL)
     with pytest.raises(ValueError):
         evaluate(instance, Method.THRESHOLD_APPROVAL, eps=1.0)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("max-value", (("value_range", (0.5, 0.5)),)),
+    ("coverage", (("private_element", True),)),
+    ("additive", (("private_elements", True),)),
+])
+def test_generator_parameters_it_does_not_read_are_refused(family, params):
+    # A misspelt or retired parameter would otherwise be ignored silently.
+    with pytest.raises(ValueError, match=params[0][0]):
+        GeneratorSpec(family, 4, 2, family_params=params)
+    assert generate(GeneratorSpec("coverage", 4, 2, family_params=(("private_elements", True),)))

@@ -69,7 +69,7 @@ class TestKnapsackExact:
             p = random_problem(rng, max_m=10)
             fast = knapsack_exact(p)
             slow = helpers.brute_force_knapsack(p)
-            assert p.profit(fast) == p.profit(slow)
+            assert helpers.profit(p, fast) == helpers.profit(p, slow)
             assert fast == slow
 
     def test_negative_profit_rejected(self):
@@ -82,14 +82,14 @@ class TestKnapsackFptas:
         rng = random.Random(7)
         for _ in range(30):
             p = random_problem(rng, max_m=8)
-            exact_profit = p.profit(knapsack_exact(p))
-            approx_profit = p.profit(solve_knapsack(p, 0.5))
+            exact_profit = helpers.profit(p, knapsack_exact(p))
+            approx_profit = helpers.profit(p, solve_knapsack(p, 0.5))
             assert approx_profit >= 0.5 * exact_profit
 
     def test_small_eps_recovers_optimum(self):
         p = problem([3, 2, 2], ["3/5", "1/2", "1/2"])
         # OPT = 4 and eps = 0.1 leaves no room below ceil(0.9 * 4) = 4.
-        assert p.profit(solve_knapsack(p, 0.1)) == 4
+        assert helpers.profit(p, solve_knapsack(p, 0.1)) == 4
 
     def test_single_item(self):
         assert solve_knapsack(problem([7], ["1/2"]), 0.3) == {0}
@@ -146,7 +146,8 @@ def test_exact_matches_brute_force_with_its_tie_rule(p):
 def test_fptas_contract_on_a_wide_budget_axis(p, eps):
     chosen = solve_knapsack(p, eps)
     assert sum((p.costs[a] for a in chosen), Fraction(0)) <= p.capacity
-    assert p.profit(chosen) >= (1 - eps) * p.profit(helpers.brute_force_knapsack(p))
+    best = helpers.brute_force_knapsack(p)
+    assert helpers.profit(p, chosen) >= (1 - eps) * helpers.profit(p, best)
 
 
 @settings(max_examples=100, deadline=None)
@@ -159,7 +160,7 @@ def test_frontiers_are_the_pareto_points_of_each_suffix(p):
     fronts = _frontiers(p.profits, costs, capacity)
     for j, (front_costs, front_profits) in enumerate(fronts):
         points = {
-            (sum(costs[a] for a in combo), p.profit(combo))
+            (sum(costs[a] for a in combo), helpers.profit(p, combo))
             for combo in helpers.powerset(range(j, p.size))
         }
         points = {(c, q) for c, q in points if c <= capacity}
@@ -290,5 +291,5 @@ class TestOptimalWelfare:
         for _ in range(200):
             size = rng.randint(0, 8)
             sample = rng.sample(range(8), size)
-            if instance.feasible(sample):
+            if helpers.feasible(instance, sample):
                 assert social_welfare(instance, sample) <= bundle.welfare + 1e-9
