@@ -82,12 +82,12 @@ class UtilityOracle(ABC):
 
     A voter family supplies `extend` (and `start` if its empty payload is
     not 0) and `singleton_table`, which value rankings, approvals and
-    curvature read; `value` is the fold of `extend` over a set. The welfare
-    parts (`welfare_oracle`) supply `extend`, `start` and
-    `expected_uniform`, the mean value of a uniform k-subset: in closed
-    form on `CoverageOracle` and `MaxValueSumOracle`, by enumerating the
-    subsets on `ConcaveSumOracle`, and as the sum of the parts' on
-    `SumOracle`.
+    curvature read; `value` folds `extend`. Marginal rankings read neither:
+    additive, concave and max-value voters rank in closed form, and coverage
+    by its masks. The welfare parts (`welfare_oracle`) supply `extend`,
+    `start` and `expected_uniform`, the mean of a uniform k-subset: in closed
+    form on `CoverageOracle` and `MaxValueSumOracle`, by enumeration on
+    `ConcaveSumOracle`, summed on `SumOracle`.
 
     Subclasses are immutable; evaluating them from many threads needs no
     coordination."""

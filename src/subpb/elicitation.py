@@ -6,11 +6,12 @@ sets at a rational threshold. Votes are plain data, one per voter in voter
 order: a ranking is a tuple that permutes the group, an approval set a
 frozenset. The rules in `aggregation` aggregate them, and the rule's plan,
 not this module, weighs the groups and thresholds. Greedy rankings read
-each gain from the oracle's states (`UtilityOracle.start`/`extend`). Value
-rankings and approval sets read only standalone values f({a}): the profile
-functions take them from the instance's per-voter
-`core.Instance.singleton_table`, built once per instance, so no singleton
-is evaluated per group or per threshold.
+no oracle state: additive, concave and max-value voters rank in closed
+form, and coverage alone walks its cover masks. Value rankings and
+approval sets read only standalone values f({a}): the profile functions
+take them from the instance's per-voter `core.Instance.singleton_table`,
+built once per instance, so no singleton is evaluated per group or per
+threshold.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import AlternativeId, Instance, UtilityOracle
+from .core import (AdditiveOracle, AlternativeId, ConcaveOverModularOracle, CoverageOracle,
+                   Instance, MaxValueOracle, UtilityOracle, _mask_weight)
 from .partition import GroupPartition
 
 #: Utilities within this distance of a rational threshold count as >=.
@@ -39,38 +41,46 @@ class Method(enum.Enum):
 
 
 def rank_by_marginal(
-    oracle: UtilityOracle, group: Sequence[AlternativeId]
+    voter: UtilityOracle, group: Sequence[AlternativeId]
 ) -> tuple[AlternativeId, ...]:
     """Greedy order: repeatedly append the member with the largest marginal
-    gain over the already-ranked prefix, ties by ascending id. The prefix's
-    state is extended by each candidate; the best candidate's state becomes
-    the next prefix's."""
+    gain over the ranked prefix, ties by ascending id. Additive and concave
+    gains strictly increase in the raw value, so their order is the value
+    order; max-value ranks its largest value first, then every gain is 0.
+    Coverage alone walks its masks, re-weighing a member only when a pick
+    covers some of its elements. Other oracles, such as the summed welfare
+    parts, raise TypeError."""
     if not group:
         raise ValueError("cannot rank an empty group")
-    state = oracle.start()
-    remaining = sorted(group)
-    order: list[int] = []
-    while remaining:
-        best = best_state = None
-        best_gain = -1.0
-        for a in remaining:
-            after = oracle.extend(state, a)
-            gain = after[0] - state[0]
-            if gain > best_gain:
-                best, best_gain, best_state = a, gain, after
-        state = best_state
+    if isinstance(voter, (AdditiveOracle, ConcaveOverModularOracle)):
+        return rank_by_values(voter.values, group)
+    if isinstance(voter, MaxValueOracle):
+        top = max(sorted(group), key=voter.values.__getitem__)
+        return (top, *sorted(a for a in group if a != top))
+    if not isinstance(voter, CoverageOracle):
+        raise TypeError(f"no marginal ranking for {type(voter).__name__}")
+    masks, weights, scale = voter.cover_masks, voter.weights, voter.scale
+    gains = {a: _mask_weight(masks[a], weights) * scale for a in sorted(group)}
+    order, covered = [], 0
+    while gains:
+        best = max(gains, key=gains.__getitem__)
+        del gains[best]
         order.append(best)
-        remaining.remove(best)
+        fresh = masks[best] & ~covered
+        covered |= fresh
+        for a in gains:
+            if masks[a] & fresh:
+                gains[a] = _mask_weight(masks[a] & ~covered, weights) * scale
     return tuple(order)
 
 
 def rank_by_values(
-    singles: Sequence[float], group: Sequence[AlternativeId]
+    values: Sequence[float], group: Sequence[AlternativeId]
 ) -> tuple[AlternativeId, ...]:
-    """Sort by standalone value `singles[a]`, descending; ties by ascending id."""
+    """Sort by `values[a]`, descending; ties by ascending id (stable sorts)."""
     if not group:
         raise ValueError("cannot rank an empty group")
-    return tuple(sorted(group, key=lambda a: (-singles[a], a)))
+    return tuple(sorted(sorted(group), key=values.__getitem__, reverse=True))
 
 
 def threshold_approve(singles: Sequence[float], alpha: Fraction) -> frozenset:

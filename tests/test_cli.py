@@ -1,10 +1,13 @@
 """CLI exit codes for malformed flags and environment, unreadable files,
-malformed instance files and over-limit exact enumeration, the scores that
-`inspect --scores` prints, and the instance file round trip."""
+malformed instance files, over-limit exact enumeration and a missed bound,
+the scores that `inspect --scores` prints, and the instance file round
+trip."""
 
+import csv
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +105,33 @@ def test_enumeration_past_the_exact_limit_exits_4(tmp_path, capsys, monkeypatch)
     code, err = run(["eval", "--instance", path, "--method", "marginal-rank"], capsys)
     assert code == cli.EXIT_BUDGET
     assert err.startswith("exact budget exceeded:") and err.count("\n") == 1
+
+
+#: A one-voter additive instance on which the threshold rule misses its
+#: guarantee: the value thresholds start at 1/16, so no threshold approves
+#: the twelve cheap items worth just under 1/m each, and only the uniform
+#: singleton reaches them.
+THRESHOLD_GAP = Path(__file__).parent / "data" / "threshold_gap_m16.json"
+
+
+@pytest.mark.parametrize("mix, code, expected, bound", [
+    ("1/2", cli.EXIT_BOUND, "0.03928750000000002", "0.05044375000000002"),
+    ("2/3", cli.EXIT_BOUND, "0.03155000000000001", "0.03362916666666668"),
+    ("1/3", cli.EXIT_OK, "0.04702500000000002", "0.03362916666666668"),
+])
+def test_threshold_bound_fails_on_the_pinned_gap_instance(tmp_path, mix, code, expected,
+                                                          bound):
+    # Pins the rule as it stands: a change to the rule or to its bound
+    # shows up here as a deliberate diff.
+    out = tmp_path / "eval.csv"
+    argv = ["eval", "--instance", str(THRESHOLD_GAP), "--method", "threshold",
+            "--mix", mix, "--out", str(out)]
+    assert cli.main(argv) == code
+    with open(out, newline="", encoding="utf-8") as handle:
+        (row,) = csv.DictReader(handle)
+    assert (row["expected_welfare"], row["optimal_welfare"], row["bound_value"]) == (
+        expected, "0.8071000000000004", bound)
+    assert row["bound_satisfied"] == ("true" if code == cli.EXIT_OK else "false")
 
 
 @pytest.mark.parametrize("make_path", [lambda d: d / "missing.json", lambda d: d])

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subpb.core import (
     AdditiveOracle,
+    ConcaveOverModularOracle,
     CoverageOracle,
     MaxValueOracle,
     OracleSpec,
@@ -90,6 +93,54 @@ class TestRankByMarginal:
         assert zero_gains and tied_gains
 
 
+#: Multiples of 1/8 in [0, 1]: sums of a few of them are exact floats, so
+#: equal gains tie exactly and unequal ones differ far beyond an ulp.
+EIGHTHS = st.integers(min_value=0, max_value=8).map(lambda k: k / 8)
+
+
+@st.composite
+def grid_voters(draw):
+    """A voter of some family over m <= 7 alternatives with values, weights
+    and gamma on the 1/8 grid, and a group in arbitrary order, often of one
+    member. Covers draw from at most four elements, so they overlap and
+    coverage gains are often zero or tied."""
+    m = draw(st.integers(min_value=1, max_value=7))
+    family = draw(st.sampled_from(["additive", "coverage", "concave", "max-value"]))
+    group = draw(st.lists(st.integers(min_value=0, max_value=m - 1), min_size=1,
+                          max_size=m, unique=True))
+    if family == "coverage":
+        universe = draw(st.integers(min_value=1, max_value=4))
+        weights = draw(st.lists(EIGHTHS, min_size=universe, max_size=universe))
+        covers = draw(st.lists(st.lists(st.integers(min_value=0, max_value=universe - 1),
+                                        unique=True), min_size=m, max_size=m))
+        assume(any(weights[u] for cover in covers for u in cover))
+        return CoverageOracle.normalized(weights, covers), group
+    values = draw(st.lists(EIGHTHS, min_size=m, max_size=m).filter(any))
+    if family == "concave":
+        gamma = draw(st.integers(min_value=1, max_value=8)) / 8
+        return ConcaveOverModularOracle.normalized(values, gamma), group
+    oracle = AdditiveOracle if family == "additive" else MaxValueOracle
+    return oracle.normalized(values), group
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_voters())
+def test_closed_forms_match_set_rebuilding_greedy(voter_and_group):
+    voter, group = voter_and_group
+    assert rank_by_marginal(voter, group) == helpers.rank_by_rebuilding(voter, group)
+
+
+def test_welfare_parts_have_no_marginal_ranking():
+    instance = simple_instance(
+        [Fraction(1, 2)] * 2,
+        [OracleSpec("concave", {"values": [1.0, 0.5], "gamma": 0.5}),
+         OracleSpec("max-value", {"values": [1.0, 0.5]})],
+    )
+    for part in (*instance.welfare.parts, instance.welfare):
+        with pytest.raises(TypeError):
+            rank_by_marginal(part, [0, 1])
+
+
 class TestRankByValues:
     def test_additive(self):
         oracle = AdditiveOracle.normalized([0.1, 0.7, 0.2])
@@ -141,16 +192,20 @@ class TestProfiles:
                 assert sorted(ranking) == [0, 1]
 
     def test_empty_group_profile(self):
-        # Only non-empty groups are ranked; an empty one is refused.
-        instance = simple_instance(
-            [Fraction(1, 4)] * 4,
-            [OracleSpec("additive", {"values": [1.0] * 4})],
-        )
-        partition = build_partition(instance)
-        assert partition.groups[2] == ()
-        for method in (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES):
-            with pytest.raises(ValueError):
-                ranking_profile(instance, partition, method, 2)
+        # Only non-empty groups are ranked; an empty one is refused, whatever
+        # the family.
+        for voter in (
+            OracleSpec("additive", {"values": [1.0] * 4}),
+            OracleSpec("coverage", {"weights": [1.0], "covers": [[0]] * 4}),
+            OracleSpec("concave", {"values": [1.0] * 4, "gamma": 0.5}),
+            OracleSpec("max-value", {"values": [1.0] * 4}),
+        ):
+            instance = simple_instance([Fraction(1, 4)] * 4, [voter])
+            partition = build_partition(instance)
+            assert partition.groups[2] == ()
+            for method in (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES):
+                with pytest.raises(ValueError):
+                    ranking_profile(instance, partition, method, 2)
 
     def test_threshold_is_not_a_ranking_method(self):
         instance = simple_instance([Fraction(1)], [OracleSpec("additive", {"values": [1.0]})])
@@ -246,6 +301,31 @@ class TestProfilesReadTheSingletonTable:
                 assert rankings == tuple(
                     tuple(sorted(group, key=lambda a: (-v.value((a,)), a)))
                     for v in instance.voters)
+
+    def test_marginal_profiles_extend_no_state(self, monkeypatch):
+        calls = []
+
+        def counting(extend):
+            def wrapper(self, state, a):
+                calls.append(a)
+                return extend(self, state, a)
+            return wrapper
+
+        voter_classes = (AdditiveOracle, CoverageOracle, ConcaveOverModularOracle,
+                         MaxValueOracle)
+        for cls in voter_classes:
+            monkeypatch.setattr(cls, "extend", counting(cls.extend))
+        families = set()
+        for instance in seeded_instances():
+            partition = build_partition(instance)
+            for t, group in enumerate(partition.groups):
+                if group:
+                    ranking_profile(instance, partition, Method.MARGINAL_VALUES, t)
+                    families.update(type(v) for v in instance.voters)
+        assert families == set(voter_classes)
+        assert calls == []
+        instance.voters[0].value((0,))
+        assert calls == [0]
 
     def test_profiles_evaluate_no_set_once_the_table_exists(self, monkeypatch):
         calls = []
