@@ -15,7 +15,9 @@ from the mean social welfare of the component's subsets (`expected_uniform`
 of the instance welfare oracle, `core.Instance.welfare`), without expanding
 the plan into its sets. That oracle has one part per kind of voter, so a
 component costs one closed form or one walk over its subsets per part,
-not one per voter.
+not one per voter: the coverage part counts how many of P's items each
+cover signature holds, the max-value part sorts P's values, and only the
+concave part walks the subsets.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ AlternativeId = int
 WelfareValue = float
 
 #: `ConcaveSumOracle.expected_uniform`, the only mean over a plan component
-#: that enumerates its subsets, refuses to enumerate more than this; the
-#: coverage and max-value parts take theirs in closed form.
+#: that enumerates its subsets, refuses to enumerate more than this;
+#: `CoverageSumOracle` and `MaxValueSumOracle` take theirs in closed form.
 EXACT_SUPPORT_LIMIT = 10**6
 
 # Singletons below this value are treated as worthless when taking the
@@ -86,7 +86,7 @@ class UtilityOracle(ABC):
     additive, concave and max-value voters rank in closed form, and coverage
     by its masks. The welfare parts (`welfare_oracle`) supply `extend`,
     `start` and `expected_uniform`, the mean of a uniform k-subset: in closed
-    form on `CoverageOracle` and `MaxValueSumOracle`, by enumeration on
+    form on `CoverageSumOracle` and `MaxValueSumOracle`, by enumeration on
     `ConcaveSumOracle`, summed on `SumOracle`.
 
     Subclasses are immutable; evaluating them from many threads needs no
@@ -181,22 +181,6 @@ class CoverageOracle(UtilityOracle):
             tuple(_mask_weight(mask & only, self.weights) * self.scale
                   for mask in self.cover_masks))
 
-    def expected_uniform(self, items, k):
-        # An element covered by d of the |P| items is missed only when the
-        # subset avoids all d: probability C(|P| - d, k) / C(|P|, k).
-        depth = [0] * len(self.weights)
-        for a in items:
-            mask = self.cover_masks[a]
-            while mask:
-                low = mask & -mask
-                depth[low.bit_length() - 1] += 1
-                mask ^= low
-        n = len(items)
-        subsets = math.comb(n, k)
-        hit = math.fsum(w * (subsets - math.comb(n - d, k))
-                        for w, d in zip(self.weights, depth) if d)
-        return hit / subsets * self.scale
-
     def extend(self, state, a):
         # The payload is the mask of covered elements.
         value, covered = state
@@ -264,6 +248,52 @@ class MaxValueOracle(UtilityOracle):
         # The value is the running maximum.
         scaled = self.values[a] * self.scale
         return (scaled if scaled > state[0] else state[0], 0)
+
+
+@dataclass(frozen=True)
+class CoverageSumOracle(UtilityOracle):
+    """The additive and coverage voters as one weighted coverage function
+    over cover signatures. `signatures[j]` is the m-bit mask of the
+    alternatives that cover element j, and `weights[j]` its weight, scaled
+    already. f(S) is the total weight of the signatures that meet S. The
+    payload is the m-bit mask of the set's alternatives."""
+
+    weights: tuple[float, ...]
+    signatures: tuple[int, ...]
+
+    family = "coverage"
+
+    @cached_property
+    def covers(self) -> dict[AlternativeId, tuple[tuple[int, float], ...]]:
+        """covers[a]: the (signature, weight) pairs of the elements a covers,
+        ascending; an alternative that covers nothing has no entry."""
+        covers: dict[AlternativeId, list[tuple[int, float]]] = {}
+        for signature, w in zip(self.signatures, self.weights):
+            for a in _set_bits(signature):
+                covers.setdefault(a, []).append((signature, w))
+        return {a: tuple(pairs) for a, pairs in covers.items()}
+
+    def extend(self, state, a):
+        # An element is new when its signature holds no chosen alternative.
+        value, chosen = state
+        gain = 0.0
+        for signature, w in self.covers.get(a, ()):
+            if not signature & chosen:
+                gain += w
+        return (value + gain, chosen | 1 << a)
+
+    def expected_uniform(self, items, k):
+        # An element covered by d of the |P| items is missed only when the
+        # subset avoids all d: probability C(|P| - d, k) / C(|P|, k).
+        component = 0
+        for a in items:
+            component |= 1 << a
+        depths = [(signature & component).bit_count() for signature in self.signatures]
+        n = len(items)
+        subsets = math.comb(n, k)
+        hit = math.fsum(w * (subsets - math.comb(n - d, k))
+                        for w, d in zip(self.weights, depths) if d)
+        return hit / subsets
 
 
 @dataclass(frozen=True)
@@ -474,7 +504,7 @@ class Instance:
     def welfare(self) -> UtilityOracle:
         """Social welfare as one oracle, scaled to n (`welfare_oracle`);
         built on first use."""
-        return welfare_oracle(self.voters, self.m)
+        return welfare_oracle(self.voters)
 
     @cached_property
     def singleton_table(self) -> tuple[SingletonTable, ...]:
@@ -550,15 +580,15 @@ def validate_instance(raw: RawInstance) -> Instance:
     return Instance(costs=tuple(costs), voters=voters)
 
 
-def welfare_oracle(voters: Sequence[UtilityOracle], m: int) -> UtilityOracle:
+def welfare_oracle(voters: Sequence[UtilityOracle]) -> UtilityOracle:
     """The sum of the voters' scaled utilities as one oracle, with one part
     per kind of voter.
 
-    Additive and coverage voters fold into one unscaled `CoverageOracle`
-    whose elements are cover signatures: the set of alternatives covering
-    an element, as an m-bit mask. A signature weighs the fsum of w * s_v
-    over the (voter v, element of weight w) pairs that have it, and an
-    additive value v_a counts as an element covered by a alone. Elements no
+    Additive and coverage voters fold into one `CoverageSumOracle` keyed by
+    cover signatures, ascending: the set of alternatives covering an
+    element, as an m-bit mask. A signature weighs the fsum of w * s_v over
+    the (voter v, element of weight w) pairs that have it, and an additive
+    value v_a counts as an element covered by a alone. Elements no
     alternative covers, and zero weights, are dropped. All concave voters,
     even a lone one, fold into one `ConcaveSumOracle` and all max-value
     voters into one `MaxValueSumOracle`, so a state of either extends every
@@ -588,13 +618,9 @@ def welfare_oracle(voters: Sequence[UtilityOracle], m: int) -> UtilityOracle:
             raise TypeError(f"no welfare part for {type(voter).__name__}")
     parts: list[UtilityOracle] = []
     if buckets:
-        signatures = sorted(buckets)
-        masks = [0] * m
-        for j, signature in enumerate(signatures):
-            for a in _set_bits(signature):
-                masks[a] |= 1 << j
-        weights = tuple(math.fsum(buckets[signature]) for signature in signatures)
-        parts.append(CoverageOracle(weights, tuple(masks)))
+        signatures = tuple(sorted(buckets))
+        parts.append(CoverageSumOracle(
+            tuple(math.fsum(buckets[signature]) for signature in signatures), signatures))
     if concave:
         parts.append(ConcaveSumOracle.of(concave))
     if maxima:

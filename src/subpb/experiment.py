@@ -9,8 +9,9 @@ enumeration limit fails before the optimum is paid for; Monte Carlo mode
 takes the optimum first.
 The optimum and exact mode read welfare from one per-instance oracle
 (`core.Instance.welfare`) with one part per kind of voter: additive and
-coverage voters fold into one coverage function, and the concave and the
-max-value voters each into one part. Exact mode takes each component's
+coverage voters fold into one weighted coverage function over cover
+signatures (`core.CoverageSumOracle`), and the concave and the max-value
+voters each into one part. Exact mode takes each component's
 mean welfare from it (`aggregation.expected_welfare`): in closed form for
 coverage and max-value, while the concave part enumerates the C(|P|, k)
 subsets of a component once for all concave voters, and alone refuses a

@@ -35,6 +35,7 @@ from subpb.core import (
     ConcaveOverModularOracle,
     ConcaveSumOracle,
     CoverageOracle,
+    CoverageSumOracle,
     Instance,
     MaxValueOracle,
     MaxValueSumOracle,
@@ -99,8 +100,8 @@ def brute_force_best_welfare(instance: Instance) -> tuple[frozenset, float]:
 def direct_value(oracle: UtilityOracle, items) -> float:
     """Scaled f(S), written straight from the family's formula: a sum, the
     weight of a union, a power of an inner sum, a maximum, the sum of such
-    powers or maxima over a merged part's voters, or the sum over a
-    `SumOracle`'s parts."""
+    powers or maxima over a merged part's voters, the weight of the cover
+    signatures that meet S, or the sum over a `SumOracle`'s parts."""
     items = list(items)
     if isinstance(oracle, SumOracle):
         return sum(direct_value(part, items) for part in oracle.parts)
@@ -113,6 +114,9 @@ def direct_value(oracle: UtilityOracle, items) -> float:
     if isinstance(oracle, MaxValueSumOracle):
         return sum(max((row[a] for a in items), default=0.0) * scale
                    for row, scale in zip(oracle.rows, oracle.scales))
+    if isinstance(oracle, CoverageSumOracle):
+        return sum(w for w, signature in zip(oracle.weights, oracle.signatures)
+                   if any(signature >> a & 1 for a in items))
     if isinstance(oracle, AdditiveOracle):
         raw = sum(oracle.values[a] for a in items)
     elif isinstance(oracle, CoverageOracle):
@@ -127,6 +131,48 @@ def direct_value(oracle: UtilityOracle, items) -> float:
     else:
         raise TypeError(f"no direct formula for {type(oracle).__name__}")
     return raw * oracle.scale
+
+
+def signature_masks(signatures: Sequence[int], m: int) -> list[int]:
+    """Signatures transposed into per-alternative masks: bit j of masks[a]
+    is set when signature j contains a."""
+    masks = [0] * m
+    for j, signature in enumerate(signatures):
+        for a in range(m):
+            if signature >> a & 1:
+                masks[a] |= 1 << j
+    return masks
+
+
+def mask_walk_values(weights: Sequence[float], masks: Sequence[int], sequence) -> list[float]:
+    """Running values of a coverage function over element masks, for the
+    alternatives added in order: each step sums the weights of the newly
+    covered elements one bit at a time, ascending, and adds that gain."""
+    value, covered, values = 0.0, 0, []
+    for a in sequence:
+        added, gain = masks[a] & ~covered, 0.0
+        for j in range(len(weights)):
+            if added >> j & 1:
+                gain += weights[j]
+        value += gain
+        covered |= masks[a]
+        values.append(value)
+    return values
+
+
+def mask_walk_expected_uniform(weights: Sequence[float], masks: Sequence[int], items,
+                               k: int) -> float:
+    """The closed-form coverage mean over element masks: each element's
+    depth counted bit by bit over the items, then fsum of w times the
+    number of k-subsets that cover it, over the number of k-subsets."""
+    depth = [0] * len(weights)
+    for a in items:
+        for j in range(len(weights)):
+            depth[j] += masks[a] >> j & 1
+    n = len(items)
+    subsets = math.comb(n, k)
+    return math.fsum(w * (subsets - math.comb(n - d, k))
+                     for w, d in zip(weights, depth) if d) / subsets
 
 
 def brute_force_expected_uniform(oracle: UtilityOracle, items, k: int) -> float:

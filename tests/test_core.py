@@ -17,6 +17,7 @@ from subpb.core import (
     ConcaveSumOracle,
     CostExceedsBudget,
     CoverageOracle,
+    CoverageSumOracle,
     EXACT_SUPPORT_LIMIT,
     EmptyInstance,
     ExceedsExactBudget,
@@ -514,7 +515,7 @@ class TestInstanceWelfare:
         # Signatures {1}, {2} and {0, 2}: element 1 (zero weight), element 3
         # (uncovered) and the additive zero at 0 leave nothing behind.
         assert len(folded.weights) == 3
-        assert folded.cover_masks == (0b100, 0b001, 0b110)
+        assert folded.signatures == (0b010, 0b100, 0b101)
         assert instance.welfare is welfare
 
     def test_lone_part_is_used_directly(self):
@@ -531,8 +532,8 @@ class TestInstanceWelfare:
             ((1.0, 3.0), (2.0, 0.0)), (0.5, 1.0), (concave.scale, second.scale))
         additive = Instance(costs=(Fraction(1, 2),) * 2, voters=(
             AdditiveOracle.normalized([1.0, 3.0]), AdditiveOracle.normalized([2.0, 1.0])))
-        assert isinstance(additive.welfare, CoverageOracle)
-        assert additive.welfare.cover_masks == (0b01, 0b10)
+        assert isinstance(additive.welfare, CoverageSumOracle)
+        assert additive.welfare.signatures == (0b01, 0b10)
 
     def test_value_equals_social_welfare(self):
         for instance in welfare_instances():
@@ -565,7 +566,7 @@ class TestInstanceWelfare:
             welfare = Instance(costs=(Fraction(1, m),) * m, voters=tuple(voters)).welfare
             assert isinstance(welfare, SumOracle) and len(welfare.parts) == 3
             assert [type(part) for part in welfare.parts] == [
-                CoverageOracle, ConcaveSumOracle, MaxValueSumOracle]
+                CoverageSumOracle, ConcaveSumOracle, MaxValueSumOracle]
             for oracle in voters + [welfare, *welfare.parts]:
                 prefix = rng.sample(range(m), rng.randint(0, m - 1))
                 parent = oracle.start()
@@ -669,3 +670,51 @@ class TestMergedParts:
         part = MaxValueSumOracle.of([MaxValueOracle.normalized([float(v) for v in range(1, 41)])])
         assert part.expected_uniform(range(40), 20) == pytest.approx(
             20 * 41 / 21 / 40, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The signature part against the per-alternative mask walk
+
+
+def signature_parts():
+    """Seeded (m, signature part) pairs: the coverage part of every welfare
+    instance, plus random parts over m <= 8 whose last alternative is in no
+    signature, so it covers nothing."""
+    for instance in welfare_instances():
+        parts = getattr(instance.welfare, "parts", (instance.welfare,))
+        yield from ((instance.m, p) for p in parts if isinstance(p, CoverageSumOracle))
+    rng = random.Random(22)
+    for _ in range(30):
+        m = rng.randint(1, 8)
+        top = 1 << (m - 1)
+        signatures = sorted(rng.sample(range(1, top), min(rng.randint(0, 12), top - 1)))
+        weights = [rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-3, 3) for _ in signatures]
+        yield m, CoverageSumOracle(tuple(weights), tuple(signatures))
+
+
+class TestCoverageSumOracle:
+    def test_states_equal_the_mask_walk_bit_for_bit(self):
+        rng = random.Random(5)
+        seen_empty = False
+        for m, part in signature_parts():
+            masks = helpers.signature_masks(part.signatures, m)
+            for _ in range(10):
+                sequence = rng.sample(range(m), rng.randint(0, m))
+                state, values = part.start(), []
+                for a in sequence:
+                    state = part.extend(state, a)
+                    values.append(state[0])
+                    seen_empty |= not masks[a]
+                assert values == helpers.mask_walk_values(part.weights, masks, sequence)
+                assert part.value(sequence) == (values[-1] if values else 0.0)
+        assert seen_empty
+
+    def test_expected_uniform_equals_the_depth_walk_bit_for_bit(self):
+        rng = random.Random(9)
+        for m, part in signature_parts():
+            masks = helpers.signature_masks(part.signatures, m)
+            for size in range(m + 1):
+                items = rng.sample(range(m), size)
+                for k in range(size + 1):
+                    assert part.expected_uniform(items, k) == helpers.mask_walk_expected_uniform(
+                        part.weights, masks, items, k), (part, items, k)

@@ -134,8 +134,11 @@ def test_welfare_parts_have_no_marginal_ranking():
     instance = simple_instance(
         [Fraction(1, 2)] * 2,
         [OracleSpec("concave", {"values": [1.0, 0.5], "gamma": 0.5}),
-         OracleSpec("max-value", {"values": [1.0, 0.5]})],
+         OracleSpec("max-value", {"values": [1.0, 0.5]}),
+         OracleSpec("additive", {"values": [1.0, 0.5]}),
+         OracleSpec("coverage", {"weights": [1.0, 0.5], "covers": [[0], [0, 1]]})],
     )
+    assert len(instance.welfare.parts) == 3
     for part in (*instance.welfare.parts, instance.welfare):
         with pytest.raises(TypeError):
             rank_by_marginal(part, [0, 1])
