@@ -662,6 +662,8 @@ def max_curvature(instance: Instance) -> float:
 
 
 def social_welfare(instance: Instance, items: Iterable[AlternativeId]) -> WelfareValue:
-    """Sum of all voters' utilities for a set; in [0, n] after normalization."""
+    """Sum of all voters' utilities for a set, voter by voter; in [0, n]
+    after normalization. No pipeline path calls it: it is the independent
+    sum that the bench checker and the tests hold `Instance.welfare` to."""
     items = frozenset(items)
     return sum(v.value(items) for v in instance.voters)

@@ -18,8 +18,8 @@ subsets of a component once for all concave voters, and alone refuses a
 component past `core.EXACT_SUPPORT_LIMIT`. Monte
 Carlo mode draws how many samples fall on each component and on each of
 its subsets, without a loop over samples, and reports a mean with a
-standard error; it sums each drawn set's welfare voter by voter
-(`core.social_welfare`).
+standard error; it evaluates each distinct drawn set on the same oracle
+(`social_welfare`).
 
 The reported welfare ratio (optimal over expected) is a per-instance lower
 bound on the rule's distortion: distortion also takes a supremum over all
@@ -52,7 +52,6 @@ from .core import (
     OracleSpec,
     RawInstance,
     max_curvature,
-    social_welfare,
     validate_instance,
 )
 from .elicitation import Method, ranking_profile
@@ -247,7 +246,8 @@ class _InstanceFacts:
     """What every method's evaluation of one instance shares: the partition,
     the exhaustive optimum, the curvature, the mean welfare of each plan
     component (exact mode) and the welfare of each sampled set (Monte Carlo
-    mode).
+    mode), keyed by the set's ascending tuple of alternatives and folded on
+    the instance's welfare oracle (`social_welfare`).
 
     Each fact is computed on first use and at most once. A computation
     that raises is not cached, so every cell that needs it raises again.
@@ -259,7 +259,7 @@ class _InstanceFacts:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.component_welfare: dict[tuple[tuple[int, ...], int], float] = {}
-        self.welfare_cache: dict[frozenset, float] = {}
+        self.welfare_cache: dict[tuple[int, ...], float] = {}
 
     @cached_property
     def partition(self) -> GroupPartition:
@@ -273,11 +273,16 @@ class _InstanceFacts:
     def curvature(self) -> float:
         return max_curvature(self.instance)
 
-    def welfare(self, items: frozenset) -> float:
+    def welfare(self, items: tuple[int, ...]) -> float:
         value = self.welfare_cache.get(items)
         if value is None:
             value = self.welfare_cache[items] = social_welfare(self.instance, items)
         return value
+
+
+def social_welfare(instance: Instance, items: Sequence[int]) -> float:
+    """Welfare of a set: `Instance.welfare`'s `extend` folded over `items` in order."""
+    return instance.welfare.value(items)
 
 
 def evaluate(
@@ -354,7 +359,7 @@ def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, eps: float) -> P
     return rule_plan(instance, mix, branches)
 
 
-def _unrank(items: tuple[int, ...], k: int, rank: int) -> list[int]:
+def _unrank(items: tuple[int, ...], k: int, rank: int) -> tuple[int, ...]:
     """The k-subset of `items` at position `rank` of `itertools.combinations`
     order. Walking the items, `block` counts the subsets that take the
     current item, C(items after it, open slots - 1): the rank either falls
@@ -373,7 +378,7 @@ def _unrank(items: tuple[int, ...], k: int, rank: int) -> list[int]:
         else:
             rank -= block
             block = block * (left - slots + 1) // left if left else 0
-    return picked
+    return tuple(picked)
 
 
 def _binomial(rng, n: int, num: int, den: int) -> int:
@@ -456,7 +461,7 @@ def _monte_carlo(
     for index, count in _split(rng, samples, 0, len(plan), cum_weights).items():
         _, items, k = plan[index]
         ranks = _split(rng, count, 0, math.comb(len(items), k))
-        pairs += [(facts.welfare(frozenset(_unrank(items, k, rank))), times)
+        pairs += [(facts.welfare(_unrank(items, k, rank)), times)
                   for rank, times in ranks.items()]
     mean = math.fsum(value * times for value, times in pairs) / samples
     spread = math.fsum(times * (value - mean) ** 2 for value, times in pairs)

@@ -134,6 +134,20 @@ def test_threshold_bound_fails_on_the_pinned_gap_instance(tmp_path, mix, code, e
     assert row["bound_satisfied"] == ("true" if code == cli.EXIT_OK else "false")
 
 
+def test_monte_carlo_misses_the_bound_on_the_pinned_gap_instance(tmp_path):
+    # The lone additive voter is summed by the welfare oracle's signature
+    # part here, as every Monte Carlo draw is.
+    out = tmp_path / "eval.csv"
+    argv = ["eval", "--instance", str(THRESHOLD_GAP), "--method", "threshold", "--mode", "mc",
+            "--seed", "3", "--samples", "200000", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_BOUND
+    with open(out, newline="", encoding="utf-8") as handle:
+        (row,) = csv.DictReader(handle)
+    mean, stderr = float(row["expected_welfare"]), float(row["stderr"])
+    assert abs(mean - 0.03928750000000002) <= 4.0 * stderr
+    assert row["bound_satisfied"] == "false"
+
+
 @pytest.mark.parametrize("make_path", [lambda d: d / "missing.json", lambda d: d])
 def test_unreadable_instance_is_io_error(tmp_path, capsys, make_path):
     argv = ["eval", "--instance", str(make_path(tmp_path)), "--method", "threshold"]

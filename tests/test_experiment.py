@@ -232,6 +232,23 @@ class TestSweep:
             assert a.expected_welfare != b.expected_welfare and a.stderr != b.stderr
 
 
+def mixed_instance() -> core.Instance:
+    """Voters of all four families on one instance: the one welfare oracle
+    that sums parts, a `core.SumOracle`."""
+    raws = [experiment.generate_raw(GeneratorSpec(family, 9, 3, seed=8)) for family in FAMILIES]
+    voters = tuple(voter for raw in raws for voter in raw.voters)
+    return validate_instance(RawInstance(raws[0].costs, voters))
+
+
+def threshold_ladder(m: int) -> core.Instance:
+    """One additive voter: items 0-3 cost 3/4 and the other m - 4 cost
+    1/(4m) each, worth just under 1/m, so no value threshold approves them."""
+    dear = (1 - 0.99 * (m - 4) / m) / 4
+    costs = (Fraction(3, 4),) * 4 + (Fraction(1, 4 * m),) * (m - 4)
+    values = [dear] * 4 + [0.99 / m] * (m - 4)
+    return validate_instance(RawInstance(costs, (OracleSpec("additive", {"values": values}),)))
+
+
 def assert_mc_agrees(instance, method, mix, samples=20_000, seed=11):
     exact = evaluate(instance, method, mix=mix)
     mc = evaluate(instance, method, mix=mix, mode=Mode.MONTE_CARLO, seed=seed,
@@ -297,6 +314,29 @@ class TestPlanAndSampler:
         assert any(1 < k < len(items) for _, items, k in plan.support)
         for method in Method:
             assert_mc_agrees(instance, method, mix)
+
+    @pytest.mark.parametrize("family", (*FAMILIES, "mixed"))
+    def test_mc_folds_drawn_sets_into_the_welfare_oracle(self, family, monkeypatch):
+        instance = (mixed_instance() if family == "mixed"
+                    else generate(GeneratorSpec(family, 9, 12, seed=8)))
+        assert isinstance(instance.welfare, core.SumOracle) == (family == "mixed")
+        calls = Counter()
+        for cls in (core.AdditiveOracle, core.CoverageOracle, core.ConcaveOverModularOracle,
+                    core.MaxValueOracle):
+            def counted(self, state, a, real=cls.extend):
+                calls[type(self).__name__] += 1
+                return real(self, state, a)
+            monkeypatch.setattr(cls, "extend", counted)
+        facts = experiment._InstanceFacts(instance)
+        for method in Method:
+            experiment._evaluate(facts, method, Fraction(1, 2), Mode.MONTE_CARLO, 3, 5_000,
+                                 0.0, "")
+        assert calls == Counter()
+        monkeypatch.undo()
+        assert len(facts.welfare_cache) > 1
+        for items, value in facts.welfare_cache.items():
+            assert items == tuple(sorted(items))
+            assert value == pytest.approx(core.social_welfare(instance, items), rel=1e-12)
 
     @pytest.mark.parametrize("size", range(7))
     def test_unranking_follows_combinations(self, size):
@@ -419,6 +459,23 @@ class TestCountSampler:
         assert any(math.comb(len(items), k) > weight * 20_000
                    for weight, items, k in plan.support)
         assert_mc_agrees(instance, Method.MARGINAL_VALUES, mix)
+
+
+@pytest.mark.parametrize("m, ratio", [(16, 0.779), (24, 0.580), (64, 0.236), (256, 0.077)])
+def test_threshold_bound_gap_grows_along_the_ladder(m, ratio):
+    # Pins the rule as it stands. Past m = 24 OPT is read off {0} and the
+    # cheap items, a feasible set, so the true E[W]/bound is lower still.
+    facts = experiment._InstanceFacts(threshold_ladder(m))
+    plan = experiment._plan(facts, Method.THRESHOLD_APPROVAL, Fraction(1, 2), 0.0)
+    welfare = expected_welfare(plan, facts.instance)
+    if m <= 24:
+        optimum = facts.optimum.welfare
+        assert facts.optimum.items == frozenset({0, *range(4, m)})
+    else:
+        optimum = core.social_welfare(facts.instance, [0, *range(4, m)])
+    bound = experiment.theoretical_bound(Method.THRESHOLD_APPROVAL, m, facts.curvature,
+                                         optimum, Fraction(1, 2))
+    assert round(welfare / bound, 3) == ratio
 
 
 class TestMixedDenominators:
