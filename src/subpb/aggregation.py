@@ -22,9 +22,8 @@ concave part walks the subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import AlternativeId, Instance, WelfareValue
 from .elicitation import approval_profile
@@ -39,17 +38,21 @@ Branch = tuple[tuple[AlternativeId, ...], int]
 Component = tuple[Fraction, tuple[AlternativeId, ...], int]
 
 
-@dataclass(frozen=True)
-class Plan:
-    """A rule's public randomness: components with positive exact weights
-    summing to 1."""
-
+class _PlanFields(NamedTuple):
     support: tuple[Component, ...]
 
-    def __post_init__(self):
-        total = sum(weight for weight, _, _ in self.support)
-        if total != 1 or any(weight <= 0 for weight, _, _ in self.support):
-            raise ValueError(f"plan weights must be positive and sum to 1, got {self.support}")
+
+class Plan(_PlanFields):
+    """A rule's public randomness: components with positive exact weights
+    summing to 1, which the constructor checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, support: tuple[Component, ...]):
+        total = sum(weight for weight, _, _ in support)
+        if total != 1 or any(weight <= 0 for weight, _, _ in support):
+            raise ValueError(f"plan weights must be positive and sum to 1, got {support}")
+        return super().__new__(cls, support)
 
 
 def check_mix(mix: Fraction) -> Fraction:

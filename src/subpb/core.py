@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence
@@ -89,10 +88,28 @@ class UtilityOracle(ABC):
     form on `CoverageSumOracle` and `MaxValueSumOracle`, by enumeration on
     `ConcaveSumOracle`, summed on `SumOracle`.
 
-    Subclasses are immutable; evaluating them from many threads needs no
-    coordination."""
+    Oracles are not mutated after construction (a cached property only
+    fills in a value derived from the fields); evaluating them from many
+    threads needs no coordination. Two oracles are equal when they have the
+    same type and equal `_fields`, the constructor's arguments in order."""
 
     family: str = ""
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
 
     def start(self) -> tuple:
         """State of the empty set: value 0, and a payload of 0 unless the
@@ -113,14 +130,15 @@ class UtilityOracle(ABC):
         return state[0]
 
 
-@dataclass(frozen=True)
 class AdditiveOracle(UtilityOracle):
     """f(S) = sum of per-alternative values."""
 
-    values: tuple[float, ...]
-    scale: float = 1.0
-
     family = "additive"
+    _fields = ("values", "scale")
+
+    def __init__(self, values: tuple[float, ...], scale: float = 1.0):
+        self.values = values
+        self.scale = scale
 
     @classmethod
     def normalized(cls, values: Sequence[float]) -> "AdditiveOracle":
@@ -136,18 +154,20 @@ class AdditiveOracle(UtilityOracle):
         return (state[0] + self.values[a] * self.scale, 0)
 
 
-@dataclass(frozen=True)
 class CoverageOracle(UtilityOracle):
     """Weighted coverage: each alternative covers a subset of a finite
     universe; f(S) is the total weight of the union of covered subsets.
 
     Covered subsets are stored as bitmasks over the universe."""
 
-    weights: tuple[float, ...]
-    cover_masks: tuple[int, ...]
-    scale: float = 1.0
-
     family = "coverage"
+    _fields = ("weights", "cover_masks", "scale")
+
+    def __init__(self, weights: tuple[float, ...], cover_masks: tuple[int, ...],
+                 scale: float = 1.0):
+        self.weights = weights
+        self.cover_masks = cover_masks
+        self.scale = scale
 
     @classmethod
     def normalized(
@@ -189,15 +209,16 @@ class CoverageOracle(UtilityOracle):
                 covered | self.cover_masks[a])
 
 
-@dataclass(frozen=True)
 class ConcaveOverModularOracle(UtilityOracle):
     """f(S) = (sum of per-alternative values) ** gamma with gamma in (0, 1]."""
 
-    values: tuple[float, ...]
-    gamma: float
-    scale: float = 1.0
-
     family = "concave"
+    _fields = ("values", "gamma", "scale")
+
+    def __init__(self, values: tuple[float, ...], gamma: float, scale: float = 1.0):
+        self.values = values
+        self.gamma = gamma
+        self.scale = scale
 
     @classmethod
     def normalized(
@@ -221,14 +242,15 @@ class ConcaveOverModularOracle(UtilityOracle):
         return (_concave(inner, self.gamma) * self.scale, inner)
 
 
-@dataclass(frozen=True)
 class MaxValueOracle(UtilityOracle):
     """f(S) = largest per-alternative value present in S (0 for the empty set)."""
 
-    values: tuple[float, ...]
-    scale: float = 1.0
-
     family = "max-value"
+    _fields = ("values", "scale")
+
+    def __init__(self, values: tuple[float, ...], scale: float = 1.0):
+        self.values = values
+        self.scale = scale
 
     @classmethod
     def normalized(cls, values: Sequence[float]) -> "MaxValueOracle":
@@ -250,7 +272,6 @@ class MaxValueOracle(UtilityOracle):
         return (scaled if scaled > state[0] else state[0], 0)
 
 
-@dataclass(frozen=True)
 class CoverageSumOracle(UtilityOracle):
     """The additive and coverage voters as one weighted coverage function
     over cover signatures. `signatures[j]` is the m-bit mask of the
@@ -258,10 +279,12 @@ class CoverageSumOracle(UtilityOracle):
     already. f(S) is the total weight of the signatures that meet S. The
     payload is the m-bit mask of the set's alternatives."""
 
-    weights: tuple[float, ...]
-    signatures: tuple[int, ...]
-
     family = "coverage"
+    _fields = ("weights", "signatures")
+
+    def __init__(self, weights: tuple[float, ...], signatures: tuple[int, ...]):
+        self.weights = weights
+        self.signatures = signatures
 
     @cached_property
     def covers(self) -> dict[AlternativeId, tuple[tuple[int, float], ...]]:
@@ -296,7 +319,6 @@ class CoverageSumOracle(UtilityOracle):
         return hit / subsets
 
 
-@dataclass(frozen=True)
 class ConcaveSumOracle(UtilityOracle):
     """The sum of concave-over-modular voters, f(S) = sum over voters v of
     s_v * (sum of v's values over S) ** g_v, as one oracle. `columns[a]`
@@ -304,11 +326,14 @@ class ConcaveSumOracle(UtilityOracle):
     inner sums, so a state extends all voters at once, and the walk of
     `expected_uniform` runs once for all of them."""
 
-    columns: tuple[tuple[float, ...], ...]
-    gammas: tuple[float, ...]
-    scales: tuple[float, ...]
-
     family = "concave"
+    _fields = ("columns", "gammas", "scales")
+
+    def __init__(self, columns: tuple[tuple[float, ...], ...], gammas: tuple[float, ...],
+                 scales: tuple[float, ...]):
+        self.columns = columns
+        self.gammas = gammas
+        self.scales = scales
 
     @classmethod
     def of(cls, voters: Sequence[ConcaveOverModularOracle]) -> "ConcaveSumOracle":
@@ -351,17 +376,18 @@ class ConcaveSumOracle(UtilityOracle):
                 stack.append((self.extend(state, items[i]), i + 1, left - 1))
 
 
-@dataclass(frozen=True)
 class MaxValueSumOracle(UtilityOracle):
     """The sum of max-value voters, f(S) = sum over voters v of s_v times
     v's largest value in S, as one oracle. `rows[v]` holds voter v's
     values and `scales[v]` its scale. The payload is the tuple of the
     voters' scaled running maxima."""
 
-    rows: tuple[tuple[float, ...], ...]
-    scales: tuple[float, ...]
-
     family = "max-value"
+    _fields = ("rows", "scales")
+
+    def __init__(self, rows: tuple[tuple[float, ...], ...], scales: tuple[float, ...]):
+        self.rows = rows
+        self.scales = scales
 
     @classmethod
     def of(cls, voters: Sequence[MaxValueOracle]) -> "MaxValueSumOracle":
@@ -393,12 +419,14 @@ class MaxValueSumOracle(UtilityOracle):
             for row, scale in zip(self.rows, self.scales))
 
 
-@dataclass(frozen=True)
 class SumOracle(UtilityOracle):
     """f(S) = sum of the parts' values; each part keeps its own scale. Only
     an instance that mixes families has more than one welfare part."""
 
-    parts: tuple[UtilityOracle, ...]
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[UtilityOracle, ...]):
+        self.parts = parts
 
     def expected_uniform(self, items, k):
         return sum(part.expected_uniform(items, k) for part in self.parts)
@@ -464,29 +492,28 @@ def _mask_weight(mask: int, weights: Sequence[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class OracleSpec:
+class OracleSpec(NamedTuple):
     """Unvalidated voter description: a family name plus raw parameters."""
 
     family: str
     params: Mapping[str, object]
 
 
-@dataclass(frozen=True)
-class RawInstance:
+class RawInstance(NamedTuple):
     """Parsed but unvalidated instance, as read from a file or generator."""
 
     costs: tuple[Fraction, ...]
     voters: tuple[OracleSpec, ...]
 
 
-@dataclass(frozen=True)
 class Instance:
     """Validated instance: exact costs, budget of 1, normalized oracles."""
 
-    costs: tuple[Fraction, ...]
-    voters: tuple[UtilityOracle, ...]
     budget: ClassVar[Fraction] = Fraction(1)
+
+    def __init__(self, costs: tuple[Fraction, ...], voters: tuple[UtilityOracle, ...]):
+        self.costs = costs
+        self.voters = voters
 
     @property
     def m(self) -> int:

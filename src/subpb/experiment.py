@@ -32,10 +32,9 @@ import enum
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import rng as rng_mod
 from .aggregation import (
@@ -65,30 +64,26 @@ BOUND_TOL = 1e-9
 # Generation
 
 
-@dataclass(frozen=True)
-class UniformRational:
+class UniformRational(NamedTuple):
     """Costs k/grid with k uniform in 1..grid."""
 
     grid: int = 8
 
 
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(NamedTuple):
     """Costs k/2^j, exactly representable at any precision."""
 
     max_exponent: int = 5
 
 
-@dataclass(frozen=True)
-class Fixed:
+class Fixed(NamedTuple):
     costs: tuple[Fraction, ...]
 
 
 CostModel = Union[UniformRational, Dyadic, Fixed]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class _GeneratorFields(NamedTuple):
     family: str
     m: int
     n: int
@@ -96,13 +91,27 @@ class GeneratorSpec:
     seed: int = 0
     family_params: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self):
+
+class GeneratorSpec(_GeneratorFields):
+    """What `generate` draws an instance from. Every way of building a spec,
+    `_replace` included, refuses parameters its generator does not read."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
         # Only the coverage generator reads a parameter (`_draw_voter`).
-        reads = {"private_elements"} if self.family == "coverage" else set()
-        unknown = dict(self.family_params).keys() - reads
+        reads = {"private_elements"} if spec.family == "coverage" else set()
+        unknown = dict(spec.family_params).keys() - reads
         if unknown:
-            raise ValueError(f"the {self.family} generator reads no parameters "
+            raise ValueError(f"the {spec.family} generator reads no parameters "
                              f"{sorted(map(str, unknown))}")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, which would skip `__new__`.
+        return cls(*iterable)
 
     @property
     def instance_id(self) -> str:
@@ -183,8 +192,7 @@ class Mode(enum.Enum):
     MONTE_CARLO = "mc"
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """One pipeline evaluation against the exhaustive optimum.
 
     `welfare_ratio` lower-bounds the distortion of the rule on this
@@ -472,8 +480,7 @@ def _monte_carlo(
 # Sweeps
 
 
-@dataclass(frozen=True)
-class SweepFailure:
+class SweepFailure(NamedTuple):
     """A sweep cell that raised instead of producing a report."""
 
     instance_id: str

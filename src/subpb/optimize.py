@@ -25,9 +25,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import AlternativeId, ExceedsExactBudget, Instance, WelfareValue
 
@@ -35,20 +34,31 @@ from .core import AlternativeId, ExceedsExactBudget, Instance, WelfareValue
 EXACT_ENUMERATION_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class KnapsackProblem:
-    """Integer profits, exact rational costs, capacity 1 unless overridden."""
-
+class _KnapsackFields(NamedTuple):
     profits: tuple[int, ...]
     costs: tuple[Fraction, ...]
     capacity: Fraction = Fraction(1)
 
-    def __post_init__(self):
-        if len(self.profits) != len(self.costs):
+
+class KnapsackProblem(_KnapsackFields):
+    """Integer profits, exact rational costs, capacity 1 unless overridden;
+    every way of building one checks the profits."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        problem = super().__new__(cls, *args, **kwargs)
+        if len(problem.profits) != len(problem.costs):
             raise ValueError("profits and costs must align")
-        for p in self.profits:
+        for p in problem.profits:
             if p < 0 or p != int(p):
                 raise ValueError(f"profits must be nonnegative integers, got {p}")
+        return problem
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, which would skip `__new__`.
+        return cls(*iterable)
 
     @property
     def size(self) -> int:
@@ -146,12 +156,11 @@ def solve_knapsack(problem: KnapsackProblem, eps: float = 0.0) -> frozenset:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     scale = eps * max(problem.profits, default=0) / max(1, problem.size)
     if scale > 1.0:
-        problem = replace(problem, profits=tuple(int(p / scale) for p in problem.profits))
+        problem = problem._replace(profits=tuple(int(p / scale) for p in problem.profits))
     return knapsack_exact(problem)
 
 
-@dataclass(frozen=True)
-class OptimalBundle:
+class OptimalBundle(NamedTuple):
     """A welfare-maximizing feasible set and its social welfare."""
 
     items: frozenset

@@ -9,9 +9,8 @@ in exactly one group. All boundary comparisons are exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import AlternativeId, Instance
 
@@ -31,8 +30,7 @@ def group_bounds(m: int) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(bounds)
 
 
-@dataclass(frozen=True)
-class GroupPartition:
+class GroupPartition(NamedTuple):
     """Cost-based grouping of all alternatives; groups are disjoint and
     their union is the full alternative set."""
 

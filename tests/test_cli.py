@@ -1,11 +1,14 @@
 """CLI exit codes for malformed flags and environment, unreadable files,
 malformed instance files, over-limit exact enumeration and a missed bound,
-the scores that `inspect --scores` prints, and the instance file round
-trip."""
+the scores that `inspect --scores` prints, the instance file round trip,
+and what importing the CLI loads."""
 
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,6 +157,47 @@ def test_unreadable_instance_is_io_error(tmp_path, capsys, make_path):
     code, err = run(argv, capsys)
     assert code == cli.EXIT_IO
     assert err.startswith("i/o error:")
+
+
+#: The first line of standard error for each failing exit code.
+ERROR_PREFIXES = {cli.EXIT_IO: "i/o error:", cli.EXIT_PARSE: "parse error:",
+                  cli.EXIT_BUDGET: "exact budget exceeded:"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["gen", "--family", "additive", "--m", "3", "--n", "2",
+                  "--out", "{dir}/missing/x.json"], cli.EXIT_IO, id="gen-out-in-missing-dir"),
+    pytest.param(["inspect", "--instance", "{dir}/missing.json"], cli.EXIT_IO,
+                 id="inspect-missing-file"),
+    pytest.param(["inspect", "--instance", "{dir}/version-only.json"], cli.EXIT_PARSE,
+                 id="inspect-version-only"),
+    pytest.param(["inspect", "--instance", "{dir}/m25.json", "--opt"], cli.EXIT_BUDGET,
+                 id="inspect-opt-past-the-limit"),
+    pytest.param(["inspect", "--instance", "{dir}/m25.json", "--group-table"], cli.EXIT_OK,
+                 id="inspect-group-table-past-the-limit"),
+])
+def test_gen_and_inspect_exit_codes(tmp_path, capsys, argv, expected):
+    # The exhaustive optimum refuses m = 25, which the group table does not need.
+    (tmp_path / "version-only.json").write_text('{"schema_version": 1}', encoding="utf-8")
+    assert cli.main(["gen", "--family", "additive", "--m", "25", "--n", "2",
+                     "--out", str(tmp_path / "m25.json")]) == cli.EXIT_OK
+    capsys.readouterr()
+    code, err = run([arg.format(dir=tmp_path) for arg in argv], capsys)
+    assert code == expected
+    if expected == cli.EXIT_OK:
+        assert err == ""
+    else:
+        assert err.startswith(ERROR_PREFIXES[expected]) and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # Generating dataclass methods was most of a cold start, and
+    # `dataclasses` imports `inspect`. -S keeps site hooks out of the count.
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, subpb.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 ADDITIVE = {"family": "additive", "params": {"values": [1.0, 1.0]}}

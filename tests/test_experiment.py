@@ -5,7 +5,6 @@ sampler's exact binomial and multinomial count draws, and the integer-cost
 exact solvers on mixed denominators."""
 
 import csv
-import dataclasses
 import io
 import itertools
 import math
@@ -137,7 +136,7 @@ class TestSweep:
         # SHORTLIST_HEAVY draws a uniform 5-subset of 10 alternatives: past a
         # limit below C(10, 5), coverage still has its closed form, while the
         # concave family would have to enumerate the component.
-        concave = generate(dataclasses.replace(SHORTLIST_HEAVY, family="concave"))
+        concave = generate(SHORTLIST_HEAVY._replace(family="concave"))
         monkeypatch.setattr(core, "EXACT_SUPPORT_LIMIT", math.comb(10, 5))
         evaluate(concave, Method.MARGINAL_VALUES)
         monkeypatch.setattr(core, "EXACT_SUPPORT_LIMIT", math.comb(10, 5) - 1)
@@ -219,7 +218,7 @@ class TestSweep:
         assert run(specs).encode() == first.encode()
         rows = list(csv.DictReader(io.StringIO(first)))
         reseeded = csv.DictReader(io.StringIO(
-            run([dataclasses.replace(spec, seed=4) for spec in specs])))
+            run([spec._replace(seed=4) for spec in specs])))
         for row, other in zip(rows, reseeded, strict=True):
             assert all(row[col] != other[col] for col in mc_columns), (row, other)
         # The Monte Carlo stream alone moves the MC columns: the same
@@ -453,7 +452,7 @@ class TestCountSampler:
     @pytest.mark.parametrize("mix", [Fraction(1, 2), Fraction(1)])
     @pytest.mark.parametrize("family", ["coverage", "additive"])
     def test_mc_agrees_where_draws_rarely_repeat(self, family, mix):
-        instance = generate(dataclasses.replace(MANY_SETS, family=family))
+        instance = generate(MANY_SETS._replace(family=family))
         plan = experiment._plan(experiment._InstanceFacts(instance), Method.MARGINAL_VALUES,
                                 mix, 0.0)
         assert any(math.comb(len(items), k) > weight * 20_000
@@ -523,7 +522,11 @@ def test_threshold_knapsack_eps_must_lie_below_one():
     ("additive", (("private_elements", True),)),
 ])
 def test_generator_parameters_it_does_not_read_are_refused(family, params):
-    # A misspelt or retired parameter would otherwise be ignored silently.
+    # A misspelt or retired parameter would otherwise be ignored silently,
+    # whether the spec is built or derived from another by `_replace`.
     with pytest.raises(ValueError, match=params[0][0]):
         GeneratorSpec(family, 4, 2, family_params=params)
-    assert generate(GeneratorSpec("coverage", 4, 2, family_params=(("private_elements", True),)))
+    coverage = GeneratorSpec("coverage", 4, 2, family_params=(("private_elements", True),))
+    with pytest.raises(ValueError, match=params[0][0]):
+        coverage._replace(family=family, family_params=params)
+    assert generate(coverage)

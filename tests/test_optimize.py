@@ -73,8 +73,13 @@ class TestKnapsackExact:
             assert fast == slow
 
     def test_negative_profit_rejected(self):
-        with pytest.raises(ValueError):
-            problem([-1], ["1/2"])
+        # Also misaligned and non-integer profits, built or derived by
+        # `_replace`, as the approximate solver derives its scaled problem.
+        for profits, costs in [([-1], ["1/2"]), ([1, 2], ["1/2"]), ([1.5], ["1/2"])]:
+            with pytest.raises(ValueError):
+                problem(profits, costs)
+            with pytest.raises(ValueError):
+                problem([0] * len(costs), costs)._replace(profits=tuple(profits))
 
 
 class TestKnapsackFptas:
