@@ -1,15 +1,16 @@
 """Randomized aggregation rules as plans of their public randomness.
 
 The rules read the votes of `elicitation` as plain tuples, one per voter,
-and aggregate them themselves: a ranked group's harmonic scores pick its
-score shortlist, and the approval counts at a threshold are the knapsack
-profits. Every rule is written once as a `Plan` (`rule_plan`): a few
-components (weight, P, k) with exact positive weights summing to 1, each
-meaning "a uniform k-subset of the sorted items P". The ranking rules mix
-each group's score-shortlist subset draw with a uniform singleton draw;
-the threshold rule mixes per-threshold knapsack outcomes S, each the
-component (S, |S|), with the same uniform singleton draw. Its knapsack is
-exact at eps = 0, else a (1 - eps)-approximation.
+and aggregate them themselves: a group is ranked only where its shortlist
+binds, its harmonic scores then picking the shortlist, and the approval
+counts at a threshold are the knapsack profits. Every rule is written once
+as a `Plan` (`rule_plan`): a few components (weight, P, k) with exact
+positive weights summing to 1, each meaning "a uniform k-subset of the
+sorted items P". The ranking rules mix each group's score-shortlist subset
+draw with a uniform singleton draw; the threshold rule mixes per-threshold
+knapsack outcomes S, each the component (S, |S|), with the same uniform
+singleton draw. Its knapsack is exact at eps = 0, else a
+(1 - eps)-approximation.
 `expected_welfare` takes the exact expectation component by component,
 from the mean social welfare of the component's subsets (`expected_uniform`
 of the instance welfare oracle, `core.Instance.welfare`), without expanding

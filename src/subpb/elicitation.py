@@ -4,14 +4,14 @@ Three elicitation formats are supported: greedy marginal-gain rankings of
 one cost group, standalone-value rankings of one cost group, and approval
 sets at a rational threshold. Votes are plain data, one per voter in voter
 order: a ranking is a tuple that permutes the group, an approval set a
-frozenset. The rules in `aggregation` aggregate them, and the rule's plan,
-not this module, weighs the groups and thresholds. Greedy rankings read
-no oracle state: additive, concave and max-value voters rank in closed
-form, and coverage alone walks its cover masks. Value rankings and
-approval sets read only standalone values f({a}): the profile functions
-take them from the instance's per-voter `core.Instance.singleton_table`,
-built once per instance, so no singleton is evaluated per group or per
-threshold.
+frozenset. The rules in `aggregation` aggregate them; the rule's plan
+weighs the groups and thresholds and asks for rankings only of groups
+whose shortlist binds. Greedy rankings read no oracle state: additive,
+concave and max-value voters rank in closed form, and coverage alone walks
+its cover masks. Value rankings and approval sets read only standalone
+values f({a}): the profile functions take them from the instance's
+per-voter `core.Instance.singleton_table`, built once per instance, so no
+singleton is evaluated per group or per threshold.
 """
 
 from __future__ import annotations

@@ -46,16 +46,11 @@ from .aggregation import (
     shortlist_branch,
     threshold_branches,
 )
-from .core import (
-    Instance,
-    OracleSpec,
-    RawInstance,
-    max_curvature,
-    validate_instance,
-)
+from .core import Instance, OracleSpec, RawInstance, max_curvature, validate_instance
 from .elicitation import Method, ranking_profile
 from .optimize import OptimalBundle, optimal_welfare
-from .partition import GroupPartition, build_partition, group_index_bound
+from .partition import (GroupPartition, build_partition, group_index_bound, selection_size,
+                        shortlist_cap)
 
 BOUND_TOL = 1e-9
 
@@ -352,15 +347,17 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
 def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, eps: float) -> Plan:
     """The rule's components (`aggregation.rule_plan`). Ranking profiles and
     knapsack outcomes are computed only when the coin gives their components
-    positive weight; an empty group is never ranked and selects nothing."""
+    positive weight, and rankings only where the shortlist binds: a group
+    within its cap, empty or not, is shortlisted whole, unranked."""
     mix = check_mix(mix)
     instance, partition = facts.instance, facts.partition
     branches = []
     if mix and method.is_ranking:
         branches = [
+            (group, min(len(group), selection_size(partition.m, t)))
+            if len(group) <= shortlist_cap(partition.m, t) else
             shortlist_branch(ranking_profile(instance, partition, method, t), partition, t)
-            if partition.groups[t] else ((), 0)
-            for t in range(partition.T + 1)
+            for t, group in enumerate(partition.groups)
         ]
     elif mix:
         branches = threshold_branches(instance, partition, eps)

@@ -90,8 +90,8 @@ def shortlist(
 ) -> tuple[AlternativeId, ...]:
     """The score shortlist of G_t, in ascending id order: the top
     min(|G_t|, floor(sqrt(m)/u_t)) members by harmonic score, ties by
-    ascending id. For t = 0 the cap is at least m, so the whole group is
-    shortlisted."""
+    ascending id. The cap is at least m exactly when 4^t <= m, and then
+    the whole group is shortlisted."""
     cap = min(len(partition.groups[t]), shortlist_cap(partition.m, t))
     ordered = sorted(scores, key=lambda a: (-scores[a], a))
     return tuple(sorted(ordered[:cap]))

@@ -8,6 +8,8 @@ states one alternative at a time, and
 the rules' plans are expanded into full selection distributions with exact
 rational probabilities, so that expected welfare and inclusion
 probabilities can be computed by enumeration rather than in closed form.
+The reference plan ranks every non-empty cost group, including those whose
+shortlist is the whole group.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from subpb.core import (
     UtilityOracle,
     social_welfare,
 )
+from subpb.elicitation import Method, ranking_profile
 from subpb.optimize import KnapsackProblem
 from subpb.partition import GroupPartition, build_partition
 
@@ -317,6 +320,25 @@ def plan_distribution(plan: Plan) -> SelectionDistribution:
 def distribution_welfare(dist: SelectionDistribution, instance: Instance) -> float:
     """Expected social welfare by summing over every support set."""
     return math.fsum(p * social_welfare(instance, items) for items, p in dist.support)
+
+
+def reference_plan(instance: Instance, method: Method, mix: Fraction,
+                   eps: float = 0.0) -> Plan:
+    """The rule's plan with every non-empty group ranked, whether or not its
+    shortlist binds: the score shortlist of each group from its votes, the
+    empty group as ((), 0)."""
+    mix = check_mix(mix)
+    partition = build_partition(instance)
+    branches = []
+    if mix and method.is_ranking:
+        branches = [
+            shortlist_branch(ranking_profile(instance, partition, method, t), partition, t)
+            if partition.groups[t] else ((), 0)
+            for t in range(partition.T + 1)
+        ]
+    elif mix:
+        branches = threshold_branches(instance, partition, eps)
+    return rule_plan(instance, mix, branches)
 
 
 def rule_a_ranking(

@@ -190,14 +190,26 @@ def test_gen_and_inspect_exit_codes(tmp_path, capsys, argv, expected):
         assert err.startswith(ERROR_PREFIXES[expected]) and err.count("\n") == 1
 
 
+def loaded_by_import(imports: str, modules: set[str], *flags: str) -> list[str]:
+    """Which of `modules` a fresh interpreter has loaded after `import <imports>`."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = f"import sys, {imports}; print(*sorted({modules!r} & sys.modules.keys()))"
+    done = subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+    return done.stdout.split()
+
+
 def test_cli_import_loads_no_dataclass_machinery():
     # Generating dataclass methods was most of a cold start, and
     # `dataclasses` imports `inspect`. -S keeps site hooks out of the count.
-    src = Path(cli.__file__).resolve().parents[1]
-    probe = "import sys, subpb.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
-    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+    assert loaded_by_import("subpb.cli", {"dataclasses", "inspect"}, "-S") == []
+
+
+def test_program_import_loads_no_numpy():
+    # numpy is a test dependency only: importing it would cost every process
+    # tens of milliseconds. Site packages stay on the path, where numpy is
+    # installed, so an import of it, guarded or not, would succeed and show.
+    assert loaded_by_import("subpb.cli, subpb.experiment", {"numpy"}) == []
 
 
 ADDITIVE = {"family": "additive", "params": {"values": [1.0, 1.0]}}

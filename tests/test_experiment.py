@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from subpb import core, experiment
+from subpb import core, experiment, partition
 from subpb.core import OracleSpec, RawInstance, validate_instance
 from subpb.elicitation import Method
 from subpb.experiment import (
@@ -50,9 +50,13 @@ OVER_LIMIT_SPECS = (
     GeneratorSpec("coverage", 25, 3, Fixed((Fraction(2, 25),) * 25), seed=1),
 )
 
-# Every cost is 3/(2m): all ten alternatives share group 1 and are
-# shortlisted, and the rule draws a uniform 5-subset of them.
+# Every cost is 3/(2m): all ten alternatives share group 1, whose cap of 15
+# shortlists them whole, and the rule draws a uniform 5-subset of them.
 SHORTLIST_HEAVY = GeneratorSpec("coverage", 10, 12, Fixed((Fraction(3, 20),) * 10), seed=1)
+
+# Every cost is 9/16, so all sixteen alternatives share group 4, whose cap
+# of 4 binds: the rule ranks the group and draws one of its top 4 scorers.
+BINDING_SHORTLIST = GeneratorSpec("coverage", 16, 5, Fixed((Fraction(9, 16),) * 16), seed=1)
 
 # The exact-shortlist benchmark's shape: a uniform 8-subset of 16 shortlisted
 # alternatives, C(16, 8) = 12,870 sets, more than a cell's share of 20k draws.
@@ -275,14 +279,17 @@ class TestPlanAndSampler:
                             lambda *args: calls.append(args) or real(*args))
         ranking = [Method.MARGINAL_VALUES, Method.STANDALONE_VALUES]
         for mode in Mode:
-            sweep([SHORTLIST_HEAVY], ranking, mix=Fraction(0), mode=mode, samples=100)
+            sweep([SHORTLIST_HEAVY, BINDING_SHORTLIST], ranking, mix=Fraction(0), mode=mode,
+                  samples=100)
         assert calls == []
-        sweep([SHORTLIST_HEAVY], ranking, mix=Fraction(1, 2))
-        assert calls
+        sweep([BINDING_SHORTLIST], ranking, mix=Fraction(1, 2))
+        assert [args[3] for args in calls] == [4, 4]
 
     def test_empty_group_is_never_ranked_and_selects_nothing(self, monkeypatch):
         # Every cost is 1/m, so groups 1 and 2 of m = 4 are empty; each still
-        # takes its share of the coin, as the component ((), 0).
+        # takes its share of the coin, as the component ((), 0). Group 0 is
+        # not ranked either: its cap of 8 covers all four members, so it is
+        # shortlisted whole whatever the votes say.
         calls = []
         real = experiment.ranking_profile
         monkeypatch.setattr(experiment, "ranking_profile",
@@ -295,7 +302,57 @@ class TestPlanAndSampler:
             sixth = Fraction(1, 6)
             assert plan.support == ((Fraction(1, 2), (0, 1, 2, 3), 1),
                                     (sixth, (0, 1, 2, 3), 4), (sixth, (), 0), (sixth, (), 0))
-        assert calls == [0, 0]
+        assert calls == []
+
+    def test_plan_equals_the_plan_that_ranks_every_group(self, monkeypatch):
+        # Ranking a group within its cap cannot change its shortlist, so the
+        # plan, the exact expectation and the Monte Carlo draws are those of
+        # the rule that ranks every non-empty group.
+        ranking = [Method.MARGINAL_VALUES, Method.STANDALONE_VALUES]
+        binding = whole = 0
+        for spec in PINNED_SPECS:
+            facts = experiment._InstanceFacts(generate(spec))
+            m, groups = facts.partition.m, facts.partition.groups
+            caps = [partition.shortlist_cap(m, t) for t in range(len(groups))]
+            binding += sum(len(group) > cap for group, cap in zip(groups, caps))
+            whole += sum(0 < len(group) <= cap for group, cap in zip(groups, caps))
+            for method, mix in itertools.product(ranking, PINNED_MIXES):
+                assert (experiment._plan(facts, method, mix, 0.0)
+                        == helpers.reference_plan(facts.instance, method, mix)), (spec, method)
+        assert binding and whole
+        for mode in Mode:
+            got = [sweep(PINNED_SPECS, ranking, mix=mix, mode=mode, samples=2_000)
+                   for mix in PINNED_MIXES]
+            with monkeypatch.context() as patch:
+                patch.setattr(experiment, "_plan", lambda facts, method, mix, eps:
+                              helpers.reference_plan(facts.instance, method, mix, eps))
+                want = [sweep(PINNED_SPECS, ranking, mix=mix, mode=mode, samples=2_000)
+                        for mix in PINNED_MIXES]
+            assert repr(got) == repr(want), mode
+
+    @pytest.mark.parametrize("members, ranked", [(8, []), (9, [3])])
+    def test_group_is_ranked_only_past_its_cap(self, members, ranked, monkeypatch):
+        # At m = 16 group 3 holds the costs in (4/16, 8/16] and its cap is 8:
+        # eight members at 5/16 are shortlisted whole, a ninth makes the
+        # rule rank the group and keep its top 8 scorers. The rest cost 1/16
+        # (group 0, cap 64), which is never ranked.
+        assert partition.shortlist_cap(16, 3) == 8
+        costs = (Fraction(5, 16),) * members + (Fraction(1, 16),) * (16 - members)
+        instance = generate(GeneratorSpec("additive", 16, 4, Fixed(costs), seed=2))
+        facts = experiment._InstanceFacts(instance)
+        assert facts.partition.groups[3] == tuple(range(members))
+        calls = []
+        real = experiment.ranking_profile
+        monkeypatch.setattr(experiment, "ranking_profile",
+                            lambda *args: calls.append(args[3]) or real(*args))
+        for method in (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES):
+            calls.clear()
+            plan = experiment._plan(facts, method, Fraction(1, 2), 0.0)
+            assert calls == ranked
+            assert plan == helpers.reference_plan(instance, method, Fraction(1, 2))
+            # After the singleton component, one component per group.
+            _, items, k = plan.support[1 + 3]
+            assert set(items) <= set(range(members)) and (len(items), k) == (8, 2)
 
     @pytest.mark.parametrize("mix", [Fraction(1, 2), Fraction(0), Fraction(1)])
     @pytest.mark.parametrize("family", FAMILIES)
