@@ -8,7 +8,7 @@ serializing then parsing is the identity.
 Exit codes: 0 success with all bounds satisfied, 1 usage error, 2 I/O
 error, 3 parse error, 4 exact-enumeration budget exceeded, 5 a reported
 bound was violated. The SUBPB_SEED environment variable overrides the
-default seed of 0 when --seed is not given.
+default seed of 0 of `gen` and `eval` when --seed is not given.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import rng as rng_mod
 from .core import (
     Instance,
     OracleSpec,
@@ -242,7 +241,6 @@ def _build_parser() -> _Parser:
     ins.add_argument("--opt", action="store_true",
                      help="print an optimal set: among optima, the lexicographically "
                           "smallest id sequence that no further alternative fits into")
-    ins.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -310,7 +308,6 @@ def cmd_inspect(args) -> int:
         raise UsageError("--scores needs --method")
     if args.method is not None and not args.scores:
         raise UsageError("--method applies to --scores only")
-    seed = args.seed if args.seed is not None else _default_seed()
     _, instance = load_instance(args.instance)
     partition = build_partition(instance)
     shown = False
@@ -324,15 +321,14 @@ def cmd_inspect(args) -> int:
     if args.scores:
         shown = True
         method = Method(args.method)
-        rng = rng_mod.stream(seed, "inspect", method.value)
-        t = rng.randrange(partition.T + 1)
-        print(f"group {t} scores ({method.value})")
-        if partition.groups[t]:
+        for t in range(partition.T + 1):
+            print(f"group {t} scores ({method.value})")
+            if not partition.groups[t]:
+                print("(empty group)")
+                continue
             scores = harmonic_scores(ranking_profile(instance, partition, method, t))
             for a in partition.groups[t]:
                 print(f"{a} {scores[a]!r}")
-        else:
-            print("(empty group)")
     if args.opt:
         shown = True
         bundle = optimal_welfare(instance)

@@ -1,10 +1,13 @@
 """Budgeted voting instances with submodular voter utilities.
 
 An instance holds m alternatives (dense ids 0..m-1), each with an exact
-rational cost in (0, 1], a total budget of 1, and one utility oracle per
-voter. Every oracle is a monotone submodular set function scaled so that
-the grand set has value exactly 1; all downstream welfare guarantees rely
-on that scaling, so unnormalizable inputs are rejected at validation time.
+rational cost in (0, 1], a total budget of 1, and one voter record per
+voter. A voter's utility is a monotone submodular set function of one of
+four families, scaled so that the grand set has value exactly 1; all
+downstream welfare guarantees rely on that scaling, so unnormalizable
+inputs are rejected at validation time. Voters are plain data with one
+closed-form `value` each. Only the welfare parts (`welfare_oracle`), which
+sum the voters of one kind, evaluate sets through states.
 
 Costs are kept as `fractions.Fraction` throughout: group boundaries and
 budget feasibility must be decided bit-exactly. Utility values are floats
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from abc import ABC, abstractmethod
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
@@ -68,32 +71,26 @@ class SingletonTable(NamedTuple):
 
 
 class UtilityOracle(ABC):
-    """Monotone submodular set function over alternatives, as a protocol of
-    states. A voter's oracle is scaled to value 1 on the grand set; the
-    instance welfare oracle (`Instance.welfare`) is the sum over voters, so
-    it is scaled to n, not 1.
+    """A welfare part: the summed utility of the voters of one kind, or a
+    `SumOracle` of such parts, as a monotone submodular set function
+    evaluated through states. `Instance.welfare` (`welfare_oracle`) sums
+    every voter, so it is scaled to n, not 1. Voters are records with a
+    closed-form `value` (`Voter`), not parts.
 
-    Sets are evaluated one alternative at a time through states. A state is
-    a tuple (scaled value, payload) describing one set: `start()` is the
-    empty set's and `extend(state, a)` that of the set plus a. States are
-    never mutated, so one state can be extended by every candidate in turn,
-    and the gain of a is `extend(state, a)[0] - state[0]`.
+    Sets are evaluated one alternative at a time. A state is a tuple (scaled
+    value, payload) describing one set: `start()` is the empty set's and
+    `extend(state, a)` that of the set plus a. States are never mutated, so
+    one state can be extended by every candidate in turn, and the gain of a
+    is `extend(state, a)[0] - state[0]`; `value` folds `extend`. Each part
+    also supplies `expected_uniform`, the mean of a uniform k-subset: in
+    closed form on `CoverageSumOracle` and `MaxValueSumOracle`, by
+    enumeration on `ConcaveSumOracle`, summed on `SumOracle`.
 
-    A voter family supplies `extend` (and `start` if its empty payload is
-    not 0) and `singleton_table`, which value rankings, approvals and
-    curvature read; `value` folds `extend`. Marginal rankings read neither:
-    additive, concave and max-value voters rank in closed form, and coverage
-    by its masks. The welfare parts (`welfare_oracle`) supply `extend`,
-    `start` and `expected_uniform`, the mean of a uniform k-subset: in closed
-    form on `CoverageSumOracle` and `MaxValueSumOracle`, by enumeration on
-    `ConcaveSumOracle`, summed on `SumOracle`.
+    Parts are not mutated after construction (a cached property only fills
+    in a value derived from the fields); evaluating them from many threads
+    needs no coordination. Two parts are equal when they have the same type
+    and equal `_fields`, the constructor's arguments in order."""
 
-    Oracles are not mutated after construction (a cached property only
-    fills in a value derived from the fields); evaluating them from many
-    threads needs no coordination. Two oracles are equal when they have the
-    same type and equal `_fields`, the constructor's arguments in order."""
-
-    family: str = ""
     _fields: tuple[str, ...] = ()
 
     def _key(self) -> tuple:
@@ -104,16 +101,13 @@ class UtilityOracle(ABC):
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({args})"
 
     def start(self) -> tuple:
         """State of the empty set: value 0, and a payload of 0 unless the
-        family needs one."""
+        part needs one."""
         return (0.0, 0)
 
     @abstractmethod
@@ -130,44 +124,39 @@ class UtilityOracle(ABC):
         return state[0]
 
 
-class AdditiveOracle(UtilityOracle):
+class AdditiveOracle(NamedTuple):
     """f(S) = sum of per-alternative values."""
 
-    family = "additive"
-    _fields = ("values", "scale")
+    values: tuple[float, ...]
+    scale: float = 1.0
 
-    def __init__(self, values: tuple[float, ...], scale: float = 1.0):
-        self.values = values
-        self.scale = scale
+    family = "additive"
 
     @classmethod
     def normalized(cls, values: Sequence[float]) -> "AdditiveOracle":
         vals = _nonnegative_floats(values)
         return cls(vals, _scale(sum(vals), "the sum of the values"))
 
+    def value(self, items: Iterable[AlternativeId]) -> float:
+        return _running_sum(self.values, items) * self.scale
+
     def singleton_table(self):
         # Marginals never depend on the base set, so c = 0 exactly.
         singles = tuple(v * self.scale for v in self.values)
         return SingletonTable(singles, singles)
 
-    def extend(self, state, a):
-        return (state[0] + self.values[a] * self.scale, 0)
 
-
-class CoverageOracle(UtilityOracle):
+class CoverageOracle(NamedTuple):
     """Weighted coverage: each alternative covers a subset of a finite
     universe; f(S) is the total weight of the union of covered subsets.
 
     Covered subsets are stored as bitmasks over the universe."""
 
-    family = "coverage"
-    _fields = ("weights", "cover_masks", "scale")
+    weights: tuple[float, ...]
+    cover_masks: tuple[int, ...]
+    scale: float = 1.0
 
-    def __init__(self, weights: tuple[float, ...], cover_masks: tuple[int, ...],
-                 scale: float = 1.0):
-        self.weights = weights
-        self.cover_masks = cover_masks
-        self.scale = scale
+    family = "coverage"
 
     @classmethod
     def normalized(
@@ -184,10 +173,11 @@ class CoverageOracle(UtilityOracle):
                     raise ValidationError(f"covered element {u!r} outside universe")
                 mask |= 1 << u
             masks.append(mask)
-        full = 0
-        for mask in masks:
-            full |= mask
-        return cls(wts, tuple(masks), _scale(_mask_weight(full, wts), "the covered weight"))
+        return cls(wts, tuple(masks),
+                   _scale(_mask_weight(_union(masks), wts), "the covered weight"))
+
+    def value(self, items: Iterable[AlternativeId]) -> float:
+        return _mask_weight(_union(self.cover_masks[a] for a in items), self.weights) * self.scale
 
     def singleton_table(self):
         # The last gain of a is the weight of the elements only a covers.
@@ -201,24 +191,15 @@ class CoverageOracle(UtilityOracle):
             tuple(_mask_weight(mask & only, self.weights) * self.scale
                   for mask in self.cover_masks))
 
-    def extend(self, state, a):
-        # The payload is the mask of covered elements.
-        value, covered = state
-        added = self.cover_masks[a] & ~covered
-        return (value + _mask_weight(added, self.weights) * self.scale,
-                covered | self.cover_masks[a])
 
-
-class ConcaveOverModularOracle(UtilityOracle):
+class ConcaveOverModularOracle(NamedTuple):
     """f(S) = (sum of per-alternative values) ** gamma with gamma in (0, 1]."""
 
-    family = "concave"
-    _fields = ("values", "gamma", "scale")
+    values: tuple[float, ...]
+    gamma: float
+    scale: float = 1.0
 
-    def __init__(self, values: tuple[float, ...], gamma: float, scale: float = 1.0):
-        self.values = values
-        self.gamma = gamma
-        self.scale = scale
+    family = "concave"
 
     @classmethod
     def normalized(
@@ -229,6 +210,9 @@ class ConcaveOverModularOracle(UtilityOracle):
         vals = _nonnegative_floats(values)
         return cls(vals, float(gamma), _scale(_concave(sum(vals), gamma), "the concave total"))
 
+    def value(self, items: Iterable[AlternativeId]) -> float:
+        return _concave(_running_sum(self.values, items), self.gamma) * self.scale
+
     def singleton_table(self):
         total = sum(self.values)
         full = _concave(total, self.gamma) * self.scale
@@ -236,26 +220,22 @@ class ConcaveOverModularOracle(UtilityOracle):
             tuple(_concave(v, self.gamma) * self.scale for v in self.values),
             tuple(full - _concave(total - v, self.gamma) * self.scale for v in self.values))
 
-    def extend(self, state, a):
-        # The payload is the inner sum.
-        inner = state[1] + self.values[a]
-        return (_concave(inner, self.gamma) * self.scale, inner)
 
-
-class MaxValueOracle(UtilityOracle):
+class MaxValueOracle(NamedTuple):
     """f(S) = largest per-alternative value present in S (0 for the empty set)."""
 
-    family = "max-value"
-    _fields = ("values", "scale")
+    values: tuple[float, ...]
+    scale: float = 1.0
 
-    def __init__(self, values: tuple[float, ...], scale: float = 1.0):
-        self.values = values
-        self.scale = scale
+    family = "max-value"
 
     @classmethod
     def normalized(cls, values: Sequence[float]) -> "MaxValueOracle":
         vals = _nonnegative_floats(values)
         return cls(vals, _scale(max(vals, default=0.0), "the largest value"))
+
+    def value(self, items: Iterable[AlternativeId]) -> float:
+        return max((self.values[a] for a in items), default=0.0) * self.scale
 
     def singleton_table(self):
         # Only a maximum gains over the rest, by top - second, which is 0
@@ -266,10 +246,9 @@ class MaxValueOracle(UtilityOracle):
             tuple(v * self.scale for v in self.values),
             tuple((v - second) * self.scale if v == top else 0.0 for v in self.values))
 
-    def extend(self, state, a):
-        # The value is the running maximum.
-        scaled = self.values[a] * self.scale
-        return (scaled if scaled > state[0] else state[0], 0)
+
+#: A voter record, of one of the four utility families.
+Voter = AdditiveOracle | CoverageOracle | ConcaveOverModularOracle | MaxValueOracle
 
 
 class CoverageSumOracle(UtilityOracle):
@@ -279,7 +258,6 @@ class CoverageSumOracle(UtilityOracle):
     already. f(S) is the total weight of the signatures that meet S. The
     payload is the m-bit mask of the set's alternatives."""
 
-    family = "coverage"
     _fields = ("weights", "signatures")
 
     def __init__(self, weights: tuple[float, ...], signatures: tuple[int, ...]):
@@ -326,7 +304,6 @@ class ConcaveSumOracle(UtilityOracle):
     inner sums, so a state extends all voters at once, and the walk of
     `expected_uniform` runs once for all of them."""
 
-    family = "concave"
     _fields = ("columns", "gammas", "scales")
 
     def __init__(self, columns: tuple[tuple[float, ...], ...], gammas: tuple[float, ...],
@@ -382,7 +359,6 @@ class MaxValueSumOracle(UtilityOracle):
     values and `scales[v]` its scale. The payload is the tuple of the
     voters' scaled running maxima."""
 
-    family = "max-value"
     _fields = ("rows", "scales")
 
     def __init__(self, rows: tuple[tuple[float, ...], ...], scales: tuple[float, ...]):
@@ -483,6 +459,16 @@ def _set_bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+def _running_sum(values: Sequence[float], items: Iterable[AlternativeId]) -> float:
+    """values[a] added over the items in the order given, on every Python
+    version: builtin `sum` of floats is compensated from 3.12."""
+    return reduce(operator.add, map(values.__getitem__, items), 0.0)
+
+
+def _union(masks: Iterable[int]) -> int:
+    return reduce(operator.or_, masks, 0)
+
+
 def _mask_weight(mask: int, weights: Sequence[float]) -> float:
     total = 0.0
     while mask:
@@ -507,11 +493,11 @@ class RawInstance(NamedTuple):
 
 
 class Instance:
-    """Validated instance: exact costs, budget of 1, normalized oracles."""
+    """Validated instance: exact costs, budget of 1, normalized voters."""
 
     budget: ClassVar[Fraction] = Fraction(1)
 
-    def __init__(self, costs: tuple[Fraction, ...], voters: tuple[UtilityOracle, ...]):
+    def __init__(self, costs: tuple[Fraction, ...], voters: tuple[Voter, ...]):
         self.costs = costs
         self.voters = voters
 
@@ -543,8 +529,8 @@ class Instance:
 _FAMILIES = ("additive", "coverage", "concave", "max-value")
 
 
-def build_oracle(spec: OracleSpec, m: int) -> UtilityOracle:
-    """Construct and normalize one voter oracle, checking parameter shape.
+def build_oracle(spec: OracleSpec, m: int) -> Voter:
+    """Construct and normalize one voter, checking parameter shape.
     Parameters the family does not read are refused."""
     params = dict(spec.params)
     if spec.family == "additive":
@@ -607,7 +593,7 @@ def validate_instance(raw: RawInstance) -> Instance:
     return Instance(costs=tuple(costs), voters=voters)
 
 
-def welfare_oracle(voters: Sequence[UtilityOracle]) -> UtilityOracle:
+def welfare_oracle(voters: Sequence[Voter]) -> UtilityOracle:
     """The sum of the voters' scaled utilities as one oracle, with one part
     per kind of voter.
 
@@ -689,8 +675,11 @@ def max_curvature(instance: Instance) -> float:
 
 
 def social_welfare(instance: Instance, items: Iterable[AlternativeId]) -> WelfareValue:
-    """Sum of all voters' utilities for a set, voter by voter; in [0, n]
-    after normalization. No pipeline path calls it: it is the independent
-    sum that the bench checker and the tests hold `Instance.welfare` to."""
-    items = frozenset(items)
+    """Sum of all voters' utilities for a set, each from its family's
+    closed-form `value`; in [0, n] after normalization. No pipeline path
+    calls it: it is the independent sum, sharing no code with the welfare
+    parts' states, that the bench checker and the tests hold
+    `Instance.welfare` to. Items are taken in ascending order, the order
+    in which the exact optimum extends the parts' states."""
+    items = sorted(set(items))
     return sum(v.value(items) for v in instance.voters)

@@ -6,9 +6,10 @@ sets at a rational threshold. Votes are plain data, one per voter in voter
 order: a ranking is a tuple that permutes the group, an approval set a
 frozenset. The rules in `aggregation` aggregate them; the rule's plan
 weighs the groups and thresholds and asks for rankings only of groups
-whose shortlist binds. Greedy rankings read no oracle state: additive,
-concave and max-value voters rank in closed form, and coverage alone walks
-its cover masks. Value rankings and approval sets read only standalone
+whose shortlist binds. Voters are plain records (`core.Voter`) with no
+states, and greedy rankings read their parameters: additive, concave and
+max-value voters rank in closed form, and coverage alone walks its cover
+masks. Value rankings and approval sets read only standalone
 values f({a}): the profile functions take them from the instance's
 per-voter `core.Instance.singleton_table`, built once per instance, so no
 singleton is evaluated per group or per threshold.
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (AdditiveOracle, AlternativeId, ConcaveOverModularOracle, CoverageOracle,
-                   Instance, MaxValueOracle, UtilityOracle, _mask_weight)
+                   Instance, MaxValueOracle, Voter, _mask_weight)
 from .partition import GroupPartition
 
 #: Utilities within this distance of a rational threshold count as >=.
@@ -41,7 +42,7 @@ class Method(enum.Enum):
 
 
 def rank_by_marginal(
-    voter: UtilityOracle, group: Sequence[AlternativeId]
+    voter: Voter, group: Sequence[AlternativeId]
 ) -> tuple[AlternativeId, ...]:
     """Greedy order: repeatedly append the member with the largest marginal
     gain over the ranked prefix, ties by ascending id. Additive and concave

@@ -12,12 +12,12 @@ narrows the frontiers further, and then runs the same exact solver. The
 optimum enumerates the maximal feasible subsets (those no unchosen
 alternative fits into) over the same integer costs: utilities are monotone,
 so one of them is optimal. Welfare comes from states of the instance
-welfare oracle (`core.Instance.welfare`), not of each voter's: each node
-extends its parent's state by the item it takes. For the additive and
-coverage part (`core.CoverageSumOracle`) the state carries the set's m-bit
-mask, and an extension adds the weight of each of the item's cover
-signatures that the mask does not meet. Submodular upper-bound pruning is
-not used.
+welfare oracle (`core.Instance.welfare`); voters are records without
+states. Each node extends its parent's state by the item it takes. For
+the additive and coverage part (`core.CoverageSumOracle`) the state
+carries the set's m-bit mask, and an extension adds the weight of each of
+the item's cover signatures that the mask does not meet. Submodular
+upper-bound pruning is not used.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the production code paths it is used
 to verify: the knapsack and welfare oracles enumerate subsets directly,
 the property checkers and the reference greedy ranking evaluate each set
-from its family's formula (`direct_value`) instead of extending oracle
-states one alternative at a time, and
+from its family's formula (`direct_value`), written apart from the voters'
+own closed-form `value` and from the welfare parts' states, and
 the rules' plans are expanded into full selection distributions with exact
 rational probabilities, so that expected welfare and inclusion
 probabilities can be computed by enumeration rather than in closed form.
@@ -43,7 +43,9 @@ from subpb.core import (
     MaxValueSumOracle,
     SumOracle,
     UtilityOracle,
+    Voter,
     social_welfare,
+    welfare_oracle,
 )
 from subpb.elicitation import Method, ranking_profile
 from subpb.optimize import KnapsackProblem
@@ -100,7 +102,14 @@ def brute_force_best_welfare(instance: Instance) -> tuple[frozenset, float]:
     return frozenset(best), best_welfare
 
 
-def direct_value(oracle: UtilityOracle, items) -> float:
+def left_sum(values: Iterable[float]) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def direct_value(oracle: Voter | UtilityOracle, items) -> float:
     """Scaled f(S), written straight from the family's formula: a sum, the
     weight of a union, a power of an inner sum, a maximum, the sum of such
     powers or maxima over a merged part's voters, the weight of the cover
@@ -120,14 +129,16 @@ def direct_value(oracle: UtilityOracle, items) -> float:
     if isinstance(oracle, CoverageSumOracle):
         return sum(w for w, signature in zip(oracle.weights, oracle.signatures)
                    if any(signature >> a & 1 for a in items))
+    # A voter's sums add in the order the items come, as its closed form
+    # does on every Python version; builtin `sum` is compensated from 3.12.
     if isinstance(oracle, AdditiveOracle):
-        raw = sum(oracle.values[a] for a in items)
+        raw = left_sum(oracle.values[a] for a in items)
     elif isinstance(oracle, CoverageOracle):
         covered = {u for a in items for u in range(len(oracle.weights))
                    if oracle.cover_masks[a] >> u & 1}
-        raw = sum(oracle.weights[u] for u in sorted(covered))
+        raw = left_sum(oracle.weights[u] for u in sorted(covered))
     elif isinstance(oracle, ConcaveOverModularOracle):
-        inner = sum(oracle.values[a] for a in items)
+        inner = left_sum(oracle.values[a] for a in items)
         raw = inner**oracle.gamma if inner > 0.0 else 0.0
     elif isinstance(oracle, MaxValueOracle):
         raw = max((oracle.values[a] for a in items), default=0.0)
@@ -178,14 +189,14 @@ def mask_walk_expected_uniform(weights: Sequence[float], masks: Sequence[int], i
                      for w, d in zip(weights, depth) if d) / subsets
 
 
-def brute_force_expected_uniform(oracle: UtilityOracle, items, k: int) -> float:
+def brute_force_expected_uniform(oracle: Voter | UtilityOracle, items, k: int) -> float:
     """Mean value of the k-subsets of `items`, each evaluated directly."""
     values = [direct_value(oracle, c) for c in itertools.combinations(items, k)]
     return math.fsum(values) / len(values)
 
 
-def random_oracles(rng: random.Random, m: int) -> list[UtilityOracle]:
-    """One oracle per family. Max values are drawn from three levels, so
+def random_oracles(rng: random.Random, m: int) -> list[Voter]:
+    """One voter per family. Max values are drawn from three levels, so
     ties are common; coverage element 0 is covered by every alternative and
     the last element by none, so coverage gains are often zero or tied."""
     values = [rng.uniform(0.05, 1.0) for _ in range(m)]
@@ -201,7 +212,7 @@ def random_oracles(rng: random.Random, m: int) -> list[UtilityOracle]:
     ]
 
 
-def rank_by_rebuilding(oracle: UtilityOracle, group) -> tuple[AlternativeId, ...]:
+def rank_by_rebuilding(oracle: Voter, group) -> tuple[AlternativeId, ...]:
     """The greedy marginal-gain ranking with every gain evaluated against the
     whole prefix set, rebuilt per candidate; ties by ascending id."""
     remaining = sorted(group)
@@ -219,7 +230,7 @@ def rank_by_rebuilding(oracle: UtilityOracle, group) -> tuple[AlternativeId, ...
     return tuple(prefix)
 
 
-def singleton_reference(oracle: UtilityOracle, m: int) -> tuple[list[float], list[float]]:
+def singleton_reference(oracle: Voter, m: int) -> tuple[list[float], list[float]]:
     """Standalone values f({a}) and last gains f(A) - f(A - a) over the m
     alternatives, each set evaluated directly."""
     grand = list(range(m))
@@ -228,12 +239,14 @@ def singleton_reference(oracle: UtilityOracle, m: int) -> tuple[list[float], lis
             [full - direct_value(oracle, [b for b in grand if b != a]) for a in grand])
 
 
-def extend_gains(oracle: UtilityOracle, sequence) -> list[float]:
-    """The value each `extend` adds, for the alternatives added in order."""
-    state = oracle.start()
+def extend_gains(voter: Voter, sequence) -> list[float]:
+    """The value each `extend` of the voter's one-voter welfare part
+    (`welfare_oracle((voter,))`) adds, for the alternatives added in order."""
+    part = welfare_oracle((voter,))
+    state = part.start()
     gains = []
     for a in sequence:
-        after = oracle.extend(state, a)
+        after = part.extend(state, a)
         gains.append(after[0] - state[0])
         state = after
     return gains
@@ -377,7 +390,7 @@ def aggregate_threshold(
     return plan_distribution(rule_plan(instance, mix, branches))
 
 
-def direct_value_table(oracle: UtilityOracle, m: int) -> np.ndarray:
+def direct_value_table(oracle: Voter | UtilityOracle, m: int) -> np.ndarray:
     """Values of all subsets of the m alternatives by direct per-set
     evaluation (no states)."""
     table = np.empty(1 << m)

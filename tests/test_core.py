@@ -35,6 +35,7 @@ from subpb.core import (
     UtilityOracle,
     social_welfare,
     validate_instance,
+    welfare_oracle,
 )
 from subpb.experiment import GeneratorSpec, generate
 from subpb.optimize import optimal_welfare
@@ -42,9 +43,14 @@ from subpb.optimize import optimal_welfare
 import helpers
 
 
+def one_voter_parts(voters) -> tuple[UtilityOracle, ...]:
+    """Each voter's welfare part on its own, `welfare_oracle((voter,))`."""
+    return tuple(welfare_oracle((voter,)) for voter in voters)
+
+
 def subset_value_table(oracle: UtilityOracle, m: int) -> list[float]:
-    """Normalized values of all 2^m subsets, indexed by bitmask, filled by
-    a depth-first walk that extends the oracle's states."""
+    """Values of all 2^m subsets, indexed by bitmask, filled by a
+    depth-first walk that extends the welfare part's states."""
     table = [0.0] * (1 << m)
 
     def fill(idx: int, mask: int, state: tuple) -> None:
@@ -171,7 +177,7 @@ class TestValidation:
 
 
 class TestEvalUtility:
-    """Normalized utilities as `UtilityOracle.value` reports them."""
+    """Normalized utilities as each voter's closed-form `value` reports them."""
 
     def test_additive(self):
         oracle = AdditiveOracle.normalized([0.5, 0.5])
@@ -190,8 +196,8 @@ class TestEvalUtility:
 
 
 class TestMarginal:
-    """Gains as oracle states report them: the value the last `extend`
-    adds."""
+    """Gains as the states of a voter's one-voter welfare part report
+    them: the value the last `extend` adds."""
 
     def test_additive_independent_of_base(self):
         oracle = AdditiveOracle.normalized([0.5, 0.5])
@@ -405,10 +411,28 @@ def test_subset_table_matches_direct_evaluation():
         MaxValueOracle.normalized([0.4, 1.0, 0.7]),
     ]
     for oracle in examples:
-        fast = subset_value_table(oracle, 3)
+        fast = subset_value_table(welfare_oracle((oracle,)), 3)
         slow = helpers.direct_value_table(oracle, 3)
         for mask in range(1 << 3):
             assert fast[mask] == pytest.approx(slow[mask], abs=1e-12)
+
+
+def test_voter_values_equal_the_formula_and_the_one_voter_part():
+    # Every subset over seeded voters of all four families: each closed form
+    # is the family's formula exactly, and the fold of its one-voter welfare
+    # part agrees within 1e-12.
+    rng = random.Random(2626)
+    families = set()
+    for _ in range(40):
+        m = rng.randint(1, 8)
+        for voter in helpers.random_oracles(rng, m):
+            families.add(voter.family)
+            part = welfare_oracle((voter,))
+            for members in helpers.powerset(range(m)):
+                value = voter.value(members)
+                assert value == helpers.direct_value(voter, members), (voter, members)
+                assert value == pytest.approx(part.value(members), rel=0, abs=1e-12)
+    assert len(families) == 4
 
 
 def test_social_welfare_is_monotone_submodular():
@@ -465,7 +489,7 @@ def test_expected_uniform_matches_enumeration():
                     got = oracle.expected_uniform(items, k)
                     want = helpers.brute_force_expected_uniform(oracle, items, k)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (
-                        oracle.family, items, k)
+                        oracle, items, k)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +581,9 @@ class TestInstanceWelfare:
             walk(0, (), oracle.start())
 
     def test_extending_leaves_the_parent_state_unchanged(self):
-        # Four voter families plus the welfare oracle of all of them: a
-        # SumOracle of the folded coverage, concave and max-value parts.
+        # The one-voter part of each of four voter families, plus the
+        # welfare oracle of all of them: a SumOracle of the folded coverage,
+        # concave and max-value parts.
         rng = random.Random(14)
         for _ in range(20):
             m = rng.randint(2, 8)
@@ -567,7 +592,7 @@ class TestInstanceWelfare:
             assert isinstance(welfare, SumOracle) and len(welfare.parts) == 3
             assert [type(part) for part in welfare.parts] == [
                 CoverageSumOracle, ConcaveSumOracle, MaxValueSumOracle]
-            for oracle in voters + [welfare, *welfare.parts]:
+            for oracle in [*one_voter_parts(voters), welfare, *welfare.parts]:
                 prefix = rng.sample(range(m), rng.randint(0, m - 1))
                 parent = oracle.start()
                 for a in prefix:
@@ -598,17 +623,18 @@ class TestInstanceWelfare:
 
 
 def merged_parts():
-    """Seeded (m, merged part, the same voters as a SumOracle) triples: one
-    to four concave or max-value voters over m <= 7 alternatives, with the
-    three-level max values of `helpers.random_oracles`, so ties are common."""
+    """Seeded (m, merged part, the same voters' one-voter parts as a
+    SumOracle) triples: one to four concave or max-value voters over m <= 7
+    alternatives, with the three-level max values of
+    `helpers.random_oracles`, so ties are common."""
     rng = random.Random(18)
     for _ in range(15):
         m = rng.randint(1, 7)
         rows = [helpers.random_oracles(rng, m) for _ in range(rng.randint(1, 4))]
         concave = [row[2] for row in rows]
         maxima = [row[3] for row in rows]
-        yield m, ConcaveSumOracle.of(concave), SumOracle(tuple(concave))
-        yield m, MaxValueSumOracle.of(maxima), SumOracle(tuple(maxima))
+        yield m, ConcaveSumOracle.of(concave), SumOracle(one_voter_parts(concave))
+        yield m, MaxValueSumOracle.of(maxima), SumOracle(one_voter_parts(maxima))
 
 
 class TestMergedParts:
@@ -651,13 +677,14 @@ class TestMergedParts:
 
     def test_optimum_state_equals_the_per_voter_sum(self):
         # Generated instances fold every voter into one part, and the
-        # optimum's welfare is bit-for-bit the per-voter sum.
+        # optimum's welfare is bit-for-bit the sum of the voters' closed
+        # forms.
         for family in ("concave", "max-value"):
             for seed in range(1, 6):
                 instance = generate(GeneratorSpec(family, 9, 12, seed=seed))
                 assert isinstance(instance.welfare, (ConcaveSumOracle, MaxValueSumOracle))
                 bundle = optimal_welfare(instance)
-                assert bundle.welfare == SumOracle(instance.voters).value(sorted(bundle.items))
+                assert bundle.welfare == social_welfare(instance, bundle.items)
 
     def test_concave_part_refuses_past_the_exact_limit(self):
         part = ConcaveSumOracle.of([ConcaveOverModularOracle.normalized([1.0] * 40, 0.5)] * 2)

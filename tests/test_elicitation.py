@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from subpb.core import (
     AdditiveOracle,
     ConcaveOverModularOracle,
+    ConcaveSumOracle,
     CoverageOracle,
+    CoverageSumOracle,
     MaxValueOracle,
+    MaxValueSumOracle,
     OracleSpec,
     RawInstance,
+    SumOracle,
     UtilityOracle,
     curvature,
     validate_instance,
@@ -306,17 +310,21 @@ class TestProfilesReadTheSingletonTable:
                     for v in instance.voters)
 
     def test_marginal_profiles_extend_no_state(self, monkeypatch):
+        # Voters have no states, and marginal rankings neither evaluate a
+        # voter's set nor extend a welfare part's state.
         calls = []
 
-        def counting(extend):
-            def wrapper(self, state, a):
-                calls.append(a)
-                return extend(self, state, a)
+        def counting(method):
+            def wrapper(self, *args):
+                calls.append(args)
+                return method(self, *args)
             return wrapper
 
         voter_classes = (AdditiveOracle, CoverageOracle, ConcaveOverModularOracle,
                          MaxValueOracle)
         for cls in voter_classes:
+            monkeypatch.setattr(cls, "value", counting(cls.value))
+        for cls in (CoverageSumOracle, ConcaveSumOracle, MaxValueSumOracle, SumOracle):
             monkeypatch.setattr(cls, "extend", counting(cls.extend))
         families = set()
         for instance in seeded_instances():
@@ -328,20 +336,25 @@ class TestProfilesReadTheSingletonTable:
         assert families == set(voter_classes)
         assert calls == []
         instance.voters[0].value((0,))
-        assert calls == [0]
+        assert calls == [((0,),)]
 
     def test_profiles_evaluate_no_set_once_the_table_exists(self, monkeypatch):
         calls = []
-        value = UtilityOracle.value
 
-        def counting(self, items):
-            calls.append(items)
-            return value(self, items)
+        def counting(value):
+            def wrapper(self, items):
+                calls.append(items)
+                return value(self, items)
+            return wrapper
 
+        # The welfare parts' `value` and every voter family's closed form.
+        evaluators = (UtilityOracle, AdditiveOracle, CoverageOracle,
+                      ConcaveOverModularOracle, MaxValueOracle)
         for instance in seeded_instances():
             partition = build_partition(instance)
             instance.singleton_table
-            monkeypatch.setattr(UtilityOracle, "value", counting)
+            for cls in evaluators:
+                monkeypatch.setattr(cls, "value", counting(vars(cls)["value"]))
             for alpha in partition.thresholds:
                 approval_profile(instance, alpha)
             for t, group in enumerate(partition.groups):
@@ -349,6 +362,8 @@ class TestProfilesReadTheSingletonTable:
                     ranking_profile(instance, partition, Method.STANDALONE_VALUES, t)
             monkeypatch.undo()
         assert calls == []
-        monkeypatch.setattr(UtilityOracle, "value", counting)
+        for cls in evaluators:
+            monkeypatch.setattr(cls, "value", counting(vars(cls)["value"]))
         instance.voters[0].value((0,))
-        assert calls == [(0,)]
+        instance.welfare.value((0,))
+        assert calls == [(0,), (0,)]

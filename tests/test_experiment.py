@@ -182,7 +182,8 @@ class TestSweep:
     @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.MONTE_CARLO])
     def test_each_singleton_is_computed_once_per_instance(self, mode, monkeypatch):
         # Curvature, approvals and value rankings read one table per voter.
-        # The only `value` calls on a singleton left are welfare lookups.
+        # The only `value` calls on a singleton left are welfare lookups;
+        # both the voters' closed forms and the welfare parts' folds count.
         builds, singles, alive = Counter(), Counter(), []
 
         def counting(build):
@@ -192,19 +193,21 @@ class TestSweep:
                 return build(oracle)
             return singleton_table
 
-        for cls in (core.AdditiveOracle, core.CoverageOracle,
-                    core.ConcaveOverModularOracle, core.MaxValueOracle):
+        def counting_value(value):
+            def wrapper(oracle, items):
+                items = tuple(items)
+                if len(items) == 1:
+                    alive.append(oracle)
+                    singles[id(oracle), items[0]] += 1
+                return value(oracle, items)
+            return wrapper
+
+        voter_classes = (core.AdditiveOracle, core.CoverageOracle,
+                         core.ConcaveOverModularOracle, core.MaxValueOracle)
+        for cls in voter_classes:
             monkeypatch.setattr(cls, "singleton_table", counting(vars(cls)["singleton_table"]))
-        value = core.UtilityOracle.value
-
-        def counting_value(oracle, items):
-            items = tuple(items)
-            if len(items) == 1:
-                alive.append(oracle)
-                singles[id(oracle), items[0]] += 1
-            return value(oracle, items)
-
-        monkeypatch.setattr(core.UtilityOracle, "value", counting_value)
+        for cls in (core.UtilityOracle, *voter_classes):
+            monkeypatch.setattr(cls, "value", counting_value(vars(cls)["value"]))
         specs = [GeneratorSpec(family, 9, 12, seed=5) for family in FAMILIES]
         results = sweep(specs, list(Method), mode=mode, samples=500)
         assert not any(isinstance(r, SweepFailure) for r in results)
@@ -379,10 +382,10 @@ class TestPlanAndSampler:
         calls = Counter()
         for cls in (core.AdditiveOracle, core.CoverageOracle, core.ConcaveOverModularOracle,
                     core.MaxValueOracle):
-            def counted(self, state, a, real=cls.extend):
+            def counted(self, items, real=cls.value):
                 calls[type(self).__name__] += 1
-                return real(self, state, a)
-            monkeypatch.setattr(cls, "extend", counted)
+                return real(self, items)
+            monkeypatch.setattr(cls, "value", counted)
         facts = experiment._InstanceFacts(instance)
         for method in Method:
             experiment._evaluate(facts, method, Fraction(1, 2), Mode.MONTE_CARLO, 3, 5_000,
