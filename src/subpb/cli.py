@@ -9,6 +9,10 @@ Exit codes: 0 success with all bounds satisfied, 1 usage error, 2 I/O
 error, 3 parse error, 4 exact-enumeration budget exceeded, 5 a reported
 bound was violated. The SUBPB_SEED environment variable overrides the
 default seed of 0 of `gen` and `eval` when --seed is not given.
+
+`inspect` prints a file's voters, or its group table, each group's scores
+under one ranking method (`--scores METHOD`) and an optimal set. Flags take
+their choices and checks from the modules that own them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
+from .aggregation import check_mix
 from .core import (
+    FAMILIES,
     Instance,
     OracleSpec,
     RawInstance,
@@ -35,6 +41,7 @@ from .experiment import (
     GeneratorSpec,
     Mode,
     UniformRational,
+    check_samples,
     evaluate,
     generate_raw,
     render_csv,
@@ -85,9 +92,11 @@ def render_instance_file(raw: RawInstance, metadata: dict | None = None) -> str:
 
 
 def parse_instance_file(text: str) -> RawInstance:
+    # Neither a number past the integer digit limit (a plain ValueError) nor
+    # deep nesting (a RecursionError) raises a JSONDecodeError.
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InstanceFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise InstanceFileError("top-level value must be an object")
@@ -137,7 +146,10 @@ def _exact_cost(value) -> Fraction:
 
 def load_instance(path: str) -> tuple[RawInstance, Instance]:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceFileError(f"not UTF-8 text: {exc}") from exc
     raw = parse_instance_file(text)
     try:
         instance = validate_instance(raw)
@@ -208,8 +220,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--family", required=True,
-                     choices=["additive", "coverage", "concave", "max-value"])
+    gen.set_defaults(run=cmd_gen)
+    gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--cost-model", default="uniform",
@@ -218,6 +230,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="evaluate one elicitation method")
+    ev.set_defaults(run=cmd_eval)
     ev.add_argument("--instance", required=True)
     ev.add_argument("--method", required=True,
                     choices=[m.value for m in Method])
@@ -225,7 +238,8 @@ def _build_parser() -> _Parser:
                     help="weight in [0, 1] of the rule's branch against a uniform singleton")
     ev.add_argument("--mode", default=Mode.EXACT.value, choices=[m.value for m in Mode],
                     help="exact expected welfare, or a Monte Carlo mean and standard error")
-    ev.add_argument("--samples", type=int, default=100_000, help="Monte Carlo draws, >= 2")
+    ev.add_argument("--samples", type=int, default=100_000,
+                    help="Monte Carlo draws, from 2 to 2**31 - 1")
     ev.add_argument("--seed", type=int, default=None)
     ev.add_argument("--solver", default="dp",
                     help="threshold knapsack: dp (exact), or fptas:EPS with 0 < EPS < 1, "
@@ -233,11 +247,11 @@ def _build_parser() -> _Parser:
     ev.add_argument("--out", default=None)
 
     ins = sub.add_parser("inspect", help="dump instance structure")
+    ins.set_defaults(run=cmd_inspect)
     ins.add_argument("--instance", required=True)
     ins.add_argument("--group-table", action="store_true")
-    ins.add_argument("--scores", action="store_true")
-    ins.add_argument("--method", default=None,
-                     choices=[m.value for m in Method if m.is_ranking])
+    ins.add_argument("--scores", choices=[m.value for m in Method if m.is_ranking],
+                     help="print each group's harmonic scores under this ranking method")
     ins.add_argument("--opt", action="store_true",
                      help="print an optimal set: among optima, the lexicographically "
                           "smallest id sequence that no further alternative fits into")
@@ -262,10 +276,14 @@ def cmd_gen(args) -> int:
                               "cost_model": args.cost_model, "seed": seed}}
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render_instance_file(raw, metadata))
-    print(f"wrote {args.out}: m={instance.m} n={instance.n}")
+    _print_voters(instance, f"wrote {args.out}: ")
+    return EXIT_OK
+
+
+def _print_voters(instance: Instance, prefix: str = "") -> None:
+    print(f"{prefix}m={instance.m} n={instance.n}")
     for i, (voter, table) in enumerate(zip(instance.voters, instance.singleton_table)):
         print(f"voter {i}: family={voter.family} curvature={curvature(table):.6f}")
-    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -274,15 +292,16 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     method = Method(args.method)
     try:
-        mix = Fraction(args.mix)
+        mix = check_mix(args.mix)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --mix value {args.mix!r}") from exc
-    if not 0 <= mix <= 1:
-        raise UsageError("--mix must lie in [0, 1]")
+        raise UsageError(f"bad --mix {args.mix!r}: {exc}") from exc
     eps = _parse_solver(args.solver)
     mode = Mode(args.mode)
-    if mode is Mode.MONTE_CARLO and args.samples < 2:
-        raise UsageError("--samples must be at least 2 for a standard error")
+    if mode is Mode.MONTE_CARLO:
+        try:
+            check_samples(args.samples)
+        except ValueError as exc:
+            raise UsageError(f"bad --samples: {exc}") from exc
     _, instance = load_instance(args.instance)
     report = evaluate(
         instance,
@@ -304,23 +323,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    if args.scores and args.method is None:
-        raise UsageError("--scores needs --method")
-    if args.method is not None and not args.scores:
-        raise UsageError("--method applies to --scores only")
     _, instance = load_instance(args.instance)
+    if not (args.group_table or args.scores or args.opt):
+        _print_voters(instance)
+        return EXIT_OK
     partition = build_partition(instance)
-    shown = False
     if args.group_table:
-        shown = True
         print("t l_t u_t members")
         for t in range(partition.T + 1):
             low, high = partition.bounds[t]
             members = ",".join(map(str, partition.groups[t])) or "-"
             print(f"{t} {low} {high} {members}")
     if args.scores:
-        shown = True
-        method = Method(args.method)
+        method = Method(args.scores)
         for t in range(partition.T + 1):
             print(f"group {t} scores ({method.value})")
             if not partition.groups[t]:
@@ -330,15 +345,10 @@ def cmd_inspect(args) -> int:
             for a in partition.groups[t]:
                 print(f"{a} {scores[a]!r}")
     if args.opt:
-        shown = True
         bundle = optimal_welfare(instance)
         items = ",".join(map(str, sorted(bundle.items))) or "-"
         print(f"optimal set: {items}")
         print(f"optimal welfare: {bundle.welfare!r}")
-    if not shown:
-        print(f"m={instance.m} n={instance.n}")
-        for i, (voter, table) in enumerate(zip(instance.voters, instance.singleton_table)):
-            print(f"voter {i}: family={voter.family} curvature={curvature(table):.6f}")
     return EXIT_OK
 
 
@@ -346,11 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        return cmd_inspect(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -88,22 +88,7 @@ class UtilityOracle(ABC):
 
     Parts are not mutated after construction (a cached property only fills
     in a value derived from the fields); evaluating them from many threads
-    needs no coordination. Two parts are equal when they have the same type
-    and equal `_fields`, the constructor's arguments in order."""
-
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({args})"
+    needs no coordination. Parts compare by identity, as `Instance` does."""
 
     def start(self) -> tuple:
         """State of the empty set: value 0, and a payload of 0 unless the
@@ -258,8 +243,6 @@ class CoverageSumOracle(UtilityOracle):
     already. f(S) is the total weight of the signatures that meet S. The
     payload is the m-bit mask of the set's alternatives."""
 
-    _fields = ("weights", "signatures")
-
     def __init__(self, weights: tuple[float, ...], signatures: tuple[int, ...]):
         self.weights = weights
         self.signatures = signatures
@@ -303,8 +286,6 @@ class ConcaveSumOracle(UtilityOracle):
     holds every voter's value at a. The payload is the tuple of the voters'
     inner sums, so a state extends all voters at once, and the walk of
     `expected_uniform` runs once for all of them."""
-
-    _fields = ("columns", "gammas", "scales")
 
     def __init__(self, columns: tuple[tuple[float, ...], ...], gammas: tuple[float, ...],
                  scales: tuple[float, ...]):
@@ -359,8 +340,6 @@ class MaxValueSumOracle(UtilityOracle):
     values and `scales[v]` its scale. The payload is the tuple of the
     voters' scaled running maxima."""
 
-    _fields = ("rows", "scales")
-
     def __init__(self, rows: tuple[tuple[float, ...], ...], scales: tuple[float, ...]):
         self.rows = rows
         self.scales = scales
@@ -399,8 +378,6 @@ class SumOracle(UtilityOracle):
     """f(S) = sum of the parts' values; each part keeps its own scale. Only
     an instance that mixes families has more than one welfare part."""
 
-    _fields = ("parts",)
-
     def __init__(self, parts: tuple[UtilityOracle, ...]):
         self.parts = parts
 
@@ -421,7 +398,10 @@ def _as_float(value, name: str) -> float:
     stores utility parameters as numbers, and so are booleans, though Python
     counts them as the integers 0 and 1."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{name} is an integer past the float range") from None
     raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
@@ -526,7 +506,7 @@ class Instance:
         return tuple(voter.singleton_table() for voter in self.voters)
 
 
-_FAMILIES = ("additive", "coverage", "concave", "max-value")
+FAMILIES = ("additive", "coverage", "concave", "max-value")
 
 
 def build_oracle(spec: OracleSpec, m: int) -> Voter:
@@ -554,7 +534,7 @@ def build_oracle(spec: OracleSpec, m: int) -> Voter:
     elif spec.family == "max-value":
         oracle = MaxValueOracle.normalized(_param_values(params, m))
     else:
-        raise ValidationError(f"unknown utility family {spec.family!r}; known: {_FAMILIES}")
+        raise ValidationError(f"unknown utility family {spec.family!r}; known: {FAMILIES}")
     if params:
         raise ValidationError(f"unknown {spec.family} parameters: {sorted(map(str, params))}")
     return oracle

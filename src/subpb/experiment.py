@@ -136,8 +136,8 @@ def _draw_costs(spec: GeneratorSpec) -> tuple[Fraction, ...]:
 def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
     rng = rng_mod.stream(spec.seed, "voter", spec.family, spec.m, spec.n, voter)
     lo, hi = 0.05, 1.0
-    if spec.family == "additive":
-        return OracleSpec("additive", {"values": [rng.uniform(lo, hi) for _ in range(spec.m)]})
+    if spec.family in ("additive", "max-value"):
+        return OracleSpec(spec.family, {"values": [rng.uniform(lo, hi) for _ in range(spec.m)]})
     if spec.family == "coverage":
         # Private elements give every alternative an uncoverable remainder,
         # pulling curvature below 1; pure random covers usually pin it at 1.
@@ -155,15 +155,8 @@ def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
             covers.append(cover)
         return OracleSpec("coverage", {"weights": weights, "covers": covers})
     if spec.family == "concave":
-        return OracleSpec(
-            "concave",
-            {
-                "values": [rng.uniform(lo, hi) for _ in range(spec.m)],
-                "gamma": rng.uniform(0.4, 1.0),
-            },
-        )
-    if spec.family == "max-value":
-        return OracleSpec("max-value", {"values": [rng.uniform(lo, hi) for _ in range(spec.m)]})
+        values = [rng.uniform(lo, hi) for _ in range(spec.m)]
+        return OracleSpec("concave", {"values": values, "gamma": rng.uniform(0.4, 1.0)})
     raise ValueError(f"unknown family {spec.family!r}")
 
 
@@ -319,8 +312,7 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
     else:
         # Past the optimum's enumeration limit the cell fails before sampling.
         optimum = facts.optimum
-        if samples < 2:
-            raise ValueError("need at least 2 samples for a standard error")
+        check_samples(samples)
         expected, stderr = _monte_carlo(facts, method, mix, eps, seed, samples)
         n_samples = samples
     curvature = facts.curvature
@@ -342,6 +334,13 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
         samples=n_samples,
         stderr=stderr,
     )
+
+
+def check_samples(samples: int) -> None:
+    """A Monte Carlo sample count must be at least 2 for a standard error,
+    and at most 2**31 - 1, since `random.getrandbits` takes a C int."""
+    if not 2 <= samples <= 2**31 - 1:
+        raise ValueError(f"samples must lie in [2, 2**31 - 1], got {samples}")
 
 
 def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, eps: float) -> Plan:
@@ -488,6 +487,10 @@ class SweepFailure(NamedTuple):
     mix: Fraction
     error: str
 
+    @property
+    def mode(self) -> str:
+        return f"error:{self.error}"
+
 
 SweepResult = Union[EvaluationReport, SweepFailure]
 
@@ -551,38 +554,22 @@ def sweep(
     return results
 
 
-def result_row(result: SweepResult) -> dict[str, str]:
-    """CSV cells for one sweep result; error cells carry the error name in
-    the mode column and leave numeric columns blank."""
-    if isinstance(result, SweepFailure):
-        row = dict.fromkeys(CSV_COLUMNS, "")
-        row.update(instance_id=result.instance_id, family=result.family, m=str(result.m),
-                   n=str(result.n), method=result.method.value, mix=str(result.mix),
-                   mode=f"error:{result.error}")
-        return row
-    return {
-        "instance_id": result.instance_id,
-        "family": result.family,
-        "m": str(result.m),
-        "n": str(result.n),
-        "curvature": repr(result.curvature),
-        "method": result.method.value,
-        "mix": str(result.mix),
-        "mode": result.mode.value,
-        "expected_welfare": repr(result.expected_welfare),
-        "optimal_welfare": repr(result.optimal_welfare),
-        "welfare_ratio": repr(result.welfare_ratio),
-        "bound_value": repr(result.bound_value),
-        "bound_satisfied": "true" if result.bound_satisfied else "false",
-        "samples": "" if result.samples is None else str(result.samples),
-        "stderr": "" if result.stderr is None else repr(result.stderr),
-    }
+def _cell(value) -> str:
+    """One CSV cell: blank for None, true or false for a bool, an Enum's
+    value, a float's repr, and str of anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_csv(results: Sequence[SweepResult]) -> str:
-    """Byte-stable CSV for identical inputs."""
+    """Byte-stable CSV for identical inputs. A failure has no numeric
+    columns, so they are blank, and its mode cell names the error."""
     lines = [",".join(CSV_COLUMNS)]
     for result in results:
-        row = result_row(result)
-        lines.append(",".join(row[col] for col in CSV_COLUMNS))
+        lines.append(",".join(_cell(getattr(result, column, None)) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"

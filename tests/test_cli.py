@@ -50,6 +50,8 @@ def run(argv, capsys):
     # dp is the exact solver and takes no argument.
     ["--solver", "dp:0.5"],
     ["--solver", "dp:banana"],
+    # One draw asks `getrandbits` for up to all the samples' bits, a C int.
+    ["--mode", "mc", "--samples", str(2**31)],
 ])
 def test_bad_eval_flags_are_usage_errors(instance_file, capsys, flags):
     code, err = run(["eval", "--instance", instance_file, "--method", "threshold", *flags],
@@ -62,6 +64,7 @@ def test_bad_eval_flags_are_usage_errors(instance_file, capsys, flags):
     ["--mix", "2"],
     ["--solver", "fptas:0"],
     ["--mode", "mc", "--samples", "1"],
+    ["--mode", "mc", "--samples", str(2**31)],
 ])
 def test_bad_eval_flags_fail_before_the_file_is_read(tmp_path, capsys, flags):
     argv = ["eval", "--instance", str(tmp_path / "missing.json"), "--method", "threshold",
@@ -270,10 +273,37 @@ def test_well_formed_two_alternative_file_evaluates(tmp_path, capsys):
                  ("1/2", "1/2"), id="string-values-and-gamma"),
     pytest.param({"family": "concave", "params": {"values": [0.5, 1.0], "gamma": "0.5"}},
                  ("1/2", "1/2"), id="string-gamma"),
+    # JSON integers that no float can hold.
+    pytest.param({"family": "additive", "params": {"values": [10**400, 1.0]}},
+                 ("1/2", "1/2"), id="400-digit-value"),
+    pytest.param({"family": "coverage", "params": {"weights": [10**400], "covers": [[0], [0]]}},
+                 ("1/2", "1/2"), id="400-digit-weight"),
+    pytest.param({"family": "concave", "params": {"values": [1.0, 1.0], "gamma": 10**400}},
+                 ("1/2", "1/2"), id="400-digit-gamma"),
 ])
 def test_malformed_instance_files_are_parse_errors(tmp_path, capsys, voter, costs):
     path = write_two_alternative_file(tmp_path / "bad.json", voter, costs)
     code, err = run(["eval", "--instance", path, "--method", "threshold"], capsys)
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+#: A two-alternative, one-voter document with a cost and a value left open.
+OPEN_DOCUMENT = ('{"schema_version": 1, "m": 2, "n": 1, "costs": [%s, "1/2"], "voters": '
+                 '[{"family": "additive", "params": {"values": [%s, 1.0]}}]}')
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe", id="not-utf-8"),
+    pytest.param(b"[" * 200_000, id="deeply-nested"),
+    # Past 4,300 digits `json` refuses to convert an integer.
+    pytest.param((OPEN_DOCUMENT % ('"1/2"', "9" * 5000)).encode(), id="5000-digit-value"),
+    pytest.param((OPEN_DOCUMENT % ("9" * 5000, "1.0")).encode(), id="5000-digit-cost"),
+])
+def test_files_the_decoder_refuses_are_parse_errors(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, err = run(["eval", "--instance", str(path), "--method", "threshold"], capsys)
     assert code == cli.EXIT_PARSE
     assert err.startswith("parse error:") and err.count("\n") == 1
 
@@ -345,7 +375,7 @@ def write_instance_file(path, costs, voters):
 def inspect_scores(path, method, capsys):
     """The exit code, standard error and, for each group t = 0..T in order,
     the lines printed under its header."""
-    code = cli.main(["inspect", "--instance", path, "--scores", "--method", method])
+    code = cli.main(["inspect", "--instance", path, "--scores", method])
     out, err = capsys.readouterr()
     groups = []
     for line in out.splitlines():
@@ -386,22 +416,26 @@ def test_inspect_scores_of_an_empty_group(tmp_path, capsys):
 
 
 def test_inspect_scores_without_method_is_usage_error(instance_file, capsys):
+    # --scores takes the ranking method as its argument.
     code, err = run(["inspect", "--instance", instance_file, "--scores"], capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_inspect_method_without_scores_is_usage_error(instance_file, capsys):
-    code, err = run(["inspect", "--instance", instance_file, "--method", "value-rank"], capsys)
-    assert code == cli.EXIT_USAGE
-    assert err.startswith("usage error:") and err.count("\n") == 1
+    # inspect has no --method flag, with --scores or without it.
+    for flags in (["--method", "value-rank"], ["--scores", "value-rank", "--method",
+                                               "value-rank"]):
+        code, err = run(["inspect", "--instance", instance_file, *flags], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_inspect_scores_of_threshold_fail_before_the_file_is_read(tmp_path, capsys):
     # Threshold votes have no scores: the flags alone are a usage error, so
     # neither the missing file nor the group table is reached.
     argv = ["inspect", "--instance", str(tmp_path / "missing.json"), "--group-table",
-            "--scores", "--method", "threshold"]
+            "--scores", "threshold"]
     assert cli.main(argv) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
@@ -424,7 +458,7 @@ def generator_specs(draw):
         st.tuples(*(st.integers(1, p).map(lambda k, p=p: Fraction(k, p)) for p in primes))
         .map(Fixed),
     ))
-    family = draw(st.sampled_from(["additive", "coverage", "concave", "max-value"]))
+    family = draw(st.sampled_from(core.FAMILIES))
     params = (("private_elements", True),) if family == "coverage" and draw(st.booleans()) else ()
     return GeneratorSpec(family, m, draw(st.integers(min_value=1, max_value=4)), cost_model,
                          draw(st.integers(min_value=0, max_value=2**32)), params)

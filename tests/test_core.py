@@ -535,7 +535,8 @@ class TestInstanceWelfare:
         assert isinstance(welfare, SumOracle)
         folded, max_part = welfare.parts
         max_voter = instance.voters[3]
-        assert max_part == MaxValueSumOracle((max_voter.values,), (max_voter.scale,))
+        assert type(max_part) is MaxValueSumOracle
+        assert (max_part.rows, max_part.scales) == ((max_voter.values,), (max_voter.scale,))
         # Signatures {1}, {2} and {0, 2}: element 1 (zero weight), element 3
         # (uncovered) and the additive zero at 0 leave nothing behind.
         assert len(folded.weights) == 3
@@ -545,15 +546,19 @@ class TestInstanceWelfare:
     def test_lone_part_is_used_directly(self):
         # Even a lone concave or max-value voter becomes its family's part.
         costs = (Fraction(1, 2),) * 2
+        def fields(voters, *names):
+            part = Instance(costs=costs, voters=voters).welfare
+            return type(part), tuple(getattr(part, name) for name in names)
+
         concave = ConcaveOverModularOracle.normalized([1.0, 2.0], 0.5)
-        assert Instance(costs=costs, voters=(concave,)).welfare == ConcaveSumOracle(
-            ((1.0,), (2.0,)), (0.5,), (concave.scale,))
+        assert fields((concave,), "columns", "gammas", "scales") == (
+            ConcaveSumOracle, (((1.0,), (2.0,)), (0.5,), (concave.scale,)))
         maximum = MaxValueOracle.normalized([1.0, 2.0])
-        assert Instance(costs=costs, voters=(maximum,)).welfare == MaxValueSumOracle(
-            ((1.0, 2.0),), (maximum.scale,))
+        assert fields((maximum,), "rows", "scales") == (
+            MaxValueSumOracle, (((1.0, 2.0),), (maximum.scale,)))
         second = ConcaveOverModularOracle.normalized([3.0, 0.0], 1.0)
-        assert Instance(costs=costs, voters=(concave, second)).welfare == ConcaveSumOracle(
-            ((1.0, 3.0), (2.0, 0.0)), (0.5, 1.0), (concave.scale, second.scale))
+        assert fields((concave, second), "columns", "gammas", "scales") == (ConcaveSumOracle, (
+            ((1.0, 3.0), (2.0, 0.0)), (0.5, 1.0), (concave.scale, second.scale)))
         additive = Instance(costs=(Fraction(1, 2),) * 2, voters=(
             AdditiveOracle.normalized([1.0, 3.0]), AdditiveOracle.normalized([2.0, 1.0])))
         assert isinstance(additive.welfare, CoverageSumOracle)

@@ -175,6 +175,19 @@ class TestSweep:
     def test_exact_csv_matches_pinned_table(self):
         assert pinned_sweep_csv() == PINNED_CSV.read_text(encoding="utf-8")
 
+    def test_monte_carlo_row_is_pinned(self):
+        # The pinned table holds exact rows only, so this pins the samples
+        # and stderr columns. The coverage part adds its gains one at a
+        # time, so the bytes are the same on Python 3.10 to 3.13.
+        spec = GeneratorSpec("coverage", 7, 5, seed=3,
+                             family_params=(("private_elements", True),))
+        report = evaluate(generate(spec), Method.THRESHOLD_APPROVAL, mode=Mode.MONTE_CARLO,
+                          seed=3, samples=500, instance_id=spec.instance_id)
+        assert render_csv([report]).splitlines()[1] == (
+            "coverage-m7-n5-uniformrational-s3,coverage,7,5,0.9149219160711726,threshold,1/2,"
+            "mc,1.3576545287036461,2.789060629841793,2.054322783060962,0.019773994529022364,"
+            "true,500,0.039598987007445796")
+
     def test_pinned_optimal_sets_are_unchanged(self):
         assert {spec.instance_id: tuple(sorted(optimal_welfare(generate(spec)).items))
                 for spec in PINNED_SPECS} == PINNED_OPTIMA
@@ -499,6 +512,15 @@ class TestCountSampler:
             for _ in range(10_000 // count):
                 pooled.update(experiment._split(rng, count, 0, 10))
             assert chi_square(pooled, dict.fromkeys(range(10), 1)) < 27.877, (count, pooled)
+
+    def test_sample_count_must_fit_a_c_int(self):
+        # `getrandbits` takes a C int, and one draw can ask for all samples'
+        # bits at once; neither count below is sampled.
+        instance = generate(GeneratorSpec("additive", 3, 2, seed=1))
+        for samples in (1, 2**31):
+            with pytest.raises(ValueError, match="samples must lie in"):
+                evaluate(instance, Method.THRESHOLD_APPROVAL, mode=Mode.MONTE_CARLO,
+                         samples=samples)
 
     def test_split_reaches_ranks_past_sys_maxsize(self):
         subsets = math.comb(70, 35)
