@@ -338,7 +338,9 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
 
 def check_samples(samples: int) -> None:
     """A Monte Carlo sample count must be at least 2 for a standard error,
-    and at most 2**31 - 1, since `random.getrandbits` takes a C int."""
+    and at most 2**31 - 1, the documented limit of `eval --samples`: the
+    random bits a cell draws, and where a range has more indices than draws
+    the distinct sets it holds (`_split`), grow with the count."""
     if not 2 <= samples <= 2**31 - 1:
         raise ValueError(f"samples must lie in [2, 2**31 - 1], got {samples}")
 
@@ -385,22 +387,34 @@ def _unrank(items: tuple[int, ...], k: int, rank: int) -> tuple[int, ...]:
     return tuple(picked)
 
 
+#: Bits drawn by one `getrandbits` call of `_binomial`: a multiple of 32.
+_CHUNK_BITS = 2**16
+
+
 def _binomial(rng, n: int, num: int, den: int) -> int:
     """An exact Binomial(n, num/den) draw from fair bits.
 
     Trial i succeeds when its uniform U_i < p. The binary digits of every
-    open trial's U_i are drawn together, one `getrandbits` call per digit
-    of p (integer doubling of num mod den): where p's digit is 1, the trials
-    whose digit is 0 succeed; where it is 0, the trials whose digit is 1
-    fail; the rest stay open. When p's remaining digits are all 0 the open
-    trials fail. Each step closes about half the open trials, so a draw
-    takes about log2(n) + 2 calls."""
+    open trial's U_i are drawn together for each digit of p (integer
+    doubling of num mod den): where p's digit is 1, the trials whose digit
+    is 0 succeed; where it is 0, the trials whose digit is 1 fail; the rest
+    stay open. When p's remaining digits are all 0 the open trials fail.
+    Each step closes about half the open trials, so a draw takes about
+    log2(n) + 2 digits. A digit's bits are drawn in chunks of `_CHUNK_BITS`,
+    so that memory stays flat in n; CPython's `getrandbits` fills its result
+    from 32-bit words in order, so the chunks count the same ones and leave
+    the generator in the same state as one call for all n bits."""
     if num >= den:
         return n
     successes = 0
     while n and num:
         num *= 2
-        ones = rng.getrandbits(n).bit_count()
+        ones = 0
+        bits = n
+        while bits > _CHUNK_BITS:
+            ones += rng.getrandbits(_CHUNK_BITS).bit_count()
+            bits -= _CHUNK_BITS
+        ones += rng.getrandbits(bits).bit_count()
         if num >= den:
             num -= den
             successes += n - ones

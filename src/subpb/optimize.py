@@ -11,13 +11,20 @@ At eps in (0, 1) it first scales the profits down (the FPTAS), which
 narrows the frontiers further, and then runs the same exact solver. The
 optimum enumerates the maximal feasible subsets (those no unchosen
 alternative fits into) over the same integer costs: utilities are monotone,
-so one of them is optimal. Welfare comes from states of the instance
-welfare oracle (`core.Instance.welfare`); voters are records without
-states. Each node extends its parent's state by the item it takes. For
-the additive and coverage part (`core.CoverageSumOracle`) the state
-carries the set's m-bit mask, and an extension adds the weight of each of
-the item's cover signatures that the mask does not meet. Submodular
-upper-bound pruning is not used.
+so one of them is optimal. The walk recurses only to take an item; skips
+advance a loop. Two completions are forced and take no branching: when
+every remaining item fits, the only maximal completion takes them all, and
+when none fits, the set is final (and maximal only if no skipped item fits
+either). Taking before skipping reaches the maximal sets in lexicographic
+order of their id sequences, and no maximal set is a prefix of another, so
+the first leaf of strictly greater welfare is the smallest id sequence
+among maximal optima. Welfare comes from states of the instance welfare
+oracle (`core.Instance.welfare`); voters are records without states. Each
+take extends its parent's state by the item, once per distinct prefix, in
+ascending id order. For the additive and coverage part
+(`core.CoverageSumOracle`) the state carries the set's m-bit mask, and an
+extension adds the weight of each of the item's cover signatures that the
+mask does not meet. Submodular upper-bound pruning is not used.
 """
 
 from __future__ import annotations
@@ -170,48 +177,61 @@ class OptimalBundle(NamedTuple):
 def optimal_welfare(instance: Instance) -> OptimalBundle:
     """Exhaustive welfare maximization over the maximal feasible subsets.
 
-    Depth-first enumeration over exact integer costs. Each node carries the
+    Depth-first enumeration over exact integer costs, taking before
+    skipping. A call recurses only to take an item, handing the child its
     state (`UtilityOracle.start`/`extend`) of the instance welfare oracle
-    (`Instance.welfare`) for its set; taking an item hands the child that
-    state extended by it, and a skip hands it on as it is. A node is pruned
-    when even taking every remaining item would leave room for the cheapest
-    item skipped so far: no completion of it is maximal. Ties go to the
-    lexicographically smallest id sequence among maximal optima. Raises
-    ExceedsExactBudget above the enumeration limit."""
+    (`Instance.welfare`) extended by it; a skip moves the call's own loop
+    on. A skip is abandoned when even taking every remaining item would
+    leave room for the cheapest item skipped so far: no completion of it
+    is maximal. Two completions are forced and close in one step: when
+    every remaining item fits, the only maximal completion takes them all;
+    when none fits, the set is final, and maximal only if no skipped item
+    fits either. Every maximal set is reached, in lexicographic order of
+    its id sequence (taking first puts the sets with an item before those
+    without it, and no maximal set is a prefix of another), so keeping
+    the first strictly better welfare gives ties to the smallest id
+    sequence among maximal optima. Raises ExceedsExactBudget above the
+    enumeration limit."""
     m = instance.m
     if m > EXACT_ENUMERATION_LIMIT:
         raise ExceedsExactBudget(
             f"m={m} exceeds the exhaustive limit of {EXACT_ENUMERATION_LIMIT}"
         )
-    oracle = instance.welfare
+    extend = instance.welfare.extend
     costs, budget = _integer_costs(instance.costs, instance.budget)
+    # rest[j] and least[j]: the total and the smallest cost of items j..
     rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
+    least = list(itertools.accumulate(reversed(costs), min, initial=budget + 1))[::-1]
     best_welfare = -1.0
-    best_seq: tuple[int, ...] | None = None
+    best_items = frozenset()
     chosen: list[int] = []
 
-    def explore(idx: int, cost: int, cheapest_skipped: int, state: tuple) -> None:
-        nonlocal best_welfare, best_seq
-        if idx == m:
-            welfare = state[0]
-            seq = tuple(chosen)
-            if welfare > best_welfare or (
-                welfare == best_welfare and (best_seq is None or seq < best_seq)
-            ):
-                best_welfare = welfare
-                best_seq = seq
-            return
-        # Taking an item leaves budget - cost - rest[idx] unchanged, so only
-        # a skip can leave room for a skipped item in every completion.
-        skipped = min(cheapest_skipped, costs[idx])
-        if budget - cost - rest[idx + 1] < skipped:
-            explore(idx + 1, cost, skipped, state)
-        new_cost = cost + costs[idx]
-        if new_cost <= budget:
-            chosen.append(idx)
-            explore(idx + 1, new_cost, cheapest_skipped, oracle.extend(state, idx))
-            chosen.pop()
+    def explore(idx: int, room: int, cheapest_skipped: int, state: tuple) -> None:
+        # Invariant: room - rest[idx] < cheapest_skipped, so taking every
+        # remaining item would leave no room for a skipped one.
+        nonlocal best_welfare, best_items
+        while True:
+            if rest[idx] <= room:
+                for j in range(idx, m):
+                    state = extend(state, j)
+                if state[0] > best_welfare:
+                    best_welfare = state[0]
+                    best_items = frozenset(chosen).union(range(idx, m))
+                return
+            if least[idx] > room:
+                if room < cheapest_skipped and state[0] > best_welfare:
+                    best_welfare = state[0]
+                    best_items = frozenset(chosen)
+                return
+            cost = costs[idx]
+            if cost <= room:
+                chosen.append(idx)
+                explore(idx + 1, room - cost, cheapest_skipped, extend(state, idx))
+                chosen.pop()
+            cheapest_skipped = min(cheapest_skipped, cost)
+            idx += 1
+            if room - rest[idx] >= cheapest_skipped:
+                return
 
-    explore(0, 0, budget + 1, oracle.start())
-    assert best_seq is not None
-    return OptimalBundle(items=frozenset(best_seq), welfare=best_welfare)
+    explore(0, budget, budget + 1, instance.welfare.start())
+    return OptimalBundle(items=best_items, welfare=best_welfare)

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the production code paths it is used
 to verify: the knapsack and welfare oracles enumerate subsets directly,
-the property checkers and the reference greedy ranking evaluate each set
-from its family's formula (`direct_value`), written apart from the voters'
-own closed-form `value` and from the welfare parts' states, and
-the rules' plans are expanded into full selection distributions with exact
-rational probabilities, so that expected welfare and inclusion
+the reference optimum walks every skip and compares every leaf's id
+sequence, the property checkers and the reference greedy ranking evaluate
+each set from its family's formula (`direct_value`), written apart from
+the voters' own closed-form `value` and from the welfare parts' states,
+and the rules' plans are expanded into full selection distributions with
+exact rational probabilities, so that expected welfare and inclusion
 probabilities can be computed by enumeration rather than in closed form.
 The reference plan ranks every non-empty cost group, including those whose
 shortlist is the whole group.
@@ -48,7 +49,7 @@ from subpb.core import (
     welfare_oracle,
 )
 from subpb.elicitation import Method, ranking_profile
-from subpb.optimize import KnapsackProblem
+from subpb.optimize import KnapsackProblem, OptimalBundle, _integer_costs
 from subpb.partition import GroupPartition, build_partition
 
 TOL = 1e-9
@@ -100,6 +101,47 @@ def brute_force_best_welfare(instance: Instance) -> tuple[frozenset, float]:
         feasible(instance, c + (a,)) for a in instance.alternatives if a not in c)]
     best = min(c for c in maximal if welfare[c] == best_welfare)
     return frozenset(best), best_welfare
+
+
+def optimum_by_recursion(instance: Instance) -> OptimalBundle:
+    """The exhaustive optimum by a depth-first walk that recurses on every
+    take and every skip, skipping first, and compares each maximal leaf's id
+    sequence as a tuple: the smallest sequence among maximal optima wins.
+    Items and welfare come from the same states of `Instance.welfare` as in
+    `optimize.optimal_welfare`, so both agree bit for bit."""
+    m = instance.m
+    oracle = instance.welfare
+    costs, budget = _integer_costs(instance.costs, instance.budget)
+    rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
+    best_welfare = -1.0
+    best_seq: tuple[int, ...] | None = None
+    chosen: list[int] = []
+
+    def explore(idx: int, cost: int, cheapest_skipped: int, state: tuple) -> None:
+        nonlocal best_welfare, best_seq
+        if idx == m:
+            welfare = state[0]
+            seq = tuple(chosen)
+            if welfare > best_welfare or (
+                welfare == best_welfare and (best_seq is None or seq < best_seq)
+            ):
+                best_welfare = welfare
+                best_seq = seq
+            return
+        # A skip is explored only if taking every remaining item after it
+        # leaves no room for the cheapest item skipped.
+        skipped = min(cheapest_skipped, costs[idx])
+        if budget - cost - rest[idx + 1] < skipped:
+            explore(idx + 1, cost, skipped, state)
+        new_cost = cost + costs[idx]
+        if new_cost <= budget:
+            chosen.append(idx)
+            explore(idx + 1, new_cost, cheapest_skipped, oracle.extend(state, idx))
+            chosen.pop()
+
+    explore(0, 0, budget + 1, oracle.start())
+    assert best_seq is not None
+    return OptimalBundle(items=frozenset(best_seq), welfare=best_welfare)
 
 
 def left_sum(values: Iterable[float]) -> float:

@@ -50,7 +50,7 @@ def run(argv, capsys):
     # dp is the exact solver and takes no argument.
     ["--solver", "dp:0.5"],
     ["--solver", "dp:banana"],
-    # One draw asks `getrandbits` for up to all the samples' bits, a C int.
+    # Past the documented ceiling of 2**31 - 1 samples.
     ["--mode", "mc", "--samples", str(2**31)],
 ])
 def test_bad_eval_flags_are_usage_errors(instance_file, capsys, flags):

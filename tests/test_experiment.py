@@ -9,6 +9,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -478,6 +479,41 @@ class TestCountSampler:
                            for h in range(n + 1)
                            if p**h * (1 - p) ** (n - h)}, (n, num, den)
 
+    def test_chunked_draws_match_one_call_for_all_bits(self):
+        # One `getrandbits(n)` per digit, as the sampler drew before its
+        # chunks; sizes sit on both sides of the 32-bit word and chunk edges.
+        def one_call(rng, n, num, den):
+            successes = 0
+            while n and num:
+                num *= 2
+                ones = rng.getrandbits(n).bit_count()
+                if num >= den:
+                    num -= den
+                    successes += n - ones
+                    n = ones
+                else:
+                    n -= ones
+            return successes
+
+        chunk = experiment._CHUNK_BITS
+        sizes = (1, 31, 32, 33, chunk - 1, chunk, chunk + 1, chunk + 31, 2 * chunk,
+                 2 * chunk + 33, 3 * chunk + 32, 200_003)
+        for seed, n in itertools.product(range(40), sizes):
+            chunked, whole = random.Random(seed), random.Random(seed)
+            assert experiment._binomial(chunked, n, 1, 3) == one_call(whole, n, 1, 3), (seed, n)
+            assert chunked.getstate() == whole.getstate(), (seed, n)
+
+    def test_binomial_memory_stays_flat_in_n(self):
+        # One call for all 10**7 bits would hold 1.25 MB of them at once.
+        rng = random.Random(1)
+        tracemalloc.start()
+        try:
+            experiment._binomial(rng, 10**7, 1, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_binomial_at_p_zero_and_one_draws_no_bits(self):
         for n in (0, 1, 10**6):
             assert experiment._binomial(_ScriptedBits(()), n, 0, 7) == 0
@@ -514,8 +550,8 @@ class TestCountSampler:
             assert chi_square(pooled, dict.fromkeys(range(10), 1)) < 27.877, (count, pooled)
 
     def test_sample_count_must_fit_a_c_int(self):
-        # `getrandbits` takes a C int, and one draw can ask for all samples'
-        # bits at once; neither count below is sampled.
+        # 2**31 - 1, a C int's maximum, is the documented ceiling; neither
+        # count below is sampled.
         instance = generate(GeneratorSpec("additive", 3, 2, seed=1))
         for samples in (1, 2**31):
             with pytest.raises(ValueError, match="samples must lie in"):

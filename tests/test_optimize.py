@@ -177,7 +177,97 @@ def test_frontiers_are_the_pareto_points_of_each_suffix(p):
         assert len(pareto) <= min(capacity, sum(p.profits[j:])) + 1
 
 
+def grid_values(rng, size):
+    """Values on the grid of quarters, zero included, not all zero: sets
+    that differ only in zero-value items tie exactly."""
+    values = [rng.randint(0, 4) / 4 for _ in range(size)]
+    values[rng.randrange(size)] = rng.randint(1, 4) / 4
+    return values
+
+
+def grid_voter(rng, family, m):
+    """A voter with values or weights from `grid_values`; a coverage voter's
+    last item covers every element, so that its grand value is positive."""
+    if family == "coverage":
+        universe = rng.randint(1, 4)
+        return OracleSpec(family, {
+            "weights": grid_values(rng, universe),
+            "covers": [sorted(rng.sample(range(universe), rng.randint(0, universe)))
+                       for _ in range(m - 1)] + [list(range(universe))],
+        })
+    params = {"values": grid_values(rng, m)}
+    if family == "concave":
+        params["gamma"] = rng.randint(1, 4) / 4
+    return OracleSpec(family, params)
+
+
+def tie_costs(rng, model, m):
+    """Equal costs, dyadic costs k/2^j, or costs over distinct primes (with
+    31 and 37 past `PRIMES`, so that twelve items get twelve)."""
+    if model == "equal":
+        return (Fraction(rng.randint(1, 8), 16),) * m
+    if model == "dyadic":
+        return tuple(Fraction(rng.randint(1, 2**j), 2**j)
+                     for j in (rng.randint(0, 5) for _ in range(m)))
+    primes = rng.sample(PRIMES + (31, 37), m)
+    return tuple(Fraction(rng.randint(1, p // 2), p) for p in primes)
+
+
 class TestOptimalWelfare:
+    @pytest.mark.parametrize("model", ["equal", "dyadic", "coprime"])
+    @pytest.mark.parametrize("family", ["additive", "coverage", "concave", "max-value",
+                                        "mixed"])
+    def test_ties_match_the_recursive_reference(self, family, model):
+        rng = random.Random(f"{family}/{model}")
+        for _ in range(12):
+            m = rng.randint(1, 12)
+            families = (rng.sample(["additive", "coverage", "concave", "max-value"],
+                                   rng.randint(2, 4))
+                        if family == "mixed" else [family] * rng.randint(1, 3))
+            instance = validate_instance(RawInstance(
+                costs=tie_costs(rng, model, m),
+                voters=tuple(grid_voter(rng, f, m) for f in families),
+            ))
+            assert optimal_welfare(instance) == helpers.optimum_by_recursion(instance)
+
+    def test_rounding_cannot_promote_a_set_with_room_left(self):
+        # {1} leaves room for item 0, so only {0, 1} and {0, 2} are maximal.
+        # Item 1 covers three signatures; alone it adds all three, after
+        # item 0 only two, and that grouping rounds {0, 1} below {1}.
+        instance = validate_instance(RawInstance(
+            costs=(Fraction(3, 10), Fraction(3, 5), Fraction(3, 5)),
+            voters=(OracleSpec("coverage", {"weights": [0.25, 0.5, 0.75],
+                                            "covers": [[0], [0, 1, 2], [2]]}),),
+        ))
+        welfare = instance.welfare
+        alone = welfare.extend(welfare.start(), 1)[0]
+        both = welfare.extend(welfare.extend(welfare.start(), 0), 1)[0]
+        assert alone > both
+        assert optimal_welfare(instance) == helpers.optimum_by_recursion(instance) == (
+            frozenset({0, 1}), both)
+
+    @pytest.mark.parametrize("m, fit", [(16, 10), (12, 4), (9, 6), (7, 1), (6, 5), (5, 5)])
+    def test_extends_once_per_prefix_of_a_fitting_subset(self, m, fit, monkeypatch):
+        # With equal costs, the maximal sets are the fit-subsets, and the walk
+        # extends once per distinct non-empty prefix of one: there are
+        # C(m + 1, fit) - 1 of them. (16, 10) is the exact-shortlist shape.
+        cost = Fraction(3, 32) if (m, fit) == (16, 10) else Fraction(1, fit)
+        instance = validate_instance(RawInstance(
+            costs=(cost,) * m,
+            voters=(OracleSpec("additive", {"values": [1.0] * m}),),
+        ))
+        welfare = instance.welfare
+        extends = []
+
+        def counting(state, a):
+            extends.append(a)
+            return type(welfare).extend(welfare, state, a)
+
+        monkeypatch.setattr(welfare, "extend", counting)
+        bundle = optimal_welfare(instance)
+        assert bundle.items == frozenset(range(fit))
+        assert len(extends) == math.comb(m + 1, fit) - 1
+
     def test_two_voter_tie_breaks_lexicographically(self):
         instance = validate_instance(
             RawInstance(
