@@ -81,7 +81,7 @@ def render_instance_file(raw: RawInstance, metadata: dict | None = None) -> str:
         "schema_version": SCHEMA_VERSION,
         "m": len(raw.costs),
         "n": len(raw.voters),
-        "costs": [f"{c.numerator}/{c.denominator}" for c in raw.costs],
+        "costs": [_cost_text(c) for c in raw.costs],
         "voters": [
             {"family": spec.family, "params": dict(spec.params)} for spec in raw.voters
         ],
@@ -89,6 +89,12 @@ def render_instance_file(raw: RawInstance, metadata: dict | None = None) -> str:
     if metadata:
         document["metadata"] = metadata
     return json.dumps(document, indent=2) + "\n"
+
+
+def _cost_text(cost: Fraction) -> str:
+    """A cost as "num/den". Past Python's int-to-str digit limit
+    (`sys.set_int_max_str_digits`) this raises ValueError."""
+    return f"{cost.numerator}/{cost.denominator}"
 
 
 def parse_instance_file(text: str) -> RawInstance:
@@ -183,6 +189,10 @@ def _parse_cost_model(value: str, m: int):
                 raise ValueError(f"expected {m} costs, got {len(costs)}")
             if not all(0 < c <= 1 for c in costs):
                 raise ValueError("fixed costs must lie in (0, 1]")
+            # The file spells each cost out in digits, which may not run past
+            # Python's limit.
+            for c in costs:
+                _cost_text(c)
             return Fixed(costs=costs)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --cost-model {value!r}: {exc}") from exc
@@ -274,8 +284,10 @@ def cmd_gen(args) -> int:
     instance = validate_instance(raw)
     metadata = {"generator": {"family": args.family, "m": args.m, "n": args.n,
                               "cost_model": args.cost_model, "seed": seed}}
+    # Rendered before the file is opened, so that a failure leaves no file.
+    text = render_instance_file(raw, metadata)
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(render_instance_file(raw, metadata))
+        handle.write(text)
     _print_voters(instance, f"wrote {args.out}: ")
     return EXIT_OK
 
@@ -293,6 +305,7 @@ def cmd_eval(args) -> int:
     method = Method(args.method)
     try:
         mix = check_mix(args.mix)
+        str(mix)  # the CSV spells the mix out in digits, within Python's limit
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --mix {args.mix!r}: {exc}") from exc
     eps = _parse_solver(args.solver)

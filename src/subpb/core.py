@@ -148,13 +148,17 @@ class CoverageOracle(NamedTuple):
         cls, weights: Sequence[float], covers: Sequence[Iterable[int]]
     ) -> "CoverageOracle":
         wts = _nonnegative_floats(weights)
+        universe = len(wts)
         masks = []
         for cover in covers:
             if not isinstance(cover, (list, tuple)):
                 raise ValidationError(f"a cover set must be a list, got {cover!r}")
             mask = 0
             for u in cover:
-                if isinstance(u, bool) or not isinstance(u, int) or not 0 <= u < len(wts):
+                # The exact type test is the common case; bool, though a subclass
+                # of int, is refused.
+                if (type(u) is not int and (isinstance(u, bool) or not isinstance(u, int))
+                        or not 0 <= u < universe):
                     raise ValidationError(f"covered element {u!r} outside universe")
                 mask |= 1 << u
             masks.append(mask)
@@ -406,13 +410,18 @@ def _as_float(value, name: str) -> float:
 
 
 def _nonnegative_floats(values: Sequence[float]) -> tuple[float, ...]:
+    """The values as floats in [0, inf). A float is taken as is and anything
+    else goes through `_as_float`; the range test refuses NaN as well."""
     if not isinstance(values, (list, tuple)):
         raise ValidationError(f"utility parameters must be a list, got {values!r}")
-    vals = tuple(_as_float(v, "utility parameter") for v in values)
-    for v in vals:
-        if v < 0.0 or not math.isfinite(v):
+    vals = []
+    for v in values:
+        if type(v) is not float:
+            v = _as_float(v, "utility parameter")
+        if not 0.0 <= v < math.inf:
             raise ValidationError(f"utility parameters must be finite and >= 0, got {v}")
-    return vals
+        vals.append(v)
+    return tuple(vals)
 
 
 def _scale(total: float, what: str) -> float:

@@ -1,5 +1,11 @@
 """Instance generation, pipeline evaluation, and sweep reporting.
 
+The generator draws each instance's costs and each voter from a stream of
+its own (`rng.stream`). Every draw is one of `rng`'s algorithms over the
+stream's `random()` and `getrandbits`, not a `random.Random` wrapper, so
+that the instances do not depend on the standard library's versions of
+those wrappers.
+
 `evaluate` runs one full pipeline (elicit, aggregate, expected welfare
 against the exhaustive optimum) in one of two modes. Both read one plan of
 the rule's public randomness (`_plan`): weighted components "a uniform
@@ -124,10 +130,10 @@ def _draw_costs(spec: GeneratorSpec) -> tuple[Fraction, ...]:
     costs = []
     for _ in range(spec.m):
         if isinstance(model, UniformRational):
-            costs.append(Fraction(rng.randint(1, model.grid), model.grid))
+            costs.append(Fraction(rng_mod.randint(rng, 1, model.grid), model.grid))
         elif isinstance(model, Dyadic):
-            j = rng.randint(0, model.max_exponent)
-            costs.append(Fraction(rng.randint(1, 2**j), 2**j))
+            j = rng_mod.randint(rng, 0, model.max_exponent)
+            costs.append(Fraction(rng_mod.randint(rng, 1, 2**j), 2**j))
         else:
             raise TypeError(f"unknown cost model {model!r}")
     return tuple(costs)
@@ -137,26 +143,29 @@ def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
     rng = rng_mod.stream(spec.seed, "voter", spec.family, spec.m, spec.n, voter)
     lo, hi = 0.05, 1.0
     if spec.family in ("additive", "max-value"):
-        return OracleSpec(spec.family, {"values": [rng.uniform(lo, hi) for _ in range(spec.m)]})
+        return OracleSpec(spec.family, {"values": rng_mod.uniforms(rng, lo, hi, spec.m)})
     if spec.family == "coverage":
         # Private elements give every alternative an uncoverable remainder,
         # pulling curvature below 1; pure random covers usually pin it at 1.
         # Either pool holds at least one element of a universe of 2m >= 2.
         private = bool(dict(spec.family_params).get("private_elements", False))
         universe = max(2, 2 * spec.m)
-        weights = [rng.uniform(0.1, 1.0) for _ in range(universe)]
+        weights = rng_mod.uniforms(rng, 0.1, 1.0, universe)
+        start = spec.m if private else 0
+        size = universe - start
+        most = min(3, size)
         covers = []
         for a in range(spec.m):
-            pool = range(spec.m, universe) if private else range(universe)
-            count = rng.randint(1, min(3, len(pool)))
-            cover = sorted(rng.sample(pool, count))
+            count = rng_mod.randint(rng, 1, most)
+            cover = sorted(rng_mod.sample(rng, start, size, count))
             if private:
                 cover = [a] + cover
             covers.append(cover)
         return OracleSpec("coverage", {"weights": weights, "covers": covers})
     if spec.family == "concave":
-        values = [rng.uniform(lo, hi) for _ in range(spec.m)]
-        return OracleSpec("concave", {"values": values, "gamma": rng.uniform(0.4, 1.0)})
+        values = rng_mod.uniforms(rng, lo, hi, spec.m)
+        (gamma,) = rng_mod.uniforms(rng, 0.4, 1.0, 1)
+        return OracleSpec("concave", {"values": values, "gamma": gamma})
     raise ValueError(f"unknown family {spec.family!r}")
 
 
@@ -440,7 +449,7 @@ def _split(rng, count: int, lo: int, hi: int, cum: Sequence[int] | None = None) 
             counts[lo] = count
             continue
         if cum is None and count < hi - lo:
-            counts.update(rng.randrange(lo, hi) for _ in range(count))
+            counts.update(lo + rng_mod.below(rng, hi - lo) for _ in range(count))
             continue
         mid = (lo + hi) // 2
         if cum is None:

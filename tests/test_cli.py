@@ -52,6 +52,8 @@ def run(argv, capsys):
     ["--solver", "dp:banana"],
     # Past the documented ceiling of 2**31 - 1 samples.
     ["--mode", "mc", "--samples", str(2**31)],
+    # A mix whose denominator the CSV could not print in 4,300 digits.
+    ["--mix", "1e-5000"],
 ])
 def test_bad_eval_flags_are_usage_errors(instance_file, capsys, flags):
     code, err = run(["eval", "--instance", instance_file, "--method", "threshold", *flags],
@@ -65,6 +67,7 @@ def test_bad_eval_flags_are_usage_errors(instance_file, capsys, flags):
     ["--solver", "fptas:0"],
     ["--mode", "mc", "--samples", "1"],
     ["--mode", "mc", "--samples", str(2**31)],
+    ["--mix", "1e-5000"],
 ])
 def test_bad_eval_flags_fail_before_the_file_is_read(tmp_path, capsys, flags):
     argv = ["eval", "--instance", str(tmp_path / "missing.json"), "--method", "threshold",
@@ -75,13 +78,17 @@ def test_bad_eval_flags_fail_before_the_file_is_read(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("model", ["uniform:x", "uniform:0", "dyadic:-1", "fixed:1/2,1/4",
-                                   "fixed:1/2,2,1/3", "fixed:0,1/2,1/3"])
+                                   "fixed:1/2,2,1/3", "fixed:0,1/2,1/3",
+                                   # A cost the file could not print in 4,300 digits.
+                                   "fixed:1e-5000,1/2,1/3"])
 def test_bad_cost_models_are_usage_errors(tmp_path, capsys, model):
+    out = tmp_path / "x.json"
     argv = ["gen", "--family", "additive", "--m", "3", "--n", "2",
-            "--cost-model", model, "--out", str(tmp_path / "x.json")]
+            "--cost-model", model, "--out", str(out)]
     code, err = run(argv, capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "eval"])
@@ -245,6 +252,16 @@ def test_well_formed_two_alternative_file_evaluates(tmp_path, capsys):
     assert code in (cli.EXIT_OK, cli.EXIT_BOUND) and err == ""
 
 
+@pytest.mark.parametrize("voter", [
+    {"family": "additive", "params": {"values": [-0.0, 1.0]}},
+    {"family": "coverage", "params": {"weights": [1.0, -0.0], "covers": [[0], [1]]}},
+], ids=["value", "weight"])
+def test_negative_zero_utility_parameters_are_accepted(tmp_path, capsys, voter):
+    path = write_two_alternative_file(tmp_path / "zero.json", voter)
+    code, err = run(["eval", "--instance", path, "--method", "threshold"], capsys)
+    assert code == cli.EXIT_OK and err == ""
+
+
 @pytest.mark.parametrize("voter, costs", [
     pytest.param({"family": "additive", "params": {"values": ["x", 1.0]}}, ("1/2", "1/2"),
                  id="non-numeric-value"),
@@ -280,6 +297,12 @@ def test_well_formed_two_alternative_file_evaluates(tmp_path, capsys):
                  ("1/2", "1/2"), id="400-digit-weight"),
     pytest.param({"family": "concave", "params": {"values": [1.0, 1.0], "gamma": 10**400}},
                  ("1/2", "1/2"), id="400-digit-gamma"),
+    # Floats outside [0, inf); `json` writes and reads NaN and Infinity.
+    *(pytest.param({"family": "additive", "params": {"values": [bad, 1.0]}}, ("1/2", "1/2"),
+                   id=f"{bad}-value") for bad in (-0.5, math.nan, math.inf, -math.inf)),
+    *(pytest.param({"family": "coverage", "params": {"weights": [1.0, bad],
+                                                     "covers": [[0], [1]]}},
+                   ("1/2", "1/2"), id=f"{bad}-weight") for bad in (-0.5, math.nan, math.inf)),
 ])
 def test_malformed_instance_files_are_parse_errors(tmp_path, capsys, voter, costs):
     path = write_two_alternative_file(tmp_path / "bad.json", voter, costs)
