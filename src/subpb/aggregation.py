@@ -107,9 +107,7 @@ def rule_a_threshold(
     for approved in approvals:
         for a in approved:
             counts[a] += 1
-    problem = KnapsackProblem(profits=tuple(counts), costs=instance.costs,
-                              capacity=instance.budget)
-    return solve_knapsack(problem, eps)
+    return solve_knapsack(KnapsackProblem(profits=tuple(counts), costs=instance.costs), eps)
 
 
 def expected_welfare(

@@ -180,6 +180,13 @@ def _parse_cost_model(value: str, m: int):
             exponent = int(arg) if arg else max(1, (m - 1).bit_length())
             if exponent < 0:
                 raise ValueError("exponent must be nonnegative")
+            # A drawn cost may have the denominator 2**exponent, which the
+            # file spells out: it must stay below 10**limit, Python's
+            # int-to-str limit (none before 3.10.7). Compared by bit length,
+            # without building the power.
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and exponent >= (10**limit - 1).bit_length():
+                raise ValueError(f"2**exponent has more than {limit} digits")
             return Dyadic(max_exponent=exponent)
         if name == "fixed":
             if not arg:

@@ -39,7 +39,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence, Union
 
 from . import rng as rng_mod
@@ -55,8 +55,7 @@ from .aggregation import (
 from .core import Instance, OracleSpec, RawInstance, max_curvature, validate_instance
 from .elicitation import Method, ranking_profile
 from .optimize import OptimalBundle, optimal_welfare
-from .partition import (GroupPartition, build_partition, group_index_bound, selection_size,
-                        shortlist_cap)
+from .partition import GroupPartition, build_partition, selection_size, shortlist_cap
 
 BOUND_TOL = 1e-9
 
@@ -226,7 +225,7 @@ def instance_family(instance: Instance) -> str:
 
 def theoretical_bound(
     method: Method,
-    m: int,
+    partition: GroupPartition,
     curvature: float,
     optimal: float,
     mix: Fraction = DEFAULT_MIX,
@@ -234,17 +233,20 @@ def theoretical_bound(
 ) -> float:
     """The proved per-instance welfare guarantee for the mixed rule.
 
-    The guarantees are stated for an even coin; an uneven coin scales them
-    by 2*min(mix, 1-mix), which degenerates to 0 at mix 0 or 1. The
-    threshold guarantee for a single alternative is vacuous (no thresholds)
-    and reported as 0."""
-    T = group_index_bound(m)
+    Each guarantee divides by the branches its rule draws from: the
+    threshold rule's by the partition's thresholds (T of them), the ranking
+    rules' by its groups (T + 1) and by sqrt(m). The guarantees are stated
+    for an even coin; an uneven coin scales them by 2*min(mix, 1-mix),
+    which degenerates to 0 at mix 0 or 1. The threshold guarantee without
+    thresholds (a single alternative) is vacuous and reported as 0."""
     coin = 2.0 * float(min(mix, 1 - mix))
     if method is Method.THRESHOLD_APPROVAL:
-        if T == 0:
+        thresholds = len(partition.thresholds)
+        if not thresholds:
             return 0.0
-        return coin * (1.0 - eps) * (1.0 - curvature) * optimal / (4.0 * T)
-    return coin * (1.0 - curvature) * optimal / (4.0 * (1 + T) * math.sqrt(m))
+        return coin * (1.0 - eps) * (1.0 - curvature) * optimal / (4.0 * thresholds)
+    groups = len(partition.groups)
+    return coin * (1.0 - curvature) * optimal / (4.0 * groups * math.sqrt(partition.m))
 
 
 class _InstanceFacts:
@@ -255,10 +257,11 @@ class _InstanceFacts:
     the instance's welfare oracle (`social_welfare`).
 
     Each fact is computed on first use and at most once. A computation
-    that raises is not cached, so every cell that needs it raises again.
-    The per-voter standalone values and last gains, which the curvature,
-    approval sets and value rankings read, live on the instance itself
-    (`core.Instance.singleton_table`), so a fresh record made by `evaluate`
+    that raises is not cached, so every evaluation that needs it raises
+    again. `evaluate` keeps one record, that of the instance it evaluated
+    last (`_facts`). The per-voter standalone values and last gains, which
+    the curvature, approval sets and value rankings read, live on the
+    instance itself (`core.Instance.singleton_table`), so a fresh record
     reuses them as well."""
 
     def __init__(self, instance: Instance):
@@ -285,6 +288,13 @@ class _InstanceFacts:
         return value
 
 
+@lru_cache(maxsize=1)
+def _facts(instance: Instance) -> _InstanceFacts:
+    """The record of the instance last evaluated. `Instance` hashes by
+    identity, so only the identical object finds it again."""
+    return _InstanceFacts(instance)
+
+
 def social_welfare(instance: Instance, items: Sequence[int]) -> float:
     """Welfare of a set: `Instance.welfare`'s `extend` folded over `items` in order."""
     return instance.welfare.value(items)
@@ -300,16 +310,15 @@ def evaluate(
     eps: float = 0.0,
     instance_id: str = "",
 ) -> EvaluationReport:
-    """Evaluate one elicitation method on one instance, with a fresh
-    per-instance record (`sweep` shares one record across methods). At
-    eps > 0 the threshold knapsack and its bound are (1 - eps)-approximate."""
-    facts = _InstanceFacts(instance)
-    return _evaluate(facts, method, mix, mode, seed, samples, eps, instance_id)
+    """Evaluate one elicitation method on one instance. At eps > 0 the
+    threshold knapsack and its bound are (1 - eps)-approximate.
 
-
-def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
-              seed: int, samples: int, eps: float, instance_id: str) -> EvaluationReport:
-    instance = facts.instance
+    The per-instance record (`_InstanceFacts`) is shared with the previous
+    call only when that call evaluated the identical `Instance` object: a
+    run of calls on one instance, such as `sweep` makes, computes its
+    partition, optimum, curvature and welfare caches once, while an equal
+    but distinct instance gets a record of its own."""
+    facts = _facts(instance)
     mix = Fraction(mix)
     stderr = None
     n_samples = None
@@ -325,7 +334,7 @@ def _evaluate(facts: _InstanceFacts, method: Method, mix: Fraction, mode: Mode,
         expected, stderr = _monte_carlo(facts, method, mix, eps, seed, samples)
         n_samples = samples
     curvature = facts.curvature
-    bound = theoretical_bound(method, instance.m, curvature, optimum.welfare, mix, eps)
+    bound = theoretical_bound(method, facts.partition, curvature, optimum.welfare, mix, eps)
     ratio = optimum.welfare / expected if expected > 0 else math.inf
     return EvaluationReport(
         instance_id=instance_id,
@@ -546,22 +555,18 @@ def sweep(
 ) -> list[SweepResult]:
     """Evaluate the cross product of specs and methods.
 
-    Each spec's instance is generated once, and one per-instance record is
-    shared by all its methods, so the partition, optimum, curvature and
-    component or set welfares are computed once per instance rather than
-    once per cell; the rows equal those of independent `evaluate` calls.
+    Each spec's instance is generated once and passed to `evaluate` once
+    per method. Those calls run back to back on one instance, so they share
+    its record: the partition, optimum, curvature and component or set
+    welfares are computed once per instance rather than once per cell.
     Per-cell failures become marked rows instead of aborting the sweep."""
     results: list[SweepResult] = []
     for spec in specs:
-        facts = _InstanceFacts(generate(spec))
+        instance = generate(spec)
         for method in methods:
             try:
-                results.append(
-                    _evaluate(
-                        facts, method, mix, mode, spec.seed, samples, eps,
-                        spec.instance_id,
-                    )
-                )
+                results.append(evaluate(instance, method, mix, mode, spec.seed, samples, eps,
+                                        spec.instance_id))
             except Exception as exc:  # noqa: BLE001 - sweep must not abort
                 results.append(
                     SweepFailure(

@@ -8,21 +8,12 @@ points, so it stays as narrow as the narrower of the two axes: many coprime
 cost denominators widen only the budget axis, and many approvals only the
 profit axis. Ties break toward the lexicographically smallest id sequence.
 At eps in (0, 1) it first scales the profits down (the FPTAS), which
-narrows the frontiers further, and then runs the same exact solver. The
-optimum enumerates the maximal feasible subsets (those no unchosen
-alternative fits into) over the same integer costs: utilities are monotone,
-so one of them is optimal. The walk recurses only to take an item; skips
-advance a loop. Two completions are forced and take no branching: when
-every remaining item fits, the only maximal completion takes them all, and
-when none fits, the set is final (and maximal only if no skipped item fits
-either). Taking before skipping reaches the maximal sets in lexicographic
-order of their id sequences, and no maximal set is a prefix of another, so
-the first leaf of strictly greater welfare is the smallest id sequence
-among maximal optima. Welfare comes from states of the instance welfare
-oracle (`core.Instance.welfare`); voters are records without states. Each
-take extends its parent's state by the item, once per distinct prefix, in
-ascending id order. For the additive and coverage part
-(`core.CoverageSumOracle`) the state carries the set's m-bit mask, and an
+narrows the frontiers further, and then reads the optimum off the same
+frontiers. The optimum (`optimal_welfare`) enumerates the maximal feasible
+subsets over the same integer costs, with welfare from states of the
+instance welfare oracle (`core.Instance.welfare`); its docstring says how
+the walk branches and breaks ties. For the additive and coverage part
+(`core.CoverageSumOracle`) a state carries the set's m-bit mask, and an
 extension adds the weight of each of the item's cover signatures that the
 mask does not meet. Submodular upper-bound pruning is not used.
 """
@@ -35,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import AlternativeId, ExceedsExactBudget, Instance, WelfareValue
+from .core import ExceedsExactBudget, Instance, WelfareValue
 
 #: Exhaustive enumeration is refused above this many alternatives.
 EXACT_ENUMERATION_LIMIT = 24
@@ -44,12 +35,11 @@ EXACT_ENUMERATION_LIMIT = 24
 class _KnapsackFields(NamedTuple):
     profits: tuple[int, ...]
     costs: tuple[Fraction, ...]
-    capacity: Fraction = Fraction(1)
 
 
 class KnapsackProblem(_KnapsackFields):
-    """Integer profits, exact rational costs, capacity 1 unless overridden;
-    every way of building one checks the profits."""
+    """Integer profits and exact rational costs against the unit budget of
+    an instance; every way of building one checks the profits."""
 
     __slots__ = ()
 
@@ -76,12 +66,11 @@ class KnapsackProblem(_KnapsackFields):
 Front = tuple[list[int], list[int]]
 
 
-def _integer_costs(costs: Sequence[Fraction], budget: Fraction) -> tuple[list[int], int]:
-    """Costs and budget times the LCM of their denominators: exact integers
-    that add and compare like the rationals."""
-    scale = math.lcm(budget.denominator, *(c.denominator for c in costs))
-    return ([c.numerator * (scale // c.denominator) for c in costs],
-            budget.numerator * (scale // budget.denominator))
+def _integer_costs(costs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Costs and the unit budget times the LCM of the costs' denominators:
+    exact integers that add and compare like the rationals."""
+    scale = math.lcm(*(c.denominator for c in costs))
+    return [c.numerator * (scale // c.denominator) for c in costs], scale
 
 
 def _frontiers(profits: Sequence[int], costs: Sequence[int], capacity: int) -> list[Front]:
@@ -128,43 +117,37 @@ def _best_profit(front: Front, budget: int) -> int:
     return profits[bisect.bisect_right(costs, budget) - 1]
 
 
-def knapsack_exact(problem: KnapsackProblem) -> frozenset:
-    """Maximum-profit feasible set; among optima, the lexicographically
-    smallest id sequence (so the empty set wins when all profits are zero).
+def solve_knapsack(problem: KnapsackProblem, eps: float = 0.0) -> frozenset:
+    """A maximum-profit set within the unit budget at eps = 0; at eps in
+    (0, 1), a feasible set with profit >= (1 - eps) * OPT by profit scaling.
+    Among the optima of the profits solved for, the lexicographically
+    smallest id sequence wins (so the empty set wins when all are zero).
 
+    The profits are divided by K = eps * max profit / size and floored when
+    K > 1; at K <= 1 (always at eps = 0, and for a problem without items or
+    profits) scaling cannot coarsen anything and they are solved as given.
     The suffix Pareto frontiers of `_frontiers` hold at most
-    min(scaled capacity, total profit) + 1 points each. The set is read off
+    min(scaled budget, total profit) + 1 points each. The set is read off
     them item by item: take j when an optimum of what is left still exists
     with j, and stop once no profit is left to collect."""
-    costs, capacity = _integer_costs(problem.costs, problem.capacity)
-    fronts = _frontiers(problem.profits, costs, capacity)
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    profits = problem.profits
+    scale = eps * max(profits, default=0) / max(1, problem.size)
+    if scale > 1.0:
+        profits = tuple(int(p / scale) for p in profits)
+    costs, budget = _integer_costs(problem.costs)
+    fronts = _frontiers(profits, costs, budget)
     chosen: list[int] = []
-    budget = capacity
     need = fronts[0][1][-1]
-    for j in range(problem.size):
+    for j, (p, c) in enumerate(zip(profits, costs)):
         if need == 0:
             break
-        p, c = problem.profits[j], costs[j]
         if c <= budget and p + _best_profit(fronts[j + 1], budget - c) >= need:
             chosen.append(j)
             budget -= c
             need -= p
     return frozenset(chosen)
-
-
-def solve_knapsack(problem: KnapsackProblem, eps: float = 0.0) -> frozenset:
-    """The exact optimum (`knapsack_exact`) at eps = 0; at eps in (0, 1), a
-    feasible set with profit >= (1 - eps) * OPT by profit scaling.
-
-    Scaling factor K = eps * max profit / size; when K <= 1 (always at
-    eps = 0, and for a problem without items or profits) scaling cannot
-    coarsen anything and the exact solver runs on the problem as given."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    scale = eps * max(problem.profits, default=0) / max(1, problem.size)
-    if scale > 1.0:
-        problem = problem._replace(profits=tuple(int(p / scale) for p in problem.profits))
-    return knapsack_exact(problem)
 
 
 class OptimalBundle(NamedTuple):
@@ -181,24 +164,25 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
     skipping. A call recurses only to take an item, handing the child its
     state (`UtilityOracle.start`/`extend`) of the instance welfare oracle
     (`Instance.welfare`) extended by it; a skip moves the call's own loop
-    on. A skip is abandoned when even taking every remaining item would
-    leave room for the cheapest item skipped so far: no completion of it
-    is maximal. Two completions are forced and close in one step: when
-    every remaining item fits, the only maximal completion takes them all;
-    when none fits, the set is final, and maximal only if no skipped item
-    fits either. Every maximal set is reached, in lexicographic order of
-    its id sequence (taking first puts the sets with an item before those
-    without it, and no maximal set is a prefix of another), so keeping
-    the first strictly better welfare gives ties to the smallest id
-    sequence among maximal optima. Raises ExceedsExactBudget above the
-    enumeration limit."""
+    on, so each distinct prefix is extended once. A skip is abandoned when
+    even taking every remaining item would leave room for the cheapest
+    item skipped so far: no completion of it is maximal. Two completions
+    are forced and close in one step: when every remaining item fits, the
+    only maximal completion takes them all; when none fits, the set is
+    final, and maximal only if no skipped item fits either. Utilities are
+    monotone, so some maximal set is optimal. Every maximal set is reached,
+    in lexicographic order of its id sequence (taking first puts the sets
+    with an item before those without it, and no maximal set is a prefix
+    of another), so keeping the first strictly better welfare gives ties
+    to the smallest id sequence among maximal optima. Raises
+    ExceedsExactBudget above the enumeration limit."""
     m = instance.m
     if m > EXACT_ENUMERATION_LIMIT:
         raise ExceedsExactBudget(
             f"m={m} exceeds the exhaustive limit of {EXACT_ENUMERATION_LIMIT}"
         )
     extend = instance.welfare.extend
-    costs, budget = _integer_costs(instance.costs, instance.budget)
+    costs, budget = _integer_costs(instance.costs)
     # rest[j] and least[j]: the total and the smallest cost of items j..
     rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
     least = list(itertools.accumulate(reversed(costs), min, initial=budget + 1))[::-1]

@@ -75,13 +75,13 @@ def profit(problem: KnapsackProblem, items) -> int:
 
 
 def brute_force_knapsack(problem: KnapsackProblem) -> frozenset:
-    """Max-profit feasible subset by full enumeration; ties broken toward the
-    lexicographically smallest id sequence."""
+    """Max-profit subset within budget 1 by full enumeration; ties broken
+    toward the lexicographically smallest id sequence."""
     best_profit = -1
     best_seq = None
     for combo in powerset(range(problem.size)):
         cost = sum((problem.costs[a] for a in combo), Fraction(0))
-        if cost > problem.capacity:
+        if cost > 1:
             continue
         value = profit(problem, combo)
         if value > best_profit or (value == best_profit and combo < best_seq):
@@ -111,7 +111,7 @@ def optimum_by_recursion(instance: Instance) -> OptimalBundle:
     `optimize.optimal_welfare`, so both agree bit for bit."""
     m = instance.m
     oracle = instance.welfare
-    costs, budget = _integer_costs(instance.costs, instance.budget)
+    costs, budget = _integer_costs(instance.costs)
     rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
     best_welfare = -1.0
     best_seq: tuple[int, ...] | None = None

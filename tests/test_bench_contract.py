@@ -50,3 +50,16 @@ def test_traced_evaluate_counts_plan_components():
                             Fraction(1, 2), 0.0)
     assert tracer.counts["aggregation.expected_welfare"] == 1
     assert tracer.counts["aggregation.support_sets"] == len(plan.support)
+
+
+def test_traced_sweep_evaluates_every_cell_through_evaluate():
+    # m = 1 has no threshold, so the threshold bound alone is vacuous.
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        rows = experiment.sweep([experiment.GeneratorSpec("additive", 1, 3, seed=1)],
+                                list(Method))
+    assert [span[0] for span in tracer.spans].count("experiment.evaluate") == 3
+    vacuous = sum(row.bound_value == 0 for row in rows)
+    assert 0 < vacuous < len(rows)
+    assert tracer.counts["experiment.vacuous_bound_cells"] == vacuous

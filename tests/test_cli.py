@@ -80,7 +80,11 @@ def test_bad_eval_flags_fail_before_the_file_is_read(tmp_path, capsys, flags):
 @pytest.mark.parametrize("model", ["uniform:x", "uniform:0", "dyadic:-1", "fixed:1/2,1/4",
                                    "fixed:1/2,2,1/3", "fixed:0,1/2,1/3",
                                    # A cost the file could not print in 4,300 digits.
-                                   "fixed:1e-5000,1/2,1/3"])
+                                   "fixed:1e-5000,1/2,1/3",
+                                   # Exponents whose costs may not print either:
+                                   # 2**14285 has 4,301 digits.
+                                   "dyadic:14285", "dyadic:20000",
+                                   pytest.param(f"dyadic:{'9' * 300}", id="dyadic:9*300")])
 def test_bad_cost_models_are_usage_errors(tmp_path, capsys, model):
     out = tmp_path / "x.json"
     argv = ["gen", "--family", "additive", "--m", "3", "--n", "2",
@@ -89,6 +93,16 @@ def test_bad_cost_models_are_usage_errors(tmp_path, capsys, model):
     assert code == cli.EXIT_USAGE
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_dyadic_exponent_at_the_digit_limit_is_accepted(tmp_path, capsys):
+    # 2**14284 has 4,300 digits, so every drawn cost still prints.
+    out = tmp_path / "x.json"
+    argv = ["gen", "--family", "additive", "--m", "3", "--n", "1",
+            "--cost-model", "dyadic:14284", "--out", str(out)]
+    code, _ = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert cli.parse_instance_file(out.read_text(encoding="utf-8")).costs
 
 
 @pytest.mark.parametrize("command", ["gen", "eval"])

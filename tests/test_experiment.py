@@ -33,8 +33,8 @@ from subpb.aggregation import expected_welfare
 from subpb.optimize import (
     ExceedsExactBudget,
     KnapsackProblem,
-    knapsack_exact,
     optimal_welfare,
+    solve_knapsack,
 )
 
 import helpers
@@ -252,6 +252,43 @@ class TestSweep:
             assert a.expected_welfare != b.expected_welfare and a.stderr != b.stderr
 
 
+class TestSharedRecord:
+    """`evaluate` shares one per-instance record with the call before it,
+    but only when both evaluate the identical `Instance` object."""
+
+    @staticmethod
+    def count_optima(monkeypatch) -> list:
+        calls = []
+        real = experiment.optimal_welfare
+        monkeypatch.setattr(experiment, "optimal_welfare",
+                            lambda instance: calls.append(instance) or real(instance))
+        return calls
+
+    def test_consecutive_calls_on_one_instance_take_one_optimum(self, monkeypatch):
+        calls = self.count_optima(monkeypatch)
+        instance = generate(GeneratorSpec("coverage", 8, 5, seed=2))
+        reports = [evaluate(instance, method) for method in Method]
+        assert calls == [instance]
+        assert len({report.optimal_welfare for report in reports}) == 1
+
+    def test_an_equal_instance_gets_its_own_record(self, monkeypatch):
+        calls = self.count_optima(monkeypatch)
+        raw = experiment.generate_raw(GeneratorSpec("coverage", 8, 5, seed=2))
+        first, second = validate_instance(raw), validate_instance(raw)
+        reports = [evaluate(instance, Method.THRESHOLD_APPROVAL) for instance in (first, second)]
+        assert calls == [first, second]
+        assert reports[0] == reports[1]
+
+    def test_a_refused_component_raises_on_every_call(self, monkeypatch):
+        # A limit one below C(10, 5) refuses the concave 5-subset draw; the
+        # failed mean welfare is not cached, so the next call raises too.
+        concave = generate(SHORTLIST_HEAVY._replace(family="concave"))
+        monkeypatch.setattr(core, "EXACT_SUPPORT_LIMIT", math.comb(10, 5) - 1)
+        for _ in range(2):
+            with pytest.raises(ExceedsExactBudget):
+                evaluate(concave, Method.MARGINAL_VALUES)
+
+
 def mixed_instance() -> core.Instance:
     """Voters of all four families on one instance: the one welfare oracle
     that sums parts, a `core.SumOracle`."""
@@ -400,12 +437,11 @@ class TestPlanAndSampler:
                 calls[type(self).__name__] += 1
                 return real(self, items)
             monkeypatch.setattr(cls, "value", counted)
-        facts = experiment._InstanceFacts(instance)
         for method in Method:
-            experiment._evaluate(facts, method, Fraction(1, 2), Mode.MONTE_CARLO, 3, 5_000,
-                                 0.0, "")
+            evaluate(instance, method, mode=Mode.MONTE_CARLO, seed=3, samples=5_000)
         assert calls == Counter()
         monkeypatch.undo()
+        facts = experiment._facts(instance)
         assert len(facts.welfare_cache) > 1
         for items, value in facts.welfare_cache.items():
             assert items == tuple(sorted(items))
@@ -590,8 +626,8 @@ def test_threshold_bound_gap_grows_along_the_ladder(m, ratio):
         assert facts.optimum.items == frozenset({0, *range(4, m)})
     else:
         optimum = core.social_welfare(facts.instance, [0, *range(4, m)])
-    bound = experiment.theoretical_bound(Method.THRESHOLD_APPROVAL, m, facts.curvature,
-                                         optimum, Fraction(1, 2))
+    bound = experiment.theoretical_bound(Method.THRESHOLD_APPROVAL, facts.partition,
+                                         facts.curvature, optimum, Fraction(1, 2))
     assert round(welfare / bound, 3) == ratio
 
 
@@ -600,12 +636,13 @@ class TestMixedDenominators:
         rng = random.Random(314)
         for _ in range(80):
             m = rng.randint(1, 9)
-            problem = KnapsackProblem(
-                profits=tuple(rng.randint(0, 3) for _ in range(m)),
-                costs=tuple(mixed_cost(rng) for _ in range(m)),
-                capacity=rng.choice([Fraction(1), Fraction(2, 3), Fraction(5, 7)]),
-            )
-            assert knapsack_exact(problem) == helpers.brute_force_knapsack(problem)
+            # A capacity of 2/3 or 5/7 divides every cost, giving the same
+            # knapsack within the unit budget.
+            profits = tuple(rng.randint(0, 3) for _ in range(m))
+            costs = tuple(mixed_cost(rng) for _ in range(m))
+            capacity = rng.choice([Fraction(1), Fraction(2, 3), Fraction(5, 7)])
+            problem = KnapsackProblem(profits, tuple(c / capacity for c in costs))
+            assert solve_knapsack(problem) == helpers.brute_force_knapsack(problem)
 
     def test_optimum_matches_brute_force(self):
         # Dyadic max-value voters make every welfare an exact float sum, so

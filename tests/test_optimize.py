@@ -16,7 +16,6 @@ from subpb.optimize import (
     KnapsackProblem,
     _frontiers,
     _integer_costs,
-    knapsack_exact,
     optimal_welfare,
     solve_knapsack,
 )
@@ -25,10 +24,12 @@ import helpers
 
 
 def problem(profits, costs, capacity=Fraction(1)):
+    """The knapsack of these costs within `capacity`, as the same problem
+    within the unit budget: every cost divided by the capacity."""
+    capacity = Fraction(capacity)
     return KnapsackProblem(
         profits=tuple(profits),
-        costs=tuple(Fraction(c) for c in costs),
-        capacity=Fraction(capacity),
+        costs=tuple(Fraction(c) / capacity for c in costs),
     )
 
 
@@ -43,38 +44,38 @@ class TestKnapsackExact:
     def test_spec_example(self):
         # Brute force over all 8 subsets: only {1, 2} reaches weight 4.
         p = problem([3, 2, 2], ["3/5", "1/2", "1/2"])
-        assert knapsack_exact(p) == {1, 2}
+        assert solve_knapsack(p) == {1, 2}
 
     def test_all_zero_weights(self):
         p = problem([0, 0, 0], ["1/2", "1/2", "1/2"])
-        assert knapsack_exact(p) == frozenset()
+        assert solve_knapsack(p) == frozenset()
 
     def test_single_item_full_cost(self):
-        assert knapsack_exact(problem([5], ["1"])) == {0}
-        assert knapsack_exact(problem([0], ["1"])) == frozenset()
+        assert solve_knapsack(problem([5], ["1"])) == {0}
+        assert solve_knapsack(problem([0], ["1"])) == frozenset()
 
     def test_everything_fits(self):
         p = problem([1, 2, 3], ["1/4", "1/4", "1/4"])
-        assert knapsack_exact(p) == {0, 1, 2}
+        assert solve_knapsack(p) == {0, 1, 2}
 
     def test_zero_profit_padding_precedes(self):
         # Lexicographically, (0, 1) comes before (1,), so the optimal set
         # absorbs the free-riding zero-profit item that fits.
         p = problem([0, 5], ["1/2", "1/2"])
-        assert knapsack_exact(p) == {0, 1}
+        assert solve_knapsack(p) == {0, 1}
 
     def test_matches_brute_force_on_random_problems(self):
         rng = random.Random(20240117)
         for _ in range(60):
             p = random_problem(rng, max_m=10)
-            fast = knapsack_exact(p)
+            fast = solve_knapsack(p)
             slow = helpers.brute_force_knapsack(p)
             assert helpers.profit(p, fast) == helpers.profit(p, slow)
             assert fast == slow
 
     def test_negative_profit_rejected(self):
         # Also misaligned and non-integer profits, built or derived by
-        # `_replace`, as the approximate solver derives its scaled problem.
+        # `_replace`.
         for profits, costs in [([-1], ["1/2"]), ([1, 2], ["1/2"]), ([1.5], ["1/2"])]:
             with pytest.raises(ValueError):
                 problem(profits, costs)
@@ -87,7 +88,7 @@ class TestKnapsackFptas:
         rng = random.Random(7)
         for _ in range(30):
             p = random_problem(rng, max_m=8)
-            exact_profit = helpers.profit(p, knapsack_exact(p))
+            exact_profit = helpers.profit(p, solve_knapsack(p))
             approx_profit = helpers.profit(p, solve_knapsack(p, 0.5))
             assert approx_profit >= 0.5 * exact_profit
 
@@ -127,7 +128,8 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 def knapsack_problems(draw, wide):
     """m <= 10 items with profits often in {0, 1, 2}, so that ties and zero
     profits are common. Wide: costs k/p over distinct primes p. Narrow:
-    costs on the grid of eighths."""
+    costs on the grid of eighths. A capacity of 1, 2/3 or 5/7 divides
+    every cost (`problem`)."""
     m = draw(st.integers(min_value=0, max_value=10))
     profit = st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=0, max_value=100))
     profits = draw(st.lists(profit, min_size=m, max_size=m))
@@ -143,14 +145,14 @@ def knapsack_problems(draw, wide):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(knapsack_problems(wide=True), knapsack_problems(wide=False)))
 def test_exact_matches_brute_force_with_its_tie_rule(p):
-    assert knapsack_exact(p) == helpers.brute_force_knapsack(p)
+    assert solve_knapsack(p) == helpers.brute_force_knapsack(p)
 
 
 @settings(max_examples=100, deadline=None)
 @given(knapsack_problems(wide=True), st.sampled_from([0.1, 0.3, 0.5, 0.9]))
 def test_fptas_contract_on_a_wide_budget_axis(p, eps):
     chosen = solve_knapsack(p, eps)
-    assert sum((p.costs[a] for a in chosen), Fraction(0)) <= p.capacity
+    assert sum((p.costs[a] for a in chosen), Fraction(0)) <= 1
     best = helpers.brute_force_knapsack(p)
     assert helpers.profit(p, chosen) >= (1 - eps) * helpers.profit(p, best)
 
@@ -158,23 +160,22 @@ def test_fptas_contract_on_a_wide_budget_axis(p, eps):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(knapsack_problems(wide=True), knapsack_problems(wide=False)))
 def test_frontiers_are_the_pareto_points_of_each_suffix(p):
-    costs, capacity = _integer_costs(p.costs, p.capacity)
-    scale = math.lcm(p.capacity.denominator, *(c.denominator for c in p.costs))
-    assert costs == [int(c * scale) for c in p.costs]
-    assert capacity == int(p.capacity * scale)
-    fronts = _frontiers(p.profits, costs, capacity)
+    costs, budget = _integer_costs(p.costs)
+    assert budget == math.lcm(*(c.denominator for c in p.costs))
+    assert costs == [int(c * budget) for c in p.costs]
+    fronts = _frontiers(p.profits, costs, budget)
     for j, (front_costs, front_profits) in enumerate(fronts):
         points = {
             (sum(costs[a] for a in combo), helpers.profit(p, combo))
             for combo in helpers.powerset(range(j, p.size))
         }
-        points = {(c, q) for c, q in points if c <= capacity}
+        points = {(c, q) for c, q in points if c <= budget}
         pareto = sorted(
             (c, q) for c, q in points
             if not any(c2 <= c and q2 >= q and (c2, q2) != (c, q) for c2, q2 in points)
         )
         assert list(zip(front_costs, front_profits)) == pareto
-        assert len(pareto) <= min(capacity, sum(p.profits[j:])) + 1
+        assert len(pareto) <= min(budget, sum(p.profits[j:])) + 1
 
 
 def grid_values(rng, size):
