@@ -55,6 +55,11 @@ class Plan(_PlanFields):
             raise ValueError(f"plan weights must be positive and sum to 1, got {support}")
         return super().__new__(cls, support)
 
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, which would skip `__new__`.
+        return cls(*iterable)
+
 
 def check_mix(mix: Fraction) -> Fraction:
     """The coin weight of the rule-A branch, which must lie in [0, 1]."""

@@ -5,10 +5,12 @@ exact "num/den" strings (group membership must survive serialization
 bit-exactly) and voter oracles as raw family parameters. Parsing then
 serializing then parsing is the identity.
 
-Exit codes: 0 success with all bounds satisfied, 1 usage error, 2 I/O
-error, 3 parse error, 4 exact-enumeration budget exceeded, 5 a reported
-bound was violated. The SUBPB_SEED environment variable overrides the
-default seed of 0 of `gen` and `eval` when --seed is not given.
+Exit codes: 0 success with all bounds satisfied, 1 usage error
+(`UsageError`), 2 I/O error (`OSError`), 3 parse error, a malformed file or
+an invalid instance (`core.ValidationError`), 4 exact-enumeration budget
+exceeded (`core.ExceedsExactBudget`), 5 a reported bound was violated. The
+SUBPB_SEED environment variable overrides the default seed of 0 of `gen`
+and `eval` when --seed is not given.
 
 `inspect` prints a file's voters, or its group table, each group's scores
 under one ranking method (`--scores METHOD`) and an optimal set. Flags take
@@ -27,6 +29,7 @@ from typing import Sequence
 from .aggregation import check_mix
 from .core import (
     FAMILIES,
+    ExceedsExactBudget,
     Instance,
     OracleSpec,
     RawInstance,
@@ -46,7 +49,7 @@ from .experiment import (
     generate_raw,
     render_csv,
 )
-from .optimize import ExceedsExactBudget, optimal_welfare
+from .optimize import optimal_welfare
 from .partition import build_partition, harmonic_scores
 
 SCHEMA_VERSION = 1
@@ -61,10 +64,6 @@ EXIT_BOUND = 5
 
 class UsageError(Exception):
     pass
-
-
-class InstanceFileError(Exception):
-    """The file is readable but not a valid instance document."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,51 +102,48 @@ def parse_instance_file(text: str) -> RawInstance:
     try:
         document = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise InstanceFileError(f"not valid JSON: {exc}") from exc
+        raise ValidationError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
-        raise InstanceFileError("top-level value must be an object")
+        raise ValidationError("top-level value must be an object")
     # A misspelt or unsupported key, such as "budget", would otherwise be
     # ignored without a word.
     unknown = sorted(document.keys() - {"schema_version", "m", "n", "costs", "voters",
                                         "metadata"})
     if unknown:
-        raise InstanceFileError(f"unknown top-level keys {unknown}")
+        raise ValidationError(f"unknown top-level keys {unknown}")
     # A JSON true or 1.0 would otherwise equal version 1.
     version = document.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise InstanceFileError(f"unsupported schema_version {version!r}")
+        raise ValidationError(f"unsupported schema_version {version!r}")
     # A string or an object would otherwise be iterated as costs or voters,
     # and a list of pairs taken as the params.
     if not isinstance(document.get("costs"), list) or not isinstance(
             document.get("voters"), list):
-        raise InstanceFileError("'costs' and 'voters' must be arrays")
+        raise ValidationError("'costs' and 'voters' must be arrays")
     for v in document["voters"]:
         if not isinstance(v, dict) or v.keys() != {"family", "params"} or not isinstance(
                 v["params"], dict):
-            raise InstanceFileError(
+            raise ValidationError(
                 f"a voter must be an object with exactly the keys 'family' and 'params', "
                 f"and object params; got {v!r}")
-    try:
-        costs = tuple(_exact_cost(c) for c in document["costs"])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceFileError(f"malformed instance document: {exc}") from exc
+    costs = []
+    for c in document["costs"]:
+        # Floats are refused because they are not the exact value the user wrote.
+        if isinstance(c, bool) or not isinstance(c, (str, int)):
+            raise ValidationError(f"cost {c!r} must be a \"num/den\" string or an integer")
+        try:
+            costs.append(Fraction(c))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"malformed instance document: {exc}") from exc
     voters = tuple(OracleSpec(family=v["family"], params=dict(v["params"]))
                    for v in document["voters"])
     # A JSON true or 2.0 would otherwise equal a count of 1 or 2.
     m, n = document.get("m"), document.get("n")
     if type(m) is not int or m != len(costs):
-        raise InstanceFileError("declared m disagrees with the cost list")
+        raise ValidationError("declared m disagrees with the cost list")
     if type(n) is not int or n != len(voters):
-        raise InstanceFileError("declared n disagrees with the voter list")
-    return RawInstance(costs=costs, voters=voters)
-
-
-def _exact_cost(value) -> Fraction:
-    """A cost from the file; floats are refused because they are not the
-    exact value the user wrote."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise InstanceFileError(f"cost {value!r} must be a \"num/den\" string or an integer")
-    return Fraction(value)
+        raise ValidationError("declared n disagrees with the voter list")
+    return RawInstance(costs=tuple(costs), voters=voters)
 
 
 def load_instance(path: str) -> tuple[RawInstance, Instance]:
@@ -155,13 +151,9 @@ def load_instance(path: str) -> tuple[RawInstance, Instance]:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
-            raise InstanceFileError(f"not UTF-8 text: {exc}") from exc
+            raise ValidationError(f"not UTF-8 text: {exc}") from exc
     raw = parse_instance_file(text)
-    try:
-        instance = validate_instance(raw)
-    except ValidationError as exc:
-        raise InstanceFileError(str(exc)) from exc
-    return raw, instance
+    return raw, validate_instance(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InstanceFileError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ExceedsExactBudget as exc:

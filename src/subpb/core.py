@@ -37,24 +37,10 @@ _SINGLETON_FLOOR = 1e-12
 
 
 class ValidationError(ValueError):
-    """A raw instance violates a structural requirement."""
-
-
-class EmptyInstance(ValidationError):
-    pass
-
-
-class NonPositiveCost(ValidationError):
-    pass
-
-
-class CostExceedsBudget(ValidationError):
-    """An alternative costs more than the whole budget and can never be funded."""
-
-
-class UnnormalizableUtility(ValidationError):
-    """No finite positive scale takes a voter's grand-set value to 1: the
-    value is zero, past the float range, or so small that its inverse is."""
+    """Input that is not a valid instance: a malformed instance document
+    (`cli.parse_instance_file`), or a raw instance that breaks a structural
+    requirement, such as an empty instance, a cost outside (0, 1] or a voter
+    whose grand-set value no finite positive scale takes to 1."""
 
 
 class ExceedsExactBudget(Exception):
@@ -430,7 +416,7 @@ def _scale(total: float, what: str) -> float:
     and a denormal total has no finite inverse (scale inf)."""
     scale = 1.0 / total if total > 0.0 else 0.0
     if not 0.0 < scale < math.inf:
-        raise UnnormalizableUtility(
+        raise ValidationError(
             f"{what} is {total!r}; no finite positive scale takes it to 1")
     return scale
 
@@ -566,16 +552,16 @@ def validate_instance(raw: RawInstance) -> Instance:
     Rejects empty instances, costs outside (0, 1], and voters whose grand-set
     value is zero (normalization would be impossible)."""
     if len(raw.costs) == 0:
-        raise EmptyInstance("instance has no alternatives")
+        raise ValidationError("instance has no alternatives")
     if len(raw.voters) == 0:
-        raise EmptyInstance("instance has no voters")
+        raise ValidationError("instance has no voters")
     costs = []
     for a, c in enumerate(raw.costs):
         c = Fraction(c)
         if c <= 0:
-            raise NonPositiveCost(f"alternative {a} has cost {c} <= 0")
+            raise ValidationError(f"alternative {a} has cost {c} <= 0")
         if c > 1:
-            raise CostExceedsBudget(f"alternative {a} has cost {c} > budget 1")
+            raise ValidationError(f"alternative {a} has cost {c} > budget 1")
         costs.append(c)
     m = len(costs)
     voters = tuple(build_oracle(spec, m) for spec in raw.voters)

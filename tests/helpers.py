@@ -66,8 +66,8 @@ def powerset(universe):
 
 
 def feasible(instance: Instance, items) -> bool:
-    """Whether a set's exact total cost fits the budget."""
-    return sum((instance.costs[a] for a in items), Fraction(0)) <= instance.budget
+    """Whether a set's exact total cost fits the budget of 1."""
+    return sum((instance.costs[a] for a in items), Fraction(0)) <= 1
 
 
 def profit(problem: KnapsackProblem, items) -> int:

@@ -288,6 +288,11 @@ class TestExpectedWelfare:
             with pytest.raises(ValueError):
                 Plan(support)
 
+    def test_replace_checks_the_weights(self):
+        plan = Plan(((Fraction(1), (0,), 1),))
+        with pytest.raises(ValueError, match="sum to 1"):
+            plan._replace(support=((Fraction(2), (0,), 1),))
+
 
 class TestSamplingLowerBound:
     def test_expected_welfare_dominates_min_inclusion_times_union(self):

@@ -402,6 +402,28 @@ def test_totals_without_finite_scale_are_parse_errors(tmp_path, capsys, voter):
     assert "Traceback" not in err
 
 
+def test_document_and_instance_errors_raise_the_one_validation_error(tmp_path):
+    # A malformed document, undecodable bytes and an invalid instance are all
+    # `core.ValidationError`, the exception behind exit 3; `load_instance`
+    # passes on what `validate_instance` raises without rewording it.
+    for version, cost, message in [("2", '"1/2"', "^unsupported schema_version 2$"),
+                                   ("1", "0.5", "^cost 0.5 must be")]:
+        text = (OPEN_DOCUMENT % (cost, "1.0")).replace('"schema_version": 1',
+                                                      f'"schema_version": {version}')
+        with pytest.raises(core.ValidationError, match=message):
+            cli.parse_instance_file(text)
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(core.ValidationError, match="^not UTF-8 text"):
+        cli.load_instance(str(path))
+    path.write_text(OPEN_DOCUMENT % ('"0/1"', "1.0"), encoding="utf-8")
+    with pytest.raises(core.ValidationError) as direct:
+        core.validate_instance(cli.parse_instance_file(path.read_text(encoding="utf-8")))
+    with pytest.raises(core.ValidationError) as loaded:
+        cli.load_instance(str(path))
+    assert str(loaded.value) == str(direct.value) == "alternative 0 has cost 0 <= 0"
+
+
 def write_instance_file(path, costs, voters):
     document = {"schema_version": 1, "m": len(costs), "n": len(voters),
                 "costs": list(costs), "voters": voters}
