@@ -11,7 +11,8 @@ sum the voters of one kind, evaluate sets through states.
 
 Costs are kept as `fractions.Fraction` throughout: group boundaries and
 budget feasibility must be decided bit-exactly. Utility values are floats
-with a small comparison tolerance.
+with a small comparison tolerance. Utility sums fold left (`_left_sum`) or
+round once (`math.fsum`), so the same floats come out on every Python.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ class AdditiveOracle(NamedTuple):
     @classmethod
     def normalized(cls, values: Sequence[float]) -> "AdditiveOracle":
         vals = _nonnegative_floats(values)
-        return cls(vals, _scale(sum(vals), "the sum of the values"))
+        return cls(vals, _scale(_left_sum(vals), "the sum of the values"))
 
     def value(self, items: Iterable[AlternativeId]) -> float:
-        return _running_sum(self.values, items) * self.scale
+        return _left_sum(map(self.values.__getitem__, items)) * self.scale
 
     def singleton_table(self):
         # Marginals never depend on the base set, so c = 0 exactly.
@@ -183,13 +184,14 @@ class ConcaveOverModularOracle(NamedTuple):
         if not 0.0 < gamma <= 1.0:
             raise ValidationError(f"gamma must lie in (0, 1], got {gamma}")
         vals = _nonnegative_floats(values)
-        return cls(vals, float(gamma), _scale(_concave(sum(vals), gamma), "the concave total"))
+        return cls(vals, float(gamma),
+                   _scale(_concave(_left_sum(vals), gamma), "the concave total"))
 
     def value(self, items: Iterable[AlternativeId]) -> float:
-        return _concave(_running_sum(self.values, items), self.gamma) * self.scale
+        return _concave(_left_sum(map(self.values.__getitem__, items)), self.gamma) * self.scale
 
     def singleton_table(self):
-        total = sum(self.values)
+        total = _left_sum(self.values)
         full = _concave(total, self.gamma) * self.scale
         return SingletonTable(
             tuple(_concave(v, self.gamma) * self.scale for v in self.values),
@@ -294,7 +296,7 @@ class ConcaveSumOracle(UtilityOracle):
     def extend(self, state, a):
         # 0.0 ** g is 0.0 for g > 0, as in `_concave`.
         inner = tuple(map(operator.add, state[1], self.columns[a]))
-        return (sum(map(operator.mul, map(operator.pow, inner, self.gammas), self.scales)),
+        return (_left_sum(map(operator.mul, map(operator.pow, inner, self.gammas), self.scales)),
                 inner)
 
     def expected_uniform(self, items: Sequence[AlternativeId], k: int) -> float:
@@ -348,7 +350,7 @@ class MaxValueSumOracle(UtilityOracle):
 
     def extend(self, state, a):
         maxima = tuple([v if v > top else top for top, v in zip(state[1], self.columns[a])])
-        return (sum(maxima), maxima)
+        return (_left_sum(maxima), maxima)
 
     def expected_uniform(self, items, k):
         # A voter's i-th largest value (1-based) is the maximum when the
@@ -358,7 +360,7 @@ class MaxValueSumOracle(UtilityOracle):
         n = len(items)
         takes = [math.comb(n - i, k - 1) for i in range(1, n + 1)]
         subsets = math.comb(n, k)
-        return sum(
+        return _left_sum(
             math.fsum(map(operator.mul, sorted((row[a] for a in items), reverse=True), takes))
             / subsets * scale
             for row, scale in zip(self.rows, self.scales))
@@ -372,7 +374,7 @@ class SumOracle(UtilityOracle):
         self.parts = parts
 
     def expected_uniform(self, items, k):
-        return sum(part.expected_uniform(items, k) for part in self.parts)
+        return _left_sum(part.expected_uniform(items, k) for part in self.parts)
 
     def start(self):
         # The payload is the tuple of the parts' states.
@@ -380,7 +382,7 @@ class SumOracle(UtilityOracle):
 
     def extend(self, state, a):
         states = tuple(part.extend(s, a) for part, s in zip(self.parts, state[1]))
-        return (sum(s[0] for s in states), states)
+        return (_left_sum(s[0] for s in states), states)
 
 
 def _as_float(value, name: str) -> float:
@@ -434,10 +436,13 @@ def _set_bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _running_sum(values: Sequence[float], items: Iterable[AlternativeId]) -> float:
-    """values[a] added over the items in the order given, on every Python
-    version: builtin `sum` of floats is compensated from 3.12."""
-    return reduce(operator.add, map(values.__getitem__, items), 0.0)
+def _left_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0: builtin `sum` of floats on
+    3.10 and 3.11, which is compensated from 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _union(masks: Iterable[int]) -> int:
@@ -629,17 +634,8 @@ def curvature(table: SingletonTable) -> float:
     concave, v_a^g*s and (sum v)^g*s - (sum v - v_a)^g*s; max-value, v_a*s
     and, if a holds the unique maximum, (v_a - the second largest)*s,
     else 0."""
-    worst = 1.0
-    found = False
-    for single, last in zip(table.singles, table.last_gains):
-        if single <= _SINGLETON_FLOOR:
-            continue
-        found = True
-        ratio = last / single
-        if ratio < worst:
-            worst = ratio
-    if not found:
-        return 0.0
+    worst = min((last / single for single, last in zip(table.singles, table.last_gains)
+                 if single > _SINGLETON_FLOOR), default=1.0)
     return min(1.0, max(0.0, 1.0 - worst))
 
 
@@ -657,4 +653,4 @@ def social_welfare(instance: Instance, items: Iterable[AlternativeId]) -> Welfar
     `Instance.welfare` to. Items are taken in ascending order, the order
     in which the exact optimum extends the parts' states."""
     items = sorted(set(items))
-    return sum(v.value(items) for v in instance.voters)
+    return _left_sum(v.value(items) for v in instance.voters)

@@ -526,23 +526,10 @@ class SweepFailure(NamedTuple):
 
 SweepResult = Union[EvaluationReport, SweepFailure]
 
-CSV_COLUMNS = (
-    "instance_id",
-    "family",
-    "m",
-    "n",
-    "curvature",
-    "method",
-    "mix",
-    "mode",
-    "expected_welfare",
-    "optimal_welfare",
-    "welfare_ratio",
-    "bound_value",
-    "bound_satisfied",
-    "samples",
-    "stderr",
-)
+#: The report's fields, with its `bound_satisfied` property after `bound_value`.
+CSV_COLUMNS = tuple(
+    column for field in EvaluationReport._fields
+    for column in ((field, "bound_satisfied") if field == "bound_value" else (field,)))
 
 
 def sweep(

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from subpb.aggregation import (
     DEFAULT_MIX,
     Plan,
@@ -435,6 +433,10 @@ def aggregate_threshold(
 def direct_value_table(oracle: Voter | UtilityOracle, m: int) -> np.ndarray:
     """Values of all subsets of the m alternatives by direct per-set
     evaluation (no states)."""
+    # numpy is imported here and in the checkers below, not at the top, so
+    # that the suite collects on a Python without it.
+    import numpy as np
+
     table = np.empty(1 << m)
     for mask in range(1 << m):
         members = [a for a in range(m) if mask >> a & 1]
@@ -448,6 +450,8 @@ def check_normalized(table: np.ndarray) -> None:
 
 
 def check_monotone(table: np.ndarray, m: int, tol: float = TOL) -> None:
+    import numpy as np
+
     idx = np.arange(len(table))
     for a in range(m):
         without = idx[(idx >> a) & 1 == 0]
@@ -457,6 +461,8 @@ def check_monotone(table: np.ndarray, m: int, tol: float = TOL) -> None:
 
 
 def check_submodular(table: np.ndarray, m: int, tol: float = TOL) -> None:
+    import numpy as np
+
     idx = np.arange(len(table))
     for a in range(m):
         for b in range(m):
@@ -472,6 +478,8 @@ def check_submodular(table: np.ndarray, m: int, tol: float = TOL) -> None:
 def check_curvature_floor(table: np.ndarray, m: int, curvature: float,
                           tol: float = TOL) -> None:
     """Every marginal is at least (1 - c) times the standalone value."""
+    import numpy as np
+
     idx = np.arange(len(table))
     keep = 1.0 - curvature
     for a in range(m):

@@ -193,6 +193,8 @@ ERROR_PREFIXES = {cli.EXIT_USAGE: "usage error:", cli.EXIT_IO: "i/o error:",
                  cli.EXIT_OK, id="eval-small-file"),
     pytest.param(["eval", "--instance", "{dir}/small.json", "--method", "value-rank",
                   "--mix", "2"], cli.EXIT_USAGE, id="eval-mix-past-one"),
+    pytest.param(["eval", "--instance", "{dir}/small.json", "--method", "threshold",
+                  "--solver", "fptas:0.5"], cli.EXIT_OK, id="eval-fptas-solver"),
     pytest.param(["eval", "--instance", "{dir}/missing.json", "--method", "value-rank"],
                  cli.EXIT_IO, id="eval-missing-file"),
     pytest.param(["eval", "--instance", "{dir}/version-only.json", "--method", "value-rank"],
@@ -203,6 +205,10 @@ ERROR_PREFIXES = {cli.EXIT_USAGE: "usage error:", cli.EXIT_IO: "i/o error:",
                  cli.EXIT_BOUND, id="eval-threshold-gap"),
     pytest.param(["gen", "--family", "additive", "--m", "3", "--n", "2",
                   "--out", "{dir}/missing/x.json"], cli.EXIT_IO, id="gen-out-in-missing-dir"),
+    pytest.param(["inspect", "--instance", "{dir}/small.json"], cli.EXIT_OK,
+                 id="inspect-voters"),
+    pytest.param(["inspect", "--instance", "{dir}/small.json", "--opt"], cli.EXIT_OK,
+                 id="inspect-opt"),
     pytest.param(["inspect", "--instance", "{dir}/small.json", "--seed", "1"], cli.EXIT_USAGE,
                  id="inspect-seed"),
     pytest.param(["inspect", "--instance", "{dir}/missing.json"], cli.EXIT_IO,

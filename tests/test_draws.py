@@ -2,8 +2,7 @@
 the standard library's on the running Python, value by value and in the
 state they leave behind; and the instance files generated over a grid of
 specs hash to one digest, recorded when the standard library still made
-the draws. Neither needs numpy or a pinned welfare number, so both run on
-every supported Python."""
+the draws."""
 
 import hashlib
 import random

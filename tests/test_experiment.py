@@ -4,6 +4,7 @@ randomness plan against its full expansion and its Monte Carlo sampler, the
 sampler's exact binomial and multinomial count draws, and the integer-cost
 exact solvers on mixed denominators."""
 
+import builtins
 import csv
 import io
 import itertools
@@ -174,6 +175,21 @@ class TestSweep:
         ]
 
     def test_exact_csv_matches_pinned_table(self):
+        assert pinned_sweep_csv() == PINNED_CSV.read_text(encoding="utf-8")
+
+    def test_exact_csv_does_not_depend_on_builtin_sum(self, monkeypatch):
+        # From 3.12 builtin `sum` of floats is compensated. With a stand-in
+        # for it the table must not move: every utility sum folds left. The
+        # plan's Fraction weights still go to the real `sum`.
+        real_sum = builtins.sum
+
+        def compensated_sum(iterable, /, start=0):
+            values = list(iterable)
+            if values and all(type(v) is float for v in values):
+                return math.fsum([start, *values])
+            return real_sum(values, start)
+
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
         assert pinned_sweep_csv() == PINNED_CSV.read_text(encoding="utf-8")
 
     def test_monte_carlo_row_is_pinned(self):
