@@ -117,6 +117,12 @@ def _best_profit(front: Front, budget: int) -> int:
     return profits[bisect.bisect_right(costs, budget) - 1]
 
 
+def check_eps(eps: float) -> None:
+    """The knapsack eps must lie in [0, 1): 0 is exact, 1 would promise nothing."""
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+
+
 def solve_knapsack(problem: KnapsackProblem, eps: float = 0.0) -> frozenset:
     """A maximum-profit set within the unit budget at eps = 0; at eps in
     (0, 1), a feasible set with profit >= (1 - eps) * OPT by profit scaling.
@@ -130,8 +136,7 @@ def solve_knapsack(problem: KnapsackProblem, eps: float = 0.0) -> frozenset:
     min(scaled budget, total profit) + 1 points each. The set is read off
     them item by item: take j when an optimum of what is left still exists
     with j, and stop once no profit is left to collect."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    check_eps(eps)
     profits = problem.profits
     scale = eps * max(profits, default=0) / max(1, problem.size)
     if scale > 1.0:

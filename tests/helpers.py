@@ -430,61 +430,47 @@ def aggregate_threshold(
     return plan_distribution(rule_plan(instance, mix, branches))
 
 
-def direct_value_table(oracle: Voter | UtilityOracle, m: int) -> np.ndarray:
-    """Values of all subsets of the m alternatives by direct per-set
-    evaluation (no states)."""
-    # numpy is imported here and in the checkers below, not at the top, so
-    # that the suite collects on a Python without it.
-    import numpy as np
-
-    table = np.empty(1 << m)
-    for mask in range(1 << m):
-        members = [a for a in range(m) if mask >> a & 1]
-        table[mask] = direct_value(oracle, members)
-    return table
+def direct_value_table(oracle: Voter | UtilityOracle, m: int) -> list[float]:
+    """Values of all subsets of the m alternatives, indexed by bit mask, by
+    direct per-set evaluation (no states)."""
+    return [direct_value(oracle, [a for a in range(m) if mask >> a & 1])
+            for mask in range(1 << m)]
 
 
-def check_normalized(table: np.ndarray) -> None:
+def check_normalized(table: Sequence[float]) -> None:
     assert table[0] == 0.0
     assert abs(table[-1] - 1.0) <= 1e-12
 
 
-def check_monotone(table: np.ndarray, m: int, tol: float = TOL) -> None:
-    import numpy as np
+def _gains(table: Sequence[float], a: int) -> dict[int, float]:
+    """f(S + a) - f(S) for every mask S without a."""
+    bit = 1 << a
+    return {mask: table[mask | bit] - table[mask] for mask in range(len(table))
+            if not mask & bit}
 
-    idx = np.arange(len(table))
+
+def check_monotone(table: Sequence[float], m: int, tol: float = TOL) -> None:
     for a in range(m):
-        without = idx[(idx >> a) & 1 == 0]
-        gains = table[without | (1 << a)] - table[without]
-        worst = gains.min()
+        worst = min(_gains(table, a).values())
         assert worst >= -tol, f"adding {a} loses {-worst}"
 
 
-def check_submodular(table: np.ndarray, m: int, tol: float = TOL) -> None:
-    import numpy as np
-
-    idx = np.arange(len(table))
+def check_submodular(table: Sequence[float], m: int, tol: float = TOL) -> None:
     for a in range(m):
+        gains = _gains(table, a)
         for b in range(m):
             if a == b:
                 continue
-            base = idx[((idx >> a) & 1 == 0) & ((idx >> b) & 1 == 0)]
-            small = table[base | (1 << a)] - table[base]
-            large = table[base | (1 << a) | (1 << b)] - table[base | (1 << b)]
-            worst = (small - large).min()
+            worst = min(gains[mask] - gains[mask | 1 << b] for mask in gains
+                        if not mask >> b & 1)
             assert worst >= -tol, f"marginal of {a} grows after adding {b} by {-worst}"
 
 
-def check_curvature_floor(table: np.ndarray, m: int, curvature: float,
+def check_curvature_floor(table: Sequence[float], m: int, curvature: float,
                           tol: float = TOL) -> None:
     """Every marginal is at least (1 - c) times the standalone value."""
-    import numpy as np
-
-    idx = np.arange(len(table))
     keep = 1.0 - curvature
     for a in range(m):
-        single = table[1 << a]
-        without = idx[(idx >> a) & 1 == 0]
-        gains = table[without | (1 << a)] - table[without]
-        worst = (gains - keep * single).min()
+        floor = keep * table[1 << a]
+        worst = min(gain - floor for gain in _gains(table, a).values())
         assert worst >= -tol, f"curvature floor broken at {a} by {-worst}"

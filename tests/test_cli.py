@@ -1,7 +1,7 @@
 """CLI exit codes for malformed flags and environment, unreadable files,
 malformed instance files, over-limit exact enumeration and a missed bound,
 the scores that `inspect --scores` prints, the instance file round trip,
-and what importing the CLI loads."""
+what importing the CLI loads, and `python -m subpb`."""
 
 import csv
 import json
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subpb import cli, core
+from subpb import cli, core, experiment
 from subpb.elicitation import Method, ranking_profile
 from subpb.experiment import Dyadic, Fixed, GeneratorSpec, UniformRational, generate_raw
 from subpb.partition import build_partition, harmonic_scores
@@ -84,7 +84,8 @@ def test_bad_eval_flags_fail_before_the_file_is_read(tmp_path, capsys, flags):
                                    # Exponents whose costs may not print either:
                                    # 2**14285 has 4,301 digits.
                                    "dyadic:14285", "dyadic:20000",
-                                   pytest.param(f"dyadic:{'9' * 300}", id="dyadic:9*300")])
+                                   pytest.param(f"dyadic:{'9' * 300}", id="dyadic:9*300"),
+                                   "fixed", "lognormal"])
 def test_bad_cost_models_are_usage_errors(tmp_path, capsys, model):
     out = tmp_path / "x.json"
     argv = ["gen", "--family", "additive", "--m", "3", "--n", "2",
@@ -174,6 +175,18 @@ def test_monte_carlo_misses_the_bound_on_the_pinned_gap_instance(tmp_path):
     assert row["bound_satisfied"] == "false"
 
 
+def test_a_missed_bound_exits_5_on_any_instance(tmp_path, capsys, monkeypatch):
+    # Exit 5 apart from the gap file, whose rule may be mended: no mean
+    # reaches an infinite bound. The CSV alone reports the miss.
+    path = write_two_alternative_file(tmp_path / "small.json", ADDITIVE)
+    monkeypatch.setattr(experiment, "theoretical_bound", lambda *args: math.inf)
+    assert cli.main(["eval", "--instance", path, "--method", "threshold"]) == cli.EXIT_BOUND
+    out, err = capsys.readouterr()
+    assert err == ""
+    (row,) = csv.DictReader(out.splitlines())
+    assert (row["bound_value"], row["bound_satisfied"]) == ("inf", "false")
+
+
 @pytest.mark.parametrize("make_path", [lambda d: d / "missing.json", lambda d: d])
 def test_unreadable_instance_is_io_error(tmp_path, capsys, make_path):
     argv = ["eval", "--instance", str(make_path(tmp_path)), "--method", "threshold"]
@@ -205,6 +218,10 @@ ERROR_PREFIXES = {cli.EXIT_USAGE: "usage error:", cli.EXIT_IO: "i/o error:",
                  cli.EXIT_BOUND, id="eval-threshold-gap"),
     pytest.param(["gen", "--family", "additive", "--m", "3", "--n", "2",
                   "--out", "{dir}/missing/x.json"], cli.EXIT_IO, id="gen-out-in-missing-dir"),
+    pytest.param(["gen", "--family", "additive", "--m", "0", "--n", "2",
+                  "--out", "{dir}/x.json"], cli.EXIT_USAGE, id="gen-no-alternatives"),
+    pytest.param(["gen", "--family", "additive", "--m", "3", "--n", "0",
+                  "--out", "{dir}/x.json"], cli.EXIT_USAGE, id="gen-no-voters"),
     pytest.param(["inspect", "--instance", "{dir}/small.json"], cli.EXIT_OK,
                  id="inspect-voters"),
     pytest.param(["inspect", "--instance", "{dir}/small.json", "--opt"], cli.EXIT_OK,
@@ -235,10 +252,25 @@ def test_exit_codes(tmp_path, capsys, argv, expected):
         assert err.startswith(ERROR_PREFIXES[expected]) and err.count("\n") == 1
 
 
+#: Records every import the interpreter attempts, whether or not it succeeds.
+IMPORT_RECORDER = """
+import sys
+class Recorder:
+    attempted = set()
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        cls.attempted.add(name)
+sys.meta_path.insert(0, Recorder)
+"""
+
+
 def loaded_by_import(imports: str, modules: set[str], *flags: str) -> list[str]:
-    """Which of `modules` a fresh interpreter has loaded after `import <imports>`."""
+    """Which of `modules` a fresh interpreter has loaded, or has tried to
+    import, after `import <imports>`: a guarded import of a module that is
+    not installed shows as well."""
     src = Path(cli.__file__).resolve().parents[1]
-    probe = f"import sys, {imports}; print(*sorted({modules!r} & sys.modules.keys()))"
+    probe = (f"{IMPORT_RECORDER}import {imports}\n"
+             f"print(*sorted({modules!r} & (Recorder.attempted | sys.modules.keys())))")
     done = subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
     return done.stdout.split()
@@ -251,10 +283,20 @@ def test_cli_import_loads_no_dataclass_machinery():
 
 
 def test_program_import_loads_no_numpy():
-    # numpy is a test dependency only: importing it would cost every process
-    # tens of milliseconds. Site packages stay on the path, where numpy is
-    # installed, so an import of it, guarded or not, would succeed and show.
+    # Importing numpy would cost every process tens of milliseconds. An
+    # import of it, guarded or not, shows whether numpy is installed or not.
     assert loaded_by_import("subpb.cli, subpb.experiment", {"numpy"}) == []
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    # `python -m subpb` goes through `__main__` and `cli.entry`, which turn
+    # `main`'s return value into the process's exit status.
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "subpb", "inspect", "--instance",
+                           str(tmp_path / "missing.json")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == cli.EXIT_IO and done.stdout == ""
+    assert done.stderr.startswith("i/o error:") and done.stderr.count("\n") == 1
 
 
 ADDITIVE = {"family": "additive", "params": {"values": [1.0, 1.0]}}
@@ -295,6 +337,17 @@ def test_negative_zero_utility_parameters_are_accepted(tmp_path, capsys, voter):
                  ("1/2", "1/2"), id="cover-not-a-list"),
     pytest.param({"family": "coverage", "params": {"weights": [1.0], "covers": [[0], ["0"]]}},
                  ("1/2", "1/2"), id="cover-element-not-an-id"),
+    pytest.param({"family": "coverage", "params": {"weights": [1.0]}}, ("1/2", "1/2"),
+                 id="coverage-without-covers"),
+    pytest.param({"family": "coverage", "params": {"weights": [1.0], "covers": 5}},
+                 ("1/2", "1/2"), id="covers-not-a-list"),
+    pytest.param({"family": "coverage", "params": {"weights": [1.0], "covers": [[0]]}},
+                 ("1/2", "1/2"), id="one-cover-set-for-two-alternatives"),
+    pytest.param({"family": "concave", "params": {"values": [1.0, 1.0]}}, ("1/2", "1/2"),
+                 id="concave-without-gamma"),
+    pytest.param({"family": "additive", "params": {}}, ("1/2", "1/2"), id="without-values"),
+    pytest.param(ADDITIVE, ("1/0", "1/2"), id="zero-denominator-cost"),
+    pytest.param(ADDITIVE, ("x", "1/2"), id="non-numeric-cost"),
     pytest.param(ADDITIVE, (0.1, "1/2"), id="float-cost"),
     pytest.param(ADDITIVE, (True, "1/2"), id="boolean-cost"),
     pytest.param({"family": "coverage", "params": {"weights": [1.0, 1.0],
@@ -339,6 +392,7 @@ OPEN_DOCUMENT = ('{"schema_version": 1, "m": 2, "n": 1, "costs": [%s, "1/2"], "v
 @pytest.mark.parametrize("content", [
     pytest.param(b"\xff\xfe", id="not-utf-8"),
     pytest.param(b"[" * 200_000, id="deeply-nested"),
+    pytest.param(b"[]", id="top-level-array"),
     # Past 4,300 digits `json` refuses to convert an integer.
     pytest.param((OPEN_DOCUMENT % ('"1/2"', "9" * 5000)).encode(), id="5000-digit-value"),
     pytest.param((OPEN_DOCUMENT % ("9" * 5000, "1.0")).encode(), id="5000-digit-cost"),

@@ -444,14 +444,8 @@ def test_social_welfare_is_monotone_submodular():
             ),
         )
     )
-    import numpy as np
-
-    table = np.array(
-        [
-            social_welfare(instance, [a for a in range(4) if mask >> a & 1])
-            for mask in range(16)
-        ]
-    )
+    table = [social_welfare(instance, [a for a in range(4) if mask >> a & 1])
+             for mask in range(16)]
     helpers.check_monotone(table, 4)
     helpers.check_submodular(table, 4)
 

@@ -1,8 +1,10 @@
 """Sweeps against independent per-cell evaluation, a pinned exact table and
-pinned optimal sets, seeded Monte Carlo reproducibility, sweep failure rows, the exact-mode refusal of enumerated components, the
-randomness plan against its full expansion and its Monte Carlo sampler, the
-sampler's exact binomial and multinomial count draws, and the integer-cost
-exact solvers on mixed denominators."""
+pinned optimal sets, seeded Monte Carlo reproducibility, sweep failure rows,
+the exact-mode refusal of enumerated components, the order of one
+evaluation and its bound verdict, the randomness plan against its full
+expansion and its Monte Carlo sampler, the sampler's exact binomial and
+multinomial count draws, and the integer-cost exact solvers on mixed
+denominators."""
 
 import builtins
 import csv
@@ -305,6 +307,91 @@ class TestSharedRecord:
                 evaluate(concave, Method.MARGINAL_VALUES)
 
 
+def refuse(monkeypatch, *names):
+    """Make each named global of `experiment` fail the test when called."""
+    for name in names:
+        def refused(*args, name=name):
+            raise AssertionError(f"{name} was called")
+
+        monkeypatch.setattr(experiment, name, refused)
+
+
+class TestOnePass:
+    """`evaluate` checks its arguments, takes the Monte Carlo optimum, builds
+    one plan, takes its mean, the exact optimum, the bound and the verdict."""
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("method, bad", [
+        pytest.param(Method.THRESHOLD_APPROVAL, {"mix": Fraction(2)}, id="mix-2"),
+        pytest.param(Method.MARGINAL_VALUES, {"mix": Fraction(-1, 2)}, id="mix--1/2"),
+        pytest.param(Method.THRESHOLD_APPROVAL, {"eps": 1.0}, id="eps-1"),
+        # A ranking rule reads no knapsack, but eps is refused all the same.
+        pytest.param(Method.MARGINAL_VALUES, {"eps": 5.0}, id="ranking-eps-5"),
+        pytest.param(Method.STANDALONE_VALUES, {"eps": -0.1}, id="ranking-eps--0.1"),
+    ])
+    def test_bad_arguments_fail_before_any_work(self, monkeypatch, mode, method, bad):
+        instance = generate(GeneratorSpec("coverage", 6, 3, seed=1))
+        refuse(monkeypatch, "optimal_welfare", "_plan", "_facts")
+        with pytest.raises(ValueError, match="must lie in"):
+            evaluate(instance, method, mode=mode, samples=100, **bad)
+
+    def test_mc_optimum_past_the_limit_fails_before_the_plan(self, monkeypatch):
+        refuse(monkeypatch, "_plan")
+        instance = generate(OVER_LIMIT_SPECS[0])
+        for method in Method:
+            with pytest.raises(ExceedsExactBudget):
+                evaluate(instance, method, mode=Mode.MONTE_CARLO, samples=100)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    def test_one_plan_per_call_reaches_the_mean(self, monkeypatch, mode):
+        plans, handed = [], []
+        real_plan, real_mc = experiment._plan, experiment._monte_carlo
+
+        def counted_plan(*args):
+            plans.append(real_plan(*args))
+            return plans[-1]
+
+        def exact_mean(plan, *args):
+            handed.append(plan)
+            return expected_welfare(plan, *args)
+
+        def sampled_mean(facts, plan, *args):
+            handed.append(plan)
+            return real_mc(facts, plan, *args)
+
+        monkeypatch.setattr(experiment, "_plan", counted_plan)
+        monkeypatch.setattr(experiment, "expected_welfare", exact_mean)
+        monkeypatch.setattr(experiment, "_monte_carlo", sampled_mean)
+        instance = generate(BINDING_SHORTLIST)
+        for calls, method in enumerate(Method, start=1):
+            evaluate(instance, method, mode=mode, samples=500)
+            assert len(plans) == calls and handed == plans, method
+
+    #: The bound above the mean, in BOUND_TOL and in standard errors, just
+    #: inside and just outside each slack term. Rows marked below kill the
+    #: mutants: the slack without BOUND_TOL (no-tol), 2 or 4 standard
+    #: errors in place of 3 (2-sigma, 4-sigma).
+    @pytest.mark.parametrize("mode, tols, sigmas, satisfied", [
+        pytest.param(Mode.EXACT, 0.5, 0, True, id="exact-inside-tol"),  # no-tol
+        pytest.param(Mode.EXACT, 1.5, 0, False, id="exact-outside-tol"),
+        pytest.param(Mode.MONTE_CARLO, 0.5, 3, True, id="mc-inside-tol"),  # no-tol, 2-sigma
+        pytest.param(Mode.MONTE_CARLO, 1.5, 3, False, id="mc-outside-tol"),  # 4-sigma
+        pytest.param(Mode.MONTE_CARLO, 1, 2.5, True, id="mc-inside-3-sigma"),  # 2-sigma
+        pytest.param(Mode.MONTE_CARLO, 1, 3.5, False, id="mc-outside-3-sigma"),  # 4-sigma
+    ])
+    def test_bound_is_satisfied_within_its_slack(self, monkeypatch, mode, tols, sigmas,
+                                                 satisfied):
+        instance = generate(GeneratorSpec("coverage", 7, 5, seed=3))
+        args = {"mode": mode, "seed": 3, "samples": 500}
+        free = evaluate(instance, Method.THRESHOLD_APPROVAL, **args)
+        assert (free.stderr is None) == (mode is Mode.EXACT)
+        bound = (free.expected_welfare + tols * experiment.BOUND_TOL
+                 + sigmas * (free.stderr or 0.0))
+        monkeypatch.setattr(experiment, "theoretical_bound", lambda *args: bound)
+        report = evaluate(instance, Method.THRESHOLD_APPROVAL, **args)
+        assert report == free._replace(bound_value=bound, bound_satisfied=satisfied)
+
+
 def mixed_instance() -> core.Instance:
     """Voters of all four families on one instance: the one welfare oracle
     that sums parts, a `core.SumOracle`."""
@@ -601,10 +688,11 @@ class TestCountSampler:
                 pooled.update(experiment._split(rng, count, 0, 10))
             assert chi_square(pooled, dict.fromkeys(range(10), 1)) < 27.877, (count, pooled)
 
-    def test_sample_count_must_fit_a_c_int(self):
+    def test_sample_count_must_fit_a_c_int(self, monkeypatch):
         # 2**31 - 1, a C int's maximum, is the documented ceiling; neither
-        # count below is sampled.
+        # count below is sampled, nor is any work done for it.
         instance = generate(GeneratorSpec("additive", 3, 2, seed=1))
+        refuse(monkeypatch, "optimal_welfare", "_plan", "_facts")
         for samples in (1, 2**31):
             with pytest.raises(ValueError, match="samples must lie in"):
                 evaluate(instance, Method.THRESHOLD_APPROVAL, mode=Mode.MONTE_CARLO,
@@ -685,6 +773,15 @@ def test_threshold_knapsack_eps_must_lie_below_one():
         instance, Method.THRESHOLD_APPROVAL)
     with pytest.raises(ValueError):
         evaluate(instance, Method.THRESHOLD_APPROVAL, eps=1.0)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (GeneratorSpec("additive", 3, 2, Fixed((Fraction(1, 2),) * 2)), "expected 3 fixed costs"),
+    (GeneratorSpec("lognormal", 3, 2), "unknown family 'lognormal'"),
+])
+def test_specs_the_generator_cannot_draw_are_refused(spec, message):
+    with pytest.raises(ValueError, match=message):
+        generate(spec)
 
 
 @pytest.mark.parametrize("family, params", [

@@ -39,6 +39,10 @@ class TestGroupIndexBound:
         assert group_index_bound(16) == 4
         assert group_index_bound(17) == 5
 
+    def test_no_alternatives_are_refused(self):
+        with pytest.raises(ValueError, match="m must be positive"):
+            group_index_bound(0)
+
     def test_top_boundary_covers_budget(self):
         for m in range(1, 40):
             T = group_index_bound(m)
