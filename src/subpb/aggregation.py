@@ -61,14 +61,6 @@ class Plan(_PlanFields):
         return cls(*iterable)
 
 
-def check_mix(mix: Fraction) -> Fraction:
-    """The coin weight of the rule-A branch, which must lie in [0, 1]."""
-    mix = Fraction(mix)
-    if not 0 <= mix <= 1:
-        raise ValueError(f"mix must lie in [0, 1], got {mix}")
-    return mix
-
-
 def shortlist_branch(
     rankings: Sequence[Sequence[AlternativeId]], partition: GroupPartition, t: int
 ) -> Branch:

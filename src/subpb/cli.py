@@ -14,7 +14,9 @@ and `eval` when --seed is not given.
 
 `inspect` prints a file's voters, or its group table, each group's scores
 under one ranking method (`--scores METHOD`) and an optimal set. Flags take
-their choices and checks from the modules that own them.
+their choices and checks from the modules that own them: `gen` builds an
+`experiment.GeneratorSpec`, `eval` calls `experiment.check_arguments`, each
+before any file is read or written, and this module parses the spellings.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .aggregation import check_mix
 from .core import (
     FAMILIES,
     ExceedsExactBudget,
@@ -44,7 +45,7 @@ from .experiment import (
     GeneratorSpec,
     Mode,
     UniformRational,
-    check_samples,
+    check_arguments,
     evaluate,
     generate_raw,
     render_csv,
@@ -161,59 +162,45 @@ def load_instance(path: str) -> tuple[RawInstance, Instance]:
 
 
 def _parse_cost_model(value: str, m: int):
+    """The cost model a `--cost-model` spelling names; `GeneratorSpec` checks
+    that it can be drawn. Here every cost the file could hold must print
+    within Python's int-to-str digit limit (none before 3.10.7), a dyadic
+    denominator 2**exponent compared by bit length without building it."""
     name, _, arg = value.partition(":")
     try:
         if name == "uniform":
-            grid = int(arg) if arg else 4 * m
-            if grid < 1:
-                raise ValueError("grid must be positive")
-            return UniformRational(grid=grid)
+            return UniformRational(grid=int(arg) if arg else 4 * m)
         if name == "dyadic":
             exponent = int(arg) if arg else max(1, (m - 1).bit_length())
-            if exponent < 0:
-                raise ValueError("exponent must be nonnegative")
-            # A drawn cost may have the denominator 2**exponent, which the
-            # file spells out: it must stay below 10**limit, Python's
-            # int-to-str limit (none before 3.10.7). Compared by bit length,
-            # without building the power.
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             if limit and exponent >= (10**limit - 1).bit_length():
                 raise ValueError(f"2**exponent has more than {limit} digits")
             return Dyadic(max_exponent=exponent)
-        if name == "fixed":
-            if not arg:
-                raise UsageError("fixed cost model needs costs, e.g. fixed:1/4,1/2")
+        if name == "fixed" and arg:
             costs = tuple(Fraction(part) for part in arg.split(","))
-            if len(costs) != m:
-                raise ValueError(f"expected {m} costs, got {len(costs)}")
-            if not all(0 < c <= 1 for c in costs):
-                raise ValueError("fixed costs must lie in (0, 1]")
-            # The file spells each cost out in digits, which may not run past
-            # Python's limit.
             for c in costs:
                 _cost_text(c)
             return Fixed(costs=costs)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --cost-model {value!r}: {exc}") from exc
-    raise UsageError(f"unknown cost model {value!r}")
+    raise UsageError(f"unknown cost model {value!r}; see gen --help")
 
 
 def _parse_solver(value: str) -> float:
-    """The knapsack eps: 0 for the exact `dp`, EPS in (0, 1) for `fptas:EPS`."""
+    """The knapsack eps: 0 for the exact `dp`, EPS for `fptas:EPS`, which
+    may not be 0, the spelling of `dp`. EPS's range is `optimize.check_eps`'s."""
     if value == "dp":
         return 0.0
     name, _, arg = value.partition(":")
-    if name == "fptas":
-        if not arg:
-            raise UsageError("fptas solver needs an epsilon, e.g. fptas:0.1")
-        try:
-            eps = float(arg)
-        except ValueError as exc:
-            raise UsageError(f"bad --solver {value!r}: {exc}") from exc
-        if not 0.0 < eps < 1.0:
-            raise UsageError(f"bad --solver {value!r}: eps must lie in (0, 1), got {eps}")
-        return eps
-    raise UsageError(f"unknown solver {value!r}")
+    if name != "fptas" or not arg:
+        raise UsageError(f"unknown solver {value!r}; spell dp or fptas:EPS")
+    try:
+        eps = float(arg)
+    except ValueError as exc:
+        raise UsageError(f"bad --solver {value!r}: {exc}") from exc
+    if eps == 0.0:
+        raise UsageError(f"bad --solver {value!r}: the exact solver is dp")
+    return eps
 
 
 def _default_seed() -> int:
@@ -273,12 +260,11 @@ def _build_parser() -> _Parser:
 
 def cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.m < 1 or args.n < 1:
-        raise UsageError("--m and --n must be positive")
     cost_model = _parse_cost_model(args.cost_model, args.m)
-    spec = GeneratorSpec(
-        family=args.family, m=args.m, n=args.n, cost_model=cost_model, seed=seed
-    )
+    try:
+        spec = GeneratorSpec(args.family, args.m, args.n, cost_model, seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     raw = generate_raw(spec)
     instance = validate_instance(raw)
     metadata = {"generator": {"family": args.family, "m": args.m, "n": args.n,
@@ -302,18 +288,13 @@ def cmd_eval(args) -> int:
     # reported as one whatever the file holds.
     seed = args.seed if args.seed is not None else _default_seed()
     method = Method(args.method)
+    mode = Mode(args.mode)
+    eps = _parse_solver(args.solver)
     try:
-        mix = check_mix(args.mix)
+        mix = check_arguments(args.mix, mode, args.samples, eps)
         str(mix)  # the CSV spells the mix out in digits, within Python's limit
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --mix {args.mix!r}: {exc}") from exc
-    eps = _parse_solver(args.solver)
-    mode = Mode(args.mode)
-    if mode is Mode.MONTE_CARLO:
-        try:
-            check_samples(args.samples)
-        except ValueError as exc:
-            raise UsageError(f"bad --samples: {exc}") from exc
+        raise UsageError(str(exc)) from exc
     _, instance = load_instance(args.instance)
     report = evaluate(
         instance,

@@ -46,13 +46,12 @@ from . import rng as rng_mod
 from .aggregation import (
     DEFAULT_MIX,
     Plan,
-    check_mix,
     expected_welfare,
     rule_plan,
     shortlist_branch,
     threshold_branches,
 )
-from .core import Instance, OracleSpec, RawInstance, max_curvature, validate_instance
+from .core import FAMILIES, Instance, OracleSpec, RawInstance, max_curvature, validate_instance
 from .elicitation import Method, ranking_profile
 from .optimize import OptimalBundle, check_eps, optimal_welfare
 from .partition import GroupPartition, build_partition, selection_size, shortlist_cap
@@ -92,14 +91,38 @@ class _GeneratorFields(NamedTuple):
     family_params: tuple[tuple[str, object], ...] = ()
 
 
+def _int_at_least(value, least: int) -> bool:
+    return type(value) is int and value >= least
+
+
 class GeneratorSpec(_GeneratorFields):
     """What `generate` draws an instance from. Every way of building a spec,
-    `_replace` included, refuses parameters its generator does not read."""
+    `_replace` included, refuses what `generate` cannot draw:
+    - a family not in `core.FAMILIES`, or a parameter its generator does not read;
+    - `m` or `n` that is not an int >= 1;
+    - a `UniformRational` grid < 1 or a `Dyadic` exponent < 0, or either not an int;
+    - a `Fixed` model whose length is not m, or with a cost outside (0, 1];
+    - any other cost model."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         spec = super().__new__(cls, *args, **kwargs)
+        if spec.family not in FAMILIES:
+            raise ValueError(f"unknown family {spec.family!r}; known: {FAMILIES}")
+        if not (_int_at_least(spec.m, 1) and _int_at_least(spec.n, 1)):
+            raise ValueError(f"m and n must be integers >= 1, got {spec.m!r} and {spec.n!r}")
+        model = spec.cost_model
+        if isinstance(model, UniformRational):
+            drawable = _int_at_least(model.grid, 1)
+        elif isinstance(model, Dyadic):
+            drawable = _int_at_least(model.max_exponent, 0)
+        elif isinstance(model, Fixed):
+            drawable = len(model.costs) == spec.m and all(0 < c <= 1 for c in model.costs)
+        else:
+            drawable = False
+        if not drawable:
+            raise ValueError(f"cannot draw {spec.m} costs from {model!r}")
         # Only the coverage generator reads a parameter (`_draw_voter`).
         reads = {"private_elements"} if spec.family == "coverage" else set()
         unknown = dict(spec.family_params).keys() - reads
@@ -123,18 +146,14 @@ def _draw_costs(spec: GeneratorSpec) -> tuple[Fraction, ...]:
     rng = rng_mod.stream(spec.seed, "costs", spec.family, spec.m, spec.n)
     model = spec.cost_model
     if isinstance(model, Fixed):
-        if len(model.costs) != spec.m:
-            raise ValueError(f"expected {spec.m} fixed costs, got {len(model.costs)}")
         return tuple(Fraction(c) for c in model.costs)
     costs = []
     for _ in range(spec.m):
         if isinstance(model, UniformRational):
             costs.append(Fraction(rng_mod.randint(rng, 1, model.grid), model.grid))
-        elif isinstance(model, Dyadic):
+        else:
             j = rng_mod.randint(rng, 0, model.max_exponent)
             costs.append(Fraction(rng_mod.randint(rng, 1, 2**j), 2**j))
-        else:
-            raise TypeError(f"unknown cost model {model!r}")
     return tuple(costs)
 
 
@@ -148,7 +167,7 @@ def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
         # pulling curvature below 1; pure random covers usually pin it at 1.
         # Either pool holds at least one element of a universe of 2m >= 2.
         private = bool(dict(spec.family_params).get("private_elements", False))
-        universe = max(2, 2 * spec.m)
+        universe = 2 * spec.m
         weights = rng_mod.uniforms(rng, 0.1, 1.0, universe)
         start = spec.m if private else 0
         size = universe - start
@@ -161,11 +180,10 @@ def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
                 cover = [a] + cover
             covers.append(cover)
         return OracleSpec("coverage", {"weights": weights, "covers": covers})
-    if spec.family == "concave":
-        values = rng_mod.uniforms(rng, lo, hi, spec.m)
-        (gamma,) = rng_mod.uniforms(rng, 0.4, 1.0, 1)
-        return OracleSpec("concave", {"values": values, "gamma": gamma})
-    raise ValueError(f"unknown family {spec.family!r}")
+    # The spec admits only `core.FAMILIES`, so what is left is concave.
+    values = rng_mod.uniforms(rng, lo, hi, spec.m)
+    (gamma,) = rng_mod.uniforms(rng, 0.4, 1.0, 1)
+    return OracleSpec("concave", {"values": values, "gamma": gamma})
 
 
 def generate_raw(spec: GeneratorSpec) -> RawInstance:
@@ -310,7 +328,7 @@ def evaluate(
     """Evaluate one elicitation method on one instance. At eps > 0 the
     threshold knapsack and its bound are (1 - eps)-approximate.
 
-    One pass: arguments (`samples` in Monte Carlo mode only), Monte Carlo
+    One pass: arguments (`check_arguments`, before any work), Monte Carlo
     optimum, plan (`_plan`, built once), mean (`expected_welfare` or
     `_monte_carlo`), exact optimum, bound and verdict.
 
@@ -319,11 +337,8 @@ def evaluate(
     run of calls on one instance, such as `sweep` makes, computes its
     partition, optimum, curvature and welfare caches once, while an equal
     but distinct instance gets a record of its own."""
-    mix = check_mix(mix)
-    check_eps(eps)
+    mix = check_arguments(mix, mode, samples, eps)
     monte_carlo = mode is Mode.MONTE_CARLO
-    if monte_carlo:
-        check_samples(samples)
     facts = _facts(instance)
     # Monte Carlo mode takes the optimum before the plan, exact mode after the mean.
     optimum = facts.optimum if monte_carlo else None
@@ -356,13 +371,23 @@ def evaluate(
     )
 
 
-def check_samples(samples: int) -> None:
-    """A Monte Carlo sample count must be at least 2 for a standard error,
-    and at most 2**31 - 1, the documented limit of `eval --samples`: the
-    random bits a cell draws, and where a range has more indices than draws
-    the distinct sets it holds (`_split`), grow with the count."""
-    if not 2 <= samples <= 2**31 - 1:
-        raise ValueError(f"samples must lie in [2, 2**31 - 1], got {samples}")
+def check_arguments(mix: Fraction, mode: Mode, samples: int, eps: float) -> Fraction:
+    """Refuses any argument `evaluate` cannot run and returns the mix as a
+    `Fraction`. The mix must lie in [0, 1], eps in [0, 1) (`optimize.check_eps`),
+    the mode must be a `Mode` (a string "mc" would run exact mode unchecked)
+    and, in Monte Carlo mode, the sample count must be an int from 2, for a
+    standard error, to 2**31 - 1, the limit of `eval --samples`: a cell's
+    random bits, and its distinct sets where a range has more indices than
+    draws (`_split`), grow with the count."""
+    mix = Fraction(mix)
+    if not 0 <= mix <= 1:
+        raise ValueError(f"mix must lie in [0, 1], got {mix}")
+    check_eps(eps)
+    if not isinstance(mode, Mode):
+        raise ValueError(f"mode must be a Mode, got {mode!r}")
+    if mode is Mode.MONTE_CARLO and not (type(samples) is int and 2 <= samples <= 2**31 - 1):
+        raise ValueError(f"samples must lie in [2, 2**31 - 1] and be an int, got {samples!r}")
+    return mix
 
 
 def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, eps: float) -> Plan:
@@ -540,7 +565,10 @@ def sweep(
     per method. Those calls run back to back on one instance, so they share
     its record: the partition, optimum, curvature and component or set
     welfares are computed once per instance rather than once per cell.
-    Per-cell failures become marked rows instead of aborting the sweep."""
+    The arguments are checked once, before any instance is generated
+    (`check_arguments`), so a bad one raises; per-cell failures become
+    marked rows instead of aborting the sweep."""
+    mix = check_arguments(mix, mode, samples, eps)
     results: list[SweepResult] = []
     for spec in specs:
         instance = generate(spec)
@@ -549,17 +577,9 @@ def sweep(
                 results.append(evaluate(instance, method, mix, mode, spec.seed, samples, eps,
                                         spec.instance_id))
             except Exception as exc:  # noqa: BLE001 - sweep must not abort
-                results.append(
-                    SweepFailure(
-                        instance_id=spec.instance_id,
-                        family=spec.family,
-                        m=spec.m,
-                        n=spec.n,
-                        method=method,
-                        mix=Fraction(mix),
-                        error=type(exc).__name__,
-                    )
-                )
+                results.append(SweepFailure(
+                    instance_id=spec.instance_id, family=spec.family, m=spec.m, n=spec.n,
+                    method=method, mix=mix, error=type(exc).__name__))
     return results
 
 

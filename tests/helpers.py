@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 from subpb.aggregation import (
     DEFAULT_MIX,
     Plan,
-    check_mix,
     rule_plan,
     shortlist_branch,
     threshold_branches,
@@ -380,7 +379,7 @@ def reference_plan(instance: Instance, method: Method, mix: Fraction,
     """The rule's plan with every non-empty group ranked, whether or not its
     shortlist binds: the score shortlist of each group from its votes, the
     empty group as ((), 0)."""
-    mix = check_mix(mix)
+    mix = Fraction(mix)
     partition = build_partition(instance)
     branches = []
     if mix and method.is_ranking:
@@ -416,7 +415,7 @@ def aggregate_ranking(
 ) -> SelectionDistribution:
     """Coin-flip mixture of group t's shortlist rule and the uniform singleton."""
     branches = [shortlist_branch(rankings, partition, t)]
-    return plan_distribution(rule_plan(instance, check_mix(mix), branches))
+    return plan_distribution(rule_plan(instance, Fraction(mix), branches))
 
 
 def aggregate_threshold(
@@ -425,7 +424,7 @@ def aggregate_threshold(
     """Threshold-approval rule: with probability `mix` a uniform threshold's
     knapsack outcome, otherwise a uniform singleton. With a single
     alternative there are no thresholds and all mass goes to the singleton."""
-    mix = check_mix(mix)
+    mix = Fraction(mix)
     branches = threshold_branches(instance, build_partition(instance), eps) if mix else []
     return plan_distribution(rule_plan(instance, mix, branches))
 

@@ -3,8 +3,8 @@ pinned optimal sets, seeded Monte Carlo reproducibility, sweep failure rows,
 the exact-mode refusal of enumerated components, the order of one
 evaluation and its bound verdict, the randomness plan against its full
 expansion and its Monte Carlo sampler, the sampler's exact binomial and
-multinomial count draws, and the integer-cost exact solvers on mixed
-denominators."""
+multinomial count draws, the integer-cost exact solvers on mixed
+denominators, and the refusal of specs and arguments before any work."""
 
 import builtins
 import csv
@@ -23,10 +23,12 @@ from subpb import core, experiment, partition
 from subpb.core import OracleSpec, RawInstance, validate_instance
 from subpb.elicitation import Method
 from subpb.experiment import (
+    Dyadic,
     Fixed,
     GeneratorSpec,
     Mode,
     SweepFailure,
+    UniformRational,
     evaluate,
     generate,
     render_csv,
@@ -151,6 +153,22 @@ class TestSweep:
         assert evaluate(generate(SHORTLIST_HEAVY), Method.MARGINAL_VALUES).mode is Mode.EXACT
         with pytest.raises(ExceedsExactBudget):
             evaluate(concave, Method.MARGINAL_VALUES)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"mix": Fraction(2)}, id="mix-2"),
+        pytest.param({"mix": "abc"}, id="mix-abc"),
+        pytest.param({"eps": 1.0}, id="eps-1"),
+        pytest.param({"mode": Mode.MONTE_CARLO, "samples": 1}, id="mc-samples-1"),
+        # A spelling, not a Mode: it would run exact mode with no sample check.
+        pytest.param({"mode": "mc", "samples": 1}, id="mode-mc-string"),
+    ])
+    def test_bad_arguments_raise_before_any_instance_is_generated(self, monkeypatch, bad):
+        # One error for the call, not one failure row per cell, and not
+        # raised while handling another.
+        refuse(monkeypatch, "generate")
+        with pytest.raises(ValueError) as raised:
+            sweep(PINNED_SPECS, list(Method), **bad)
+        assert raised.value.__context__ is None
 
     def test_exact_refusal_comes_before_the_optimum(self, monkeypatch):
         # Every cost is 3/48: group 1 shortlists all 24 alternatives and
@@ -334,6 +352,15 @@ class TestOnePass:
         refuse(monkeypatch, "optimal_welfare", "_plan", "_facts")
         with pytest.raises(ValueError, match="must lie in"):
             evaluate(instance, method, mode=mode, samples=100, **bad)
+
+    @pytest.mark.parametrize("samples", [10.0, 2.5])
+    def test_a_sample_count_that_is_no_int_fails_before_any_work(self, monkeypatch, samples):
+        # Only Monte Carlo mode reads a sample count.
+        instance = generate(GeneratorSpec("coverage", 6, 3, seed=1))
+        refuse(monkeypatch, "optimal_welfare", "_plan", "_facts")
+        with pytest.raises(ValueError, match="must lie in"):
+            evaluate(instance, Method.THRESHOLD_APPROVAL, mode=Mode.MONTE_CARLO,
+                     samples=samples)
 
     def test_mc_optimum_past_the_limit_fails_before_the_plan(self, monkeypatch):
         refuse(monkeypatch, "_plan")
@@ -775,13 +802,41 @@ def test_threshold_knapsack_eps_must_lie_below_one():
         evaluate(instance, Method.THRESHOLD_APPROVAL, eps=1.0)
 
 
-@pytest.mark.parametrize("spec, message", [
-    (GeneratorSpec("additive", 3, 2, Fixed((Fraction(1, 2),) * 2)), "expected 3 fixed costs"),
-    (GeneratorSpec("lognormal", 3, 2), "unknown family 'lognormal'"),
+@pytest.mark.parametrize("fields", [
+    # `generate` would loop forever drawing from an empty range for these three.
+    pytest.param({"cost_model": UniformRational(0)}, id="grid-0"),
+    pytest.param({"cost_model": UniformRational(-3)}, id="grid--3"),
+    pytest.param({"cost_model": Dyadic(-1)}, id="exponent--1"),
+    pytest.param({"m": 3, "cost_model": Fixed((Fraction(1, 2),) * 2)}, id="fixed-short"),
+    pytest.param({"m": 3, "cost_model": Fixed((Fraction(1, 2), Fraction(0), Fraction(1)))},
+                 id="fixed-cost-0"),
+    pytest.param({"m": 3, "cost_model": Fixed((Fraction(1, 2), Fraction(3, 2), Fraction(1)))},
+                 id="fixed-cost-3/2"),
+    pytest.param({"family": "lognormal"}, id="lognormal"),
+    pytest.param({"m": 0}, id="m-0"),
+    pytest.param({"n": 0}, id="n-0"),
+    pytest.param({"m": 3.0}, id="m-3.0"),
 ])
-def test_specs_the_generator_cannot_draw_are_refused(spec, message):
-    with pytest.raises(ValueError, match=message):
-        generate(spec)
+def test_specs_the_generator_cannot_draw_are_refused(monkeypatch, fields):
+    # Specs are built here, not at collection, and never drawn from: a
+    # regression fails instead of hanging in `generate`.
+    def no_stream(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(experiment.rng_mod, "stream", no_stream)
+    with pytest.raises(ValueError):
+        GeneratorSpec(**{"family": "additive", "m": 3, "n": 2, **fields})
+    with pytest.raises(ValueError):
+        GeneratorSpec("coverage", 4, 2)._replace(**fields)
+
+
+@pytest.mark.parametrize("model", [UniformRational(1), Dyadic(0), Fixed((Fraction(1),))],
+                         ids=lambda model: type(model).__name__)
+def test_specs_at_the_edge_of_each_check_are_drawn(model):
+    # One alternative of cost 1 and one voter: every check's least value.
+    for family in FAMILIES:
+        instance = generate(GeneratorSpec(family, 1, 1, model))
+        assert (instance.m, instance.n, instance.costs) == (1, 1, (Fraction(1),))
 
 
 @pytest.mark.parametrize("family, params", [
