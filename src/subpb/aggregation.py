@@ -1,16 +1,16 @@
 """Randomized aggregation rules as plans of their public randomness.
 
-The rules read the votes of `elicitation` as plain tuples, one per voter,
-and aggregate them themselves: a group is ranked only where its shortlist
-binds, its harmonic scores then picking the shortlist, and the approval
-counts at a threshold are the knapsack profits. Every rule is written once
-as a `Plan` (`rule_plan`): a few components (weight, P, k) with exact
-positive weights summing to 1, each meaning "a uniform k-subset of the
-sorted items P". The ranking rules mix each group's score-shortlist subset
-draw with a uniform singleton draw; the threshold rule mixes per-threshold
-knapsack outcomes S, each the component (S, |S|), with the same uniform
-singleton draw. Its knapsack is exact at eps = 0, else a
-(1 - eps)-approximation.
+The rules read the votes of `elicitation` as plain tuples and aggregate
+them themselves: a group is ranked only where its shortlist binds, one
+ranking per voter, its harmonic scores then picking the shortlist, and the
+approval counts at each threshold, counted once per instance, are the
+knapsack profits. Every rule is written once as a `Plan` (`rule_plan`): a
+few components (weight, P, k) with exact positive weights summing to 1,
+each meaning "a uniform k-subset of the sorted items P". The ranking rules
+mix each group's score-shortlist subset draw with a uniform singleton
+draw; the threshold rule mixes per-threshold knapsack outcomes S, each the
+component (S, |S|), with the same uniform singleton draw. Its knapsack is
+exact at eps = 0, else a (1 - eps)-approximation.
 `expected_welfare` takes the exact expectation component by component,
 from the mean social welfare of the component's subsets (`expected_uniform`
 of the instance welfare oracle, `core.Instance.welfare`), without expanding
@@ -76,8 +76,8 @@ def threshold_branches(
     instance: Instance, partition: GroupPartition, eps: float = 0.0
 ) -> list[Branch]:
     """Each threshold's knapsack outcome S as the point branch (S, |S|)."""
-    outcomes = (rule_a_threshold(approval_profile(instance, alpha), instance, eps)
-                for alpha in partition.thresholds)
+    outcomes = (rule_a_threshold(counts, instance, eps)
+                for counts in approval_profile(instance, partition.thresholds))
     return [(tuple(sorted(outcome)), len(outcome)) for outcome in outcomes]
 
 
@@ -94,16 +94,10 @@ def rule_plan(instance: Instance, mix: Fraction, branches: Sequence[Branch]) -> 
     return Plan(tuple(c for c in components if c[0]))
 
 
-def rule_a_threshold(
-    approvals: Sequence[frozenset], instance: Instance, eps: float = 0.0
-) -> frozenset:
-    """Best feasible set by approval count, the number of voters approving
-    each alternative: exact at eps = 0, else within a factor (1 - eps) of
-    the best count (`optimize.solve_knapsack`)."""
-    counts = [0] * instance.m
-    for approved in approvals:
-        for a in approved:
-            counts[a] += 1
+def rule_a_threshold(counts: Sequence[int], instance: Instance, eps: float = 0.0) -> frozenset:
+    """Best feasible set by the approval counts of one threshold, which
+    `approval_profile` counts once per instance: exact at eps = 0, else
+    within a factor (1 - eps) of the best count (`optimize.solve_knapsack`)."""
     return solve_knapsack(KnapsackProblem(profits=tuple(counts), costs=instance.costs), eps)
 
 

@@ -2,22 +2,22 @@
 
 Three elicitation formats are supported: greedy marginal-gain rankings of
 one cost group, standalone-value rankings of one cost group, and approval
-sets at a rational threshold. Votes are plain data, one per voter in voter
-order: a ranking is a tuple that permutes the group, an approval set a
-frozenset. The rules in `aggregation` aggregate them; the rule's plan
-weighs the groups and thresholds and asks for rankings only of groups
-whose shortlist binds. Voters are plain records (`core.Voter`) with no
-states, and greedy rankings read their parameters: additive, concave and
-max-value voters rank in closed form, and coverage alone walks its cover
-masks. Value rankings and approval sets read only standalone
-values f({a}): the profile functions take them from the instance's
-per-voter `core.Instance.singleton_table`, built once per instance, so no
-singleton is evaluated per group or per threshold.
+at a rational threshold. A ranking profile is one tuple per voter, in voter
+order, that permutes the group. Threshold votes are counted once per
+instance, as one tuple of approval counts per threshold: the threshold rule
+reads nothing else of them. The rules in `aggregation` aggregate the votes,
+and the rule's plan asks for rankings only of groups whose shortlist binds.
+Voters are plain records (`core.Voter`) with no states: additive, concave
+and max-value voters rank by marginal gain in closed form, and coverage
+alone walks its cover masks. Value rankings and approval counts read only
+the standalone values f({a}) of `core.Instance.singleton_table`, built once
+per instance, so no singleton is evaluated per group or per threshold.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence
 
@@ -84,12 +84,6 @@ def rank_by_values(
     return tuple(sorted(sorted(group), key=values.__getitem__, reverse=True))
 
 
-def threshold_approve(singles: Sequence[float], alpha: Fraction) -> frozenset:
-    """All alternatives whose standalone value `singles[a]` meets the threshold."""
-    cutoff = float(alpha) - APPROVAL_TOL
-    return frozenset(a for a, single in enumerate(singles) if single >= cutoff)
-
-
 def ranking_profile(
     instance: Instance, partition: GroupPartition, method: Method, t: int
 ) -> tuple[tuple[AlternativeId, ...], ...]:
@@ -102,6 +96,13 @@ def ranking_profile(
     raise ValueError(f"{method} is not a ranking method")
 
 
-def approval_profile(instance: Instance, alpha: Fraction) -> tuple[frozenset, ...]:
-    """One approval set at threshold alpha per voter, in voter order."""
-    return tuple(threshold_approve(table.singles, alpha) for table in instance.singleton_table)
+def approval_profile(
+    instance: Instance, thresholds: Sequence[Fraction]
+) -> tuple[tuple[int, ...], ...]:
+    """Threshold votes counted once per instance: for each threshold alpha,
+    how many voters value each alternative alone at float(alpha) -
+    APPROVAL_TOL or more, by one bisection of its sorted standalone values."""
+    columns = [sorted(values) for values in zip(*(t.singles for t in instance.singleton_table))]
+    cutoffs = [float(alpha) - APPROVAL_TOL for alpha in thresholds]
+    return tuple(tuple(instance.n - bisect_left(column, cutoff) for column in columns)
+                 for cutoff in cutoffs)

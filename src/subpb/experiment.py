@@ -101,7 +101,7 @@ class GeneratorSpec(_GeneratorFields):
     - a family not in `core.FAMILIES`, or a parameter its generator does not read;
     - `m` or `n` that is not an int >= 1;
     - a `UniformRational` grid < 1 or a `Dyadic` exponent < 0, or either not an int;
-    - a `Fixed` model whose length is not m, or with a cost outside (0, 1];
+    - a `Fixed` model whose length is not m, or a cost not an int or `Fraction` in (0, 1];
     - any other cost model."""
 
     __slots__ = ()
@@ -118,7 +118,8 @@ class GeneratorSpec(_GeneratorFields):
         elif isinstance(model, Dyadic):
             drawable = _int_at_least(model.max_exponent, 0)
         elif isinstance(model, Fixed):
-            drawable = len(model.costs) == spec.m and all(0 < c <= 1 for c in model.costs)
+            drawable = len(model.costs) == spec.m and all(
+                type(c) in (int, Fraction) and 0 < c <= 1 for c in model.costs)
         else:
             drawable = False
         if not drawable:
@@ -275,7 +276,7 @@ class _InstanceFacts:
     that raises is not cached, so every evaluation that needs it raises
     again. `evaluate` keeps one record, that of the instance it evaluated
     last (`_facts`). The per-voter standalone values and last gains, which
-    the curvature, approval sets and value rankings read, live on the
+    the curvature, approval counts and value rankings read, live on the
     instance itself (`core.Instance.singleton_table`), so a fresh record
     reuses them as well."""
 

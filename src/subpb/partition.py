@@ -63,8 +63,7 @@ def shortlist_cap(m: int, t: int) -> int:
 
     Uses floor(sqrt(m) * m / 2^t) = isqrt(m^3 // 4^t); never below 1, so a
     shortlist can always name at least one alternative."""
-    cap = math.isqrt(m**3 // 4**t)
-    return max(1, cap)
+    return max(1, math.isqrt(m**3 // 4**t))
 
 
 def selection_size(m: int, t: int) -> int:
@@ -74,9 +73,7 @@ def selection_size(m: int, t: int) -> int:
     return max(1, m >> t)
 
 
-def harmonic_scores(
-    rankings: Sequence[Sequence[AlternativeId]],
-) -> dict[AlternativeId, float]:
+def harmonic_scores(rankings: Sequence[Sequence[AlternativeId]]) -> dict[AlternativeId, float]:
     """sc(a) = sum over voters of 1 / position(a), positions 1-indexed."""
     scores: dict[AlternativeId, float] = {}
     for ranking in rankings:

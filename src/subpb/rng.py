@@ -14,14 +14,21 @@ those wrappers, and do not change with the standard library's.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:  # The builtin module, as `random` takes its sha512: `hashlib` loads OpenSSL.
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def stream(seed: int, *labels: object) -> random.Random:
     """Fresh RNG for the branch identified by `labels` under `seed`."""
     key = "/".join([repr(int(seed))] + [str(label) for label in labels])
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    digest = sha256(key.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from subpb.aggregation import Plan, expected_welfare, rule_a_threshold
 from subpb.core import OracleSpec, RawInstance, social_welfare, validate_instance
-from subpb.elicitation import Method, approval_profile, ranking_profile
+from subpb.elicitation import APPROVAL_TOL, Method, approval_profile, ranking_profile
 from subpb.experiment import GeneratorSpec, generate
 from subpb.optimize import KnapsackProblem
 from subpb.partition import build_partition
@@ -32,13 +32,6 @@ def simple_instance(costs, voters):
 def uniform_additive_instance(costs):
     m = len(costs)
     return simple_instance(costs, [OracleSpec("additive", {"values": [1.0] * m})])
-
-
-def approvals_with_counts(counts):
-    """Approval sets of max(counts) voters: voter i approves every a with
-    counts[a] > i, so counts[a] voters approve a."""
-    return tuple(frozenset(a for a, count in enumerate(counts) if count > i)
-                 for i in range(max(counts)))
 
 
 class TestSelectionDistribution:
@@ -179,33 +172,35 @@ class TestRuleAThreshold:
         instance = uniform_additive_instance(
             [Fraction(3, 5), Fraction(1, 2), Fraction(1, 2)]
         )
-        approvals = approvals_with_counts([3, 2, 2])
-        assert rule_a_threshold(approvals, instance) == {1, 2}
+        assert rule_a_threshold([3, 2, 2], instance) == {1, 2}
 
     def test_all_zero_weights_pick_nothing(self):
         instance = uniform_additive_instance([Fraction(1, 2)] * 3)
-        assert rule_a_threshold(approvals_with_counts([0, 0, 0]), instance) == frozenset()
+        assert rule_a_threshold([0, 0, 0], instance) == frozenset()
 
     def test_single_alternative(self):
         instance = uniform_additive_instance([Fraction(1)])
-        assert rule_a_threshold(approvals_with_counts([5]), instance) == {0}
+        assert rule_a_threshold([5], instance) == {0}
 
     def test_fptas_solver_accepted(self):
         instance = uniform_additive_instance(
             [Fraction(3, 5), Fraction(1, 2), Fraction(1, 2)]
         )
-        picked = rule_a_threshold(approvals_with_counts([3, 2, 2]), instance, 0.1)
+        picked = rule_a_threshold([3, 2, 2], instance, 0.1)
         assert picked == {1, 2}
 
     def test_profits_are_the_approval_counts_of_real_profiles(self):
         for family in ("additive", "coverage", "concave", "max-value"):
             instance = generate(GeneratorSpec(family=family, m=7, n=6, seed=2))
-            for alpha in build_partition(instance).thresholds:
-                approvals = approval_profile(instance, alpha)
-                counts = tuple(sum(a in approved for approved in approvals)
-                               for a in instance.alternatives)
+            thresholds = build_partition(instance).thresholds
+            for alpha, counts in zip(thresholds, approval_profile(instance, thresholds),
+                                     strict=True):
+                cutoff = float(alpha) - APPROVAL_TOL
+                assert counts == tuple(sum(table.singles[a] >= cutoff
+                                           for table in instance.singleton_table)
+                                       for a in instance.alternatives)
                 problem = KnapsackProblem(counts, instance.costs)
-                assert rule_a_threshold(approvals, instance) == brute_force_knapsack(problem)
+                assert rule_a_threshold(counts, instance) == brute_force_knapsack(problem)
 
 
 class TestAggregateThreshold:

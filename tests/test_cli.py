@@ -282,6 +282,12 @@ def test_cli_import_loads_no_dataclass_machinery():
     assert loaded_by_import("subpb.cli", {"dataclasses", "inspect"}, "-S") == []
 
 
+def test_cli_import_loads_no_openssl():
+    # `rng.stream` hashes with the builtin sha256, as `random` does with its
+    # sha512; `hashlib` would load OpenSSL in every process.
+    assert loaded_by_import("subpb.cli", {"hashlib", "_hashlib"}, "-S") == []
+
+
 def test_program_import_loads_no_numpy():
     # Importing numpy would cost every process tens of milliseconds. An
     # import of it, guarded or not, shows whether numpy is installed or not.

@@ -1,4 +1,4 @@
-"""Rankings and approval sets: the votes each elicitation method returns."""
+"""Rankings and approval counts: the votes each elicitation method returns."""
 
 import random
 from fractions import Fraction
@@ -29,7 +29,6 @@ from subpb.elicitation import (
     rank_by_marginal,
     rank_by_values,
     ranking_profile,
-    threshold_approve,
 )
 from subpb.experiment import GeneratorSpec, generate, generate_raw
 from subpb.partition import build_partition
@@ -162,23 +161,36 @@ class TestRankByValues:
         assert rank_by_values(singles(oracle), [2, 0, 1]) == (0, 1, 2)
 
 
+def one_voter_counts(family, values, alpha):
+    """The approval counts of one voter with these values at one threshold."""
+    instance = simple_instance([Fraction(1)] * len(values),
+                               [OracleSpec(family, {"values": values})])
+    (counts,) = approval_profile(instance, [alpha])
+    return counts
+
+
 class TestThresholdApprove:
     def test_half_threshold(self):
-        oracle = AdditiveOracle.normalized([0.75, 0.25])
-        assert threshold_approve(singles(oracle), Fraction(1, 2)) == {0}
+        assert one_voter_counts("additive", [0.75, 0.25], Fraction(1, 2)) == (1, 0)
 
     def test_threshold_above_everything(self):
-        oracle = AdditiveOracle.normalized([0.3, 0.3, 0.4])
-        assert threshold_approve(singles(oracle), Fraction(1, 2)) == frozenset()
+        assert one_voter_counts("additive", [0.3, 0.3, 0.4], Fraction(1, 2)) == (0, 0, 0)
 
     def test_threshold_below_everything(self):
-        oracle = AdditiveOracle.normalized([0.5, 0.5])
-        assert threshold_approve(singles(oracle), Fraction(1, 4)) == {0, 1}
+        assert one_voter_counts("additive", [0.5, 0.5], Fraction(1, 4)) == (1, 1)
 
     def test_boundary_tolerance(self):
         # A value an ulp under the threshold still counts as approving.
-        oracle = AdditiveOracle.normalized([0.25, 0.75])
-        assert 0 in threshold_approve(singles(oracle), Fraction(1, 4))
+        assert one_voter_counts("additive", [0.25, 0.75], Fraction(1, 4)) == (1, 1)
+
+    def test_value_equal_to_the_cutoff_float_approves(self):
+        # The second standalone value is the cutoff float(1/4) - APPROVAL_TOL
+        # itself (a max-value voter whose largest value is 1 keeps its values
+        # as given), and a value equal to the cutoff approves; a slightly
+        # higher threshold drops it.
+        values = [1.0, float(Fraction(1, 4)) - APPROVAL_TOL]
+        assert one_voter_counts("max-value", values, Fraction(1, 4)) == (1, 1)
+        assert one_voter_counts("max-value", values, Fraction(1, 4) + Fraction(1, 10**9)) == (1, 0)
 
 
 class TestProfiles:
@@ -227,7 +239,9 @@ class TestProfiles:
                 OracleSpec("additive", {"values": [0.25, 0.75]}),
             ],
         )
-        assert approval_profile(instance, Fraction(1, 2)) == (frozenset({0}), frozenset({1}))
+        thresholds = [Fraction(1, 2), Fraction(1, 4), Fraction(1)]
+        assert approval_profile(instance, thresholds) == ((1, 1), (2, 2), (0, 0))
+        assert approval_profile(instance, []) == ()
 
 
 class TestGreedyPrefixBound:
@@ -292,9 +306,11 @@ class TestProfilesReadTheSingletonTable:
             # than APPROVAL_TOL, still approves it.
             values = {Fraction(v.value((a,))) for v in instance.voters for a in range(instance.m)}
             above = {value + Fraction(APPROVAL_TOL / 2) for value in values}
-            for alpha in sorted(set(build_partition(instance).thresholds) | values | above):
-                want = tuple(approve_by_value(v, instance.m, alpha) for v in instance.voters)
-                assert approval_profile(instance, alpha) == want, (instance, alpha)
+            alphas = sorted(set(build_partition(instance).thresholds) | values | above)
+            for alpha, counts in zip(alphas, approval_profile(instance, alphas), strict=True):
+                approved = [approve_by_value(v, instance.m, alpha) for v in instance.voters]
+                want = tuple(sum(a in sets for sets in approved) for a in instance.alternatives)
+                assert counts == want, (instance, alpha)
                 edges += alpha in values
         assert edges
 
@@ -355,8 +371,7 @@ class TestProfilesReadTheSingletonTable:
             instance.singleton_table
             for cls in evaluators:
                 monkeypatch.setattr(cls, "value", counting(vars(cls)["value"]))
-            for alpha in partition.thresholds:
-                approval_profile(instance, alpha)
+            approval_profile(instance, partition.thresholds)
             for t, group in enumerate(partition.groups):
                 if group:
                     ranking_profile(instance, partition, Method.STANDALONE_VALUES, t)

@@ -812,6 +812,11 @@ def test_threshold_knapsack_eps_must_lie_below_one():
                  id="fixed-cost-0"),
     pytest.param({"m": 3, "cost_model": Fixed((Fraction(1, 2), Fraction(3, 2), Fraction(1)))},
                  id="fixed-cost-3/2"),
+    # Costs that are not an int or a Fraction, as `cli.parse_instance_file`
+    # refuses them too.
+    pytest.param({"m": 2, "cost_model": Fixed(("1/2", "1"))}, id="fixed-cost-str"),
+    pytest.param({"m": 2, "cost_model": Fixed((0.5, 1))}, id="fixed-cost-float"),
+    pytest.param({"m": 2, "cost_model": Fixed((True, 1))}, id="fixed-cost-bool"),
     pytest.param({"family": "lognormal"}, id="lognormal"),
     pytest.param({"m": 0}, id="m-0"),
     pytest.param({"n": 0}, id="n-0"),
