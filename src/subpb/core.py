@@ -7,7 +7,10 @@ four families, scaled so that the grand set has value exactly 1; all
 downstream welfare guarantees rely on that scaling, so unnormalizable
 inputs are rejected at validation time. Voters are plain data with one
 closed-form `value` each. Only the welfare parts (`welfare_oracle`), which
-sum the voters of one kind, evaluate sets through states.
+sum the voters of one kind, evaluate sets through states. A coverage voter
+keeps its covers both per alternative (`cover_masks`) and per element
+(`signatures`), built in one pass when it is parsed, so neither its
+singleton table nor its welfare part transposes one view into the other.
 
 Costs are kept as `fractions.Fraction` throughout: group boundaries and
 budget feasibility must be decided bit-exactly. Utility values are floats
@@ -22,6 +25,7 @@ import operator
 from abc import ABC, abstractmethod
 from functools import cached_property, reduce
 from fractions import Fraction
+from itertools import compress
 from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 AlternativeId = int
@@ -122,10 +126,16 @@ class CoverageOracle(NamedTuple):
     """Weighted coverage: each alternative covers a subset of a finite
     universe; f(S) is the total weight of the union of covered subsets.
 
-    Covered subsets are stored as bitmasks over the universe."""
+    The covers are kept in two views, both built in the one pass of
+    `normalized` over the covered elements: `cover_masks[a]`, the bitmask
+    of the elements alternative a covers, which `value` and the marginal
+    ranking read, and `signatures[u]`, the m-bit mask of the alternatives
+    that cover element u, which the singleton table and the welfare part
+    read."""
 
     weights: tuple[float, ...]
     cover_masks: tuple[int, ...]
+    signatures: tuple[int, ...]
     scale: float = 1.0
 
     family = "coverage"
@@ -137,10 +147,12 @@ class CoverageOracle(NamedTuple):
         wts = _nonnegative_floats(weights)
         universe = len(wts)
         masks = []
-        for cover in covers:
+        signatures = [0] * universe
+        for a, cover in enumerate(covers):
             if not isinstance(cover, (list, tuple)):
                 raise ValidationError(f"a cover set must be a list, got {cover!r}")
             mask = 0
+            bit = 1 << a
             for u in cover:
                 # The exact type test is the common case; bool, though a subclass
                 # of int, is refused.
@@ -148,24 +160,37 @@ class CoverageOracle(NamedTuple):
                         or not 0 <= u < universe):
                     raise ValidationError(f"covered element {u!r} outside universe")
                 mask |= 1 << u
+                signatures[u] |= bit
             masks.append(mask)
-        return cls(wts, tuple(masks),
-                   _scale(_mask_weight(_union(masks), wts), "the covered weight"))
+        # The covered weight, ascending: the elements with a nonzero signature.
+        return cls(wts, tuple(masks), tuple(signatures),
+                   _scale(_left_sum(compress(wts, signatures)), "the covered weight"))
 
     def value(self, items: Iterable[AlternativeId]) -> float:
         return _mask_weight(_union(self.cover_masks[a] for a in items), self.weights) * self.scale
 
     def singleton_table(self):
-        # The last gain of a is the weight of the elements only a covers.
-        once = twice = 0
-        for mask in self.cover_masks:
-            twice |= once & mask
-            once |= mask
-        only = once & ~twice
-        return SingletonTable(
-            tuple(_mask_weight(mask, self.weights) * self.scale for mask in self.cover_masks),
-            tuple(_mask_weight(mask & only, self.weights) * self.scale
-                  for mask in self.cover_masks))
+        """Standalone values and last gains in one pass over the elements'
+        signatures, ascending: an element adds its weight to the standalone
+        value of every alternative that covers it, and to the last gain of a
+        when a covers it alone. Each entry is that left sum times the
+        scale."""
+        singles = [0.0] * len(self.cover_masks)
+        lasts = singles.copy()
+        for w, signature in zip(self.weights, self.signatures):
+            if not signature & (signature - 1):
+                if signature:
+                    a = signature.bit_length() - 1
+                    singles[a] += w
+                    lasts[a] += w
+                continue
+            while signature:
+                low = signature & -signature
+                singles[low.bit_length() - 1] += w
+                signature ^= low
+        scale = self.scale
+        return SingletonTable(tuple([v * scale for v in singles]),
+                              tuple([v * scale for v in lasts]))
 
 
 class ConcaveOverModularOracle(NamedTuple):
@@ -579,14 +604,16 @@ def welfare_oracle(voters: Sequence[Voter]) -> UtilityOracle:
 
     Additive and coverage voters fold into one `CoverageSumOracle` keyed by
     cover signatures, ascending: the set of alternatives covering an
-    element, as an m-bit mask. A signature weighs the fsum of w * s_v over
-    the (voter v, element of weight w) pairs that have it, and an additive
-    value v_a counts as an element covered by a alone. Elements no
-    alternative covers, and zero weights, are dropped. All concave voters,
-    even a lone one, fold into one `ConcaveSumOracle` and all max-value
-    voters into one `MaxValueSumOracle`, so a state of either extends every
-    voter of its family at once. A lone part is returned as it is; parts of
-    several families are summed by a `SumOracle`."""
+    element, as an m-bit mask, which a coverage voter already holds per
+    element (`CoverageOracle.signatures`), so nothing is transposed here. A
+    signature weighs the fsum of w * s_v over the (voter v, element of
+    weight w) pairs that have it, and an additive value v_a counts as an
+    element covered by a alone. Elements no alternative covers, and zero
+    weights, are dropped. All concave voters, even a lone one, fold into
+    one `ConcaveSumOracle` and all max-value voters into one
+    `MaxValueSumOracle`, so a state of either extends every voter of its
+    family at once. A lone part is returned as it is; parts of several
+    families are summed by a `SumOracle`."""
     buckets: dict[int, list[float]] = {}
     concave: list[ConcaveOverModularOracle] = []
     maxima: list[MaxValueOracle] = []
@@ -596,13 +623,10 @@ def welfare_oracle(voters: Sequence[Voter]) -> UtilityOracle:
                 if v:
                     buckets.setdefault(1 << a, []).append(v * voter.scale)
         elif isinstance(voter, CoverageOracle):
-            signatures = [0] * len(voter.weights)
-            for a, mask in enumerate(voter.cover_masks):
-                for u in _set_bits(mask):
-                    signatures[u] |= 1 << a
-            for signature, w in zip(signatures, voter.weights):
+            scale = voter.scale
+            for signature, w in zip(voter.signatures, voter.weights):
                 if signature and w:
-                    buckets.setdefault(signature, []).append(w * voter.scale)
+                    buckets.setdefault(signature, []).append(w * scale)
         elif isinstance(voter, ConcaveOverModularOracle):
             concave.append(voter)
         elif isinstance(voter, MaxValueOracle):

@@ -172,14 +172,9 @@ def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
         weights = rng_mod.uniforms(rng, 0.1, 1.0, universe)
         start = spec.m if private else 0
         size = universe - start
-        most = min(3, size)
-        covers = []
-        for a in range(spec.m):
-            count = rng_mod.randint(rng, 1, most)
-            cover = sorted(rng_mod.sample(rng, start, size, count))
-            if private:
-                cover = [a] + cover
-            covers.append(cover)
+        covers = rng_mod.sorted_samples(rng, start, size, min(3, size), spec.m)
+        if private:
+            covers = [[a] + cover for a, cover in enumerate(covers)]
         return OracleSpec("coverage", {"weights": weights, "covers": covers})
     # The spec admits only `core.FAMILIES`, so what is left is concave.
     values = rng_mod.uniforms(rng, lo, hi, spec.m)

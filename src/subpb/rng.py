@@ -6,10 +6,15 @@ of evaluation order. Derivation hashes the label path; Python's builtin
 `hash` is salted per process and must not be used here.
 
 The draws are this module's own algorithms over the stream's `random()`
-and `getrandbits`: `below`, `randint`, `uniforms` and `sample` make the
-same draws as `random.Random`'s `randrange`, `randint`, `uniform` and
-`sample` did on Python 3.10 to 3.13, without the per-call overhead of
-those wrappers, and do not change with the standard library's.
+and `getrandbits`, which make the same draws as `random.Random` did on
+Python 3.10 to 3.13, without the per-call overhead of its wrappers, and
+do not change with the standard library's:
+- `below(rng, n)` as `randrange(n)`;
+- `randint` as `randint`;
+- `uniforms(rng, low, high, count)` as `count` calls of `uniform(low, high)`;
+- `sorted_samples(rng, start, size, most, count)`, a coverage voter's
+  covers, as `count` times `sorted(sample(range(start, start + size),
+  randint(1, most)))`, for most <= 5.
 """
 
 from __future__ import annotations
@@ -54,24 +59,46 @@ def uniforms(rng: random.Random, low: float, high: float, count: int) -> list[fl
     return [low + span * draw() for _ in range(count)]
 
 
-def sample(rng: random.Random, start: int, size: int, count: int) -> list[int]:
-    """`count` distinct ints of range(start, start + size), in the order
-    drawn. A pool of at most 21 is a list whose picks are swapped out for
-    its last unpicked member; a larger one is drawn from whole, and a pick
-    already made is redrawn, which suits only small counts. `Random.sample`
-    makes the same draws up to a count of 5, past which its list path
-    reaches larger pools."""
-    picks = []
+def sorted_samples(rng: random.Random, start: int, size: int, most: int,
+                   count: int) -> list[list[int]]:
+    """`count` sorted lists of distinct ints of range(start, start + size),
+    each of 1 + below(most) members, for 1 <= most <= size. A pool of at
+    most 21 is a list whose picks are swapped out for its last unpicked
+    member; a larger one is drawn from whole, and a pick already made is
+    redrawn, which suits only small counts. `Random.sample` makes the same
+    draws up to a count of 5, past which its list path reaches larger
+    pools, so the two agree for most <= 5."""
+    getrandbits = rng.getrandbits
+    most_bits = most.bit_length()
+    samples = []
     if size <= 21:
-        pool = list(range(start, start + size))
-        for i in range(count):
-            j = below(rng, size - i)
-            picks.append(pool[j])
-            pool[j] = pool[size - i - 1]
+        # `below` inlined: the generator's private covers at m <= 21 come this way.
+        members = list(range(start, start + size))
+        for _ in range(count):
+            k = getrandbits(most_bits)
+            while k >= most:
+                k = getrandbits(most_bits)
+            pool = members.copy()
+            picks = []
+            left = size
+            for _ in range(k + 1):
+                bits = left.bit_length()
+                j = getrandbits(bits)
+                while j >= left:
+                    j = getrandbits(bits)
+                left -= 1
+                picks.append(pool[j])
+                pool[j] = pool[left]
+            picks.sort()
+            samples.append(picks)
     else:
         for _ in range(count):
-            j = start + below(rng, size)
-            while j in picks:
+            picks = []
+            for _ in range(1 + below(rng, most)):
                 j = start + below(rng, size)
-            picks.append(j)
-    return picks
+                while j in picks:
+                    j = start + below(rng, size)
+                picks.append(j)
+            picks.sort()
+            samples.append(picks)
+    return samples

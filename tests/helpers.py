@@ -197,20 +197,68 @@ def signature_masks(signatures: Sequence[int], m: int) -> list[int]:
     return masks
 
 
+def mask_weight(weights: Sequence[float], mask: int) -> float:
+    """The weights of a mask's elements added one bit at a time, ascending,
+    from 0.0."""
+    total = 0.0
+    for j in range(len(weights)):
+        if mask >> j & 1:
+            total += weights[j]
+    return total
+
+
 def mask_walk_values(weights: Sequence[float], masks: Sequence[int], sequence) -> list[float]:
     """Running values of a coverage function over element masks, for the
     alternatives added in order: each step sums the weights of the newly
     covered elements one bit at a time, ascending, and adds that gain."""
     value, covered, values = 0.0, 0, []
     for a in sequence:
-        added, gain = masks[a] & ~covered, 0.0
-        for j in range(len(weights)):
-            if added >> j & 1:
-                gain += weights[j]
-        value += gain
+        value += mask_weight(weights, masks[a] & ~covered)
         covered |= masks[a]
         values.append(value)
     return values
+
+
+def mask_walk_scale(weights: Sequence[float], masks: Sequence[int]) -> float:
+    """1 / the weight of the union of the masks."""
+    union = 0
+    for mask in masks:
+        union |= mask
+    return 1.0 / mask_weight(weights, union)
+
+
+def mask_walk_singleton_table(weights: Sequence[float], masks: Sequence[int],
+                              scale: float) -> tuple[list[float], list[float]]:
+    """A coverage voter's standalone values and last gains from its masks:
+    the weight of each mask, and of the elements of it that no other mask
+    holds, times the scale."""
+    singles, lasts = [], []
+    for a, mask in enumerate(masks):
+        others = 0
+        for b, other in enumerate(masks):
+            if b != a:
+                others |= other
+        singles.append(mask_weight(weights, mask) * scale)
+        lasts.append(mask_weight(weights, mask & ~others) * scale)
+    return singles, lasts
+
+
+def mask_walk_coverage_part(voters: Sequence[CoverageOracle]) -> tuple[tuple, tuple]:
+    """The (weights, signatures) of the welfare part of coverage voters,
+    from their masks: each element's signature is gathered bit by bit over
+    the masks, and the scaled weights of each nonzero signature, zero
+    weights left out, are fsummed; signatures ascending."""
+    buckets: dict[int, list[float]] = {}
+    for voter in voters:
+        for u, w in enumerate(voter.weights):
+            signature = 0
+            for a, mask in enumerate(voter.cover_masks):
+                if mask >> u & 1:
+                    signature |= 1 << a
+            if signature and w:
+                buckets.setdefault(signature, []).append(w * voter.scale)
+    signatures = tuple(sorted(buckets))
+    return tuple(math.fsum(buckets[signature]) for signature in signatures), signatures
 
 
 def mask_walk_expected_uniform(weights: Sequence[float], masks: Sequence[int], items,

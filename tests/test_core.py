@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subpb.core import (
@@ -364,6 +364,57 @@ def oracles(draw, max_m=6):
         )
     )
     return CoverageOracle.normalized(weights, [sorted(c) for c in covers]), m
+
+
+@st.composite
+def coverage_voters(draw):
+    """m in 1..24 and one to three coverage voters over it, with one
+    universe. Covers may repeat an element or be empty, elements may be
+    covered by no alternative, and weights may be zero."""
+    m = draw(st.integers(min_value=1, max_value=24))
+    universe = draw(st.integers(min_value=1, max_value=30))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0,
+                                                 allow_subnormal=False))
+    cover = st.lists(st.integers(min_value=0, max_value=universe - 1), max_size=6)
+    voters = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        weights = draw(st.lists(weight, min_size=universe, max_size=universe))
+        covers = draw(st.lists(cover, min_size=m, max_size=m))
+        assume(any(weights[u] for c in covers for u in c))
+        voters.append(CoverageOracle.normalized(weights, covers))
+    return m, voters
+
+
+def assert_coverage_views_agree(m, voters):
+    """The per-element view equals the masks transposed, and the scale, the
+    singleton table and the welfare part read from it equal the same floats
+    as their walks over the masks."""
+    for voter in voters:
+        assert len(voter.signatures) == len(voter.weights)
+        assert all(signature >> m == 0 for signature in voter.signatures)
+        assert helpers.signature_masks(voter.signatures, m) == list(voter.cover_masks)
+        assert voter.scale == helpers.mask_walk_scale(voter.weights, voter.cover_masks)
+        singles, lasts = helpers.mask_walk_singleton_table(
+            voter.weights, voter.cover_masks, voter.scale)
+        table = voter.singleton_table()
+        assert table.singles == tuple(singles)
+        assert table.last_gains == tuple(lasts)
+    part = welfare_oracle(voters)
+    assert (part.weights, part.signatures) == helpers.mask_walk_coverage_part(voters)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coverage_voters())
+def test_coverage_views_agree_bit_for_bit(m_and_voters):
+    assert_coverage_views_agree(*m_and_voters)
+
+
+@pytest.mark.parametrize("private", [False, True])
+def test_generated_coverage_views_agree_bit_for_bit(private):
+    params = (("private_elements", True),) if private else ()
+    for m in (1, 2, 8, 16, 24):
+        instance = generate(GeneratorSpec("coverage", m, 12, seed=m, family_params=params))
+        assert_coverage_views_agree(m, instance.voters)
 
 
 @settings(max_examples=150, deadline=None)

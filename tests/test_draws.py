@@ -1,4 +1,4 @@
-"""The generator's draws. `rng`'s own integer, float and sample draws equal
+"""The generator's draws. `rng`'s own integer, float and cover draws equal
 the standard library's on the running Python, value by value and in the
 state they leave behind; and the instance files generated over a grid of
 specs hash to one digest, recorded when the standard library still made
@@ -22,13 +22,35 @@ def assert_same_state(ours: random.Random, theirs: random.Random) -> None:
     assert ours.getrandbits(64) == theirs.getrandbits(64)
 
 
+def stdlib_samples(r: random.Random, start: int, size: int, most: int, count: int):
+    return [sorted(r.sample(range(start, start + size), r.randint(1, most)))
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("size", range(1, 65))
 def test_sample_equals_the_stdlib(size):
-    # Pools of up to 21 take the stdlib's list path, larger ones its set path.
-    for count in range(1, min(5, size) + 1):
+    # Pools of up to 21 take the stdlib's list path, larger ones its set path;
+    # its set path agrees for counts up to 5.
+    for most in range(1, min(5, size) + 1):
         for seed in SEEDS:
             ours, theirs = random.Random(seed), random.Random(seed)
-            assert rng.sample(ours, 7, size, count) == theirs.sample(range(7, 7 + size), count)
+            assert rng.sorted_samples(ours, 7, size, most, 4) == stdlib_samples(
+                theirs, 7, size, most, 4)
+            assert_same_state(ours, theirs)
+
+
+@pytest.mark.parametrize("private", [False, True])
+@pytest.mark.parametrize("size", range(1, 25))
+def test_covers_equal_the_stdlib(size, private):
+    # A generated voter with private elements draws its covers from the
+    # upper half of a universe of 2m, and a plain one from all of it.
+    m = size if private else max(1, size // 2)
+    start = m if private else 0
+    for most in range(1, min(3, size) + 1):
+        for seed in SEEDS:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert rng.sorted_samples(ours, start, size, most, m) == stdlib_samples(
+                theirs, start, size, most, m)
             assert_same_state(ours, theirs)
 
 
