@@ -10,7 +10,7 @@ each meaning "a uniform k-subset of the sorted items P". The ranking rules
 mix each group's score-shortlist subset draw with a uniform singleton
 draw; the threshold rule mixes per-threshold knapsack outcomes S, each the
 component (S, |S|), with the same uniform singleton draw. Its knapsack is
-exact at eps = 0, else a (1 - eps)-approximation.
+exact (`optimize.solve_knapsack`).
 `expected_welfare` takes the exact expectation component by component,
 from the mean social welfare of the component's subsets (`expected_uniform`
 of the instance welfare oracle, `core.Instance.welfare`), without expanding
@@ -72,11 +72,9 @@ def shortlist_branch(
     return chosen, min(len(chosen), selection_size(partition.m, t))
 
 
-def threshold_branches(
-    instance: Instance, partition: GroupPartition, eps: float = 0.0
-) -> list[Branch]:
+def threshold_branches(instance: Instance, partition: GroupPartition) -> list[Branch]:
     """Each threshold's knapsack outcome S as the point branch (S, |S|)."""
-    outcomes = (rule_a_threshold(counts, instance, eps)
+    outcomes = (rule_a_threshold(counts, instance)
                 for counts in approval_profile(instance, partition.thresholds))
     return [(tuple(sorted(outcome)), len(outcome)) for outcome in outcomes]
 
@@ -94,11 +92,10 @@ def rule_plan(instance: Instance, mix: Fraction, branches: Sequence[Branch]) -> 
     return Plan(tuple(c for c in components if c[0]))
 
 
-def rule_a_threshold(counts: Sequence[int], instance: Instance, eps: float = 0.0) -> frozenset:
+def rule_a_threshold(counts: Sequence[int], instance: Instance) -> frozenset:
     """Best feasible set by the approval counts of one threshold, which
-    `approval_profile` counts once per instance: exact at eps = 0, else
-    within a factor (1 - eps) of the best count (`optimize.solve_knapsack`)."""
-    return solve_knapsack(KnapsackProblem(profits=tuple(counts), costs=instance.costs), eps)
+    `approval_profile` counts once per instance (`optimize.solve_knapsack`)."""
+    return solve_knapsack(KnapsackProblem(profits=tuple(counts), costs=instance.costs))
 
 
 def expected_welfare(

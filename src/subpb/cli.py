@@ -186,23 +186,6 @@ def _parse_cost_model(value: str, m: int):
     raise UsageError(f"unknown cost model {value!r}; see gen --help")
 
 
-def _parse_solver(value: str) -> float:
-    """The knapsack eps: 0 for the exact `dp`, EPS for `fptas:EPS`, which
-    may not be 0, the spelling of `dp`. EPS's range is `optimize.check_eps`'s."""
-    if value == "dp":
-        return 0.0
-    name, _, arg = value.partition(":")
-    if name != "fptas" or not arg:
-        raise UsageError(f"unknown solver {value!r}; spell dp or fptas:EPS")
-    try:
-        eps = float(arg)
-    except ValueError as exc:
-        raise UsageError(f"bad --solver {value!r}: {exc}") from exc
-    if eps == 0.0:
-        raise UsageError(f"bad --solver {value!r}: the exact solver is dp")
-    return eps
-
-
 def _default_seed() -> int:
     env = os.environ.get("SUBPB_SEED")
     try:
@@ -237,9 +220,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("--samples", type=int, default=100_000,
                     help="Monte Carlo draws, from 2 to 2**31 - 1")
     ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--solver", default="dp",
-                    help="threshold knapsack: dp (exact), or fptas:EPS with 0 < EPS < 1, "
-                         "which scales the threshold bound by 1 - EPS")
     ev.add_argument("--out", default=None)
 
     ins = sub.add_parser("inspect", help="dump instance structure")
@@ -289,9 +269,8 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     method = Method(args.method)
     mode = Mode(args.mode)
-    eps = _parse_solver(args.solver)
     try:
-        mix = check_arguments(args.mix, mode, args.samples, eps)
+        mix = check_arguments(args.mix, mode, args.samples)
         str(mix)  # the CSV spells the mix out in digits, within Python's limit
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
@@ -303,7 +282,6 @@ def cmd_eval(args) -> int:
         mode=mode,
         seed=seed,
         samples=args.samples,
-        eps=eps,
         instance_id=os.path.basename(args.instance),
     )
     text = render_csv([report])

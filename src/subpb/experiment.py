@@ -53,7 +53,7 @@ from .aggregation import (
 )
 from .core import FAMILIES, Instance, OracleSpec, RawInstance, max_curvature, validate_instance
 from .elicitation import Method, ranking_profile
-from .optimize import OptimalBundle, check_eps, optimal_welfare
+from .optimize import OptimalBundle, optimal_welfare
 from .partition import GroupPartition, build_partition, selection_size, shortlist_cap
 
 BOUND_TOL = 1e-9
@@ -240,22 +240,23 @@ def theoretical_bound(
     curvature: float,
     optimal: float,
     mix: Fraction = DEFAULT_MIX,
-    eps: float = 0.0,
 ) -> float:
     """The proved per-instance welfare guarantee for the mixed rule.
 
     Each guarantee divides by the branches its rule draws from: the
     threshold rule's by the partition's thresholds (T of them), the ranking
-    rules' by its groups (T + 1) and by sqrt(m). The guarantees are stated
-    for an even coin; an uneven coin scales them by 2*min(mix, 1-mix),
-    which degenerates to 0 at mix 0 or 1. The threshold guarantee without
-    thresholds (a single alternative) is vacuous and reported as 0."""
+    rules' by its groups (T + 1) and by sqrt(m). With curvature c and
+    coin = 2*min(mix, 1-mix) (1 for an even coin, 0 at mix 0 or 1), the
+    threshold guarantee is coin*(1 - c)*OPT / (4T) and the ranking
+    guarantee coin*(1 - c)*OPT / (4(T + 1)*sqrt(m)). The threshold
+    guarantee without thresholds (a single alternative) is vacuous and
+    reported as 0."""
     coin = 2.0 * float(min(mix, 1 - mix))
     if method is Method.THRESHOLD_APPROVAL:
         thresholds = len(partition.thresholds)
         if not thresholds:
             return 0.0
-        return coin * (1.0 - eps) * (1.0 - curvature) * optimal / (4.0 * thresholds)
+        return coin * (1.0 - curvature) * optimal / (4.0 * thresholds)
     groups = len(partition.groups)
     return coin * (1.0 - curvature) * optimal / (4.0 * groups * math.sqrt(partition.m))
 
@@ -318,11 +319,9 @@ def evaluate(
     mode: Mode = Mode.EXACT,
     seed: int = 0,
     samples: int = 100_000,
-    eps: float = 0.0,
     instance_id: str = "",
 ) -> EvaluationReport:
-    """Evaluate one elicitation method on one instance. At eps > 0 the
-    threshold knapsack and its bound are (1 - eps)-approximate.
+    """Evaluate one elicitation method on one instance.
 
     One pass: arguments (`check_arguments`, before any work), Monte Carlo
     optimum, plan (`_plan`, built once), mean (`expected_welfare` or
@@ -333,19 +332,19 @@ def evaluate(
     run of calls on one instance, such as `sweep` makes, computes its
     partition, optimum, curvature and welfare caches once, while an equal
     but distinct instance gets a record of its own."""
-    mix = check_arguments(mix, mode, samples, eps)
+    mix = check_arguments(mix, mode, samples)
     monte_carlo = mode is Mode.MONTE_CARLO
     facts = _facts(instance)
     # Monte Carlo mode takes the optimum before the plan, exact mode after the mean.
     optimum = facts.optimum if monte_carlo else None
-    plan = _plan(facts, method, mix, eps)
+    plan = _plan(facts, method, mix)
     if monte_carlo:
         expected, stderr = _monte_carlo(facts, plan, method, seed, samples)
     else:
         expected, stderr = expected_welfare(plan, instance, facts.component_welfare), None
         optimum = facts.optimum
     curvature = facts.curvature
-    bound = theoretical_bound(method, facts.partition, curvature, optimum.welfare, mix, eps)
+    bound = theoretical_bound(method, facts.partition, curvature, optimum.welfare, mix)
     slack = BOUND_TOL if stderr is None else BOUND_TOL + 3.0 * stderr
     ratio = optimum.welfare / expected if expected > 0 else math.inf
     return EvaluationReport(
@@ -367,18 +366,17 @@ def evaluate(
     )
 
 
-def check_arguments(mix: Fraction, mode: Mode, samples: int, eps: float) -> Fraction:
+def check_arguments(mix: Fraction, mode: Mode, samples: int) -> Fraction:
     """Refuses any argument `evaluate` cannot run and returns the mix as a
-    `Fraction`. The mix must lie in [0, 1], eps in [0, 1) (`optimize.check_eps`),
-    the mode must be a `Mode` (a string "mc" would run exact mode unchecked)
-    and, in Monte Carlo mode, the sample count must be an int from 2, for a
-    standard error, to 2**31 - 1, the limit of `eval --samples`: a cell's
-    random bits, and its distinct sets where a range has more indices than
-    draws (`_split`), grow with the count."""
+    `Fraction`. The mix must lie in [0, 1], the mode must be a `Mode` (a
+    string "mc" would run exact mode unchecked) and, in Monte Carlo mode,
+    the sample count must be an int from 2, for a standard error, to
+    2**31 - 1, the limit of `eval --samples`: a cell's random bits, and its
+    distinct sets where a range has more indices than draws (`_split`),
+    grow with the count."""
     mix = Fraction(mix)
     if not 0 <= mix <= 1:
         raise ValueError(f"mix must lie in [0, 1], got {mix}")
-    check_eps(eps)
     if not isinstance(mode, Mode):
         raise ValueError(f"mode must be a Mode, got {mode!r}")
     if mode is Mode.MONTE_CARLO and not (type(samples) is int and 2 <= samples <= 2**31 - 1):
@@ -386,7 +384,7 @@ def check_arguments(mix: Fraction, mode: Mode, samples: int, eps: float) -> Frac
     return mix
 
 
-def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, eps: float) -> Plan:
+def _plan(facts: _InstanceFacts, method: Method, mix: Fraction) -> Plan:
     """The rule's components (`aggregation.rule_plan`). Ranking profiles and
     knapsack outcomes are computed only when the coin gives their components
     positive weight, and rankings only where the shortlist binds: a group
@@ -401,7 +399,7 @@ def _plan(facts: _InstanceFacts, method: Method, mix: Fraction, eps: float) -> P
             for t, group in enumerate(partition.groups)
         ]
     elif mix:
-        branches = threshold_branches(instance, partition, eps)
+        branches = threshold_branches(instance, partition)
     return rule_plan(instance, mix, branches)
 
 
@@ -553,7 +551,6 @@ def sweep(
     mix: Fraction = DEFAULT_MIX,
     mode: Mode = Mode.EXACT,
     samples: int = 100_000,
-    eps: float = 0.0,
 ) -> list[SweepResult]:
     """Evaluate the cross product of specs and methods.
 
@@ -564,13 +561,13 @@ def sweep(
     The arguments are checked once, before any instance is generated
     (`check_arguments`), so a bad one raises; per-cell failures become
     marked rows instead of aborting the sweep."""
-    mix = check_arguments(mix, mode, samples, eps)
+    mix = check_arguments(mix, mode, samples)
     results: list[SweepResult] = []
     for spec in specs:
         instance = generate(spec)
         for method in methods:
             try:
-                results.append(evaluate(instance, method, mix, mode, spec.seed, samples, eps,
+                results.append(evaluate(instance, method, mix, mode, spec.seed, samples,
                                         spec.instance_id))
             except Exception as exc:  # noqa: BLE001 - sweep must not abort
                 results.append(SweepFailure(

@@ -1,18 +1,21 @@
 """The threshold rule's knapsack solver, plus the exhaustive welfare optimum.
 
-The knapsack solver is named by its eps alone (`solve_knapsack`). At
-eps = 0 it is exact: it scales costs to exact integers and builds the
-suffix Pareto frontiers of (cost, profit) points (Nemhauser & Ullmann
-1969). A frontier holds at most min(scaled budget, total profit) + 1
-points, so it stays as narrow as the narrower of the two axes: many coprime
-cost denominators widen only the budget axis, and many approvals only the
-profit axis. Ties break toward the lexicographically smallest id sequence.
-At eps in (0, 1) it first scales the profits down (the FPTAS), which
-narrows the frontiers further, and then reads the optimum off the same
-frontiers. The optimum (`optimal_welfare`) enumerates the maximal feasible
-subsets over the same integer costs, with welfare from states of the
-instance welfare oracle (`core.Instance.welfare`); its docstring says how
-the walk branches and breaks ties. For the additive and coverage part
+The knapsack solver (`solve_knapsack`) is exact: it scales costs to exact
+integers and builds the suffix Pareto frontiers of (cost, profit) points
+(Nemhauser & Ullmann 1969). A frontier holds at most
+min(scaled budget, total profit) + 1 points, so it stays as narrow as the
+narrower of the two axes: many coprime cost denominators widen only the
+budget axis, and many approvals only the profit axis. Ties break toward
+the lexicographically smallest id sequence. Exact is enough here: the
+threshold rule's profits are approval counts of at most n each, so each
+frontier holds at most min(scaled budget, n·m) + 1 points, polynomial in
+n and m. An approximate solver returns only together with a workload on
+which the exact frontier is too slow.
+
+The optimum (`optimal_welfare`) enumerates the maximal feasible subsets
+over the same integer costs, with welfare from states of the instance
+welfare oracle (`core.Instance.welfare`); its docstring says how the walk
+branches and breaks ties. For the additive and coverage part
 (`core.CoverageSumOracle`) a state carries the set's m-bit mask, and an
 extension adds the weight of each of the item's cover signatures that the
 mask does not meet. Submodular upper-bound pruning is not used.
@@ -117,35 +120,20 @@ def _best_profit(front: Front, budget: int) -> int:
     return profits[bisect.bisect_right(costs, budget) - 1]
 
 
-def check_eps(eps: float) -> None:
-    """The knapsack eps must lie in [0, 1): 0 is exact, 1 would promise nothing."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+def solve_knapsack(problem: KnapsackProblem) -> frozenset:
+    """A maximum-profit set within the unit budget. Among the optima, the
+    lexicographically smallest id sequence wins (so the empty set wins when
+    all profits are zero).
 
-
-def solve_knapsack(problem: KnapsackProblem, eps: float = 0.0) -> frozenset:
-    """A maximum-profit set within the unit budget at eps = 0; at eps in
-    (0, 1), a feasible set with profit >= (1 - eps) * OPT by profit scaling.
-    Among the optima of the profits solved for, the lexicographically
-    smallest id sequence wins (so the empty set wins when all are zero).
-
-    The profits are divided by K = eps * max profit / size and floored when
-    K > 1; at K <= 1 (always at eps = 0, and for a problem without items or
-    profits) scaling cannot coarsen anything and they are solved as given.
     The suffix Pareto frontiers of `_frontiers` hold at most
     min(scaled budget, total profit) + 1 points each. The set is read off
     them item by item: take j when an optimum of what is left still exists
     with j, and stop once no profit is left to collect."""
-    check_eps(eps)
-    profits = problem.profits
-    scale = eps * max(profits, default=0) / max(1, problem.size)
-    if scale > 1.0:
-        profits = tuple(int(p / scale) for p in profits)
     costs, budget = _integer_costs(problem.costs)
-    fronts = _frontiers(profits, costs, budget)
+    fronts = _frontiers(problem.profits, costs, budget)
     chosen: list[int] = []
     need = fronts[0][1][-1]
-    for j, (p, c) in enumerate(zip(profits, costs)):
+    for j, (p, c) in enumerate(zip(problem.profits, costs)):
         if need == 0:
             break
         if c <= budget and p + _best_profit(fronts[j + 1], budget - c) >= need:

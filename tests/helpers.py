@@ -422,8 +422,7 @@ def distribution_welfare(dist: SelectionDistribution, instance: Instance) -> flo
     return math.fsum(p * social_welfare(instance, items) for items, p in dist.support)
 
 
-def reference_plan(instance: Instance, method: Method, mix: Fraction,
-                   eps: float = 0.0) -> Plan:
+def reference_plan(instance: Instance, method: Method, mix: Fraction) -> Plan:
     """The rule's plan with every non-empty group ranked, whether or not its
     shortlist binds: the score shortlist of each group from its votes, the
     empty group as ((), 0)."""
@@ -437,7 +436,7 @@ def reference_plan(instance: Instance, method: Method, mix: Fraction,
             for t in range(partition.T + 1)
         ]
     elif mix:
-        branches = threshold_branches(instance, partition, eps)
+        branches = threshold_branches(instance, partition)
     return rule_plan(instance, mix, branches)
 
 
@@ -466,14 +465,12 @@ def aggregate_ranking(
     return plan_distribution(rule_plan(instance, Fraction(mix), branches))
 
 
-def aggregate_threshold(
-    instance: Instance, mix: Fraction = DEFAULT_MIX, eps: float = 0.0
-) -> SelectionDistribution:
+def aggregate_threshold(instance: Instance, mix: Fraction = DEFAULT_MIX) -> SelectionDistribution:
     """Threshold-approval rule: with probability `mix` a uniform threshold's
     knapsack outcome, otherwise a uniform singleton. With a single
     alternative there are no thresholds and all mass goes to the singleton."""
     mix = Fraction(mix)
-    branches = threshold_branches(instance, build_partition(instance), eps) if mix else []
+    branches = threshold_branches(instance, build_partition(instance)) if mix else []
     return plan_distribution(rule_plan(instance, mix, branches))
 
 

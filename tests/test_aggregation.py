@@ -182,13 +182,6 @@ class TestRuleAThreshold:
         instance = uniform_additive_instance([Fraction(1)])
         assert rule_a_threshold([5], instance) == {0}
 
-    def test_fptas_solver_accepted(self):
-        instance = uniform_additive_instance(
-            [Fraction(3, 5), Fraction(1, 2), Fraction(1, 2)]
-        )
-        picked = rule_a_threshold([3, 2, 2], instance, 0.1)
-        assert picked == {1, 2}
-
     def test_profits_are_the_approval_counts_of_real_profiles(self):
         for family in ("additive", "coverage", "concave", "max-value"):
             instance = generate(GeneratorSpec(family=family, m=7, n=6, seed=2))

@@ -47,7 +47,7 @@ def test_traced_evaluate_counts_plan_components():
     with tracer.installed():
         experiment.evaluate(instance, Method.MARGINAL_VALUES)
     plan = experiment._plan(experiment._InstanceFacts(instance), Method.MARGINAL_VALUES,
-                            Fraction(1, 2), 0.0)
+                            Fraction(1, 2))
     assert tracer.counts["aggregation.expected_welfare"] == 1
     assert tracer.counts["aggregation.support_sets"] == len(plan.support)
 

@@ -36,20 +36,9 @@ def run(argv, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--solver", "fptas:abc"],
-    ["--solver", "fptas:2"],
+    # The knapsack is exact, so there is no solver to choose.
+    ["--solver", "dp"],
     ["--mode", "mc", "--samples", "1"],
-    # fptas:0 is not a spelling of the exact solver, which is dp.
-    ["--solver", "fptas:0"],
-    ["--solver", "fptas:1"],
-    ["--solver", "fptas:-0.5"],
-    ["--solver", "fptas:nan"],
-    ["--solver", "fptas:inf"],
-    ["--solver", "fptas"],
-    ["--solver", "exact"],
-    # dp is the exact solver and takes no argument.
-    ["--solver", "dp:0.5"],
-    ["--solver", "dp:banana"],
     # Past the documented ceiling of 2**31 - 1 samples.
     ["--mode", "mc", "--samples", str(2**31)],
     # A mix whose denominator the CSV could not print in 4,300 digits.
@@ -64,7 +53,7 @@ def test_bad_eval_flags_are_usage_errors(instance_file, capsys, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--mix", "2"],
-    ["--solver", "fptas:0"],
+    ["--solver", "dp"],
     ["--mode", "mc", "--samples", "1"],
     ["--mode", "mc", "--samples", str(2**31)],
     ["--mix", "1e-5000"],
@@ -206,8 +195,6 @@ ERROR_PREFIXES = {cli.EXIT_USAGE: "usage error:", cli.EXIT_IO: "i/o error:",
                  cli.EXIT_OK, id="eval-small-file"),
     pytest.param(["eval", "--instance", "{dir}/small.json", "--method", "value-rank",
                   "--mix", "2"], cli.EXIT_USAGE, id="eval-mix-past-one"),
-    pytest.param(["eval", "--instance", "{dir}/small.json", "--method", "threshold",
-                  "--solver", "fptas:0.5"], cli.EXIT_OK, id="eval-fptas-solver"),
     pytest.param(["eval", "--instance", "{dir}/missing.json", "--method", "value-rank"],
                  cli.EXIT_IO, id="eval-missing-file"),
     pytest.param(["eval", "--instance", "{dir}/version-only.json", "--method", "value-rank"],

@@ -91,18 +91,15 @@ PINNED_OPTIMA = {
     "coverage-m9-n12-uniformrational-s7": (2, 3, 6, 7, 8),
     "coverage-m10-n12-fixed-s1": (1, 2, 4, 5, 7, 8),
 }
-#: Knapsack eps: 0 is the exact solver.
-PINNED_EPS = (0.0, 0.3)
 
 
 def pinned_sweep_csv() -> str:
     """Exact-mode CSV over every family (coverage also with private
-    elements), a shortlist-heavy instance, four coin weights and the exact
-    and an approximate knapsack, then the over-limit failure rows."""
+    elements), a shortlist-heavy instance and four coin weights, then the
+    over-limit failure rows."""
     results = []
     for mix in PINNED_MIXES:
-        for eps in PINNED_EPS:
-            results += sweep(PINNED_SPECS, list(Method), mix=mix, eps=eps)
+        results += sweep(PINNED_SPECS, list(Method), mix=mix)
     results += sweep(OVER_LIMIT_SPECS, list(Method))
     return render_csv(results)
 
@@ -157,7 +154,6 @@ class TestSweep:
     @pytest.mark.parametrize("bad", [
         pytest.param({"mix": Fraction(2)}, id="mix-2"),
         pytest.param({"mix": "abc"}, id="mix-abc"),
-        pytest.param({"eps": 1.0}, id="eps-1"),
         pytest.param({"mode": Mode.MONTE_CARLO, "samples": 1}, id="mc-samples-1"),
         # A spelling, not a Mode: it would run exact mode with no sample check.
         pytest.param({"mode": "mc", "samples": 1}, id="mode-mc-string"),
@@ -196,6 +192,12 @@ class TestSweep:
 
     def test_exact_csv_matches_pinned_table(self):
         assert pinned_sweep_csv() == PINNED_CSV.read_text(encoding="utf-8")
+
+    def test_pinned_csv_has_one_row_per_cell(self):
+        rows = list(csv.DictReader(io.StringIO(PINNED_CSV.read_text(encoding="utf-8"))))
+        keys = Counter((row["instance_id"], row["method"], row["mix"], row["mode"])
+                       for row in rows)
+        assert [key for key, count in keys.items() if count > 1] == []
 
     def test_exact_csv_does_not_depend_on_builtin_sum(self, monkeypatch):
         # From 3.12 builtin `sum` of floats is compensated. With a stand-in
@@ -342,10 +344,6 @@ class TestOnePass:
     @pytest.mark.parametrize("method, bad", [
         pytest.param(Method.THRESHOLD_APPROVAL, {"mix": Fraction(2)}, id="mix-2"),
         pytest.param(Method.MARGINAL_VALUES, {"mix": Fraction(-1, 2)}, id="mix--1/2"),
-        pytest.param(Method.THRESHOLD_APPROVAL, {"eps": 1.0}, id="eps-1"),
-        # A ranking rule reads no knapsack, but eps is refused all the same.
-        pytest.param(Method.MARGINAL_VALUES, {"eps": 5.0}, id="ranking-eps-5"),
-        pytest.param(Method.STANDALONE_VALUES, {"eps": -0.1}, id="ranking-eps--0.1"),
     ])
     def test_bad_arguments_fail_before_any_work(self, monkeypatch, mode, method, bad):
         instance = generate(GeneratorSpec("coverage", 6, 3, seed=1))
@@ -450,11 +448,11 @@ class TestPlanAndSampler:
         for spec in PINNED_SPECS:
             facts = experiment._InstanceFacts(generate(spec))
             instance = facts.instance
-            for method, mix, eps in itertools.product(Method, PINNED_MIXES, PINNED_EPS):
-                plan = experiment._plan(facts, method, mix, eps)
+            for method, mix in itertools.product(Method, PINNED_MIXES):
+                plan = experiment._plan(facts, method, mix)
                 expanded = helpers.distribution_welfare(helpers.plan_distribution(plan), instance)
                 got = expected_welfare(plan, instance)
-                assert got == pytest.approx(expanded, rel=1e-12), (spec, method, mix, eps)
+                assert got == pytest.approx(expanded, rel=1e-12), (spec, method, mix)
 
     def test_zero_weight_groups_build_no_profile(self, monkeypatch):
         calls = []
@@ -482,7 +480,7 @@ class TestPlanAndSampler:
         facts = experiment._InstanceFacts(generate(spec))
         assert facts.partition.groups == ((0, 1, 2, 3), (), ())
         for method in (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES):
-            plan = experiment._plan(facts, method, Fraction(1, 2), 0.0)
+            plan = experiment._plan(facts, method, Fraction(1, 2))
             sixth = Fraction(1, 6)
             assert plan.support == ((Fraction(1, 2), (0, 1, 2, 3), 1),
                                     (sixth, (0, 1, 2, 3), 4), (sixth, (), 0), (sixth, (), 0))
@@ -501,15 +499,15 @@ class TestPlanAndSampler:
             binding += sum(len(group) > cap for group, cap in zip(groups, caps))
             whole += sum(0 < len(group) <= cap for group, cap in zip(groups, caps))
             for method, mix in itertools.product(ranking, PINNED_MIXES):
-                assert (experiment._plan(facts, method, mix, 0.0)
+                assert (experiment._plan(facts, method, mix)
                         == helpers.reference_plan(facts.instance, method, mix)), (spec, method)
         assert binding and whole
         for mode in Mode:
             got = [sweep(PINNED_SPECS, ranking, mix=mix, mode=mode, samples=2_000)
                    for mix in PINNED_MIXES]
             with monkeypatch.context() as patch:
-                patch.setattr(experiment, "_plan", lambda facts, method, mix, eps:
-                              helpers.reference_plan(facts.instance, method, mix, eps))
+                patch.setattr(experiment, "_plan", lambda facts, method, mix:
+                              helpers.reference_plan(facts.instance, method, mix))
                 want = [sweep(PINNED_SPECS, ranking, mix=mix, mode=mode, samples=2_000)
                         for mix in PINNED_MIXES]
             assert repr(got) == repr(want), mode
@@ -531,7 +529,7 @@ class TestPlanAndSampler:
                             lambda *args: calls.append(args[3]) or real(*args))
         for method in (Method.MARGINAL_VALUES, Method.STANDALONE_VALUES):
             calls.clear()
-            plan = experiment._plan(facts, method, Fraction(1, 2), 0.0)
+            plan = experiment._plan(facts, method, Fraction(1, 2))
             assert calls == ranked
             assert plan == helpers.reference_plan(instance, method, Fraction(1, 2))
             # After the singleton component, one component per group.
@@ -549,7 +547,7 @@ class TestPlanAndSampler:
     def test_mc_on_a_partial_shortlist_draw(self, mix):
         instance = generate(SHORTLIST_HEAVY)
         facts = experiment._InstanceFacts(instance)
-        plan = experiment._plan(facts, Method.MARGINAL_VALUES, mix, 0.0)
+        plan = experiment._plan(facts, Method.MARGINAL_VALUES, mix)
         assert sum(weight for weight, _, _ in plan.support) == 1
         assert any(1 < k < len(items) for _, items, k in plan.support)
         for method in Method:
@@ -738,8 +736,7 @@ class TestCountSampler:
     @pytest.mark.parametrize("family", ["coverage", "additive"])
     def test_mc_agrees_where_draws_rarely_repeat(self, family, mix):
         instance = generate(MANY_SETS._replace(family=family))
-        plan = experiment._plan(experiment._InstanceFacts(instance), Method.MARGINAL_VALUES,
-                                mix, 0.0)
+        plan = experiment._plan(experiment._InstanceFacts(instance), Method.MARGINAL_VALUES, mix)
         assert any(math.comb(len(items), k) > weight * 20_000
                    for weight, items, k in plan.support)
         assert_mc_agrees(instance, Method.MARGINAL_VALUES, mix)
@@ -750,7 +747,7 @@ def test_threshold_bound_gap_grows_along_the_ladder(m, ratio):
     # Pins the rule as it stands. Past m = 24 OPT is read off {0} and the
     # cheap items, a feasible set, so the true E[W]/bound is lower still.
     facts = experiment._InstanceFacts(threshold_ladder(m))
-    plan = experiment._plan(facts, Method.THRESHOLD_APPROVAL, Fraction(1, 2), 0.0)
+    plan = experiment._plan(facts, Method.THRESHOLD_APPROVAL, Fraction(1, 2))
     welfare = expected_welfare(plan, facts.instance)
     if m <= 24:
         optimum = facts.optimum.welfare
@@ -791,15 +788,6 @@ class TestMixedDenominators:
                 costs=tuple(mixed_cost(rng) for _ in range(m)), voters=tuple(voters)))
             bundle = optimal_welfare(instance)
             assert (bundle.items, bundle.welfare) == helpers.brute_force_best_welfare(instance)
-
-
-def test_threshold_knapsack_eps_must_lie_below_one():
-    # eps = 0 is the exact knapsack; eps = 1 would promise nothing.
-    instance = generate(GeneratorSpec("additive", 6, 3, seed=1))
-    assert evaluate(instance, Method.THRESHOLD_APPROVAL, eps=0.0) == evaluate(
-        instance, Method.THRESHOLD_APPROVAL)
-    with pytest.raises(ValueError):
-        evaluate(instance, Method.THRESHOLD_APPROVAL, eps=1.0)
 
 
 @pytest.mark.parametrize("fields", [

@@ -1,5 +1,5 @@
-"""The knapsack solver, exact and approximate, against brute force, and the
-exhaustive welfare oracle."""
+"""The exact knapsack solver against brute force, and the exhaustive
+welfare oracle."""
 
 import math
 import random
@@ -54,6 +54,15 @@ class TestKnapsackExact:
         assert solve_knapsack(problem([5], ["1"])) == {0}
         assert solve_knapsack(problem([0], ["1"])) == frozenset()
 
+    def test_single_item(self):
+        assert solve_knapsack(problem([7], ["1/2"])) == {0}
+
+    def test_empty_problem(self):
+        assert solve_knapsack(problem([], [])) == frozenset()
+
+    def test_zero_profits(self):
+        assert solve_knapsack(problem([0, 0], ["1/2", "1/2"])) == frozenset()
+
     def test_everything_fits(self):
         p = problem([1, 2, 3], ["1/4", "1/4", "1/4"])
         assert solve_knapsack(p) == {0, 1, 2}
@@ -83,42 +92,6 @@ class TestKnapsackExact:
                 problem([0] * len(costs), costs)._replace(profits=tuple(profits))
 
 
-class TestKnapsackFptas:
-    def test_half_eps_contract(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            p = random_problem(rng, max_m=8)
-            exact_profit = helpers.profit(p, solve_knapsack(p))
-            approx_profit = helpers.profit(p, solve_knapsack(p, 0.5))
-            assert approx_profit >= 0.5 * exact_profit
-
-    def test_small_eps_recovers_optimum(self):
-        p = problem([3, 2, 2], ["3/5", "1/2", "1/2"])
-        # OPT = 4 and eps = 0.1 leaves no room below ceil(0.9 * 4) = 4.
-        assert helpers.profit(p, solve_knapsack(p, 0.1)) == 4
-
-    def test_single_item(self):
-        assert solve_knapsack(problem([7], ["1/2"]), 0.3) == {0}
-
-    def test_zero_profits(self):
-        assert solve_knapsack(problem([0, 0], ["1/2", "1/2"]), 0.5) == frozenset()
-
-    def test_bad_eps_rejected(self):
-        p = problem([1], ["1/2"])
-        for eps in (1.0, -0.5, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                solve_knapsack(p, eps)
-
-    def test_solver_dispatch(self):
-        # eps = 0, the default, is the exact solver.
-        p = problem([3, 2, 2], ["3/5", "1/2", "1/2"])
-        assert solve_knapsack(p) == solve_knapsack(p, 0.0) == {1, 2}
-        assert solve_knapsack(p, 0.1) == {1, 2}
-
-    def test_empty_problem(self):
-        assert solve_knapsack(problem([], []), 0.5) == frozenset()
-
-
 #: Distinct primes as cost denominators make the scaled budget axis their
 #: LCM: up to 6.5e9 at ten items.
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -146,15 +119,6 @@ def knapsack_problems(draw, wide):
 @given(st.one_of(knapsack_problems(wide=True), knapsack_problems(wide=False)))
 def test_exact_matches_brute_force_with_its_tie_rule(p):
     assert solve_knapsack(p) == helpers.brute_force_knapsack(p)
-
-
-@settings(max_examples=100, deadline=None)
-@given(knapsack_problems(wide=True), st.sampled_from([0.1, 0.3, 0.5, 0.9]))
-def test_fptas_contract_on_a_wide_budget_axis(p, eps):
-    chosen = solve_knapsack(p, eps)
-    assert sum((p.costs[a] for a in chosen), Fraction(0)) <= 1
-    best = helpers.brute_force_knapsack(p)
-    assert helpers.profit(p, chosen) >= (1 - eps) * helpers.profit(p, best)
 
 
 @settings(max_examples=100, deadline=None)
