@@ -17,8 +17,9 @@ of the instance welfare oracle, `core.Instance.welfare`), without expanding
 the plan into its sets. That oracle has one part per kind of voter, so a
 component costs one closed form or one walk over its subsets per part,
 not one per voter: the coverage part counts how many of P's items each
-cover signature holds, the max-value part sorts P's values, and only the
-concave part walks the subsets.
+cover signature holds, the max-value part sorts P's values (only when
+1 < k < |P|: at k = 1 the mean is their plain sum over |P|, and at k = |P|
+their maximum), and only the concave part walks the subsets.
 """
 
 from __future__ import annotations

@@ -7,10 +7,13 @@ four families, scaled so that the grand set has value exactly 1; all
 downstream welfare guarantees rely on that scaling, so unnormalizable
 inputs are rejected at validation time. Voters are plain data with one
 closed-form `value` each. Only the welfare parts (`welfare_oracle`), which
-sum the voters of one kind, evaluate sets through states. A coverage voter
-keeps its covers both per alternative (`cover_masks`) and per element
-(`signatures`), built in one pass when it is parsed, so neither its
-singleton table nor its welfare part transposes one view into the other.
+sum the voters of one kind, evaluate sets through states: a state is a
+payload that a part extends one alternative at a time, and the part's
+`worth` turns it into the set's value only where that value is read. A
+coverage voter keeps its covers both per alternative (`cover_masks`) and
+per element (`signatures`), built in one pass when it is parsed, so
+neither its singleton table nor its welfare part transposes one view into
+the other.
 
 Costs are kept as `fractions.Fraction` throughout: group boundaries and
 budget feasibility must be decided bit-exactly. Utility values are floats
@@ -68,36 +71,42 @@ class UtilityOracle(ABC):
     every voter, so it is scaled to n, not 1. Voters are records with a
     closed-form `value` (`Voter`), not parts.
 
-    Sets are evaluated one alternative at a time. A state is a tuple (scaled
-    value, payload) describing one set: `start()` is the empty set's and
-    `extend(state, a)` that of the set plus a. States are never mutated, so
-    one state can be extended by every candidate in turn, and the gain of a
-    is `extend(state, a)[0] - state[0]`; `value` folds `extend`. Each part
-    also supplies `expected_uniform`, the mean of a uniform k-subset: in
-    closed form on `CoverageSumOracle` and `MaxValueSumOracle`, by
-    enumeration on `ConcaveSumOracle`, summed on `SumOracle`.
+    Sets are evaluated one alternative at a time. A state is a payload
+    describing one set: `start()` is the empty set's and `extend(state, a)`
+    that of the set plus a. `worth(state)` is the set's scaled value, which
+    a part computes only when asked, so a walk that extends many sets pays
+    for the values of only those it reads. States are never mutated, so one
+    state can be extended by every candidate in turn, and the gain of a is
+    `worth(extend(state, a)) - worth(state)`; `value` folds `extend` and
+    calls `worth` once. Each part also supplies `expected_uniform`, the
+    mean of a uniform k-subset: in closed form on `CoverageSumOracle` and
+    `MaxValueSumOracle`, by enumeration on `ConcaveSumOracle`, summed on
+    `SumOracle`.
 
     Parts are not mutated after construction (a cached property only fills
     in a value derived from the fields); evaluating them from many threads
     needs no coordination. Parts compare by identity, as `Instance` does."""
 
+    @abstractmethod
     def start(self) -> tuple:
-        """State of the empty set: value 0, and a payload of 0 unless the
-        part needs one."""
-        return (0.0, 0)
+        """State of the empty set, whose worth is 0.0."""
 
     @abstractmethod
     def extend(self, state: tuple, a: AlternativeId) -> tuple:
         """State of the set that `state` describes plus alternative a, which
         it must not contain. `state` itself is left as it is."""
 
+    @abstractmethod
+    def worth(self, state: tuple) -> float:
+        """Scaled value of the set that `state` describes."""
+
     def value(self, items: Iterable[AlternativeId]) -> float:
         """Scaled value of a set of distinct alternatives: `extend` folded
-        over it from `start()`."""
+        over it from `start()`, then its `worth`."""
         state = self.start()
         for a in items:
             state = self.extend(state, a)
-        return state[0]
+        return self.worth(state)
 
 
 class AdditiveOracle(NamedTuple):
@@ -257,8 +266,10 @@ class CoverageSumOracle(UtilityOracle):
     """The additive and coverage voters as one weighted coverage function
     over cover signatures. `signatures[j]` is the m-bit mask of the
     alternatives that cover element j, and `weights[j]` its weight, scaled
-    already. f(S) is the total weight of the signatures that meet S. The
-    payload is the m-bit mask of the set's alternatives."""
+    already. f(S) is the total weight of the signatures that meet S. A
+    state is (value, mask), the set's value and the m-bit mask of its
+    alternatives: the value is the running sum of the gains that `extend`
+    computes anyway, so `worth` only reads it, at C speed."""
 
     def __init__(self, weights: tuple[float, ...], signatures: tuple[int, ...]):
         self.weights = weights
@@ -273,6 +284,11 @@ class CoverageSumOracle(UtilityOracle):
             for a in _set_bits(signature):
                 covers.setdefault(a, []).append((signature, w))
         return {a: tuple(pairs) for a, pairs in covers.items()}
+
+    def start(self):
+        return (0.0, 0)
+
+    worth = operator.itemgetter(0)
 
     def extend(self, state, a):
         # An element is new when its signature holds no chosen alternative.
@@ -300,9 +316,11 @@ class CoverageSumOracle(UtilityOracle):
 class ConcaveSumOracle(UtilityOracle):
     """The sum of concave-over-modular voters, f(S) = sum over voters v of
     s_v * (sum of v's values over S) ** g_v, as one oracle. `columns[a]`
-    holds every voter's value at a. The payload is the tuple of the voters'
+    holds every voter's value at a. A state is the tuple of the voters'
     inner sums, so a state extends all voters at once, and the walk of
-    `expected_uniform` runs once for all of them."""
+    `expected_uniform` runs once for all of them. `worth` takes each
+    voter's power and sums the products left to right, so only a set whose
+    value is read pays for the powers."""
 
     def __init__(self, columns: tuple[tuple[float, ...], ...], gammas: tuple[float, ...],
                  scales: tuple[float, ...]):
@@ -316,13 +334,14 @@ class ConcaveSumOracle(UtilityOracle):
                    tuple(v.gamma for v in voters), tuple(v.scale for v in voters))
 
     def start(self):
-        return (0.0, (0.0,) * len(self.gammas))
+        return (0.0,) * len(self.gammas)
 
     def extend(self, state, a):
+        return tuple(map(operator.add, state, self.columns[a]))
+
+    def worth(self, state):
         # 0.0 ** g is 0.0 for g > 0, as in `_concave`.
-        inner = tuple(map(operator.add, state[1], self.columns[a]))
-        return (_left_sum(map(operator.mul, map(operator.pow, inner, self.gammas), self.scales)),
-                inner)
+        return _left_sum(map(operator.mul, map(operator.pow, state, self.gammas), self.scales))
 
     def expected_uniform(self, items: Sequence[AlternativeId], k: int) -> float:
         """Mean value of a uniform k-subset of the distinct `items`, for
@@ -330,7 +349,8 @@ class ConcaveSumOracle(UtilityOracle):
         all C(len(items), k) subsets; it is the one place where exact mode
         enumerates a plan component, and past `EXACT_SUPPORT_LIMIT` subsets
         it raises ExceedsExactBudget. Each subset's state extends that of
-        its (k-1)-prefix."""
+        its (k-1)-prefix, and only the C(len(items), k) subsets themselves
+        are valued (`worth`), not their prefixes."""
         subsets = math.comb(len(items), k)
         if subsets > EXACT_SUPPORT_LIMIT:
             raise ExceedsExactBudget(
@@ -341,21 +361,22 @@ class ConcaveSumOracle(UtilityOracle):
     def _subset_values(self, items: Sequence[AlternativeId], k: int) -> Iterable[float]:
         # Depth first, in `itertools.combinations` order: a stack entry is
         # (state, first index it may extend by, alternatives still to add).
+        extend, worth = self.extend, self.worth
         stack = [(self.start(), 0, k)]
         while stack:
             state, first, left = stack.pop()
             if not left:
-                yield state[0]
+                yield worth(state)
                 continue
             for i in range(len(items) - left, first - 1, -1):
-                stack.append((self.extend(state, items[i]), i + 1, left - 1))
+                stack.append((extend(state, items[i]), i + 1, left - 1))
 
 
 class MaxValueSumOracle(UtilityOracle):
     """The sum of max-value voters, f(S) = sum over voters v of s_v times
     v's largest value in S, as one oracle. `rows[v]` holds voter v's
-    values and `scales[v]` its scale. The payload is the tuple of the
-    voters' scaled running maxima."""
+    values and `scales[v]` its scale. A state is the tuple of the voters'
+    scaled running maxima, and `worth` sums them left to right."""
 
     def __init__(self, rows: tuple[tuple[float, ...], ...], scales: tuple[float, ...]):
         self.rows = rows
@@ -371,29 +392,40 @@ class MaxValueSumOracle(UtilityOracle):
         return tuple(zip(*(tuple(v * s for v in row) for row, s in zip(self.rows, self.scales))))
 
     def start(self):
-        return (0.0, (0.0,) * len(self.scales))
+        return (0.0,) * len(self.scales)
 
     def extend(self, state, a):
-        maxima = tuple([v if v > top else top for top, v in zip(state[1], self.columns[a])])
-        return (_left_sum(maxima), maxima)
+        return tuple([v if v > top else top for top, v in zip(state, self.columns[a])])
+
+    def worth(self, state):
+        return _left_sum(state)
 
     def expected_uniform(self, items, k):
         # A voter's i-th largest value (1-based) is the maximum when the
-        # subset takes it and k - 1 of the |P| - i smaller ones.
+        # subset takes it and k - 1 of the |P| - i smaller ones. Only
+        # 1 < k < |P| needs the order: at k = 1 every weight is 1, and fsum
+        # is exact in any order; at k = |P| only the largest has weight 1.
         if not k:
             return 0.0
         n = len(items)
-        takes = [math.comb(n - i, k - 1) for i in range(1, n + 1)]
         subsets = math.comb(n, k)
-        return _left_sum(
-            math.fsum(map(operator.mul, sorted((row[a] for a in items), reverse=True), takes))
-            / subsets * scale
-            for row, scale in zip(self.rows, self.scales))
+        if k == 1:
+            totals = (math.fsum(map(row.__getitem__, items)) for row in self.rows)
+        elif k == n:
+            totals = (max(map(row.__getitem__, items)) for row in self.rows)
+        else:
+            takes = [math.comb(n - i, k - 1) for i in range(1, n + 1)]
+            totals = (math.fsum(map(operator.mul, ordered, takes))
+                      for ordered in (sorted(map(row.__getitem__, items), reverse=True)
+                                      for row in self.rows))
+        return _left_sum(total / subsets * scale for total, scale in zip(totals, self.scales))
 
 
 class SumOracle(UtilityOracle):
     """f(S) = sum of the parts' values; each part keeps its own scale. Only
-    an instance that mixes families has more than one welfare part."""
+    an instance that mixes families has more than one welfare part. A state
+    is the tuple of the parts' states, and `worth` sums the parts' worths
+    left to right."""
 
     def __init__(self, parts: tuple[UtilityOracle, ...]):
         self.parts = parts
@@ -402,12 +434,13 @@ class SumOracle(UtilityOracle):
         return _left_sum(part.expected_uniform(items, k) for part in self.parts)
 
     def start(self):
-        # The payload is the tuple of the parts' states.
-        return (0.0, tuple(part.start() for part in self.parts))
+        return tuple(part.start() for part in self.parts)
 
     def extend(self, state, a):
-        states = tuple(part.extend(s, a) for part, s in zip(self.parts, state[1]))
-        return (_left_sum(s[0] for s in states), states)
+        return tuple(part.extend(s, a) for part, s in zip(self.parts, state))
+
+    def worth(self, state):
+        return _left_sum(part.worth(s) for part, s in zip(self.parts, state))
 
 
 def _as_float(value, name: str) -> float:
@@ -665,8 +698,14 @@ def curvature(table: SingletonTable) -> float:
 
 def max_curvature(instance: Instance) -> float:
     """Largest voter curvature; the uniform c valid for the whole profile.
-    Reads the instance's `singleton_table`."""
-    return max(curvature(table) for table in instance.singleton_table)
+    Reads the instance's `singleton_table`, and stops at the first voter
+    whose curvature is 1, the ceiling no later voter can pass."""
+    worst = 0.0
+    for table in instance.singleton_table:
+        worst = max(worst, curvature(table))
+        if worst == 1.0:
+            break
+    return worst
 
 
 def social_welfare(instance: Instance, items: Iterable[AlternativeId]) -> WelfareValue:

@@ -15,10 +15,13 @@ which the exact frontier is too slow.
 The optimum (`optimal_welfare`) enumerates the maximal feasible subsets
 over the same integer costs, with welfare from states of the instance
 welfare oracle (`core.Instance.welfare`); its docstring says how the walk
-branches and breaks ties. For the additive and coverage part
-(`core.CoverageSumOracle`) a state carries the set's m-bit mask, and an
-extension adds the weight of each of the item's cover signatures that the
-mask does not meet. Submodular upper-bound pruning is not used.
+branches and breaks ties. The walk extends a state per prefix it takes but
+reads a value (`worth`) only at the sets it compares, so the concave and
+max-value parts never value a set that cannot be maximal. For the additive
+and coverage part (`core.CoverageSumOracle`) a state carries the set's
+m-bit mask, and an extension adds the weight of each of the item's cover
+signatures that the mask does not meet. Submodular upper-bound pruning is
+not used.
 """
 
 from __future__ import annotations
@@ -162,12 +165,14 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
     item skipped so far: no completion of it is maximal. Two completions
     are forced and close in one step: when every remaining item fits, the
     only maximal completion takes them all; when none fits, the set is
-    final, and maximal only if no skipped item fits either. Utilities are
-    monotone, so some maximal set is optimal. Every maximal set is reached,
-    in lexicographic order of its id sequence (taking first puts the sets
-    with an item before those without it, and no maximal set is a prefix
-    of another), so keeping the first strictly better welfare gives ties
-    to the smallest id sequence among maximal optima. Raises
+    final, and maximal only if no skipped item fits either. Welfare
+    (`UtilityOracle.worth`) is read only at these compared sets: each
+    forced completion, and each final set that no skipped item fits.
+    Utilities are monotone, so some maximal set is optimal. Every maximal
+    set is reached, in lexicographic order of its id sequence (taking first
+    puts the sets with an item before those without it, and no maximal set
+    is a prefix of another), so keeping the first strictly better welfare
+    gives ties to the smallest id sequence among maximal optima. Raises
     ExceedsExactBudget above the enumeration limit."""
     m = instance.m
     if m > EXACT_ENUMERATION_LIMIT:
@@ -175,6 +180,7 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
             f"m={m} exceeds the exhaustive limit of {EXACT_ENUMERATION_LIMIT}"
         )
     extend = instance.welfare.extend
+    worth = instance.welfare.worth
     costs, budget = _integer_costs(instance.costs)
     # rest[j] and least[j]: the total and the smallest cost of items j..
     rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
@@ -191,14 +197,17 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
             if rest[idx] <= room:
                 for j in range(idx, m):
                     state = extend(state, j)
-                if state[0] > best_welfare:
-                    best_welfare = state[0]
+                welfare = worth(state)
+                if welfare > best_welfare:
+                    best_welfare = welfare
                     best_items = frozenset(chosen).union(range(idx, m))
                 return
             if least[idx] > room:
-                if room < cheapest_skipped and state[0] > best_welfare:
-                    best_welfare = state[0]
-                    best_items = frozenset(chosen)
+                if room < cheapest_skipped:
+                    welfare = worth(state)
+                    if welfare > best_welfare:
+                        best_welfare = welfare
+                        best_items = frozenset(chosen)
                 return
             cost = costs[idx]
             if cost <= room:

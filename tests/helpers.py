@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -117,7 +119,7 @@ def optimum_by_recursion(instance: Instance) -> OptimalBundle:
     def explore(idx: int, cost: int, cheapest_skipped: int, state: tuple) -> None:
         nonlocal best_welfare, best_seq
         if idx == m:
-            welfare = state[0]
+            welfare = oracle.worth(state)
             seq = tuple(chosen)
             if welfare > best_welfare or (
                 welfare == best_welfare and (best_seq is None or seq < best_seq)
@@ -139,6 +141,41 @@ def optimum_by_recursion(instance: Instance) -> OptimalBundle:
     explore(0, 0, budget + 1, oracle.start())
     assert best_seq is not None
     return OptimalBundle(items=frozenset(best_seq), welfare=best_welfare)
+
+
+def maximal_sets(instance: Instance) -> list[tuple[int, ...]]:
+    """The id sequences of the maximal feasible subsets, by the walk of
+    `optimum_by_recursion`: every take and every skip, a skip only where
+    taking every remaining item after it leaves no room for the cheapest
+    item skipped, so that each leaf is maximal."""
+    costs, budget = _integer_costs(instance.costs)
+    m = len(costs)
+    rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
+    found: list[tuple[int, ...]] = []
+
+    def explore(idx: int, cost: int, cheapest_skipped: int, chosen: tuple) -> None:
+        if idx == m:
+            found.append(chosen)
+            return
+        skipped = min(cheapest_skipped, costs[idx])
+        if budget - cost - rest[idx + 1] < skipped:
+            explore(idx + 1, cost, skipped, chosen)
+        if cost + costs[idx] <= budget:
+            explore(idx + 1, cost + costs[idx], cheapest_skipped, chosen + (idx,))
+
+    explore(0, 0, budget + 1, ())
+    return found
+
+
+def counting(calls: Counter, oracle: UtilityOracle, name: str):
+    """The oracle's method `name`, counting its calls in `calls[oracle, name]`."""
+    method = getattr(oracle, name)
+
+    def counted(*args):
+        calls[oracle, name] += 1
+        return method(*args)
+
+    return counted
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -282,6 +319,21 @@ def brute_force_expected_uniform(oracle: Voter | UtilityOracle, items, k: int) -
     return math.fsum(values) / len(values)
 
 
+def max_value_mean_by_sorting(part: MaxValueSumOracle, items, k: int) -> float:
+    """`MaxValueSumOracle.expected_uniform` by sorting P's values at every
+    k: a voter's i-th largest value (1-based) is the maximum of
+    C(|P| - i, k - 1) of the C(|P|, k) subsets."""
+    if not k:
+        return 0.0
+    n = len(items)
+    takes = [math.comb(n - i, k - 1) for i in range(1, n + 1)]
+    subsets = math.comb(n, k)
+    return left_sum(
+        math.fsum(map(operator.mul, sorted((row[a] for a in items), reverse=True), takes))
+        / subsets * scale
+        for row, scale in zip(part.rows, part.scales))
+
+
 def random_oracles(rng: random.Random, m: int) -> list[Voter]:
     """One voter per family. Max values are drawn from three levels, so
     ties are common; coverage element 0 is covered by every alternative and
@@ -334,7 +386,7 @@ def extend_gains(voter: Voter, sequence) -> list[float]:
     gains = []
     for a in sequence:
         after = part.extend(state, a)
-        gains.append(after[0] - state[0])
+        gains.append(part.worth(after) - part.worth(state))
         state = after
     return gains
 

@@ -5,12 +5,14 @@ the per-voter definition."""
 import copy
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from subpb import core
 from subpb.core import (
     AdditiveOracle,
     ConcaveOverModularOracle,
@@ -51,7 +53,7 @@ def subset_value_table(oracle: UtilityOracle, m: int) -> list[float]:
 
     def fill(idx: int, mask: int, state: tuple) -> None:
         if idx == m:
-            table[mask] = state[0]
+            table[mask] = oracle.worth(state)
             return
         fill(idx + 1, mask, state)
         fill(idx + 1, mask | (1 << idx), oracle.extend(state, idx))
@@ -501,6 +503,52 @@ def test_social_welfare_is_monotone_submodular():
     helpers.check_submodular(table, 4)
 
 
+def counted_curvatures(monkeypatch) -> list:
+    """The tables `core.curvature` is called on from now on."""
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return curvature(table)
+
+    monkeypatch.setattr(core, "curvature", counted)
+    return calls
+
+
+class TestMaxCurvatureStopsAtOne:
+    """`max_curvature` stops at the first voter at 1, the clamp's ceiling,
+    and still equals the maximum over every voter."""
+
+    def test_max_value_voters_are_all_at_one(self, monkeypatch):
+        calls = counted_curvatures(monkeypatch)
+        for seed in range(1, 4):
+            instance = generate(GeneratorSpec("max-value", 8, 6, seed=seed))
+            tables = instance.singleton_table
+            assert [curvature(t) for t in tables] == [1.0] * 6
+            calls.clear()
+            assert max_curvature(instance) == max(map(curvature, tables)) == 1.0
+            assert calls == [tables[0]]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_stops_at_the_voter_at_one(self, monkeypatch, position):
+        voters = [AdditiveOracle.normalized([0.3, 1.7, 0.4]),
+                  ConcaveOverModularOracle.normalized([1.0, 1.0, 2.0], 0.5)]
+        voters.insert(position, MaxValueOracle.normalized([0.5, 1.0, 0.5]))
+        instance = Instance(costs=(Fraction(1, 3),) * 3, voters=tuple(voters))
+        tables = instance.singleton_table
+        assert [curvature(t) == 1.0 for t in tables] == [i == position for i in range(3)]
+        calls = counted_curvatures(monkeypatch)
+        assert max_curvature(instance) == max(map(curvature, tables)) == 1.0
+        assert calls == list(tables[:position + 1])
+
+    def test_additive_profile_reads_every_voter_and_is_zero(self, monkeypatch):
+        instance = Instance(costs=(Fraction(1, 3),) * 3, voters=(
+            AdditiveOracle.normalized([0.3, 1.7, 0.4]), AdditiveOracle.normalized([1.0, 0.0, 2.0])))
+        calls = counted_curvatures(monkeypatch)
+        assert max_curvature(instance) == 0.0
+        assert calls == list(instance.singleton_table)
+
+
 def test_max_curvature_takes_worst_voter():
     instance = validate_instance(
         RawInstance(
@@ -523,7 +571,7 @@ def test_expected_uniform_matches_enumeration():
         voters = helpers.random_oracles(rng, m)
         welfare = Instance(costs=(Fraction(1, m),) * m, voters=tuple(voters)).welfare
         for oracle in [welfare, *welfare.parts]:
-            assert oracle.value(()) == 0.0
+            assert oracle.value(()) == oracle.worth(oracle.start()) == 0.0
             for size in range(m + 1):
                 items = tuple(sorted(rng.sample(range(m), size)))
                 for k in range(size + 1):
@@ -617,11 +665,12 @@ class TestInstanceWelfare:
 
             def walk(idx: int, members: tuple, state: tuple) -> None:
                 here = social_welfare(instance, members)
-                assert state[0] == pytest.approx(here, rel=1e-12, abs=1e-12)
+                assert oracle.worth(state) == pytest.approx(here, rel=1e-12, abs=1e-12)
                 for a in range(idx, instance.m):
                     after = oracle.extend(state, a)
                     gain = social_welfare(instance, members + (a,)) - here
-                    assert after[0] - state[0] == pytest.approx(gain, rel=1e-9, abs=1e-12)
+                    assert oracle.worth(after) - oracle.worth(state) == pytest.approx(
+                        gain, rel=1e-9, abs=1e-12)
                     walk(a + 1, members + (a,), after)
 
             walk(0, (), oracle.start())
@@ -649,7 +698,7 @@ class TestInstanceWelfare:
                         continue
                     child = oracle.extend(parent, a)
                     assert parent == before, (oracle, prefix, a)
-                    assert child[0] == pytest.approx(
+                    assert oracle.worth(child) == pytest.approx(
                         helpers.direct_value(oracle, prefix + [a]), rel=1e-12, abs=1e-12)
 
     def test_expected_uniform_equals_per_voter_enumeration(self):
@@ -686,17 +735,33 @@ def merged_parts():
 class TestMergedParts:
     def test_value_and_extend_match_the_formula_and_the_voters(self):
         for m, part, voters in merged_parts():
-            assert part.value(()) == 0.0
+            for oracle in (part, voters, *voters.parts):
+                assert oracle.value(()) == oracle.worth(oracle.start()) == 0.0
 
             def walk(idx: int, members: list, state: tuple) -> None:
                 want = helpers.direct_value(part, members)
-                assert state[0] == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert part.worth(state) == pytest.approx(want, rel=1e-12, abs=1e-15)
                 # Both add the same per-voter terms in voter order.
-                assert state[0] == voters.value(members), (part, members)
+                assert part.worth(state) == voters.value(members), (part, members)
                 for a in range(idx, m):
                     walk(a + 1, members + [a], part.extend(state, a))
 
             walk(0, [], part.start())
+
+    def test_concave_mean_values_each_subset_once(self, monkeypatch):
+        # The walk extends every prefix but values only the C(|P|, k) subsets.
+        rng = random.Random(19)
+        for m, part, _ in merged_parts():
+            if not isinstance(part, ConcaveSumOracle):
+                continue
+            calls = Counter()
+            monkeypatch.setattr(part, "worth", helpers.counting(calls, part, "worth"))
+            for size in range(m + 1):
+                items = tuple(sorted(rng.sample(range(m), size)))
+                for k in range(size + 1):
+                    calls.clear()
+                    part.expected_uniform(items, k)
+                    assert calls[part, "worth"] == math.comb(size, k), (part, items, k)
 
     def test_extending_leaves_the_parent_state_unchanged(self):
         for m, part, _ in merged_parts():
@@ -705,7 +770,7 @@ class TestMergedParts:
             children = [part.extend(parent, a) for a in range(1, m)]
             assert parent == before
             for a, child in enumerate(children, 1):
-                assert child[0] == pytest.approx(
+                assert part.worth(child) == pytest.approx(
                     helpers.direct_value(part, [0, a]), rel=1e-12, abs=1e-15)
 
     def test_expected_uniform_matches_enumeration_and_the_voters(self):
@@ -745,6 +810,31 @@ class TestMergedParts:
             20 * 41 / 21 / 40, rel=1e-12)
 
 
+@st.composite
+def max_value_parts(draw):
+    """A max-value part of one to four voters over m in 1..8, and items P,
+    1 <= |P| <= m, in any order. Values come from a few levels, zero
+    included, or are arbitrary, so ties, zeros and a repeated maximum are
+    common."""
+    m = draw(st.integers(min_value=1, max_value=8))
+    level = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                      st.floats(min_value=0.0, max_value=4.0))
+    row = st.lists(level, min_size=m, max_size=m).filter(lambda values: max(values) > 1e-6)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    items = draw(st.lists(st.integers(min_value=0, max_value=m - 1), min_size=1, unique=True))
+    return MaxValueSumOracle.of([MaxValueOracle.normalized(row) for row in rows]), items
+
+
+@settings(max_examples=300, deadline=None)
+@given(max_value_parts())
+def test_max_value_means_equal_the_sorted_formula_bit_for_bit(part_and_items):
+    # Only 1 < k < |P| sorts; the ends must give the same floats as sorting.
+    part, items = part_and_items
+    for k in range(len(items) + 1):
+        assert part.expected_uniform(items, k) == helpers.max_value_mean_by_sorting(
+            part, items, k), (part.rows, items, k)
+
+
 # ---------------------------------------------------------------------------
 # The signature part against the per-alternative mask walk
 
@@ -776,7 +866,7 @@ class TestCoverageSumOracle:
                 state, values = part.start(), []
                 for a in sequence:
                     state = part.extend(state, a)
-                    values.append(state[0])
+                    values.append(part.worth(state))
                     seen_empty |= not masks[a]
                 assert values == helpers.mask_walk_values(part.weights, masks, sequence)
                 assert part.value(sequence) == (values[-1] if values else 0.0)

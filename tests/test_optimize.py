@@ -3,13 +3,14 @@ welfare oracle."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subpb.core import OracleSpec, RawInstance, social_welfare, validate_instance
+from subpb.core import FAMILIES, OracleSpec, RawInstance, social_welfare, validate_instance
 from subpb.optimize import (
     EXACT_ENUMERATION_LIMIT,
     ExceedsExactBudget,
@@ -353,3 +354,61 @@ class TestOptimalWelfare:
             sample = rng.sample(range(8), size)
             if helpers.feasible(instance, sample):
                 assert social_welfare(instance, sample) <= bundle.welfare + 1e-9
+
+
+def valued_instances():
+    """Seeded concave, max-value and mixed instances (m <= 10) under the
+    three cost models of `tie_costs`. A mixed instance has a voter of each
+    family, so its welfare sums a coverage, a concave and a max-value part."""
+    for family in ("concave", "max-value", "mixed"):
+        for model in ("equal", "dyadic", "coprime"):
+            rng = random.Random(f"worth/{family}/{model}")
+            for _ in range(4):
+                m = rng.randint(1, 10)
+                families = FAMILIES if family == "mixed" else [family] * rng.randint(1, 3)
+                yield validate_instance(RawInstance(
+                    costs=tie_costs(rng, model, m),
+                    voters=tuple(grid_voter(rng, f, m) for f in families),
+                ))
+
+
+#: The optimum's `extend` calls on each of `valued_instances`, in order:
+#: the counts of the walk, which reading values only at the compared sets
+#: leaves as they were.
+VALUED_INSTANCE_EXTENDS = (
+    3, 461, 3, 5, 4, 29, 2, 9, 23, 60, 1, 23, 54, 1, 19, 4, 4, 11,
+    15, 19, 1, 21, 95, 5, 6, 34, 55, 1, 1, 9, 15, 22, 80, 1, 58, 73)
+
+
+class TestValuesWhereRead:
+    def test_worth_once_per_compared_set(self, monkeypatch):
+        # Every set the optimum compares, forced completion or final set, is
+        # maximal, and every maximal set is compared once; a mixed instance's
+        # parts are valued once per value of their sum.
+        extends = []
+        for instance in valued_instances():
+            welfare = instance.welfare
+            parts = getattr(welfare, "parts", ())
+            calls = Counter()
+            with monkeypatch.context() as patch:
+                for oracle in (welfare, *parts):
+                    for name in ("extend", "worth"):
+                        patch.setattr(oracle, name, helpers.counting(calls, oracle, name))
+                bundle = optimal_welfare(instance)
+            compared = len(helpers.maximal_sets(instance))
+            assert calls[welfare, "worth"] == compared
+            for part in parts:
+                assert calls[part, "worth"] == compared
+                assert calls[part, "extend"] == calls[welfare, "extend"]
+            assert bundle == helpers.optimum_by_recursion(instance)
+            extends.append(calls[welfare, "extend"])
+        assert len(parts) == 3  # the last instance is mixed
+        assert tuple(extends) == VALUED_INSTANCE_EXTENDS
+
+    def test_maximal_sets_walk_equals_brute_force(self):
+        for instance in valued_instances():
+            fits = [c for c in helpers.powerset(instance.alternatives)
+                    if helpers.feasible(instance, c)]
+            assert sorted(helpers.maximal_sets(instance)) == sorted(
+                c for c in fits if not any(helpers.feasible(instance, c + (a,))
+                                           for a in instance.alternatives if a not in c))
