@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import compress
@@ -127,7 +128,8 @@ class AdditiveOracle(NamedTuple):
 
     def singleton_table(self):
         # Marginals never depend on the base set, so c = 0 exactly.
-        singles = tuple(v * self.scale for v in self.values)
+        scale = self.scale
+        singles = tuple([v * scale for v in self.values])
         return SingletonTable(singles, singles)
 
 
@@ -225,11 +227,14 @@ class ConcaveOverModularOracle(NamedTuple):
         return _concave(_left_sum(map(self.values.__getitem__, items)), self.gamma) * self.scale
 
     def singleton_table(self):
-        total = _left_sum(self.values)
-        full = _concave(total, self.gamma) * self.scale
+        # `_concave` inlined: v ** g, or 0.0 where v is not positive.
+        values, gamma, scale = self.values, self.gamma, self.scale
+        total = _left_sum(values)
+        full = _concave(total, gamma) * scale
         return SingletonTable(
-            tuple(_concave(v, self.gamma) * self.scale for v in self.values),
-            tuple(full - _concave(total - v, self.gamma) * self.scale for v in self.values))
+            tuple([(v**gamma if v > 0.0 else 0.0) * scale for v in values]),
+            tuple([full - (rest**gamma if (rest := total - v) > 0.0 else 0.0) * scale
+                   for v in values]))
 
 
 class MaxValueOracle(NamedTuple):
@@ -251,11 +256,12 @@ class MaxValueOracle(NamedTuple):
     def singleton_table(self):
         # Only a maximum gains over the rest, by top - second, which is 0
         # when the top is tied.
-        ordered = sorted(self.values, reverse=True)
+        values, scale = self.values, self.scale
+        ordered = sorted(values, reverse=True)
         top, second = ordered[0], ordered[1] if len(ordered) > 1 else 0.0
         return SingletonTable(
-            tuple(v * self.scale for v in self.values),
-            tuple((v - second) * self.scale if v == top else 0.0 for v in self.values))
+            tuple([v * scale for v in values]),
+            tuple([(v - second) * scale if v == top else 0.0 for v in values]))
 
 
 #: A voter record, of one of the four utility families.
@@ -279,10 +285,13 @@ class CoverageSumOracle(UtilityOracle):
     def covers(self) -> dict[AlternativeId, tuple[tuple[int, float], ...]]:
         """covers[a]: the (signature, weight) pairs of the elements a covers,
         ascending; an alternative that covers nothing has no entry."""
-        covers: dict[AlternativeId, list[tuple[int, float]]] = {}
-        for signature, w in zip(self.signatures, self.weights):
-            for a in _set_bits(signature):
-                covers.setdefault(a, []).append((signature, w))
+        covers: defaultdict[AlternativeId, list[tuple[int, float]]] = defaultdict(list)
+        for pair in zip(self.signatures, self.weights):
+            bits = pair[0]
+            while bits:
+                low = bits & -bits
+                covers[low.bit_length() - 1].append(pair)
+                bits ^= low
         return {a: tuple(pairs) for a, pairs in covers.items()}
 
     def start(self):
@@ -389,7 +398,7 @@ class MaxValueSumOracle(UtilityOracle):
     @cached_property
     def columns(self) -> tuple[tuple[float, ...], ...]:
         """columns[a]: every voter's scaled value at a."""
-        return tuple(zip(*(tuple(v * s for v in row) for row, s in zip(self.rows, self.scales))))
+        return tuple(zip(*[[v * s for v in row] for row, s in zip(self.rows, self.scales)]))
 
     def start(self):
         return (0.0,) * len(self.scales)
@@ -486,14 +495,6 @@ def _concave(inner: float, gamma: float) -> float:
     return inner**gamma if inner > 0.0 else 0.0
 
 
-def _set_bits(mask: int) -> Iterable[int]:
-    """Indices of the set bits of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _left_sum(values: Iterable[float]) -> float:
     """The values added left to right from 0.0: builtin `sum` of floats on
     3.10 and 3.11, which is compensated from 3.12."""
@@ -561,7 +562,7 @@ class Instance:
     def singleton_table(self) -> tuple[SingletonTable, ...]:
         """Each voter's standalone values and last gains, from its family's
         closed-form `singleton_table`; built on first use."""
-        return tuple(voter.singleton_table() for voter in self.voters)
+        return tuple([voter.singleton_table() for voter in self.voters])
 
 
 FAMILIES = ("additive", "coverage", "concave", "max-value")
@@ -627,7 +628,7 @@ def validate_instance(raw: RawInstance) -> Instance:
             raise ValidationError(f"alternative {a} has cost {c} > budget 1")
         costs.append(c)
     m = len(costs)
-    voters = tuple(build_oracle(spec, m) for spec in raw.voters)
+    voters = tuple([build_oracle(spec, m) for spec in raw.voters])
     return Instance(costs=tuple(costs), voters=voters)
 
 
@@ -647,19 +648,19 @@ def welfare_oracle(voters: Sequence[Voter]) -> UtilityOracle:
     `MaxValueSumOracle`, so a state of either extends every voter of its
     family at once. A lone part is returned as it is; parts of several
     families are summed by a `SumOracle`."""
-    buckets: dict[int, list[float]] = {}
+    buckets: defaultdict[int, list[float]] = defaultdict(list)
     concave: list[ConcaveOverModularOracle] = []
     maxima: list[MaxValueOracle] = []
     for voter in voters:
         if isinstance(voter, AdditiveOracle):
             for a, v in enumerate(voter.values):
                 if v:
-                    buckets.setdefault(1 << a, []).append(v * voter.scale)
+                    buckets[1 << a].append(v * voter.scale)
         elif isinstance(voter, CoverageOracle):
             scale = voter.scale
             for signature, w in zip(voter.signatures, voter.weights):
                 if signature and w:
-                    buckets.setdefault(signature, []).append(w * scale)
+                    buckets[signature].append(w * scale)
         elif isinstance(voter, ConcaveOverModularOracle):
             concave.append(voter)
         elif isinstance(voter, MaxValueOracle):
@@ -670,7 +671,7 @@ def welfare_oracle(voters: Sequence[Voter]) -> UtilityOracle:
     if buckets:
         signatures = tuple(sorted(buckets))
         parts.append(CoverageSumOracle(
-            tuple(math.fsum(buckets[signature]) for signature in signatures), signatures))
+            tuple([math.fsum(buckets[signature]) for signature in signatures]), signatures))
     if concave:
         parts.append(ConcaveSumOracle.of(concave))
     if maxima:
@@ -691,8 +692,8 @@ def curvature(table: SingletonTable) -> float:
     concave, v_a^g*s and (sum v)^g*s - (sum v - v_a)^g*s; max-value, v_a*s
     and, if a holds the unique maximum, (v_a - the second largest)*s,
     else 0."""
-    worst = min((last / single for single, last in zip(table.singles, table.last_gains)
-                 if single > _SINGLETON_FLOOR), default=1.0)
+    worst = min([last / single for single, last in zip(table.singles, table.last_gains)
+                 if single > _SINGLETON_FLOOR], default=1.0)
     return min(1.0, max(0.0, 1.0 - worst))
 
 

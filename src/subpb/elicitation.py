@@ -90,9 +90,10 @@ def ranking_profile(
     """One ranking of the non-empty group t per voter, in voter order."""
     group = partition.groups[t]
     if method is Method.MARGINAL_VALUES:
-        return tuple(rank_by_marginal(v, group) for v in instance.voters)
+        return tuple([rank_by_marginal(v, group) for v in instance.voters])
     if method is Method.STANDALONE_VALUES:
-        return tuple(rank_by_values(table.singles, group) for table in instance.singleton_table)
+        return tuple([rank_by_values(table.singles, group)
+                      for table in instance.singleton_table])
     raise ValueError(f"{method} is not a ranking method")
 
 

@@ -1,7 +1,9 @@
 """Instance generation, pipeline evaluation, and sweep reporting.
 
-The generator draws each instance's costs and each voter from a stream of
-its own (`rng.stream`). Every draw is one of `rng`'s algorithms over the
+The generator draws each instance's costs from a stream of their own,
+`stream(seed, "costs", family, m, n)`, and voter i from
+`stream(seed, "voter", family, m, n, i)`, the voters' streams drawn in turn
+through one `rng.streams`. Every draw is one of `rng`'s algorithms over the
 stream's `random()` and `getrandbits`, not a `random.Random` wrapper, so
 that the instances do not depend on the standard library's versions of
 those wrappers.
@@ -158,8 +160,9 @@ def _draw_costs(spec: GeneratorSpec) -> tuple[Fraction, ...]:
     return tuple(costs)
 
 
-def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
-    rng = rng_mod.stream(spec.seed, "voter", spec.family, spec.m, spec.n, voter)
+def _draw_voter(spec: GeneratorSpec, rng, private: bool) -> OracleSpec:
+    """One voter drawn from its stream `rng`; `private` is the coverage
+    generator's `private_elements` parameter, read once per spec."""
     lo, hi = 0.05, 1.0
     if spec.family in ("additive", "max-value"):
         return OracleSpec(spec.family, {"values": rng_mod.uniforms(rng, lo, hi, spec.m)})
@@ -167,7 +170,6 @@ def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
         # Private elements give every alternative an uncoverable remainder,
         # pulling curvature below 1; pure random covers usually pin it at 1.
         # Either pool holds at least one element of a universe of 2m >= 2.
-        private = bool(dict(spec.family_params).get("private_elements", False))
         universe = 2 * spec.m
         weights = rng_mod.uniforms(rng, 0.1, 1.0, universe)
         start = spec.m if private else 0
@@ -183,9 +185,13 @@ def _draw_voter(spec: GeneratorSpec, voter: int) -> OracleSpec:
 
 
 def generate_raw(spec: GeneratorSpec) -> RawInstance:
-    """Deterministic raw instance for the spec; always passes validation."""
+    """Deterministic raw instance for the spec; always passes validation.
+    Voter i is drawn from `stream(seed, "voter", family, m, n, i)`, the
+    voters' streams all through one `rng.streams`."""
     costs = _draw_costs(spec)
-    voters = tuple(_draw_voter(spec, i) for i in range(spec.n))
+    private = bool(dict(spec.family_params).get("private_elements", False))
+    voters = tuple([_draw_voter(spec, rng, private) for rng in rng_mod.streams(
+        spec.seed, spec.n, "voter", spec.family, spec.m, spec.n)])
     return RawInstance(costs=costs, voters=voters)
 
 

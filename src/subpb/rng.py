@@ -4,6 +4,11 @@ Every randomized branch of the pipeline derives its own stream from
 (seed, labels...) so runs are reproducible and branches are independent
 of evaluation order. Derivation hashes the label path; Python's builtin
 `hash` is salted per process and must not be used here.
+- `stream(seed, *labels)` is a fresh generator of its own.
+- `streams(seed, count, *labels)` yields, for each i in range(count), the
+  generator `stream(seed, *labels, i)` would return: the shared key prefix
+  is hashed once and one generator is re-seeded in place per index, so each
+  yielded generator is valid only until the next one is drawn.
 
 The draws are this module's own algorithms over the stream's `random()`
 and `getrandbits`, which make the same draws as `random.Random` did on
@@ -20,6 +25,7 @@ do not change with the standard library's:
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 try:  # The builtin module, as `random` takes its sha512: `hashlib` loads OpenSSL.
     from _sha2 import sha256
@@ -35,6 +41,25 @@ def stream(seed: int, *labels: object) -> random.Random:
     key = "/".join([repr(int(seed))] + [str(label) for label in labels])
     digest = sha256(key.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def streams(seed: int, count: int, *labels: object) -> Iterator[random.Random]:
+    """For each i in range(count), a generator in the state of
+    `stream(seed, *labels, i)`. The key prefix "seed/label/.../" is hashed
+    once, and each index costs one copy of that hash plus str(i). One
+    generator is yielded throughout, re-seeded in place per index, so each
+    yielded generator is valid only until the next one is drawn. It is
+    re-seeded through the C-level `seed`, past the `Random.seed` wrapper,
+    which would also reset `gauss_next`: no draw of this module reads it."""
+    prefix = sha256("/".join([repr(int(seed))] + [str(label) for label in labels] + [""])
+                    .encode("utf-8"))
+    rng = random.Random(0)
+    reseed = super(random.Random, rng).seed
+    for i in range(count):
+        key = prefix.copy()
+        key.update(str(i).encode("utf-8"))
+        reseed(int.from_bytes(key.digest()[:8], "big"))
+        yield rng
 
 
 def below(rng: random.Random, n: int) -> int:

@@ -378,6 +378,33 @@ def singleton_reference(oracle: Voter, m: int) -> tuple[list[float], list[float]
             [full - direct_value(oracle, [b for b in grand if b != a]) for a in grand])
 
 
+def singleton_table_formula(voter: Voter) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A voter's standalone values and last gains from its family's closed
+    form, as generator expressions over the voter's fields (coverage from
+    its masks): the reference that `singleton_table` must equal bit for bit.
+    The concave total is a left sum, and 0 ** gamma counts as 0."""
+    def concave(inner: float) -> float:
+        return inner**voter.gamma if inner > 0.0 else 0.0
+
+    if isinstance(voter, AdditiveOracle):
+        singles = tuple(v * voter.scale for v in voter.values)
+        return singles, singles
+    if isinstance(voter, CoverageOracle):
+        singles, lasts = mask_walk_singleton_table(voter.weights, voter.cover_masks, voter.scale)
+        return tuple(singles), tuple(lasts)
+    if isinstance(voter, ConcaveOverModularOracle):
+        total = left_sum(voter.values)
+        full = concave(total) * voter.scale
+        return (tuple(concave(v) * voter.scale for v in voter.values),
+                tuple(full - concave(total - v) * voter.scale for v in voter.values))
+    if isinstance(voter, MaxValueOracle):
+        ordered = sorted(voter.values, reverse=True)
+        top, second = ordered[0], ordered[1] if len(ordered) > 1 else 0.0
+        return (tuple(v * voter.scale for v in voter.values),
+                tuple((v - second) * voter.scale if v == top else 0.0 for v in voter.values))
+    raise TypeError(f"no singleton formula for {type(voter).__name__}")
+
+
 def extend_gains(voter: Voter, sequence) -> list[float]:
     """The value each `extend` of the voter's one-voter welfare part
     (`welfare_oracle((voter,))`) adds, for the alternatives added in order."""

@@ -270,8 +270,9 @@ def test_cli_import_loads_no_dataclass_machinery():
 
 
 def test_cli_import_loads_no_openssl():
-    # `rng.stream` hashes with the builtin sha256, as `random` does with its
-    # sha512; `hashlib` would load OpenSSL in every process.
+    # `rng.stream` and `rng.streams` hash with the builtin sha256, as
+    # `random` does with its sha512; `hashlib` would load OpenSSL in every
+    # process.
     assert loaded_by_import("subpb.cli", {"hashlib", "_hashlib"}, "-S") == []
 
 

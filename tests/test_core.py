@@ -20,6 +20,7 @@ from subpb.core import (
     CoverageOracle,
     CoverageSumOracle,
     EXACT_SUPPORT_LIMIT,
+    FAMILIES,
     ExceedsExactBudget,
     Instance,
     MaxValueOracle,
@@ -307,6 +308,43 @@ class TestSingletonTable:
         assert instance.singleton_table is table
         assert max_curvature(instance) == max(
             curvature(voter.singleton_table()) for voter in instance.voters)
+
+
+def pinned_table_oracles():
+    """Seeded voters of every family, m <= 8: `helpers.random_oracles`, and
+    additive, concave and max-value voters with zero values, concave at
+    gamma 1 and max-value with its maximum tied."""
+    rng = random.Random(3906)
+    for _ in range(60):
+        m = rng.randint(1, 8)
+        yield from helpers.random_oracles(rng, m)
+        values = [rng.choice([0.0, rng.uniform(0.05, 1.0)]) for _ in range(m)]
+        values[rng.randrange(m)] = rng.uniform(0.05, 1.0)
+        yield AdditiveOracle.normalized(values)
+        yield ConcaveOverModularOracle.normalized(values, 1.0)
+        yield ConcaveOverModularOracle.normalized(values, rng.uniform(0.3, 1.0))
+        yield MaxValueOracle.normalized(values)
+        yield MaxValueOracle.normalized(values + [max(values)])
+
+
+class TestSingletonTableBitForBit:
+    """Each family's `singleton_table` equals its closed form bit for bit
+    (`helpers.singleton_table_formula`), so a reordered sum or a changed
+    operation fails here, where the tolerance above would pass it."""
+
+    def test_seeded_oracles(self):
+        families = set()
+        for oracle in pinned_table_oracles():
+            assert oracle.singleton_table() == helpers.singleton_table_formula(oracle), oracle
+            families.add(type(oracle))
+        assert len(families) == 4
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generated_instances(self, family):
+        for m, seed in ((1, 3), (5, 4), (16, 5)):
+            instance = generate(GeneratorSpec(family, m, 20, seed=seed))
+            assert instance.singleton_table == tuple(
+                helpers.singleton_table_formula(voter) for voter in instance.voters)
 
 
 class TestSocialWelfare:
@@ -855,6 +893,24 @@ def signature_parts():
         yield m, CoverageSumOracle(tuple(weights), tuple(signatures))
 
 
+def covers_parts():
+    """The (m, signature part) pairs of `signature_parts`, and those of
+    generated additive, coverage and mixed instances."""
+    yield from signature_parts()
+    for m, seed in ((1, 1), (6, 2), (16, 3)):
+        specs = [GeneratorSpec("additive", m, 5, seed=seed),
+                 GeneratorSpec("coverage", m, 5, seed=seed),
+                 GeneratorSpec("coverage", m, 5, seed=seed,
+                               family_params=(("private_elements", True),))]
+        drawn = [generate(spec) for spec in specs]
+        mixed = Instance(drawn[0].costs, tuple(v for instance in drawn for v in instance.voters)
+                         + generate(GeneratorSpec("concave", m, 3, seed=seed)).voters)
+        for instance in (*drawn, mixed):
+            parts = getattr(instance.welfare, "parts", (instance.welfare,))
+            (part,) = [p for p in parts if isinstance(p, CoverageSumOracle)]
+            yield m, part
+
+
 class TestCoverageSumOracle:
     def test_states_equal_the_mask_walk_bit_for_bit(self):
         rng = random.Random(5)
@@ -871,6 +927,22 @@ class TestCoverageSumOracle:
                 assert values == helpers.mask_walk_values(part.weights, masks, sequence)
                 assert part.value(sequence) == (values[-1] if values else 0.0)
         assert seen_empty
+
+    def test_covers_index_the_signatures_of_each_alternative(self):
+        # covers[a] holds the (signature, weight) pairs whose signature holds
+        # a, ascending; an alternative that covers nothing has no entry.
+        checked = Counter()
+        for m, part in covers_parts():
+            for a in range(m):
+                pairs = tuple((signature, w) for signature, w in zip(part.signatures, part.weights)
+                              if signature >> a & 1)
+                if pairs:
+                    assert part.covers[a] == pairs, (part.signatures, a)
+                else:
+                    assert a not in part.covers, (part.signatures, a)
+                checked[bool(pairs)] += 1
+            assert set(part.covers) <= set(range(m))
+        assert checked[True] and checked[False]
 
     def test_expected_uniform_equals_the_depth_walk_bit_for_bit(self):
         rng = random.Random(9)

@@ -1,6 +1,7 @@
 """The generator's draws. `rng`'s own integer, float and cover draws equal
 the standard library's on the running Python, value by value and in the
-state they leave behind; and the instance files generated over a grid of
+state they leave behind; `rng.streams` yields the generators of
+`rng.stream`, one per index; and the instance files generated over a grid of
 specs hash to one digest, recorded when the standard library still made
 the draws."""
 
@@ -70,6 +71,25 @@ def test_uniforms_equal_the_stdlib(low, high):
         ours, theirs = random.Random(seed), random.Random(seed)
         assert rng.uniforms(ours, low, high, 9) == [theirs.uniform(low, high) for _ in range(9)]
         assert_same_state(ours, theirs)
+
+
+@pytest.mark.parametrize("labels", [(), ("voter",), (3,), ("voter", "coverage", 16, 100),
+                                    (0, "mc", -2, "x/y")],
+                         ids=["none", "str", "int", "voter", "mixed"])
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_streams_equal_one_stream_per_index(labels, count):
+    # The i-th generator `streams` yields is in the state of
+    # `stream(seed, *labels, i)`, makes the same draws and leaves the same state.
+    for seed in SEEDS:
+        yielded = 0
+        for i, ours in enumerate(rng.streams(seed, count, *labels)):
+            theirs = rng.stream(seed, *labels, i)
+            assert ours.getstate() == theirs.getstate()
+            assert [ours.random(), ours.getrandbits(5), ours.getrandbits(70)] == [
+                theirs.random(), theirs.getrandbits(5), theirs.getrandbits(70)]
+            assert ours.getstate() == theirs.getstate()
+            yielded += 1
+        assert yielded == count
 
 
 def draw_grid_specs():

@@ -817,6 +817,7 @@ def test_specs_the_generator_cannot_draw_are_refused(monkeypatch, fields):
         raise AssertionError("a stream was opened")
 
     monkeypatch.setattr(experiment.rng_mod, "stream", no_stream)
+    monkeypatch.setattr(experiment.rng_mod, "streams", no_stream)
     with pytest.raises(ValueError):
         GeneratorSpec(**{"family": "additive", "m": 3, "n": 2, **fields})
     with pytest.raises(ValueError):
