@@ -270,7 +270,7 @@ def cmd_eval(args) -> int:
     method = Method(args.method)
     mode = Mode(args.mode)
     try:
-        mix = check_arguments(args.mix, mode, args.samples)
+        mix = check_arguments((method,), args.mix, mode, args.samples)
         str(mix)  # the CSV spells the mix out in digits, within Python's limit
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc

@@ -84,9 +84,9 @@ class UtilityOracle(ABC):
     `MaxValueSumOracle`, by enumeration on `ConcaveSumOracle`, summed on
     `SumOracle`.
 
-    Parts are not mutated after construction (a cached property only fills
-    in a value derived from the fields); evaluating them from many threads
-    needs no coordination. Parts compare by identity, as `Instance` does."""
+    Every field of a part is set by its constructor and never changes
+    afterwards, so evaluating a part from many threads needs no
+    coordination. Parts compare by identity, as `Instance` does."""
 
     @abstractmethod
     def start(self) -> tuple:
@@ -275,24 +275,21 @@ class CoverageSumOracle(UtilityOracle):
     already. f(S) is the total weight of the signatures that meet S. A
     state is (value, mask), the set's value and the m-bit mask of its
     alternatives: the value is the running sum of the gains that `extend`
-    computes anyway, so `worth` only reads it, at C speed."""
+    computes anyway, so `worth` only reads it, at C speed. `covers[a]`
+    holds the (signature, weight) pairs of the elements a covers,
+    ascending; an alternative that covers nothing has no entry."""
 
     def __init__(self, weights: tuple[float, ...], signatures: tuple[int, ...]):
         self.weights = weights
         self.signatures = signatures
-
-    @cached_property
-    def covers(self) -> dict[AlternativeId, tuple[tuple[int, float], ...]]:
-        """covers[a]: the (signature, weight) pairs of the elements a covers,
-        ascending; an alternative that covers nothing has no entry."""
         covers: defaultdict[AlternativeId, list[tuple[int, float]]] = defaultdict(list)
-        for pair in zip(self.signatures, self.weights):
+        for pair in zip(signatures, weights):
             bits = pair[0]
             while bits:
                 low = bits & -bits
                 covers[low.bit_length() - 1].append(pair)
                 bits ^= low
-        return {a: tuple(pairs) for a, pairs in covers.items()}
+        self.covers = {a: tuple(pairs) for a, pairs in covers.items()}
 
     def start(self):
         return (0.0, 0)
@@ -331,16 +328,10 @@ class ConcaveSumOracle(UtilityOracle):
     voter's power and sums the products left to right, so only a set whose
     value is read pays for the powers."""
 
-    def __init__(self, columns: tuple[tuple[float, ...], ...], gammas: tuple[float, ...],
-                 scales: tuple[float, ...]):
-        self.columns = columns
-        self.gammas = gammas
-        self.scales = scales
-
-    @classmethod
-    def of(cls, voters: Sequence[ConcaveOverModularOracle]) -> "ConcaveSumOracle":
-        return cls(tuple(zip(*(v.values for v in voters))),
-                   tuple(v.gamma for v in voters), tuple(v.scale for v in voters))
+    def __init__(self, voters: Sequence[ConcaveOverModularOracle]):
+        self.columns = tuple(zip(*[v.values for v in voters]))
+        self.gammas = tuple([v.gamma for v in voters])
+        self.scales = tuple([v.scale for v in voters])
 
     def start(self):
         return (0.0,) * len(self.gammas)
@@ -384,21 +375,14 @@ class ConcaveSumOracle(UtilityOracle):
 class MaxValueSumOracle(UtilityOracle):
     """The sum of max-value voters, f(S) = sum over voters v of s_v times
     v's largest value in S, as one oracle. `rows[v]` holds voter v's
-    values and `scales[v]` its scale. A state is the tuple of the voters'
-    scaled running maxima, and `worth` sums them left to right."""
+    values, `scales[v]` its scale and `columns[a]` every voter's scaled
+    value at a. A state is the tuple of the voters' scaled running maxima,
+    and `worth` sums them left to right."""
 
-    def __init__(self, rows: tuple[tuple[float, ...], ...], scales: tuple[float, ...]):
-        self.rows = rows
-        self.scales = scales
-
-    @classmethod
-    def of(cls, voters: Sequence[MaxValueOracle]) -> "MaxValueSumOracle":
-        return cls(tuple(v.values for v in voters), tuple(v.scale for v in voters))
-
-    @cached_property
-    def columns(self) -> tuple[tuple[float, ...], ...]:
-        """columns[a]: every voter's scaled value at a."""
-        return tuple(zip(*[[v * s for v in row] for row, s in zip(self.rows, self.scales)]))
+    def __init__(self, voters: Sequence[MaxValueOracle]):
+        self.rows = rows = tuple([v.values for v in voters])
+        self.scales = scales = tuple([v.scale for v in voters])
+        self.columns = tuple(zip(*[[v * s for v in row] for row, s in zip(rows, scales)]))
 
     def start(self):
         return (0.0,) * len(self.scales)
@@ -673,9 +657,9 @@ def welfare_oracle(voters: Sequence[Voter]) -> UtilityOracle:
         parts.append(CoverageSumOracle(
             tuple([math.fsum(buckets[signature]) for signature in signatures]), signatures))
     if concave:
-        parts.append(ConcaveSumOracle.of(concave))
+        parts.append(ConcaveSumOracle(concave))
     if maxima:
-        parts.append(MaxValueSumOracle.of(maxima))
+        parts.append(MaxValueSumOracle(maxima))
     return parts[0] if len(parts) == 1 else SumOracle(tuple(parts))
 
 

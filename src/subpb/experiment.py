@@ -42,7 +42,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import rng as rng_mod
 from .aggregation import (
@@ -101,10 +101,11 @@ class GeneratorSpec(_GeneratorFields):
     """What `generate` draws an instance from. Every way of building a spec,
     `_replace` included, refuses what `generate` cannot draw:
     - a family not in `core.FAMILIES`, or a parameter its generator does not read;
-    - `m` or `n` that is not an int >= 1;
+    - `m` or `n` that is not an int >= 1, or a seed that is not an int or is a bool;
     - a `UniformRational` grid < 1 or a `Dyadic` exponent < 0, or either not an int;
     - a `Fixed` model whose length is not m, or a cost not an int or `Fraction` in (0, 1];
-    - any other cost model."""
+    - any other cost model;
+    - a coverage `private_elements` that is not a bool."""
 
     __slots__ = ()
 
@@ -114,6 +115,8 @@ class GeneratorSpec(_GeneratorFields):
             raise ValueError(f"unknown family {spec.family!r}; known: {FAMILIES}")
         if not (_int_at_least(spec.m, 1) and _int_at_least(spec.n, 1)):
             raise ValueError(f"m and n must be integers >= 1, got {spec.m!r} and {spec.n!r}")
+        if type(spec.seed) is not int:
+            raise ValueError(f"seed must be an int, got {spec.seed!r}")
         model = spec.cost_model
         if isinstance(model, UniformRational):
             drawable = _int_at_least(model.grid, 1)
@@ -128,10 +131,14 @@ class GeneratorSpec(_GeneratorFields):
             raise ValueError(f"cannot draw {spec.m} costs from {model!r}")
         # Only the coverage generator reads a parameter (`_draw_voter`).
         reads = {"private_elements"} if spec.family == "coverage" else set()
-        unknown = dict(spec.family_params).keys() - reads
+        params = dict(spec.family_params)
+        unknown = params.keys() - reads
         if unknown:
             raise ValueError(f"the {spec.family} generator reads no parameters "
                              f"{sorted(map(str, unknown))}")
+        private = params.get("private_elements", False)
+        if type(private) is not bool:
+            raise ValueError(f"private_elements must be a bool, got {private!r}")
         return spec
 
     @classmethod
@@ -141,6 +148,9 @@ class GeneratorSpec(_GeneratorFields):
 
     @property
     def instance_id(self) -> str:
+        """Names the family, m, n, the kind of cost model and the seed.
+        Specs that differ only in the grid or exponent, the fixed costs or
+        `private_elements` share an id."""
         tag = type(self.cost_model).__name__.lower()
         return f"{self.family}-m{self.m}-n{self.n}-{tag}-s{self.seed}"
 
@@ -189,7 +199,7 @@ def generate_raw(spec: GeneratorSpec) -> RawInstance:
     Voter i is drawn from `stream(seed, "voter", family, m, n, i)`, the
     voters' streams all through one `rng.streams`."""
     costs = _draw_costs(spec)
-    private = bool(dict(spec.family_params).get("private_elements", False))
+    private = dict(spec.family_params).get("private_elements", False)
     voters = tuple([_draw_voter(spec, rng, private) for rng in rng_mod.streams(
         spec.seed, spec.n, "voter", spec.family, spec.m, spec.n)])
     return RawInstance(costs=costs, voters=voters)
@@ -338,7 +348,7 @@ def evaluate(
     run of calls on one instance, such as `sweep` makes, computes its
     partition, optimum, curvature and welfare caches once, while an equal
     but distinct instance gets a record of its own."""
-    mix = check_arguments(mix, mode, samples)
+    mix = check_arguments((method,), mix, mode, samples)
     monte_carlo = mode is Mode.MONTE_CARLO
     facts = _facts(instance)
     # Monte Carlo mode takes the optimum before the plan, exact mode after the mean.
@@ -372,14 +382,19 @@ def evaluate(
     )
 
 
-def check_arguments(mix: Fraction, mode: Mode, samples: int) -> Fraction:
+def check_arguments(methods: Iterable[Method], mix: Fraction, mode: Mode,
+                    samples: int) -> Fraction:
     """Refuses any argument `evaluate` cannot run and returns the mix as a
-    `Fraction`. The mix must lie in [0, 1], the mode must be a `Mode` (a
-    string "mc" would run exact mode unchecked) and, in Monte Carlo mode,
+    `Fraction`. Every method must be a `Method` (a string "threshold" has no
+    rule), the mix must lie in [0, 1], the mode must be a `Mode` (a string
+    "mc" would run exact mode unchecked) and, in Monte Carlo mode,
     the sample count must be an int from 2, for a standard error, to
     2**31 - 1, the limit of `eval --samples`: a cell's random bits, and its
     distinct sets where a range has more indices than draws (`_split`),
     grow with the count."""
+    for method in methods:
+        if not isinstance(method, Method):
+            raise ValueError(f"method must be a Method, got {method!r}")
     mix = Fraction(mix)
     if not 0 <= mix <= 1:
         raise ValueError(f"mix must lie in [0, 1], got {mix}")
@@ -411,23 +426,19 @@ def _plan(facts: _InstanceFacts, method: Method, mix: Fraction) -> Plan:
 
 def _unrank(items: tuple[int, ...], k: int, rank: int) -> tuple[int, ...]:
     """The k-subset of `items` at position `rank` of `itertools.combinations`
-    order. Walking the items, `block` counts the subsets that take the
-    current item, C(items after it, open slots - 1): the rank either falls
-    in that block (take the item) or skips past it."""
+    order. Walking the items, C(items after the i-th, open slots - 1)
+    subsets take the i-th item: the rank either falls in that block (take
+    the item) or skips past it."""
     picked: list[int] = []
-    left = len(items)
-    block = math.comb(left - 1, k - 1) if k else 0
-    for item in items:
+    for i, item in enumerate(items):
         slots = k - len(picked)
         if not slots:
             break
-        left -= 1
+        block = math.comb(len(items) - i - 1, slots - 1)
         if rank < block:
             picked.append(item)
-            block = block * (slots - 1) // left if left else 0
         else:
             rank -= block
-            block = block * (left - slots + 1) // left if left else 0
     return tuple(picked)
 
 
@@ -565,9 +576,9 @@ def sweep(
     its record: the partition, optimum, curvature and component or set
     welfares are computed once per instance rather than once per cell.
     The arguments are checked once, before any instance is generated
-    (`check_arguments`), so a bad one raises; per-cell failures become
-    marked rows instead of aborting the sweep."""
-    mix = check_arguments(mix, mode, samples)
+    (`check_arguments`), every method included, so a bad one raises;
+    per-cell failures become marked rows instead of aborting the sweep."""
+    mix = check_arguments(methods, mix, mode, samples)
     results: list[SweepResult] = []
     for spec in specs:
         instance = generate(spec)
@@ -584,14 +595,19 @@ def sweep(
 
 def _cell(value) -> str:
     """One CSV cell: blank for None, true or false for a bool, an Enum's
-    value, a float's repr, and str of anything else."""
+    value, a float's repr, and str of anything else. A cell that holds a
+    comma, a double quote or a line break, such as an instance id taken
+    from a file name, is quoted with its quotes doubled (RFC 4180)."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, enum.Enum):
         return value.value
-    return repr(value) if isinstance(value, float) else str(value)
+    text = repr(value) if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def render_csv(results: Sequence[SweepResult]) -> str:

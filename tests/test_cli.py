@@ -109,6 +109,44 @@ def test_non_integer_seed_variable_is_usage_error(instance_file, tmp_path, capsy
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
+def test_seed_variable_is_the_default_seed(instance_file, tmp_path, capsys, monkeypatch):
+    # SUBPB_SEED stands in for a missing --seed, and --seed overrides it.
+    def gen(name, *seed):
+        out = tmp_path / name
+        argv = ["gen", "--family", "coverage", "--m", "5", "--n", "3", *seed, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        return out.read_bytes()
+
+    def eval_row(*seed):
+        argv = ["eval", "--instance", instance_file, "--method", "marginal-rank",
+                "--mode", "mc", "--samples", "2000", *seed]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_OK
+        return capsys.readouterr().out
+
+    explicit = {seed: (gen(f"s{seed}.json", "--seed", seed), eval_row("--seed", seed))
+                for seed in ("3", "5", "7")}
+    assert len({files for files, _ in explicit.values()}) == 3
+    assert len({row for _, row in explicit.values()}) == 3
+    monkeypatch.setenv("SUBPB_SEED", "7")
+    assert gen("env.json") == explicit["7"][0]
+    assert gen("both.json", "--seed", "3") == explicit["3"][0]
+    monkeypatch.setenv("SUBPB_SEED", "5")
+    assert eval_row() == explicit["5"][1]
+
+
+def test_instance_id_with_a_comma_is_one_quoted_cell(instance_file, tmp_path, capsys):
+    # The id is the file's basename; RFC 4180 quotes a cell with a comma.
+    path = tmp_path / "a,b.json"
+    path.write_bytes(Path(instance_file).read_bytes())
+    out = tmp_path / "row.csv"
+    argv = ["eval", "--instance", str(path), "--method", "threshold", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    header, row = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+    assert len(header) == len(row) == len(experiment.CSV_COLUMNS) == 15
+    assert row[header.index("instance_id")] == "a,b.json"
+
+
 def test_enumeration_past_the_exact_limit_exits_4(tmp_path, capsys, monkeypatch):
     # All ten alternatives share one group, whose rule draws a 5-subset; the
     # concave family has no closed form and would enumerate C(10, 5) sets.

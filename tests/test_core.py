@@ -691,6 +691,35 @@ class TestInstanceWelfare:
         assert isinstance(additive.welfare, CoverageSumOracle)
         assert additive.welfare.signatures == (0b01, 0b10)
 
+    def test_parts_are_complete_at_construction(self):
+        # The optimum, the means and `value` neither add nor replace a field
+        # of any part, the parts of a SumOracle included.
+        rng = random.Random(40)
+        m = 6
+        costs = (Fraction(1, 3),) * m
+        drawn = [helpers.random_oracles(rng, m) for _ in range(2)]
+        profiles = [tuple(row[family] for row in drawn) for family in range(4)]
+        profiles.append(tuple(o for row in drawn for o in row))
+        for voters in profiles:
+            instance = Instance(costs=costs, voters=voters)
+            welfare = instance.welfare
+            parts = (welfare, *getattr(welfare, "parts", ()))
+            # Only the mixed profile sums parts: one per kind of voter.
+            assert len(parts) == (4 if voters is profiles[-1] else 1)
+            before = [dict(vars(part)) for part in parts]
+            uses = (
+                lambda: optimal_welfare(instance),
+                lambda: [welfare.expected_uniform(tuple(instance.alternatives), k)
+                         for k in range(m + 1)],
+                lambda: welfare.value(instance.alternatives),
+            )
+            for use in uses:
+                use()
+                for part, fields in zip(parts, before):
+                    after = vars(part)
+                    assert after.keys() == fields.keys(), (type(part).__name__, after.keys())
+                    assert all(after[name] is value for name, value in fields.items())
+
     def test_value_equals_social_welfare(self):
         for instance in welfare_instances():
             for members in helpers.powerset(instance.alternatives):
@@ -766,8 +795,8 @@ def merged_parts():
         rows = [helpers.random_oracles(rng, m) for _ in range(rng.randint(1, 4))]
         concave = [row[2] for row in rows]
         maxima = [row[3] for row in rows]
-        yield m, ConcaveSumOracle.of(concave), SumOracle(one_voter_parts(concave))
-        yield m, MaxValueSumOracle.of(maxima), SumOracle(one_voter_parts(maxima))
+        yield m, ConcaveSumOracle(concave), SumOracle(one_voter_parts(concave))
+        yield m, MaxValueSumOracle(maxima), SumOracle(one_voter_parts(maxima))
 
 
 class TestMergedParts:
@@ -836,14 +865,14 @@ class TestMergedParts:
                 assert bundle.welfare == social_welfare(instance, bundle.items)
 
     def test_concave_part_refuses_past_the_exact_limit(self):
-        part = ConcaveSumOracle.of([ConcaveOverModularOracle.normalized([1.0] * 40, 0.5)] * 2)
+        part = ConcaveSumOracle([ConcaveOverModularOracle.normalized([1.0] * 40, 0.5)] * 2)
         assert math.comb(40, 20) > EXACT_SUPPORT_LIMIT
         with pytest.raises(ExceedsExactBudget, match="^concave welfare would enumerate"):
             part.expected_uniform(range(40), 20)
 
     def test_max_value_part_is_closed_form_past_the_exact_limit(self):
         # The largest of a uniform k-subset of 1..N has mean k(N + 1)/(k + 1).
-        part = MaxValueSumOracle.of([MaxValueOracle.normalized([float(v) for v in range(1, 41)])])
+        part = MaxValueSumOracle([MaxValueOracle.normalized([float(v) for v in range(1, 41)])])
         assert part.expected_uniform(range(40), 20) == pytest.approx(
             20 * 41 / 21 / 40, rel=1e-12)
 
@@ -860,7 +889,7 @@ def max_value_parts(draw):
     row = st.lists(level, min_size=m, max_size=m).filter(lambda values: max(values) > 1e-6)
     rows = draw(st.lists(row, min_size=1, max_size=4))
     items = draw(st.lists(st.integers(min_value=0, max_value=m - 1), min_size=1, unique=True))
-    return MaxValueSumOracle.of([MaxValueOracle.normalized(row) for row in rows]), items
+    return MaxValueSumOracle([MaxValueOracle.normalized(row) for row in rows]), items
 
 
 @settings(max_examples=300, deadline=None)

@@ -157,13 +157,16 @@ class TestSweep:
         pytest.param({"mode": Mode.MONTE_CARLO, "samples": 1}, id="mc-samples-1"),
         # A spelling, not a Mode: it would run exact mode with no sample check.
         pytest.param({"mode": "mc", "samples": 1}, id="mode-mc-string"),
+        # A spelling, not a Method: every cell would fail on its own.
+        pytest.param({"methods": ["threshold"]}, id="method-string"),
+        pytest.param({"methods": [*Method, "threshold"]}, id="method-string-last"),
     ])
     def test_bad_arguments_raise_before_any_instance_is_generated(self, monkeypatch, bad):
         # One error for the call, not one failure row per cell, and not
         # raised while handling another.
         refuse(monkeypatch, "generate")
         with pytest.raises(ValueError) as raised:
-            sweep(PINNED_SPECS, list(Method), **bad)
+            sweep(PINNED_SPECS, **{"methods": list(Method), **bad})
         assert raised.value.__context__ is None
 
     def test_exact_refusal_comes_before_the_optimum(self, monkeypatch):
@@ -359,6 +362,13 @@ class TestOnePass:
         with pytest.raises(ValueError, match="must lie in"):
             evaluate(instance, Method.THRESHOLD_APPROVAL, mode=Mode.MONTE_CARLO,
                      samples=samples)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    def test_a_method_that_is_no_method_fails_before_any_work(self, monkeypatch, mode):
+        instance = generate(GeneratorSpec("coverage", 6, 3, seed=1))
+        refuse(monkeypatch, "optimal_welfare", "_plan", "_facts")
+        with pytest.raises(ValueError, match="method must be a Method"):
+            evaluate(instance, "threshold", mode=mode, samples=100)
 
     def test_mc_optimum_past_the_limit_fails_before_the_plan(self, monkeypatch):
         refuse(monkeypatch, "_plan")
@@ -809,6 +819,15 @@ class TestMixedDenominators:
     pytest.param({"m": 0}, id="m-0"),
     pytest.param({"n": 0}, id="n-0"),
     pytest.param({"m": 3.0}, id="m-3.0"),
+    # `generate` fails on these two, and draws seed 1's instance under
+    # another id for the next two.
+    pytest.param({"seed": "a"}, id="seed-str"),
+    pytest.param({"seed": None}, id="seed-None"),
+    pytest.param({"seed": 1.5}, id="seed-1.5"),
+    pytest.param({"seed": True}, id="seed-True"),
+    # bool("no") is true: these covers would be drawn private.
+    pytest.param({"family_params": (("private_elements", "no"),)}, id="private-str"),
+    pytest.param({"family_params": (("private_elements", 1),)}, id="private-1"),
 ])
 def test_specs_the_generator_cannot_draw_are_refused(monkeypatch, fields):
     # Specs are built here, not at collection, and never drawn from: a
