@@ -1,25 +1,31 @@
 """Randomized aggregation rules as plans of their public randomness.
 
-The rules read the votes of `elicitation` as plain tuples and aggregate
-them themselves: a group is ranked only where its shortlist binds, one
-ranking per voter, its harmonic scores then picking the shortlist, and the
-approval counts at each threshold, counted once per instance, are the
-knapsack profits. Every rule is written once as a `Plan` (`rule_plan`): a
-few components (weight, P, k) with exact positive weights summing to 1,
-each meaning "a uniform k-subset of the sorted items P". The ranking rules
-mix each group's score-shortlist subset draw with a uniform singleton
-draw; the threshold rule mixes per-threshold knapsack outcomes S, each the
-component (S, |S|), with the same uniform singleton draw. Its knapsack is
-exact (`optimize.solve_knapsack`).
-`expected_welfare` takes the exact expectation component by component,
-from the mean social welfare of the component's subsets (`expected_uniform`
-of the instance welfare oracle, `core.Instance.welfare`), without expanding
-the plan into its sets. That oracle has one part per kind of voter, so a
-component costs one closed form or one walk over its subsets per part,
-not one per voter: the coverage part counts how many of P's items each
-cover signature holds, the max-value part sorts P's values (only when
-1 < k < |P|: at k = 1 the mean is their plain sum over |P|, and at k = |P|
-their maximum), and only the concave part walks the subsets.
+A rule reads the votes, the costs and m, nothing else: `experiment._plan`
+elicits every vote and hands the votes over as plain tuples. A binding
+group's rankings give harmonic scores, which pick its shortlist, and the
+approval counts at each threshold are the knapsack profits. Every rule is
+written once as a `Plan` (`rule_plan`): a few components (weight, P, k)
+with exact positive weights summing to 1, each meaning "a uniform k-subset
+of the sorted items P". The ranking rules mix each group's score-shortlist
+subset draw with a uniform singleton draw; the threshold rule mixes
+per-threshold knapsack outcomes S, each the component (S, |S|), with the
+same uniform singleton draw. Its knapsack is exact
+(`optimize.solve_knapsack`).
+
+`expected_welfare` evaluates a plan and is not a rule, so it alone reads
+the instance: the exact expectation, component by component, from the
+mean welfare of the component's subsets (`expected_uniform` of the
+instance's welfare oracle, `core.welfare_oracle`), in closed form for the
+coverage and max-value parts, with only the concave part walking the
+subsets.
+
+Where the paper ends: PAPER.md holds only its abstract, which names the
+three elicitation formats and distortion. The rest is this repository's
+reconstruction: the cost group boundaries, the thresholds l_t = 2^(t-1)/m,
+the shortlist cap floor(sqrt(m)/u_t) and both guarantee constants of
+`experiment.theoretical_bound`. The threshold guarantee fails on
+`tests/data/threshold_gap_m16.json` (E[W] 0.039288 against a bound of
+0.050444, exit 5), which breaks proof step L4 of ROADMAP item 27.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .core import AlternativeId, Instance, WelfareValue
-from .elicitation import approval_profile
 from .optimize import KnapsackProblem, solve_knapsack
 from .partition import GroupPartition, harmonic_scores, selection_size, shortlist
 
@@ -73,30 +78,30 @@ def shortlist_branch(
     return chosen, min(len(chosen), selection_size(partition.m, t))
 
 
-def threshold_branches(instance: Instance, partition: GroupPartition) -> list[Branch]:
-    """Each threshold's knapsack outcome S as the point branch (S, |S|)."""
-    outcomes = (rule_a_threshold(counts, instance)
-                for counts in approval_profile(instance, partition.thresholds))
+def threshold_branches(profile: Sequence[Sequence[int]],
+                       costs: Sequence[Fraction]) -> list[Branch]:
+    """Each threshold's knapsack outcome S, from its approval counts, as (S, |S|)."""
+    outcomes = (rule_a_threshold(counts, costs) for counts in profile)
     return [(tuple(sorted(outcome)), len(outcome)) for outcome in outcomes]
 
 
-def rule_plan(instance: Instance, mix: Fraction, branches: Sequence[Branch]) -> Plan:
-    """The coin-flip mixture: the uniform singleton with weight 1 - mix,
-    then every branch with an equal share of mix (the uniform group or
-    threshold draw). Without branches all weight goes to the singleton;
-    components of weight 0 are left out."""
+def rule_plan(m: int, mix: Fraction, branches: Sequence[Branch]) -> Plan:
+    """The coin-flip mixture: the uniform singleton over the m alternatives
+    with weight 1 - mix, then every branch with an equal share of mix (the
+    uniform group or threshold draw). Without branches all weight goes to
+    the singleton; components of weight 0 are left out."""
     coin = mix if branches else Fraction(0)
     share = coin / max(1, len(branches))
-    components = [(1 - coin, tuple(instance.alternatives), 1)] + [
+    components = [(1 - coin, tuple(range(m)), 1)] + [
         (share, items, k) for items, k in branches
     ]
     return Plan(tuple(c for c in components if c[0]))
 
 
-def rule_a_threshold(counts: Sequence[int], instance: Instance) -> frozenset:
-    """Best feasible set by the approval counts of one threshold, which
-    `approval_profile` counts once per instance (`optimize.solve_knapsack`)."""
-    return solve_knapsack(KnapsackProblem(profits=tuple(counts), costs=instance.costs))
+def rule_a_threshold(counts: Sequence[int], costs: Sequence[Fraction]) -> frozenset:
+    """Best feasible set by the approval counts of one threshold
+    (`optimize.solve_knapsack`)."""
+    return solve_knapsack(KnapsackProblem(profits=tuple(counts), costs=tuple(costs)))
 
 
 def expected_welfare(

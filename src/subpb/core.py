@@ -532,10 +532,6 @@ class Instance:
     def n(self) -> int:
         return len(self.voters)
 
-    @property
-    def alternatives(self) -> range:
-        return range(self.m)
-
     @cached_property
     def welfare(self) -> UtilityOracle:
         """Social welfare as one oracle, scaled to n (`welfare_oracle`);

@@ -5,8 +5,8 @@ one cost group, standalone-value rankings of one cost group, and approval
 at a rational threshold. A ranking profile is one tuple per voter, in voter
 order, that permutes the group. Threshold votes are counted once per
 instance, as one tuple of approval counts per threshold: the threshold rule
-reads nothing else of them. The rules in `aggregation` aggregate the votes,
-and the rule's plan asks for rankings only of groups whose shortlist binds.
+reads nothing else of them. `experiment._plan` elicits the votes, rankings
+only of groups whose shortlist binds, and `aggregation` aggregates them.
 Voters are plain records (`core.Voter`) with no states: additive, concave
 and max-value voters rank by marginal gain in closed form, and coverage
 alone walks its cover masks. Value rankings and approval counts read only

@@ -15,6 +15,9 @@ of the rule's public randomness (`_plan`: weighted components "a uniform
 k-subset of P", `aggregation.rule_plan`) is built once. So a bad argument
 fails before any work, a Monte Carlo cell past the optimum's enumeration
 limit before the plan, and an exact component past it before the optimum.
+`_plan` alone elicits votes, and the rules of `aggregation` read only
+those votes, the costs and m, so a plan is a function of the votes and
+the costs.
 The optimum and exact mode read welfare from one per-instance oracle
 (`core.Instance.welfare`) with one part per kind of voter: additive and
 coverage voters fold into one weighted coverage function over cover
@@ -54,7 +57,7 @@ from .aggregation import (
     threshold_branches,
 )
 from .core import FAMILIES, Instance, OracleSpec, RawInstance, max_curvature, validate_instance
-from .elicitation import Method, ranking_profile
+from .elicitation import Method, approval_profile, ranking_profile
 from .optimize import OptimalBundle, optimal_welfare
 from .partition import GroupPartition, build_partition, selection_size, shortlist_cap
 
@@ -266,7 +269,9 @@ def theoretical_bound(
     threshold guarantee is coin*(1 - c)*OPT / (4T) and the ranking
     guarantee coin*(1 - c)*OPT / (4(T + 1)*sqrt(m)). The threshold
     guarantee without thresholds (a single alternative) is vacuous and
-    reported as 0."""
+    reported as 0. Both constants are this repository's reconstruction
+    (PAPER.md holds only the abstract; see `aggregation`), and the threshold
+    one fails on `tests/data/threshold_gap_m16.json` (ROADMAP item 27, L4)."""
     coin = 2.0 * float(min(mix, 1 - mix))
     if method is Method.THRESHOLD_APPROVAL:
         thresholds = len(partition.thresholds)
@@ -406,10 +411,11 @@ def check_arguments(methods: Iterable[Method], mix: Fraction, mode: Mode,
 
 
 def _plan(facts: _InstanceFacts, method: Method, mix: Fraction) -> Plan:
-    """The rule's components (`aggregation.rule_plan`). Ranking profiles and
-    knapsack outcomes are computed only when the coin gives their components
-    positive weight, and rankings only where the shortlist binds: a group
-    within its cap, empty or not, is shortlisted whole, unranked."""
+    """The rule's components (`aggregation.rule_plan`). Every vote is
+    elicited here, and the rules read only the votes, the costs and m. Votes
+    are elicited only when the coin gives their components positive weight,
+    and rankings only where the shortlist binds: a group within its cap,
+    empty or not, is shortlisted whole, unranked."""
     instance, partition = facts.instance, facts.partition
     branches = []
     if mix and method.is_ranking:
@@ -420,8 +426,9 @@ def _plan(facts: _InstanceFacts, method: Method, mix: Fraction) -> Plan:
             for t, group in enumerate(partition.groups)
         ]
     elif mix:
-        branches = threshold_branches(instance, partition)
-    return rule_plan(instance, mix, branches)
+        profile = approval_profile(instance, partition.thresholds)
+        branches = threshold_branches(profile, instance.costs)
+    return rule_plan(instance.m, mix, branches)
 
 
 def _unrank(items: tuple[int, ...], k: int, rank: int) -> tuple[int, ...]:

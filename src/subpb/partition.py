@@ -74,7 +74,10 @@ def selection_size(m: int, t: int) -> int:
 
 
 def harmonic_scores(rankings: Sequence[Sequence[AlternativeId]]) -> dict[AlternativeId, float]:
-    """sc(a) = sum over voters of 1 / position(a), positions 1-indexed."""
+    """sc(a) = sum over voters of 1 / position(a), positions 1-indexed. The
+    float sum runs in voter order, so equal exact scores can round apart, and
+    then the larger float wins a `shortlist` tie meant for the smaller id
+    (ROADMAP item 22)."""
     scores: dict[AlternativeId, float] = {}
     for ranking in rankings:
         for pos, a in enumerate(ranking, start=1):

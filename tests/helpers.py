@@ -47,7 +47,7 @@ from subpb.core import (
     social_welfare,
     welfare_oracle,
 )
-from subpb.elicitation import Method, ranking_profile
+from subpb.elicitation import Method, approval_profile, ranking_profile
 from subpb.optimize import KnapsackProblem, OptimalBundle, _integer_costs
 from subpb.partition import GroupPartition, build_partition
 
@@ -93,11 +93,11 @@ def brute_force_best_welfare(instance: Instance) -> tuple[frozenset, float]:
     """The welfare maximum over all feasible subsets by full enumeration,
     with the lexicographically smallest id sequence among the maximal
     feasible subsets (no other alternative fits) that attain it."""
-    fits = [c for c in powerset(instance.alternatives) if feasible(instance, c)]
+    fits = [c for c in powerset(range(instance.m)) if feasible(instance, c)]
     welfare = {c: social_welfare(instance, c) for c in fits}
     best_welfare = max(welfare.values())
     maximal = [c for c in fits if not any(
-        feasible(instance, c + (a,)) for a in instance.alternatives if a not in c)]
+        feasible(instance, c + (a,)) for a in range(instance.m) if a not in c)]
     best = min(c for c in maximal if welfare[c] == best_welfare)
     return frozenset(best), best_welfare
 
@@ -515,8 +515,9 @@ def reference_plan(instance: Instance, method: Method, mix: Fraction) -> Plan:
             for t in range(partition.T + 1)
         ]
     elif mix:
-        branches = threshold_branches(instance, partition)
-    return rule_plan(instance, mix, branches)
+        branches = threshold_branches(approval_profile(instance, partition.thresholds),
+                                      instance.costs)
+    return rule_plan(instance.m, mix, branches)
 
 
 def rule_a_ranking(
@@ -529,7 +530,7 @@ def rule_a_ranking(
 
 def rule_b_uniform(instance: Instance) -> SelectionDistribution:
     """Uniform random singleton; the baseline rule."""
-    return plan_distribution(rule_plan(instance, Fraction(0), []))
+    return plan_distribution(rule_plan(instance.m, Fraction(0), []))
 
 
 def aggregate_ranking(
@@ -541,7 +542,7 @@ def aggregate_ranking(
 ) -> SelectionDistribution:
     """Coin-flip mixture of group t's shortlist rule and the uniform singleton."""
     branches = [shortlist_branch(rankings, partition, t)]
-    return plan_distribution(rule_plan(instance, Fraction(mix), branches))
+    return plan_distribution(rule_plan(instance.m, Fraction(mix), branches))
 
 
 def aggregate_threshold(instance: Instance, mix: Fraction = DEFAULT_MIX) -> SelectionDistribution:
@@ -549,8 +550,10 @@ def aggregate_threshold(instance: Instance, mix: Fraction = DEFAULT_MIX) -> Sele
     knapsack outcome, otherwise a uniform singleton. With a single
     alternative there are no thresholds and all mass goes to the singleton."""
     mix = Fraction(mix)
-    branches = threshold_branches(instance, build_partition(instance)) if mix else []
-    return plan_distribution(rule_plan(instance, mix, branches))
+    thresholds = build_partition(instance).thresholds
+    branches = threshold_branches(approval_profile(instance, thresholds),
+                                  instance.costs) if mix else []
+    return plan_distribution(rule_plan(instance.m, mix, branches))
 
 
 def direct_value_table(oracle: Voter | UtilityOracle, m: int) -> list[float]:

@@ -1,15 +1,24 @@
 """Selection rules as plans expanded into exact distributions: support,
-mixing, guarantees, and the closed-form expected welfare of a plan."""
+mixing, guarantees, the closed-form expected welfare of a plan, and plans
+that read only the votes, the costs and m."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from subpb import aggregation, experiment
 from subpb.aggregation import Plan, expected_welfare, rule_a_threshold
-from subpb.core import OracleSpec, RawInstance, social_welfare, validate_instance
+from subpb.core import FAMILIES, OracleSpec, RawInstance, social_welfare, validate_instance
 from subpb.elicitation import APPROVAL_TOL, Method, approval_profile, ranking_profile
-from subpb.experiment import GeneratorSpec, generate
+from subpb.experiment import GeneratorSpec, UniformRational, generate, generate_raw
 from subpb.optimize import KnapsackProblem
 from subpb.partition import build_partition
 
@@ -172,15 +181,15 @@ class TestRuleAThreshold:
         instance = uniform_additive_instance(
             [Fraction(3, 5), Fraction(1, 2), Fraction(1, 2)]
         )
-        assert rule_a_threshold([3, 2, 2], instance) == {1, 2}
+        assert rule_a_threshold([3, 2, 2], instance.costs) == {1, 2}
 
     def test_all_zero_weights_pick_nothing(self):
         instance = uniform_additive_instance([Fraction(1, 2)] * 3)
-        assert rule_a_threshold([0, 0, 0], instance) == frozenset()
+        assert rule_a_threshold([0, 0, 0], instance.costs) == frozenset()
 
     def test_single_alternative(self):
         instance = uniform_additive_instance([Fraction(1)])
-        assert rule_a_threshold([5], instance) == {0}
+        assert rule_a_threshold([5], instance.costs) == {0}
 
     def test_profits_are_the_approval_counts_of_real_profiles(self):
         for family in ("additive", "coverage", "concave", "max-value"):
@@ -191,9 +200,9 @@ class TestRuleAThreshold:
                 cutoff = float(alpha) - APPROVAL_TOL
                 assert counts == tuple(sum(table.singles[a] >= cutoff
                                            for table in instance.singleton_table)
-                                       for a in instance.alternatives)
+                                       for a in range(instance.m))
                 problem = KnapsackProblem(counts, instance.costs)
-                assert rule_a_threshold(counts, instance) == brute_force_knapsack(problem)
+                assert rule_a_threshold(counts, instance.costs) == brute_force_knapsack(problem)
 
 
 class TestAggregateThreshold:
@@ -310,3 +319,79 @@ class TestSamplingLowerBound:
             floor = min(float(probs[a]) for a in union)
             achieved = distribution_welfare(dist, instance)
             assert achieved >= floor * social_welfare(instance, union) - 1e-9
+
+
+def test_importing_the_rules_loads_no_elicitation():
+    # The rules take votes as plain tuples: `experiment._plan` elicits them.
+    src = Path(aggregation.__file__).resolve().parents[1]
+    probe = "import sys, subpb.aggregation\nprint('subpb.elicitation' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+    assert done.stdout == "False\n"
+
+
+def _votes(instance, partition, method):
+    """Everything `_plan` elicits for `method`, each ranking group included."""
+    if method.is_ranking:
+        return [ranking_profile(instance, partition, method, t)
+                for t, group in enumerate(partition.groups) if group]
+    return approval_profile(instance, partition.thresholds)
+
+
+def _approval_cell(value, thresholds):
+    return sum(value >= float(alpha) - APPROVAL_TOL for alpha in thresholds)
+
+
+@st.composite
+def vote_twins(draw):
+    """Two instances with equal costs and different utilities, by one of two
+    edits of one voter: swap two alternatives whose standalone values lie in
+    the same threshold cell (their covers, for coverage), which keeps the
+    approval counts; or raise an additive or max-value voter's values to a
+    power, a strictly increasing map, which keeps its rankings."""
+    swap = draw(st.booleans())
+    families = FAMILIES if swap else ("additive", "max-value")
+    spec = GeneratorSpec(draw(st.sampled_from(families)), draw(st.integers(3, 8)),
+                         draw(st.integers(1, 5)),
+                         UniformRational(draw(st.sampled_from((2, 4, 8)))),
+                         seed=draw(st.integers(0, 10**6)))
+    raw = generate_raw(spec)
+    instance = validate_instance(raw)
+    i = draw(st.integers(0, spec.n - 1))
+    params = dict(raw.voters[i].params)
+    if swap:
+        thresholds = build_partition(instance).thresholds
+        singles = instance.singleton_table[i].singles
+        pairs = [(a, b) for a, b in itertools.combinations(range(spec.m), 2)
+                 if _approval_cell(singles[a], thresholds)
+                 == _approval_cell(singles[b], thresholds)]
+        assume(pairs)
+        a, b = draw(st.sampled_from(pairs))
+        key = "covers" if spec.family == "coverage" else "values"
+        edited = list(params[key])
+        edited[a], edited[b] = edited[b], edited[a]
+        params[key] = edited
+    else:
+        power = draw(st.floats(0.25, 4.0))
+        params["values"] = [v**power for v in params["values"]]
+    voters = raw.voters[:i] + (OracleSpec(spec.family, params),) + raw.voters[i + 1:]
+    twin = raw._replace(voters=voters)
+    assume(twin != raw)
+    return instance, validate_instance(twin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vote_twins())
+def test_equal_votes_give_equal_plans(twins):
+    # Distortion is defined for a rule that sees only the votes and the
+    # costs: utilities that differ only where no vote shows it cannot move
+    # a plan. Each method whose votes the edit kept is checked.
+    instance, twin = twins
+    assert instance.costs == twin.costs
+    facts = experiment._InstanceFacts(instance), experiment._InstanceFacts(twin)
+    kept = [method for method in Method
+            if _votes(instance, facts[0].partition, method)
+            == _votes(twin, facts[1].partition, method)]
+    assume(kept)
+    for method, mix in itertools.product(kept, (Fraction(1, 3), Fraction(1, 2), Fraction(1))):
+        assert experiment._plan(facts[0], method, mix) == experiment._plan(facts[1], method, mix)

@@ -359,7 +359,7 @@ class TestSocialWelfare:
 
     def test_bounded_by_voter_count(self):
         instance = validate_instance(two_voter_instance())
-        for members in helpers.powerset(instance.alternatives):
+        for members in helpers.powerset(range(instance.m)):
             value = social_welfare(instance, members)
             assert -1e-12 <= value <= instance.n + 1e-12
 
@@ -709,9 +709,9 @@ class TestInstanceWelfare:
             before = [dict(vars(part)) for part in parts]
             uses = (
                 lambda: optimal_welfare(instance),
-                lambda: [welfare.expected_uniform(tuple(instance.alternatives), k)
+                lambda: [welfare.expected_uniform(tuple(range(instance.m)), k)
                          for k in range(m + 1)],
-                lambda: welfare.value(instance.alternatives),
+                lambda: welfare.value(range(instance.m)),
             )
             for use in uses:
                 use()
@@ -722,7 +722,7 @@ class TestInstanceWelfare:
 
     def test_value_equals_social_welfare(self):
         for instance in welfare_instances():
-            for members in helpers.powerset(instance.alternatives):
+            for members in helpers.powerset(range(instance.m)):
                 assert instance.welfare.value(members) == pytest.approx(
                     social_welfare(instance, members), rel=1e-12, abs=1e-12)
 

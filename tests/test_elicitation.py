@@ -309,7 +309,7 @@ class TestProfilesReadTheSingletonTable:
             alphas = sorted(set(build_partition(instance).thresholds) | values | above)
             for alpha, counts in zip(alphas, approval_profile(instance, alphas), strict=True):
                 approved = [approve_by_value(v, instance.m, alpha) for v in instance.voters]
-                want = tuple(sum(a in sets for sets in approved) for a in instance.alternatives)
+                want = tuple(sum(a in sets for sets in approved) for a in range(instance.m))
                 assert counts == want, (instance, alpha)
                 edges += alpha in values
         assert edges

@@ -407,8 +407,8 @@ class TestValuesWhereRead:
 
     def test_maximal_sets_walk_equals_brute_force(self):
         for instance in valued_instances():
-            fits = [c for c in helpers.powerset(instance.alternatives)
+            fits = [c for c in helpers.powerset(range(instance.m))
                     if helpers.feasible(instance, c)]
             assert sorted(helpers.maximal_sets(instance)) == sorted(
                 c for c in fits if not any(helpers.feasible(instance, c + (a,))
-                                           for a in instance.alternatives if a not in c))
+                                           for a in range(instance.m) if a not in c))
