@@ -541,7 +541,8 @@ class Instance:
     @cached_property
     def singleton_table(self) -> tuple[SingletonTable, ...]:
         """Each voter's standalone values and last gains, from its family's
-        closed-form `singleton_table`; built on first use."""
+        closed-form `singleton_table`; built on first use. The curvature
+        reads both, and the exhaustive optimum's bound the last gains."""
         return tuple([voter.singleton_table() for voter in self.voters])
 
 

@@ -293,9 +293,10 @@ class _InstanceFacts:
     that raises is not cached, so every evaluation that needs it raises
     again. `evaluate` keeps one record, that of the instance it evaluated
     last (`_facts`). The per-voter standalone values and last gains, which
-    the curvature, approval counts and value rankings read, live on the
-    instance itself (`core.Instance.singleton_table`), so a fresh record
-    reuses them as well."""
+    the curvature, approval counts and value rankings read, and whose last
+    gains bound the optimum's walk, live on the instance itself
+    (`core.Instance.singleton_table`), so a fresh record reuses them as
+    well."""
 
     def __init__(self, instance: Instance):
         self.instance = instance

@@ -20,8 +20,17 @@ reads a value (`worth`) only at the sets it compares, so the concave and
 max-value parts never value a set that cannot be maximal. For the additive
 and coverage part (`core.CoverageSumOracle`) a state carries the set's
 m-bit mask, and an extension adds the weight of each of the item's cover
-signatures that the mask does not meet. Submodular upper-bound pruning is
-not used.
+signatures that the mask does not meet.
+
+The walk prunes by the items it has skipped. A set S that avoids the
+skipped items K has, by monotonicity and then submodularity (remove K from
+the grand set A one item at a time),
+    f(S) <= f(A - K) <= f(A) - sum over k in K of f(k | A - k),
+and f(A) = n by normalization. The last gains f(k | A - k) are summed over
+the voters' singleton tables (`core.Instance.singleton_table`), so a skip
+adds one term to the bound, and a subtree whose bound cannot beat the
+incumbent is left, with a float margin of 2^-20 n that `optimal_welfare`
+derives.
 """
 
 from __future__ import annotations
@@ -168,17 +177,38 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
     final, and maximal only if no skipped item fits either. Welfare
     (`UtilityOracle.worth`) is read only at these compared sets: each
     forced completion, and each final set that no skipped item fits.
-    Utilities are monotone, so some maximal set is optimal. Every maximal
-    set is reached, in lexicographic order of its id sequence (taking first
-    puts the sets with an item before those without it, and no maximal set
-    is a prefix of another), so keeping the first strictly better welfare
-    gives ties to the smallest id sequence among maximal optima. Raises
-    ExceedsExactBudget above the enumeration limit."""
+    Utilities are monotone, so some maximal set is optimal.
+
+    A call also carries `lost`, the sum of the last gains f(k | A - k) of
+    the items skipped on its path, and leaves its loop once
+    `lost > ceiling - best_welfare`: every later set of the subtree avoids
+    those items, so its value is at most n - lost (module docstring). The
+    ceiling n * (1 + 2^-20) absorbs rounding. A float sum of N terms that
+    add to about n, each term rounded a few times already, is off by at
+    most about N * 2^-53 * n. Every compared value and the bound sum fewer
+    than 2^31 terms (voters, cover signatures, skipped items), so each is
+    off by less than 2^-22 n, and together with the subtraction from the
+    ceiling by less than 2^-20 n. A pruned set therefore reads at most
+    `best_welfare` in floats, and could not have replaced the incumbent,
+    which needs a strictly greater value. The argument compares each value
+    with the real one, never a state with its extension, so it does not
+    assume that rounding keeps the states monotone.
+
+    Every maximal set outside a pruned subtree is reached, in
+    lexicographic order of its id sequence (taking first puts the sets with
+    an item before those without it, and no maximal set is a prefix of
+    another), so keeping the first strictly better welfare gives ties to
+    the smallest id sequence among maximal optima; pruning skips only sets
+    that would not have been kept. Raises ExceedsExactBudget above the
+    enumeration limit."""
     m = instance.m
     if m > EXACT_ENUMERATION_LIMIT:
         raise ExceedsExactBudget(
             f"m={m} exceeds the exhaustive limit of {EXACT_ENUMERATION_LIMIT}"
         )
+    lasts = [math.fsum(gains)
+             for gains in zip(*[table.last_gains for table in instance.singleton_table])]
+    ceiling = instance.n * (1 + 2**-20)
     extend = instance.welfare.extend
     worth = instance.welfare.worth
     costs, budget = _integer_costs(instance.costs)
@@ -189,7 +219,7 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
     best_items = frozenset()
     chosen: list[int] = []
 
-    def explore(idx: int, room: int, cheapest_skipped: int, state: tuple) -> None:
+    def explore(idx: int, room: int, cheapest_skipped: int, lost: float, state: tuple) -> None:
         # Invariant: room - rest[idx] < cheapest_skipped, so taking every
         # remaining item would leave no room for a skipped one.
         nonlocal best_welfare, best_items
@@ -212,12 +242,13 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
             cost = costs[idx]
             if cost <= room:
                 chosen.append(idx)
-                explore(idx + 1, room - cost, cheapest_skipped, extend(state, idx))
+                explore(idx + 1, room - cost, cheapest_skipped, lost, extend(state, idx))
                 chosen.pop()
             cheapest_skipped = min(cheapest_skipped, cost)
+            lost += lasts[idx]
             idx += 1
-            if room - rest[idx] >= cheapest_skipped:
+            if room - rest[idx] >= cheapest_skipped or lost > ceiling - best_welfare:
                 return
 
-    explore(0, budget, budget + 1, instance.welfare.start())
+    explore(0, budget, budget + 1, 0.0, instance.welfare.start())
     return OptimalBundle(items=best_items, welfare=best_welfare)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpb.core import FAMILIES, OracleSpec, RawInstance, social_welfare, validate_instance
+from subpb.experiment import Fixed, GeneratorSpec, generate
 from subpb.optimize import (
     EXACT_ENUMERATION_LIMIT,
     ExceedsExactBudget,
@@ -151,27 +152,31 @@ def grid_values(rng, size):
     return values
 
 
-def grid_voter(rng, family, m):
-    """A voter with values or weights from `grid_values`; a coverage voter's
-    last item covers every element, so that its grand value is positive."""
+def grid_voter(rng, family, m, values=grid_values):
+    """A voter with values or weights from `values(rng, size)`; a coverage
+    voter's last item covers every element, so that its grand value is
+    positive."""
     if family == "coverage":
         universe = rng.randint(1, 4)
         return OracleSpec(family, {
-            "weights": grid_values(rng, universe),
+            "weights": values(rng, universe),
             "covers": [sorted(rng.sample(range(universe), rng.randint(0, universe)))
                        for _ in range(m - 1)] + [list(range(universe))],
         })
-    params = {"values": grid_values(rng, m)}
+    params = {"values": values(rng, m)}
     if family == "concave":
         params["gamma"] = rng.randint(1, 4) / 4
     return OracleSpec(family, params)
 
 
 def tie_costs(rng, model, m):
-    """Equal costs, dyadic costs k/2^j, or costs over distinct primes (with
-    31 and 37 past `PRIMES`, so that twelve items get twelve)."""
+    """Equal costs, costs on the grid of twelfths, dyadic costs k/2^j, or
+    costs over distinct primes (with 31 and 37 past `PRIMES`, so that twelve
+    items get twelve)."""
     if model == "equal":
         return (Fraction(rng.randint(1, 8), 16),) * m
+    if model == "grid":
+        return tuple(Fraction(rng.randint(1, 12), 12) for _ in range(m))
     if model == "dyadic":
         return tuple(Fraction(rng.randint(1, 2**j), 2**j)
                      for j in (rng.randint(0, 5) for _ in range(m)))
@@ -373,18 +378,19 @@ def valued_instances():
 
 
 #: The optimum's `extend` calls on each of `valued_instances`, in order:
-#: the counts of the walk, which reading values only at the compared sets
-#: leaves as they were.
+#: the counts of the walk pruned by the skipped items' last gains, none
+#: above the unpruned walk's.
 VALUED_INSTANCE_EXTENDS = (
-    3, 461, 3, 5, 4, 29, 2, 9, 23, 60, 1, 23, 54, 1, 19, 4, 4, 11,
-    15, 19, 1, 21, 95, 5, 6, 34, 55, 1, 1, 9, 15, 22, 80, 1, 58, 73)
+    3, 250, 3, 5, 3, 24, 2, 8, 7, 36, 1, 21, 54, 1, 16, 4, 4, 11,
+    14, 19, 1, 17, 95, 4, 6, 14, 20, 1, 1, 7, 5, 17, 32, 1, 20, 47)
 
 
 class TestValuesWhereRead:
     def test_worth_once_per_compared_set(self, monkeypatch):
         # Every set the optimum compares, forced completion or final set, is
-        # maximal, and every maximal set is compared once; a mixed instance's
-        # parts are valued once per value of their sum.
+        # maximal and compared once, so at most every maximal set is; the
+        # pruned ones are not. A mixed instance's parts are valued once per
+        # value of their sum.
         extends = []
         for instance in valued_instances():
             welfare = instance.welfare
@@ -396,9 +402,9 @@ class TestValuesWhereRead:
                         patch.setattr(oracle, name, helpers.counting(calls, oracle, name))
                 bundle = optimal_welfare(instance)
             compared = len(helpers.maximal_sets(instance))
-            assert calls[welfare, "worth"] == compared
+            assert calls[welfare, "worth"] <= compared
             for part in parts:
-                assert calls[part, "worth"] == compared
+                assert calls[part, "worth"] == calls[welfare, "worth"]
                 assert calls[part, "extend"] == calls[welfare, "extend"]
             assert bundle == helpers.optimum_by_recursion(instance)
             extends.append(calls[welfare, "extend"])
@@ -412,3 +418,88 @@ class TestValuesWhereRead:
             assert sorted(helpers.maximal_sets(instance)) == sorted(
                 c for c in fits if not any(helpers.feasible(instance, c + (a,))
                                            for a in range(instance.m) if a not in c))
+
+
+#: Values of `tie_heavy_values`: the eighths, on which sums tie exactly, and
+#: three tenths, whose sums round.
+TIE_HEAVY = tuple(k / 8 for k in range(9)) + (0.1, 0.2, 0.3)
+
+
+def tie_heavy_values(rng, size):
+    """Values from `TIE_HEAVY`, not all zero."""
+    values = [rng.choice(TIE_HEAVY) for _ in range(size)]
+    values[rng.randrange(size)] = rng.choice(TIE_HEAVY[1:])
+    return values
+
+
+def mixed_families(rng):
+    return rng.sample(FAMILIES, rng.randint(2, 4))
+
+
+def premise_voters(family, m):
+    """Voters of one family at extremes that validation accepts: weights
+    near 1e-300, one large value beside tiny ones, and for the concave
+    family both at gamma 0.4 and 1."""
+    rng = random.Random(f"premise/{family}/{m}")
+    tiny = [rng.uniform(1, 2) * 1e-300 for _ in range(m)]
+    lopsided = [1e300] + [rng.uniform(1, 2) * 1e-300 for _ in range(m - 1)]
+    if family == "coverage":
+        covers = [sorted(rng.sample(range(m), rng.randint(1, m))) for _ in range(m)]
+        return [OracleSpec(family, {"weights": weights, "covers": covers})
+                for weights in (tiny, lopsided)]
+    if family == "concave":
+        return [OracleSpec(family, {"values": values, "gamma": gamma})
+                for values in (tiny, lopsided) for gamma in (0.4, 1.0)]
+    return [OracleSpec(family, {"values": values}) for values in (tiny, lopsided)]
+
+
+class TestPruning:
+    """The optimum leaves a subtree once the last gains of the items skipped
+    on its path exceed n * (1 + 2^-20) minus the incumbent's welfare."""
+
+    @pytest.mark.parametrize("model", ["equal", "grid", "coprime"])
+    @pytest.mark.parametrize("family", [*FAMILIES, "mixed"])
+    def test_same_optimum_as_the_unpruned_walk(self, family, model):
+        rng = random.Random(f"prune/{family}/{model}")
+        for _ in range(300):
+            m = rng.randint(1, 10)
+            families = (mixed_families(rng) if family == "mixed"
+                        else [family] * rng.randint(1, 4))
+            instance = validate_instance(RawInstance(
+                costs=tie_costs(rng, model, m),
+                voters=tuple(grid_voter(rng, f, m, tie_heavy_values) for f in families),
+            ))
+            assert optimal_welfare(instance) == helpers.optimum_by_recursion(instance)
+
+    def test_prunes_the_exact_shortlist_walk(self, monkeypatch):
+        # The exact-shortlist bench shape: unpruned, the walk extends once per
+        # non-empty prefix of a 10-subset of 16, C(17, 10) - 1 = 19,447 times.
+        instance = generate(GeneratorSpec("coverage", 16, 20, Fixed((Fraction(3, 32),) * 16),
+                                          seed=1))
+        welfare = instance.welfare
+        calls = Counter()
+        monkeypatch.setattr(welfare, "extend", helpers.counting(calls, welfare, "extend"))
+        bundle = optimal_welfare(instance)
+        assert calls[welfare, "extend"] == 7845 < math.comb(17, 10) - 1
+        assert bundle == helpers.optimum_by_recursion(instance)
+
+    @pytest.mark.parametrize("family", [*FAMILIES, "mixed"])
+    def test_grand_value_and_last_gains_fit_the_ceiling(self, family):
+        # The bound n - (the skipped items' last gains) rests on a grand value
+        # of at most n and last gains that do not sum below 0, each up to the
+        # margin of 2^-20 n.
+        for m in (1, 2, 7, 24):
+            if family == "mixed":
+                voters = [spec for f in FAMILIES for spec in premise_voters(f, m)]
+            else:
+                voters = premise_voters(family, m)
+            rng = random.Random(f"premise/{family}/{m}")
+            voters += [grid_voter(rng, f, m, tie_heavy_values)
+                       for f in (mixed_families(rng) if family == "mixed" else [family] * 3)]
+            instance = validate_instance(RawInstance(costs=(Fraction(1),) * m,
+                                                     voters=tuple(voters)))
+            n = instance.n
+            lasts = [math.fsum(gains) for gains in
+                     zip(*[table.last_gains for table in instance.singleton_table])]
+            assert instance.welfare.value(range(m)) <= n * (1 + 2**-20)
+            assert sum(lasts) >= -n * 2**-20
