@@ -227,14 +227,19 @@ class ConcaveOverModularOracle(NamedTuple):
         return _concave(_left_sum(map(self.values.__getitem__, items)), self.gamma) * self.scale
 
     def singleton_table(self):
-        # `_concave` inlined: v ** g, or 0.0 where v is not positive.
+        # `_concave` inlined: v ** g, or 0.0 where v is not positive. The rest
+        # beside v is total - v, except beside a value above half the total:
+        # there the subtraction keeps mostly the total's rounding error (the
+        # rest beside 1 in [1, 1e-17] would be 0), which a small power
+        # magnifies, so the rest is the left sum of the other values.
         values, gamma, scale = self.values, self.gamma, self.scale
         total = _left_sum(values)
         full = _concave(total, gamma) * scale
+        rests = [total - v if v <= total / 2 else _left_sum(values[:a] + values[a + 1:])
+                 for a, v in enumerate(values)]
         return SingletonTable(
             tuple([(v**gamma if v > 0.0 else 0.0) * scale for v in values]),
-            tuple([full - (rest**gamma if (rest := total - v) > 0.0 else 0.0) * scale
-                   for v in values]))
+            tuple([full - (rest**gamma if rest > 0.0 else 0.0) * scale for rest in rests]))
 
 
 class MaxValueOracle(NamedTuple):

@@ -183,16 +183,24 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
     the items skipped on its path, and leaves its loop once
     `lost > ceiling - best_welfare`: every later set of the subtree avoids
     those items, so its value is at most n - lost (module docstring). The
-    ceiling n * (1 + 2^-20) absorbs rounding. A float sum of N terms that
-    add to about n, each term rounded a few times already, is off by at
-    most about N * 2^-53 * n. Every compared value and the bound sum fewer
-    than 2^31 terms (voters, cover signatures, skipped items), so each is
-    off by less than 2^-22 n, and together with the subtraction from the
-    ceiling by less than 2^-20 n. A pruned set therefore reads at most
-    `best_welfare` in floats, and could not have replaced the incumbent,
-    which needs a strictly greater value. The argument compares each value
-    with the real one, never a state with its extension, so it does not
-    assume that rounding keeps the states monotone.
+    ceiling n * (1 + 2^-20) absorbs rounding. Each voter's grand value is
+    1, and each term of a compared value or of a last gain is within a few
+    2^-53 of its real value, relative to 1: sums of nonnegative floats and
+    powers with exponent at most 1 keep a small relative error, and a last
+    gain is such a number or the difference of two of them, each at most 1.
+    That holds only because no operand has cancelled already: a concave
+    voter's rest beside a value above half its total is summed from the
+    other values, since total - v could keep mostly the total's rounding
+    error, which a small power magnifies (`core.ConcaveOverModularOracle`).
+    A float sum of N such terms is then off by at most about N * 2^-53 * n.
+    Every compared value and the bound sum fewer than 2^31 terms (voters,
+    cover signatures, skipped items), so each is off by less than 2^-22 n,
+    and together with the subtraction from the ceiling by less than
+    2^-20 n. A pruned set therefore reads at most `best_welfare` in floats,
+    and could not have replaced the incumbent, which needs a strictly
+    greater value. The argument compares each value with the real one,
+    never a state with its extension, so it does not assume that rounding
+    keeps the states monotone.
 
     Every maximal set outside a pruned subtree is reached, in
     lexicographic order of its id sequence (taking first puts the sets with

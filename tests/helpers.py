@@ -382,9 +382,16 @@ def singleton_table_formula(voter: Voter) -> tuple[tuple[float, ...], tuple[floa
     """A voter's standalone values and last gains from its family's closed
     form, as generator expressions over the voter's fields (coverage from
     its masks): the reference that `singleton_table` must equal bit for bit.
-    The concave total is a left sum, and 0 ** gamma counts as 0."""
+    The concave total is a left sum, and 0 ** gamma counts as 0. The concave
+    rest beside v is total - v, or beside a value above half the total,
+    where the subtraction would keep mostly the total's rounding error, the
+    left sum of the other values."""
     def concave(inner: float) -> float:
         return inner**voter.gamma if inner > 0.0 else 0.0
+
+    def rest(a: int, v: float) -> float:
+        values = voter.values
+        return total - v if v <= total / 2 else left_sum(values[:a] + values[a + 1:])
 
     if isinstance(voter, AdditiveOracle):
         singles = tuple(v * voter.scale for v in voter.values)
@@ -396,7 +403,8 @@ def singleton_table_formula(voter: Voter) -> tuple[tuple[float, ...], tuple[floa
         total = left_sum(voter.values)
         full = concave(total) * voter.scale
         return (tuple(concave(v) * voter.scale for v in voter.values),
-                tuple(full - concave(total - v) * voter.scale for v in voter.values))
+                tuple(full - concave(rest(a, v)) * voter.scale
+                      for a, v in enumerate(voter.values)))
     if isinstance(voter, MaxValueOracle):
         ordered = sorted(voter.values, reverse=True)
         top, second = ordered[0], ordered[1] if len(ordered) > 1 else 0.0

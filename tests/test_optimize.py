@@ -438,19 +438,38 @@ def mixed_families(rng):
 
 def premise_voters(family, m):
     """Voters of one family at extremes that validation accepts: weights
-    near 1e-300, one large value beside tiny ones, and for the concave
-    family both at gamma 0.4 and 1."""
+    near 1e-300, one large value beside tiny ones, and 1 beside values of
+    1e-17, below the rounding error of a total near 1; for the concave family
+    each at gamma 0.01, 0.25, 0.4 and 1."""
     rng = random.Random(f"premise/{family}/{m}")
     tiny = [rng.uniform(1, 2) * 1e-300 for _ in range(m)]
     lopsided = [1e300] + [rng.uniform(1, 2) * 1e-300 for _ in range(m - 1)]
+    cancelling = [1.0] + [1e-17] * (m - 1)
     if family == "coverage":
         covers = [sorted(rng.sample(range(m), rng.randint(1, m))) for _ in range(m)]
         return [OracleSpec(family, {"weights": weights, "covers": covers})
-                for weights in (tiny, lopsided)]
+                for weights in (tiny, lopsided, cancelling)]
     if family == "concave":
         return [OracleSpec(family, {"values": values, "gamma": gamma})
-                for values in (tiny, lopsided) for gamma in (0.4, 1.0)]
-    return [OracleSpec(family, {"values": values}) for values in (tiny, lopsided)]
+                for values in (tiny, lopsided, cancelling) for gamma in (0.01, 0.25, 0.4, 1.0)]
+    return [OracleSpec(family, {"values": values}) for values in (tiny, lopsided, cancelling)]
+
+
+def pruning_edge_instances(family):
+    """Equal-cost instances where the pruning has most to get wrong. For
+    max-value and concave, eighteen alternatives of cost 1/12, where the walk
+    prunes most of the C(18, 12) = 18,564 maximal sets. For mixed files, a
+    concave voter whose rest beside 1 is 1e-17, whose 0.01th power is 0.676:
+    taken as total - 1 = 0, it would give item 0 a last gain of 1 instead of
+    0.324, and skipping 0 would prune the optimum {1}."""
+    if family in ("max-value", "concave"):
+        return [generate(GeneratorSpec(family, 18, 5, Fixed((Fraction(1, 12),) * 18), seed=3))]
+    if family == "mixed":
+        return [validate_instance(RawInstance(costs=(Fraction(1),) * 2, voters=(
+            OracleSpec("concave", {"values": [1.0, 1e-17], "gamma": 0.01}),
+            OracleSpec("additive", {"values": [0.01, 0.99]}),
+        )))]
+    return []
 
 
 class TestPruning:
@@ -461,14 +480,18 @@ class TestPruning:
     @pytest.mark.parametrize("family", [*FAMILIES, "mixed"])
     def test_same_optimum_as_the_unpruned_walk(self, family, model):
         rng = random.Random(f"prune/{family}/{model}")
+        instances = []
         for _ in range(300):
             m = rng.randint(1, 10)
             families = (mixed_families(rng) if family == "mixed"
                         else [family] * rng.randint(1, 4))
-            instance = validate_instance(RawInstance(
+            instances.append(validate_instance(RawInstance(
                 costs=tie_costs(rng, model, m),
                 voters=tuple(grid_voter(rng, f, m, tie_heavy_values) for f in families),
-            ))
+            )))
+        if model == "equal":
+            instances += pruning_edge_instances(family)
+        for instance in instances:
             assert optimal_welfare(instance) == helpers.optimum_by_recursion(instance)
 
     def test_prunes_the_exact_shortlist_walk(self, monkeypatch):
@@ -485,9 +508,10 @@ class TestPruning:
 
     @pytest.mark.parametrize("family", [*FAMILIES, "mixed"])
     def test_grand_value_and_last_gains_fit_the_ceiling(self, family):
-        # The bound n - (the skipped items' last gains) rests on a grand value
-        # of at most n and last gains that do not sum below 0, each up to the
-        # margin of 2^-20 n.
+        # The bound n - (the skipped items' last gains) is sound when the grand
+        # value is at most n and no last gain exceeds f(A) - f(A - k), each up
+        # to the margin of 2^-20 n. The last gains are also nonnegative up to
+        # the margin, as a table of real last gains is.
         for m in (1, 2, 7, 24):
             if family == "mixed":
                 voters = [spec for f in FAMILIES for spec in premise_voters(f, m)]
@@ -501,5 +525,9 @@ class TestPruning:
             n = instance.n
             lasts = [math.fsum(gains) for gains in
                      zip(*[table.last_gains for table in instance.singleton_table])]
-            assert instance.welfare.value(range(m)) <= n * (1 + 2**-20)
+            grand = instance.welfare.value(range(m))
+            assert grand <= n * (1 + 2**-20)
             assert sum(lasts) >= -n * 2**-20
+            for k, last in enumerate(lasts):
+                rest = instance.welfare.value([a for a in range(m) if a != k])
+                assert last <= grand - rest + n * 2**-20
