@@ -23,6 +23,7 @@ round once (`math.fsum`), so the same floats come out on every Python.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from abc import ABC, abstractmethod
@@ -108,6 +109,13 @@ class UtilityOracle(ABC):
         for a in items:
             state = self.extend(state, a)
         return self.worth(state)
+
+    def shared_signatures(self, m: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """For each of the m alternatives a, the (signature, weight) pairs of
+        the cover signatures of two or more alternatives whose highest is a:
+        the weight that f(A) - f(A - K) counts beyond the last gains of K once
+        such a signature lies inside K. Only a coverage part has any."""
+        return ((),) * m
 
 
 class AdditiveOracle(NamedTuple):
@@ -310,6 +318,17 @@ class CoverageSumOracle(UtilityOracle):
                 gain += w
         return (value + gain, chosen | 1 << a)
 
+    def shared_signatures(self, m):
+        # covers[a] ascends, and the signatures of two or more alternatives
+        # whose highest is a lie between a's own, 2^a, and 2^(a + 1).
+        key = operator.itemgetter(0)
+        shared = []
+        for a in range(m):
+            pairs = self.covers.get(a, ())
+            low = bisect.bisect_right(pairs, 1 << a, key=key)
+            shared.append(pairs[low:bisect.bisect_left(pairs, 2 << a, low, key=key)])
+        return tuple(shared)
+
     def expected_uniform(self, items, k):
         # An element covered by d of the |P| items is missed only when the
         # subset avoids all d: probability C(|P| - d, k) / C(|P|, k).
@@ -439,6 +458,10 @@ class SumOracle(UtilityOracle):
 
     def worth(self, state):
         return _left_sum(part.worth(s) for part, s in zip(self.parts, state))
+
+    def shared_signatures(self, m):
+        return tuple(sum(pairs, ()) for pairs in
+                     zip(*[part.shared_signatures(m) for part in self.parts]))
 
 
 def _as_float(value, name: str) -> float:

@@ -22,13 +22,29 @@ and coverage part (`core.CoverageSumOracle`) a state carries the set's
 m-bit mask, and an extension adds the weight of each of the item's cover
 signatures that the mask does not meet.
 
-The walk prunes by the items it has skipped. A set S that avoids the
-skipped items K has, by monotonicity and then submodularity (remove K from
-the grand set A one item at a time),
-    f(S) <= f(A - K) <= f(A) - sum over k in K of f(k | A - k),
-and f(A) = n by normalization. The last gains f(k | A - k) are summed over
-the voters' singleton tables (`core.Instance.singleton_table`), so a skip
-adds one term to the bound, and a subtree whose bound cannot beat the
+The walk prunes by the items it has skipped and by the items the budget
+still makes it leave out. Below a node, K is the set of skipped items and R
+that of the undecided ones. A set S of the subtree takes some T of R that
+fits the room left, so it avoids K and D = R - T, whose cost is at least
+the need cost(R) - room. By monotonicity, and by submodularity as D is
+removed one item at a time,
+    f(S) <= f(A - K - D) <= f(A - K) - sum over d in D of f(d | A - d),
+where A is the grand set. Removing K from A the same way gives
+f(A - K) <= f(A) - sum over k in K of f(k | A - k), and f(A) = n by
+normalization. The coverage part of f (`core.CoverageSumOracle`) loses
+exactly the merged weight of the cover signatures that lie inside K, so
+for it the bound counts every such signature: one of a single item is that
+item's last gain, and one of two or more items is counted when its highest
+item a is skipped, since every item below a is decided then and the
+signature lies inside K exactly when it meets no chosen item. The other
+parts keep the last gains. The last gains of D sum to at least their
+fractional min-cover: the items of R by last gain per unit cost, taken
+whole until the next one covers the need, and that one in part. So
+    f(S) <= n - lost - drop,
+with lost the last gains of K plus the shared signatures inside K, and
+drop the min-cover. The last gains are summed over the voters' singleton
+tables (`core.Instance.singleton_table`), so a skip adds a few terms to
+lost and drop is one bisect, and a subtree whose bound cannot beat the
 incumbent is left, with a float margin of 2^-20 n that `optimal_welfare`
 derives.
 """
@@ -39,7 +55,7 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import ExceedsExactBudget, Instance, WelfareValue
 
@@ -179,28 +195,40 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
     forced completion, and each final set that no skipped item fits.
     Utilities are monotone, so some maximal set is optimal.
 
-    A call also carries `lost`, the sum of the last gains f(k | A - k) of
-    the items skipped on its path, and leaves its loop once
-    `lost > ceiling - best_welfare`: every later set of the subtree avoids
-    those items, so its value is at most n - lost (module docstring). The
-    ceiling n * (1 + 2^-20) absorbs rounding. Each voter's grand value is
-    1, and each term of a compared value or of a last gain is within a few
-    2^-53 of its real value, relative to 1: sums of nonnegative floats and
-    powers with exponent at most 1 keep a small relative error, and a last
-    gain is such a number or the difference of two of them, each at most 1.
-    That holds only because no operand has cancelled already: a concave
-    voter's rest beside a value above half its total is summed from the
-    other values, since total - v could keep mostly the total's rounding
-    error, which a small power magnifies (`core.ConcaveOverModularOracle`).
-    A float sum of N such terms is then off by at most about N * 2^-53 * n.
-    Every compared value and the bound sum fewer than 2^31 terms (voters,
-    cover signatures, skipped items), so each is off by less than 2^-22 n,
-    and together with the subtraction from the ceiling by less than
-    2^-20 n. A pruned set therefore reads at most `best_welfare` in floats,
-    and could not have replaced the incumbent, which needs a strictly
-    greater value. The argument compares each value with the real one,
-    never a state with its extension, so it does not assume that rounding
-    keeps the states monotone.
+    A call also carries `lost`: the last gains f(k | A - k) of the items
+    skipped on its path, plus the merged weight of each cover signature of
+    two or more items that lies inside them (`_skip_loss`). After a skip
+    it leaves its loop once `lost + drop > ceiling - best_welfare`, where
+    drop is the fractional min-cover of the need, the cost of the items
+    left minus the room, by their last gains (`_forced_drop`): every later
+    set of the subtree is worth at most n - lost - drop (module docstring).
+    The ceiling n * (1 + 2^-20) absorbs rounding. Each voter's grand value
+    is 1, and each term of a compared value or of the bound is within a
+    few 2^-53 of its real value, relative to 1. Sums of nonnegative floats
+    and powers with exponent at most 1 keep a small relative error, and a
+    last gain is such a number or the difference of two of them, each at
+    most 1. That holds only because no operand has cancelled already: a
+    concave voter's rest beside a value above half its total is summed from
+    the other values, since total - v could keep mostly the total's
+    rounding error, which a small power magnifies
+    (`core.ConcaveOverModularOracle`). A merged signature weight is an fsum
+    of nonnegative scaled weights. The fractional piece of drop is a last
+    gain times a ratio of integer costs at most 1, rounded once. The
+    min-cover takes the items by the rounded ratio of float last gain to
+    cost. Rounding keeps the order of two ratios unless they are within a
+    rounding of each other, and taking such a pair the other way round
+    moves the cover by a few 2^-53 of their last gains, so drop is within
+    that of the least fractional cover of the float last gains, which is at
+    most their least sum over the sets D that cover the need. A float sum
+    of N such terms is then off by at most about N * 2^-53 * n. Every compared
+    value and both parts of the bound sum fewer than 2^31 terms (voters,
+    cover signatures, items), so each is off by less than 2^-22 n, and
+    together with the additions and the subtraction from the ceiling by
+    less than 2^-20 n. A pruned set therefore reads at most `best_welfare`
+    in floats, and could not have replaced the incumbent, which needs a
+    strictly greater value. The argument compares each value with the real
+    one, never a state with its extension, so it does not assume that
+    rounding keeps the states monotone.
 
     Every maximal set outside a pruned subtree is reached, in
     lexicographic order of its id sequence (taking first puts the sets with
@@ -214,22 +242,24 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
         raise ExceedsExactBudget(
             f"m={m} exceeds the exhaustive limit of {EXACT_ENUMERATION_LIMIT}"
         )
-    lasts = [math.fsum(gains)
-             for gains in zip(*[table.last_gains for table in instance.singleton_table])]
+    lasts = _last_gains(instance)
+    shared = instance.welfare.shared_signatures(m)
     ceiling = instance.n * (1 + 2**-20)
     extend = instance.welfare.extend
     worth = instance.welfare.worth
     costs, budget = _integer_costs(instance.costs)
+    drop = _forced_drop(lasts, costs)
     # rest[j] and least[j]: the total and the smallest cost of items j..
     rest = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
     least = list(itertools.accumulate(reversed(costs), min, initial=budget + 1))[::-1]
     best_welfare = -1.0
     best_items = frozenset()
-    chosen: list[int] = []
 
-    def explore(idx: int, room: int, cheapest_skipped: int, lost: float, state: tuple) -> None:
+    def explore(idx: int, room: int, cheapest_skipped: int, lost: float, chosen: int,
+                state: tuple) -> None:
         # Invariant: room - rest[idx] < cheapest_skipped, so taking every
-        # remaining item would leave no room for a skipped one.
+        # remaining item would leave no room for a skipped one. `chosen` is
+        # the mask of the items taken.
         nonlocal best_welfare, best_items
         while True:
             if rest[idx] <= room:
@@ -238,25 +268,79 @@ def optimal_welfare(instance: Instance) -> OptimalBundle:
                 welfare = worth(state)
                 if welfare > best_welfare:
                     best_welfare = welfare
-                    best_items = frozenset(chosen).union(range(idx, m))
+                    best_items = _items(chosen, m).union(range(idx, m))
                 return
             if least[idx] > room:
                 if room < cheapest_skipped:
                     welfare = worth(state)
                     if welfare > best_welfare:
                         best_welfare = welfare
-                        best_items = frozenset(chosen)
+                        best_items = _items(chosen, m)
                 return
             cost = costs[idx]
             if cost <= room:
-                chosen.append(idx)
-                explore(idx + 1, room - cost, cheapest_skipped, lost, extend(state, idx))
-                chosen.pop()
+                explore(idx + 1, room - cost, cheapest_skipped, lost, chosen | 1 << idx,
+                        extend(state, idx))
             cheapest_skipped = min(cheapest_skipped, cost)
-            lost += lasts[idx]
+            lost += _skip_loss(lasts[idx], shared[idx], chosen)
             idx += 1
-            if room - rest[idx] >= cheapest_skipped or lost > ceiling - best_welfare:
+            if room - rest[idx] >= cheapest_skipped:
+                return
+            limit = ceiling - best_welfare
+            if lost > limit or lost + drop(idx, room) > limit:
                 return
 
-    explore(0, budget, budget + 1, 0.0, instance.welfare.start())
+    explore(0, budget, budget + 1, 0.0, 0, instance.welfare.start())
     return OptimalBundle(items=best_items, welfare=best_welfare)
+
+
+def _last_gains(instance: Instance) -> list[float]:
+    """f(a | A - a) for each alternative a: the fsum over the voters'
+    singleton tables."""
+    return [math.fsum(gains)
+            for gains in zip(*[table.last_gains for table in instance.singleton_table])]
+
+
+def _items(mask: int, m: int) -> frozenset:
+    return frozenset([a for a in range(m) if mask >> a & 1])
+
+
+def _skip_loss(last: float, shared: tuple[tuple[int, float], ...], chosen: int) -> float:
+    """What skipping an item a takes off the bound once every item below a
+    is decided: its last gain, plus the weight of each signature of two or
+    more items topped by a (`UtilityOracle.shared_signatures`) that meets
+    no chosen item, and so lies inside the skipped items."""
+    for signature, w in shared:
+        if not signature & chosen:
+            last += w
+    return last
+
+
+def _forced_drop(lasts: Sequence[float], costs: Sequence[int]) -> Callable[[int, int], float]:
+    """drop(j, room): at most the least sum of last gains over the sets D
+    of items j.. that a set of them fitting the room leaves out, that is,
+    whose cost is at least the need cost(j..) - room; 0.0 when the need is
+    not positive. It is the fractional min-cover, the minimum of its linear
+    relaxation: the items by last gain per unit cost, ascending, whole
+    until the next one covers the need, and then that one's last gain times
+    the share of its cost still needed. Each suffix keeps
+    its order and the prefix sums of cost and last gain, so a call is one
+    bisect."""
+    order = sorted(range(len(costs)), key=lambda a: lasts[a] / costs[a])
+    suffixes = []
+    for j in range(len(costs) + 1):
+        items = [a for a in order if a >= j]
+        suffixes.append((list(itertools.accumulate([costs[a] for a in items], initial=0)),
+                         list(itertools.accumulate([lasts[a] for a in items], initial=0.0)),
+                         items))
+
+    def drop(j: int, room: int) -> float:
+        covered, paid, items = suffixes[j]
+        need = covered[-1] - room
+        if need <= 0:
+            return 0.0
+        k = bisect.bisect_left(covered, need) - 1
+        a = items[k]
+        return paid[k] + lasts[a] * ((need - covered[k]) / costs[a])
+
+    return drop

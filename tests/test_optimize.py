@@ -1,7 +1,9 @@
 """The exact knapsack solver against brute force, and the exhaustive
 welfare oracle."""
 
+import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpb.core import FAMILIES, OracleSpec, RawInstance, social_welfare, validate_instance
-from subpb.experiment import Fixed, GeneratorSpec, generate
+from subpb.experiment import Fixed, GeneratorSpec, generate, generate_raw
 from subpb.optimize import (
     EXACT_ENUMERATION_LIMIT,
     ExceedsExactBudget,
     KnapsackProblem,
+    _forced_drop,
     _frontiers,
     _integer_costs,
+    _last_gains,
+    _skip_loss,
     optimal_welfare,
     solve_knapsack,
 )
@@ -377,12 +382,17 @@ def valued_instances():
                 ))
 
 
-#: The optimum's `extend` calls on each of `valued_instances`, in order:
-#: the counts of the walk pruned by the skipped items' last gains, none
-#: above the unpruned walk's.
-VALUED_INSTANCE_EXTENDS = (
+#: The optimum's `extend` calls on each of `valued_instances`, in order,
+#: when the walk was pruned by the skipped items' last gains alone.
+LAST_GAIN_EXTENDS = (
     3, 250, 3, 5, 3, 24, 2, 8, 7, 36, 1, 21, 54, 1, 16, 4, 4, 11,
     14, 19, 1, 17, 95, 4, 6, 14, 20, 1, 1, 7, 5, 17, 32, 1, 20, 47)
+
+#: The same counts with the shared cover signatures of the skipped items
+#: and the forced drop in the bound: none above `LAST_GAIN_EXTENDS`.
+VALUED_INSTANCE_EXTENDS = (
+    3, 147, 3, 5, 3, 12, 2, 5, 7, 21, 1, 19, 54, 1, 16, 4, 4, 11,
+    14, 19, 1, 17, 95, 4, 6, 14, 10, 1, 1, 6, 3, 14, 17, 1, 16, 43)
 
 
 class TestValuesWhereRead:
@@ -410,6 +420,7 @@ class TestValuesWhereRead:
             extends.append(calls[welfare, "extend"])
         assert len(parts) == 3  # the last instance is mixed
         assert tuple(extends) == VALUED_INSTANCE_EXTENDS
+        assert all(map(operator.le, VALUED_INSTANCE_EXTENDS, LAST_GAIN_EXTENDS))
 
     def test_maximal_sets_walk_equals_brute_force(self):
         for instance in valued_instances():
@@ -455,21 +466,56 @@ def premise_voters(family, m):
     return [OracleSpec(family, {"values": values}) for values in (tiny, lopsided, cancelling)]
 
 
-def pruning_edge_instances(family):
-    """Equal-cost instances where the pruning has most to get wrong. For
-    max-value and concave, eighteen alternatives of cost 1/12, where the walk
-    prunes most of the C(18, 12) = 18,564 maximal sets. For mixed files, a
-    concave voter whose rest beside 1 is 1e-17, whose 0.01th power is 0.676:
-    taken as total - 1 = 0, it would give item 0 a last gain of 1 instead of
-    0.324, and skipping 0 would prune the optimum {1}."""
-    if family in ("max-value", "concave"):
-        return [generate(GeneratorSpec(family, 18, 5, Fixed((Fraction(1, 12),) * 18), seed=3))]
+def premise_instance(family, m, costs):
+    """`premise_voters` of the family, or of every family for mixed files,
+    beside three voters from `tie_heavy_values` (two to four families for
+    mixed files), at these costs."""
     if family == "mixed":
-        return [validate_instance(RawInstance(costs=(Fraction(1),) * 2, voters=(
-            OracleSpec("concave", {"values": [1.0, 1e-17], "gamma": 0.01}),
-            OracleSpec("additive", {"values": [0.01, 0.99]}),
-        )))]
-    return []
+        voters = [spec for f in FAMILIES for spec in premise_voters(f, m)]
+    else:
+        voters = premise_voters(family, m)
+    rng = random.Random(f"premise/{family}/{m}")
+    voters += [grid_voter(rng, f, m, tie_heavy_values)
+               for f in (mixed_families(rng) if family == "mixed" else [family] * 3)]
+    return validate_instance(RawInstance(costs=costs, voters=tuple(voters)))
+
+
+def equal_cost_instance(family, m, n, cost, seed, **params):
+    """A generator instance at m equal costs; a mixed one holds the n voters
+    of each family's generator at the same spec."""
+    costs = Fixed((cost,) * m)
+    if family != "mixed":
+        return generate(GeneratorSpec(family, m, n, costs, seed=seed,
+                                      family_params=tuple(params.items())))
+    raws = [generate_raw(GeneratorSpec(f, m, n, costs, seed=seed)) for f in FAMILIES]
+    return validate_instance(RawInstance(costs=raws[0].costs,
+                                         voters=tuple(v for raw in raws for v in raw.voters)))
+
+
+def pruning_edge_instances(family):
+    """Equal-cost instances where the pruning has most to get wrong. Sixteen
+    to eighteen alternatives of which the budget takes ten to twelve, where
+    the walk prunes most of the maximal sets, by the shared cover signatures
+    of the skipped items and the drop that the budget forces on the rest as
+    well as by the last gains: for every family, and for coverage with and
+    without private elements. For mixed files also a concave voter whose
+    rest beside 1 is 1e-17, whose 0.01th power is 0.676: taken as total - 1
+    = 0, it would give item 0 a last gain of 1 instead of 0.324, and
+    skipping 0 would prune the optimum {1}."""
+    instances = [equal_cost_instance(family, 18, 5, Fraction(1, 12), seed=3)]
+    if family == "coverage":
+        instances += [equal_cost_instance(family, 17, 8, Fraction(1, 10), seed=4),
+                      equal_cost_instance(family, 18, 5, Fraction(1, 12), seed=5,
+                                          private_elements=True),
+                      equal_cost_instance(family, 16, 20, Fraction(3, 32), seed=2,
+                                          private_elements=True)]
+    if family == "mixed":
+        instances += [equal_cost_instance(family, 16, 2, Fraction(3, 32), seed=3),
+                      validate_instance(RawInstance(costs=(Fraction(1),) * 2, voters=(
+                          OracleSpec("concave", {"values": [1.0, 1e-17], "gamma": 0.01}),
+                          OracleSpec("additive", {"values": [0.01, 0.99]}),
+                      )))]
+    return instances
 
 
 class TestPruning:
@@ -496,14 +542,15 @@ class TestPruning:
 
     def test_prunes_the_exact_shortlist_walk(self, monkeypatch):
         # The exact-shortlist bench shape: unpruned, the walk extends once per
-        # non-empty prefix of a 10-subset of 16, C(17, 10) - 1 = 19,447 times.
+        # non-empty prefix of a 10-subset of 16, C(17, 10) - 1 = 19,447 times,
+        # and pruned by the skipped items' last gains alone, 7,845 times.
         instance = generate(GeneratorSpec("coverage", 16, 20, Fixed((Fraction(3, 32),) * 16),
                                           seed=1))
         welfare = instance.welfare
         calls = Counter()
         monkeypatch.setattr(welfare, "extend", helpers.counting(calls, welfare, "extend"))
         bundle = optimal_welfare(instance)
-        assert calls[welfare, "extend"] == 7845 < math.comb(17, 10) - 1
+        assert calls[welfare, "extend"] == 3078 <= 7845 < math.comb(17, 10) - 1
         assert bundle == helpers.optimum_by_recursion(instance)
 
     @pytest.mark.parametrize("family", [*FAMILIES, "mixed"])
@@ -513,21 +560,58 @@ class TestPruning:
         # to the margin of 2^-20 n. The last gains are also nonnegative up to
         # the margin, as a table of real last gains is.
         for m in (1, 2, 7, 24):
-            if family == "mixed":
-                voters = [spec for f in FAMILIES for spec in premise_voters(f, m)]
-            else:
-                voters = premise_voters(family, m)
-            rng = random.Random(f"premise/{family}/{m}")
-            voters += [grid_voter(rng, f, m, tie_heavy_values)
-                       for f in (mixed_families(rng) if family == "mixed" else [family] * 3)]
-            instance = validate_instance(RawInstance(costs=(Fraction(1),) * m,
-                                                     voters=tuple(voters)))
+            instance = premise_instance(family, m, (Fraction(1),) * m)
             n = instance.n
-            lasts = [math.fsum(gains) for gains in
-                     zip(*[table.last_gains for table in instance.singleton_table])]
+            lasts = _last_gains(instance)
             grand = instance.welfare.value(range(m))
             assert grand <= n * (1 + 2**-20)
             assert sum(lasts) >= -n * 2**-20
             for k, last in enumerate(lasts):
                 rest = instance.welfare.value([a for a in range(m) if a != k])
                 assert last <= grand - rest + n * 2**-20
+
+    @pytest.mark.parametrize("model", ["grid", "dyadic", "coprime"])
+    @pytest.mark.parametrize("family", [*FAMILIES, "mixed"])
+    def test_skip_losses_and_forced_drops_fit_their_sets(self, family, model):
+        # The bound n - lost - drop is sound when, up to the margin of 2^-20 n,
+        # lost never exceeds f(A) - f(A - K) for the skipped items K, and drop
+        # never exceeds the least summed last gains of a set D of the items
+        # left that costs at least the need. On the coverage part lost is
+        # f(A) - f(A - K) itself, so on additive and coverage voters it is also
+        # no less. Skips are taken in ascending order, as the walk takes them:
+        # every item below a skipped one is chosen or skipped already.
+        for m in (1, 2, 7, 12):
+            rng = random.Random(f"bound/{family}/{model}/{m}")
+            instance = premise_instance(family, m, tie_costs(rng, model, m))
+            margin = instance.n * 2**-20
+            lasts = _last_gains(instance)
+            shared = instance.welfare.shared_signatures(m)
+            grand = instance.welfare.value(range(m))
+            for _ in range(20):
+                skipped = sorted(rng.sample(range(m), rng.randint(1, m)))
+                lost = 0.0
+                for i, k in enumerate(skipped):
+                    chosen = sum(1 << a for a in range(k) if a not in skipped)
+                    lost += _skip_loss(lasts[k], shared[k], chosen)
+                    kept = instance.welfare.value([a for a in range(m)
+                                                   if a not in skipped[:i + 1]])
+                    assert lost <= grand - kept + margin
+                    if family in ("additive", "coverage"):
+                        assert lost >= grand - kept - margin
+            costs, _ = _integer_costs(instance.costs)
+            drop = _forced_drop(lasts, costs)
+            for j in range(m + 1):
+                # The (cost, summed last gains) of every set of items j..; the
+                # least sum over a cost of at least c changes only at the
+                # costs of sets, where the drop, which grows with the need,
+                # is largest for that least sum.
+                subsets = [(0, 0.0)]
+                for a in range(j, m):
+                    subsets += [(c + costs[a], paid + lasts[a]) for c, paid in subsets]
+                total = sum(costs[j:])
+                least = math.inf
+                for cost, group in itertools.groupby(sorted(subsets, reverse=True),
+                                                     key=operator.itemgetter(0)):
+                    least = min(least, *[paid for _, paid in group])
+                    assert drop(j, total - cost) <= least + margin
+                assert drop(j, total) == drop(j, total + 1) == 0.0
