@@ -288,9 +288,10 @@ class CoverageSumOracle(UtilityOracle):
     already. f(S) is the total weight of the signatures that meet S. A
     state is (value, mask), the set's value and the m-bit mask of its
     alternatives: the value is the running sum of the gains that `extend`
-    computes anyway, so `worth` only reads it, at C speed. `covers[a]`
-    holds the (signature, weight) pairs of the elements a covers,
-    ascending; an alternative that covers nothing has no entry."""
+    computes anyway, so `worth` only reads it, at C speed. The signatures
+    ascend, as `welfare_oracle` sorts them, so `covers[a]`, the (signature,
+    weight) pairs of the elements a covers, ascends too; an alternative
+    that covers nothing has no entry."""
 
     def __init__(self, weights: tuple[float, ...], signatures: tuple[int, ...]):
         self.weights = weights

@@ -982,3 +982,19 @@ class TestCoverageSumOracle:
                 for k in range(size + 1):
                     assert part.expected_uniform(items, k) == helpers.mask_walk_expected_uniform(
                         part.weights, masks, items, k), (part, items, k)
+
+    def test_shared_signatures_are_grouped_by_their_highest_item(self):
+        # The signatures of two or more alternatives, by the highest, which
+        # the exhaustive optimum counts once that alternative is skipped; a
+        # sum of parts has only its coverage part's.
+        for m, part in signature_parts():
+            expected = [[] for _ in range(m)]
+            for signature, w in zip(part.signatures, part.weights):
+                if bin(signature).count("1") >= 2:
+                    expected[signature.bit_length() - 1].append((signature, w))
+            assert part.shared_signatures(m) == tuple(map(tuple, expected))
+        for instance in welfare_instances():
+            parts = getattr(instance.welfare, "parts", (instance.welfare,))
+            coverage = [p for p in parts if isinstance(p, CoverageSumOracle)]
+            assert instance.welfare.shared_signatures(instance.m) == (
+                coverage[0].shared_signatures(instance.m) if coverage else ((),) * instance.m)
